@@ -2,9 +2,11 @@
 """The exact 1-D side: singular quadrature, matching constants, limit profiles.
 
 The shooting solution w with w(0) = 1, w'(0) = 0, -w'' = 1/(c(n-1) w^n) is
-recovered by inverting B_n(1 - w^{n-1}) = sqrt(2/c) t, where B_n is an
-incomplete-Beta-type integral with endpoint singularities.  Its total B_n(1)
-has a Gamma-function closed form, which gives a dual route to the quadrature.
+recovered by inverting B_n(1 - w^{n-1}) = sqrt(2/c) t, where B_n is the
+incomplete beta function B(x; 1/2, 1/2 + 1/(n-1)), an integral with endpoint
+singularities.  Its total B_n(1) has a Gamma-function closed form; QUADPACK's
+algebraic-weight rule integrates the singular integrand directly, which gives
+a dual route.
 
 Two parametrizations matter:
   * interval: pick c so the first zero lands at the interval radius R
@@ -19,19 +21,22 @@ at |t| = 1.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
-from singell import (OneDProfile, beta_integral, beta_total_closed_form,
-                     first_zero, limit_profiles, lower_matching_bound,
-                     matching_constant, upper_matching_bound)
+from singell import (OneDProfile, beta_total_closed_form, first_zero,
+                     limit_profiles, lower_matching_bound, matching_constant,
+                     upper_matching_bound)
 
 
 def main():
-    print("dual route to B_n(1): adaptive quadrature vs Gamma closed form")
+    print("dual route to B_n(1): QUADPACK algebraic-weight quadrature vs "
+          "Gamma closed form")
     for n in (3, 5, 9, 33, 129):
-        quad = beta_integral(1.0, n)
+        total, _ = quad(lambda h: 1.0, 0.0, 1.0, weight="alg",
+                        wvar=(-0.5, -(n - 3.0) / (2.0 * (n - 1.0))))
         closed = beta_total_closed_form(n)
-        print(f"  n={n:>3}: quadrature {quad:.12f}   closed {closed:.12f}   "
-              f"diff {abs(quad - closed):.1e}")
+        print(f"  n={n:>3}: quadrature {total:.12f}   closed {closed:.12f}   "
+              f"diff {abs(total - closed):.1e}")
     print(f"  limiting value (both exponents 1/2): pi = {math.pi:.12f}")
 
     print("\nmatched parametrization: c_n, brackets, first zero")

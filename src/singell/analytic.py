@@ -1,31 +1,27 @@
-"""Closed-form 1-D machinery: Gamma function, the singular profile quadrature,
-shooting profiles, the C^1 matching constant, and cos^2-type limit profiles.
+"""Closed-form 1-D machinery: the incomplete beta integral B_n, shooting
+profiles, the C^1 matching constant, and cos^2-type limit profiles.
 
 The profile of the normalized shooting solution w (w(0)=1, w'(0)=0,
 -w'' = 1/(c (n-1) w^n)) is recovered from the implicit relation
 
     B_n(1 - w^{n-1}(t)) = sqrt(2/c) * t,
 
-where B_n(x) = integral_0^x  h^{-1/2} (1-h)^{-(n-3)/(2(n-1))} dh.  Both
-endpoint singularities of the integrand are removed by substitution before
-quadrature: h = s^2 on the left and 1 - h = tau^p, p = 2(n-1)/(n+1), on the
-right (the right exponent is chosen so the transformed integrand is exactly
-p * h^{-1/2}).  The right-hand coordinate also gives high-precision access to
-the complement 1 - x, which keeps powers like w^{n+1} = (1-x)^{(n+1)/(n-1)}
-accurate near the profile's zero even for n in the hundreds.
+where B_n(x) = integral_0^x  h^{-1/2} (1-h)^{-(n-3)/(2(n-1))} dh is the
+incomplete beta function B(x; 1/2, 1/2 + 1/(n-1)).  The complement 1 - x is
+inverted on its own, through I_x(a, b) = 1 - I_{1-x}(b, a), which keeps
+powers like w^{n+1} = (1-x)^{(n+1)/(n-1)} accurate near the profile's zero
+even for n in the hundreds.  Profile evaluations take whole arrays of t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
+from scipy.special import beta, betainc, betaincinv
 
-QUAD_TOL = 1e-12        # absolute tolerance per quadrature panel
-INVERSE_TOL = 5e-14     # residual tolerance of the monotone inversion
 ROOT_TOL = 1e-10        # |F(c)| at the matching constant
 N_CAP = 400             # profile evaluation cap in double precision
 
@@ -34,70 +30,15 @@ class ConstructionError(RuntimeError):
     pass
 
 
-# --- Gamma function (Lanczos, g = 7) -----------------------------------------
-
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma function for real x > 0, Lanczos approximation (g = 7).
-
-    Relative error is ~1e-13 on the working range [0.5, 10].
-    """
+    """Gamma function for real x > 0."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, coeff in enumerate(_LANCZOS[1:], start=1):
-        acc += coeff / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
-# --- adaptive Simpson quadrature ----------------------------------------------
-
-def _simpson(f, a, fa, m, fm, b, fb):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(f, a, fa, lm, flm, m, fm)
-    right = _simpson(f, m, fm, rm, frm, b, fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return (_adaptive(f, a, fa, lm, flm, m, fm, left, tol / 2.0, depth - 1)
-            + _adaptive(f, m, fm, rm, frm, b, fb, right, tol / 2.0, depth - 1))
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = QUAD_TOL) -> float:
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(f, a, fa, m, fm, b, fb)
-    return _adaptive(f, a, fa, m, fm, b, fb, whole, tol, 52)
-
-
-# --- the singular profile quadrature -----------------------------------------
+# --- the incomplete beta integral B_n ----------------------------------------
 
 def _check_n(n: float) -> float:
     n = float(n)
@@ -106,128 +47,51 @@ def _check_n(n: float) -> float:
     return n
 
 
-def _singular_exponent(n: float) -> float:
-    return (n - 3.0) / (2.0 * (n - 1.0))
+def _beta_exponents(n: float) -> tuple[float, float]:
+    """(a, b) with B_n(x) = B(x; a, b)."""
+    return 0.5, 0.5 + 1.0 / (n - 1.0)
 
 
-def _right_power(n: float) -> float:
-    return 2.0 * (n - 1.0) / (n + 1.0)
+def _invert(y, n: float, complement: bool = False) -> np.ndarray:
+    """x with B_n(x) = y, or 1 - x when `complement`, elementwise.
 
-
-_S_HALF = math.sqrt(0.5)
-
-
-class _ProfileQuadrature:
-    """Cumulative tables for B_n and its monotone inverse, one instance per n."""
-
-    PANELS = 160
-
-    def __init__(self, n: float):
-        self.n = n
-        b = _singular_exponent(n)
-        p = _right_power(n)
-        self.b = b
-        self.p = p
-        self.left_integrand = lambda s: 2.0 * (1.0 - s * s) ** (-b)
-        self.right_integrand = lambda tau: p * (1.0 - tau ** p) ** (-0.5)
-
-        self.s_nodes = np.linspace(0.0, _S_HALF, self.PANELS + 1)
-        left = np.zeros(self.PANELS + 1)
-        for i in range(self.PANELS):
-            left[i + 1] = left[i] + adaptive_simpson(
-                self.left_integrand, self.s_nodes[i], self.s_nodes[i + 1],
-                QUAD_TOL / self.PANELS)
-        self.left_cum = left
-
-        tau_half = 0.5 ** (1.0 / p)
-        self.tau_nodes = np.linspace(0.0, tau_half, self.PANELS + 1)
-        right = np.zeros(self.PANELS + 1)
-        for i in range(self.PANELS):
-            right[i + 1] = right[i] + adaptive_simpson(
-                self.right_integrand, self.tau_nodes[i], self.tau_nodes[i + 1],
-                QUAD_TOL / self.PANELS)
-        self.right_cum = right
-
-        self.left_total = float(left[-1])     # B_n(1/2)
-        self.right_total = float(right[-1])   # B_n(1) - B_n(1/2)
-        self.total = self.left_total + self.right_total
-
-    # forward evaluation ------------------------------------------------------
-
-    def value(self, x: float) -> float:
-        if x < -1e-12 or x > 1.0 + 1e-12:
-            raise ValueError(f"argument {x} outside [0, 1]")
-        x = min(max(x, 0.0), 1.0)
-        if x <= 0.5:
-            s = math.sqrt(x)
-            k = min(int(np.searchsorted(self.s_nodes, s)), self.PANELS) - 1
-            k = max(k, 0)
-            return float(self.left_cum[k]) + adaptive_simpson(
-                self.left_integrand, float(self.s_nodes[k]), s, QUAD_TOL)
-        tau = (1.0 - x) ** (1.0 / self.p)
-        k = max(min(int(np.searchsorted(self.tau_nodes, tau)), self.PANELS) - 1, 0)
-        partial = float(self.right_cum[k]) + adaptive_simpson(
-            self.right_integrand, float(self.tau_nodes[k]), tau, QUAD_TOL)
-        return self.total - partial
-
-    # monotone inversion ------------------------------------------------------
-
-    def _newton(self, nodes, cum, integrand, target, k):
-        lo, hi = float(nodes[k]), float(nodes[k + 1])
-        clo, chi = float(cum[k]), float(cum[k + 1])
-        pos = lo + (hi - lo) * (target - clo) / (chi - clo)
-        for _ in range(40):
-            resid = clo + adaptive_simpson(integrand, lo, pos, QUAD_TOL) - target
-            if abs(resid) <= INVERSE_TOL * (1.0 + abs(target)):
-                break
-            step = -resid / integrand(pos)
-            pos = min(max(pos + step, lo), hi)
-        return pos
-
-    def inverse(self, y: float) -> tuple[float, float]:
-        """Return (x, 1-x) with B_n(x) = y; the complement is exact near x = 1."""
-        if y < -1e-12 or y > self.total + 1e-9:
-            raise ValueError(f"value {y} outside [0, B_n(1) = {self.total}]")
-        y = min(max(y, 0.0), self.total)
-        if y >= self.total - 1e-12 * (1.0 + self.total):
-            # inside the roundoff band of the endpoint; fractional-power
-            # evaluations downstream would amplify the residual otherwise
-            return 1.0, 0.0
-        if y <= self.left_total:
-            k = max(min(int(np.searchsorted(self.left_cum, y)), self.PANELS) - 1, 0)
-            s = self._newton(self.s_nodes, self.left_cum, self.left_integrand, y, k)
-            x = s * s
-            return x, 1.0 - x
-        target = self.total - y
-        k = max(min(int(np.searchsorted(self.right_cum, target)), self.PANELS) - 1, 0)
-        tau = self._newton(self.tau_nodes, self.right_cum, self.right_integrand,
-                           target, k)
-        xi = tau ** self.p
-        return 1.0 - xi, xi
-
-
-@lru_cache(maxsize=64)
-def _quadrature_for(n: float) -> _ProfileQuadrature:
-    return _ProfileQuadrature(n)
+    Each side is inverted directly, so each is accurate near its own zero.
+    """
+    a, b = _beta_exponents(n)
+    total = beta(a, b)
+    y = np.clip(y, 0.0, total)
+    # inside the roundoff band of the endpoint x is 1; fractional-power
+    # evaluations downstream would amplify the residual otherwise
+    end = y >= total - 1e-12 * (1.0 + total)
+    if complement:
+        return np.where(end, 0.0, betaincinv(b, a, (total - y) / total))
+    return np.where(end, 1.0, betaincinv(a, b, y / total))
 
 
 def beta_integral(x: float, n: float) -> float:
     """B_n(x) = integral_0^x h^{-1/2} (1-h)^{-(n-3)/(2(n-1))} dh, x in [0, 1]."""
     n = _check_n(n)
-    return _quadrature_for(n).value(float(x))
+    x = float(x)
+    if x < -1e-12 or x > 1.0 + 1e-12:
+        raise ValueError(f"argument {x} outside [0, 1]")
+    a, b = _beta_exponents(n)
+    return float(beta(a, b) * betainc(a, b, min(max(x, 0.0), 1.0)))
 
 
 def beta_integral_inverse(y: float, n: float) -> float:
     """Monotone inverse of B_n on [0, B_n(1)]."""
     n = _check_n(n)
-    x, _ = _quadrature_for(n).inverse(float(y))
-    return x
+    y = float(y)
+    total = beta(*_beta_exponents(n))
+    if y < -1e-12 or y > total + 1e-9:
+        raise ValueError(f"value {y} outside [0, B_n(1) = {total}]")
+    return float(_invert(y, n))
 
 
 def beta_total_closed_form(n: float) -> float:
     """B_n(1) through the Gamma function: sqrt(pi) G(1/2 + 1/(n-1)) / G(n/(n-1)).
 
-    Dual route to the quadrature value beta_integral(1, n).
+    Dual route to a quadrature of the integrand.
     """
     n = _check_n(n)
     e = 1.0 / (n - 1.0)
@@ -271,43 +135,52 @@ def profile_amplitude(radius: float, n: float) -> float:
     return math.exp(math.log(base) / (n + 1.0))
 
 
-def _power(base: float, exponent: float) -> float:
-    if base <= 0.0:
-        return 0.0
-    return math.exp(min(exponent * math.log(base), 700.0))
+def _exp(lg):
+    return np.exp(np.minimum(lg, 700.0))
 
 
-def _profile_complement(t: float, n: float, c: float) -> float:
-    """1 - x(t) where B_n(x(t)) = sqrt(2/c) t; equals w^{n-1}(t)."""
-    y = math.sqrt(2.0 / c) * t
-    _, xi = _quadrature_for(n).inverse(y)
-    return xi
+def _domain(t, t_max: float) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any((t < -1e-12) | (t > t_max * (1.0 + 1e-12))):
+        raise ValueError(f"t outside the profile domain [0, {t_max}]")
+    return np.clip(t, 0.0, t_max)
 
 
-def profile_value(t: float, n: float, c: float) -> float:
-    """Normalized shooting profile w(t) on [0, T]; w(0)=1, w(T)=0."""
-    n = _check_n(n)
+def _result(t: np.ndarray, out):
+    return out if t.ndim else float(out)
+
+
+def _log_profile(t: np.ndarray, n: float, c: float) -> np.ndarray:
+    """log w(t) = log(1 - x(t)) / (n - 1) for t in [0, T]."""
     if n > N_CAP:
         raise ValueError(f"profile evaluation capped at n = {N_CAP}")
-    if c <= 0:
-        raise ValueError("profile strength c must be positive")
-    T = first_zero(c, n)
-    if t < -1e-12 or t > T * (1.0 + 1e-12):
-        raise ValueError(f"t = {t} outside the profile domain [0, {T}]")
-    t = min(max(t, 0.0), T)
-    xi = _profile_complement(t, n, c)
-    return _power(xi, 1.0 / (n - 1.0))
+    xi = _invert(math.sqrt(2.0 / c) * t, n, complement=True)
+    with np.errstate(divide="ignore"):
+        return np.log(xi) / (n - 1.0)
 
 
-def profile_power(t: float, n: float, c: float) -> float:
+def _log_glued(t: np.ndarray, n: float, c: float) -> np.ndarray:
+    """log y(t) for the profile continued by the line w(1)(2 - t), t in [0, 2]."""
+    with np.errstate(divide="ignore"):
+        line = np.log(np.where(t > 1.0, 2.0 - t, 1.0))
+    return _log_profile(np.minimum(t, 1.0), n, c) + line
+
+
+def profile_value(t, n: float, c: float):
+    """Normalized shooting profile w(t) on [0, T]; w(0)=1, w(T)=0.
+
+    Takes a scalar or an array of t; a scalar gives a float.
+    """
+    n = _check_n(n)
+    t = _domain(t, first_zero(c, n))
+    return _result(t, _exp(_log_profile(t, n, c)))
+
+
+def profile_power(t, n: float, c: float):
     """w^{n+1}(t), evaluated as (1-x)^{(n+1)/(n-1)} for accuracy near the zero."""
     n = _check_n(n)
-    if n > N_CAP:
-        raise ValueError(f"profile evaluation capped at n = {N_CAP}")
-    T = first_zero(c, n)
-    t = min(max(t, 0.0), T)
-    xi = _profile_complement(t, n, c)
-    return _power(xi, (n + 1.0) / (n - 1.0))
+    t = np.clip(np.asarray(t, dtype=float), 0.0, first_zero(c, n))
+    return _result(t, _exp((n + 1.0) * _log_profile(t, n, c)))
 
 
 def matching_slope_gap(n: float, c: float) -> float:
@@ -318,9 +191,9 @@ def matching_slope_gap(n: float, c: float) -> float:
     """
     n = _check_n(n)
     y = math.sqrt(2.0 / c)
-    quad = _quadrature_for(n)
-    x1, xi1 = quad.inverse(y)
-    return _power(xi1, (n + 1.0) / (n - 1.0)) - 2.0 / (c * (n - 1.0) ** 2) * x1
+    x1 = beta_integral_inverse(y, n)
+    xi1 = float(_invert(y, n, complement=True))
+    return xi1 ** ((n + 1.0) / (n - 1.0)) - 2.0 / (c * (n - 1.0) ** 2) * x1
 
 
 def matching_constant(n: float) -> float:
@@ -369,39 +242,21 @@ def matching_constant(n: float) -> float:
     return c
 
 
-def glued_profile(t: float, n: float, c: float) -> float:
+def glued_profile(t, n: float, c: float):
     """Profile w on [0,1] continued by the line w(1)(2 - t) on (1, 2]."""
     n = _check_n(n)
-    if t < -1e-12 or t > 2.0 + 1e-12:
-        raise ValueError(f"t = {t} outside [0, 2]")
-    t = min(max(t, 0.0), 2.0)
-    if t <= 1.0:
-        return profile_value(t, n, c)
-    return profile_value(1.0, n, c) * (2.0 - t)
+    t = _domain(t, 2.0)
+    return _result(t, _exp(_log_glued(t, n, c)))
 
 
-def glued_profile_power(t: float, n: float, c: float) -> float:
+def glued_profile_power(t, n: float, c: float):
     """y^{n+1}(t) for the glued profile, stable for large n."""
     n = _check_n(n)
-    t = min(max(t, 0.0), 2.0)
-    if t <= 1.0:
-        return profile_power(t, n, c)
-    xi1 = _profile_complement(1.0, n, c)
-    lg = (n + 1.0) / (n - 1.0) * math.log(xi1) if xi1 > 0 else -math.inf
-    if t >= 2.0:
-        return 0.0
-    lg += (n + 1.0) * math.log(2.0 - t)
-    return math.exp(lg) if lg > -745.0 else 0.0
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 2.0)
+    return _result(t, _exp((n + 1.0) * _log_glued(t, n, c)))
 
 
 # --- profile objects -----------------------------------------------------------
-
-def _vectorize(fn, t):
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return fn(float(arr))
-    return np.array([fn(float(v)) for v in arr.ravel()]).reshape(arr.shape)
-
 
 @dataclass(frozen=True)
 class OneDProfile:
@@ -443,11 +298,11 @@ class OneDProfile:
 
     def w(self, t):
         """Normalized profile, even in t, defined for |t| <= t_zero."""
-        return _vectorize(lambda s: profile_value(abs(s), self.n, self.c), t)
+        return profile_value(np.abs(t), self.n, self.c)
 
     def y(self, t):
         """Glued profile on [-2, 2] (matched parametrization)."""
-        return _vectorize(lambda s: glued_profile(abs(s), self.n, self.c), t)
+        return glued_profile(np.abs(t), self.n, self.c)
 
     def u(self, t):
         """Solution profile alpha * w (interval) or alpha * y (matched)."""
@@ -457,11 +312,8 @@ class OneDProfile:
     def v(self, t):
         """Quasilinear transform c (n-1)/(n+1) * profile^{n+1}."""
         scale = self.c * (self.n - 1.0) / (self.n + 1.0)
-        if self.kind == "interval":
-            fn = lambda s: profile_power(abs(s), self.n, self.c)
-        else:
-            fn = lambda s: glued_profile_power(abs(s), self.n, self.c)
-        return scale * _vectorize(fn, t)
+        power = profile_power if self.kind == "interval" else glued_profile_power
+        return scale * power(np.abs(t), self.n, self.c)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ import numpy as np
 
 from . import analytic
 from .config import ConfigError, ExperimentConfig, load_config
-from .grids import IndicatorDatum
+from .grids import CoefficientField, IndicatorDatum
 from .operators import LinearSolveError
 from .reporting import svg_line_plot, write_csv, write_json
 from .solver import (NonlinearSolveError, linfty_certificate,
                      quasilinear_residual, solve_singular, to_quasilinear)
 from .sweeps import (InconclusiveCheckError, conjecture_experiment,
-                     extract_atoms, measure_histogram, run_sweep)
+                     extract_atoms, limit_equation_check, measure_histogram,
+                     run_sweep)
 
 NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError,
                   analytic.ConstructionError, InconclusiveCheckError)
@@ -157,9 +158,9 @@ def cmd_oned(config: ExperimentConfig, out: Path) -> int:
         rows.append([n, prof.c, c_lo, analytic.upper_matching_bound(n),
                      prof.t_zero, prof.amplitude])
         evaluator = prof.y if geometry == "matched" else prof.w
-        ts = [min(t, prof.t_zero) for t in sample_ts] if geometry != "matched" \
-            else sample_ts
-        profiles[f"n={n:g}"] = (ts, [float(evaluator(t)) for t in ts])
+        ts = np.asarray(sample_ts) if geometry == "matched" \
+            else np.minimum(sample_ts, prof.t_zero)
+        profiles[f"n={n:g}"] = (ts.tolist(), evaluator(ts).tolist())
     header = ["n (exponent)", "c (profile strength)", "c_lower_bound",
               "c_upper_bound", "T (first zero)", "alpha (amplitude)"]
     if "csv" in config.formats:
@@ -188,14 +189,10 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     if not config.n_list:
         raise ConfigError("limit-check requires sweep.n_list (largest n is used)")
     n = config.n_list[-1]
-    spec_n = replace(spec, gamma=float(n))
-    sol = solve_singular(spec_n, config.m_schedule)
+    sol = solve_singular(replace(spec, gamma=float(n)), config.m_schedule)
     hist = measure_histogram(sol.u, spec, n, config.shell_distances)
+    gap = limit_equation_check(sol.u, hist, spec.coefficients)
     atoms = extract_atoms(hist)
-    from .operators import assemble, solve_measure
-    op = assemble(spec.grid, spec.coefficients)
-    reconstructed = solve_measure(op, atoms)
-    gap = float(np.max(np.abs(reconstructed.values - sol.u.values)))
     payload = {
         "label": config.label,
         "n": n,
@@ -210,9 +207,15 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_conjecture(config: ExperimentConfig, out: Path) -> int:
+    spec = config.spec
+    if not isinstance(spec.datum, IndicatorDatum):
+        raise ConfigError("conjecture requires an indicator datum")
+    if not np.allclose(spec.coefficients.entries,
+                       CoefficientField.identity(spec.grid).entries):
+        raise ConfigError("conjecture requires identity coefficients")
     if not config.n_list:
         raise ConfigError("conjecture requires sweep.n_list (largest n is used)")
-    report = conjecture_experiment(config.spec, config.n_list[-1],
+    report = conjecture_experiment(spec, config.n_list[-1],
                                    m_schedule=config.m_schedule)
     write_json(out / "conjecture.json", {
         "label": config.label,

@@ -71,6 +71,20 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
+    def box_mask(self, box) -> np.ndarray:
+        """Nodes in the closed box (lo, hi); corners are scalars in 1-D."""
+        lo, hi = (_axis_tuple(corner, "box corner") for corner in box)
+        mask = np.ones(self.shape, dtype=bool)
+        for mesh, a, b in zip(self.meshes(), lo, hi):
+            mask &= (mesh >= a) & (mesh <= b)
+        return mask
+
+    def frame_mask(self) -> np.ndarray:
+        """Nodes on the boundary of the domain."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[tuple(slice(1, -1) for _ in range(self.dim))] = False
+        return mask
+
 
 def make_uniform_grid(lo, hi, cells) -> Grid:
     """Build an equispaced grid; extent and cell counts are validated per axis."""
@@ -249,10 +263,7 @@ def sample_datum(datum: Datum, grid: Grid) -> np.ndarray:
     if isinstance(datum, IndicatorDatum):
         if len(datum.lo) != grid.dim:
             raise ValueError("indicator sub-box dimension does not match grid")
-        inside = np.ones(grid.shape, dtype=bool)
-        for mesh, a, b in zip(grid.meshes(), datum.lo, datum.hi):
-            inside &= (mesh >= a) & (mesh <= b)
-        return np.where(inside, datum.value, 0.0)
+        return np.where(grid.box_mask((datum.lo, datum.hi)), datum.value, 0.0)
     if isinstance(datum, TabulatedDatum):
         if datum.field.grid != grid:
             raise ValueError("tabulated datum lives on a different grid")
@@ -293,15 +304,7 @@ class ProblemSpec:
                         "sub-box strictly inside the domain")
         else:
             # tabulated / constant data must vanish on the boundary frame
-            mask = np.zeros(self.grid.shape, dtype=bool)
-            for ax in range(self.grid.dim):
-                sl_lo = [slice(None)] * self.grid.dim
-                sl_hi = [slice(None)] * self.grid.dim
-                sl_lo[ax] = 0
-                sl_hi[ax] = -1
-                mask[tuple(sl_lo)] = True
-                mask[tuple(sl_hi)] = True
-            if np.any(f[mask] != 0.0):
+            if np.any(f[self.grid.frame_mask()] != 0.0):
                 raise ValueError(
                     "compactly-contained support requires zero datum on the boundary")
 

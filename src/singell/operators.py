@@ -7,6 +7,7 @@ discrete comparison-principle certificate used throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,33 @@ def _verify_m_matrix(matrix: sp.csc_matrix) -> None:
         raise EllipticityError("assembled operator lost weak diagonal dominance")
 
 
+def _difference(cells: int) -> sp.spmatrix:
+    """Node-to-face differences along one axis, shape (cells, cells + 1)."""
+    return sp.diags([-np.ones(cells), np.ones(cells)], [0, 1],
+                    shape=(cells, cells + 1))
+
+
+def node_matrix(grid: Grid, coefficients: CoefficientField) -> sp.csr_matrix:
+    """-div(M grad .) on every node, boundary included: sum_axis D^T W D.
+
+    D maps nodal values to differences on the cell faces of one axis and W
+    holds the diagonal coefficient, averaged arithmetically onto those faces,
+    over h^2.  The matrix is symmetric; its rows at interior nodes are the
+    3-point / 5-point stencil.
+    """
+    total = None
+    for axis, h in enumerate(grid.h):
+        factors = [sp.identity(s) for s in grid.shape]
+        factors[axis] = _difference(grid.cells[axis])
+        diff = functools.reduce(sp.kron, factors)
+        weight = _face_average(coefficients.entries[..., axis, axis], axis) / h ** 2
+        term = diff.T @ sp.diags(weight.ravel()) @ diff
+        total = term if total is None else total + term
+    return total.tocsr()
+
+
 def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
-    """Assemble the 3-point / 5-point divergence-form stencil.
+    """Assemble the 3-point / 5-point divergence-form stencil on interior nodes.
 
     Nodal coefficient matrices are averaged arithmetically onto cell faces,
     which keeps the assembled matrix symmetric.  Only diagonal coefficient
@@ -84,48 +110,8 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     if not coefficients.is_diagonal():
         raise ValueError(
             "5-point assembly supports diagonal coefficient matrices only")
-
-    if grid.dim == 1:
-        (h,) = grid.h
-        m = coefficients.entries[:, 0, 0]
-        face = _face_average(m, 0)          # length cells
-        n = grid.cells[0] - 1
-        left = face[:-1]                    # face between node i-1 and i
-        right = face[1:]
-        main = (left + right) / h ** 2
-        off = -face[1:-1] / h ** 2
-        matrix = sp.diags([off, main, off], [-1, 0, 1], format="csc")
-    else:
-        hx, hy = grid.h
-        nx, ny = grid.interior_shape
-        m11 = coefficients.entries[..., 0, 0]
-        m22 = coefficients.entries[..., 1, 1]
-        fx = _face_average(m11, 0)          # (cells_x, nodes_y)
-        fy = _face_average(m22, 1)          # (nodes_x, cells_y)
-
-        def idx(i, j):
-            return (i - 1) * ny + (j - 1)
-
-        rows, cols, vals = [], [], []
-        for i in range(1, nx + 1):
-            for j in range(1, ny + 1):
-                r = idx(i, j)
-                wl = fx[i - 1, j] / hx ** 2
-                wr = fx[i, j] / hx ** 2
-                wd = fy[i, j - 1] / hy ** 2
-                wu = fy[i, j] / hy ** 2
-                rows.append(r); cols.append(r); vals.append(wl + wr + wd + wu)
-                if i > 1:
-                    rows.append(r); cols.append(idx(i - 1, j)); vals.append(-wl)
-                if i < nx:
-                    rows.append(r); cols.append(idx(i + 1, j)); vals.append(-wr)
-                if j > 1:
-                    rows.append(r); cols.append(idx(i, j - 1)); vals.append(-wd)
-                if j < ny:
-                    rows.append(r); cols.append(idx(i, j + 1)); vals.append(-wu)
-        n = nx * ny
-        matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-
+    interior = np.flatnonzero(~grid.frame_mask())
+    matrix = node_matrix(grid, coefficients)[interior][:, interior].tocsc()
     _verify_m_matrix(matrix)
     return SparseOperator(grid, matrix, alpha, beta)
 

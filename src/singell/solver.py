@@ -104,6 +104,9 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
             break
         u, res = cand, cand_res
         trace.append(res)
+    # release A's factor: alive next to each Jacobian factor it would set
+    # the peak memory of a 2-D solve
+    del lu_a
 
     for it in range(1, max_iterations + 1):
         if res <= res_bound:
@@ -206,18 +209,8 @@ def solve_singular(spec: ProblemSpec,
     return SingularSolution(spec, u, tuple(trace), diag["stabilized"], diag["gap"], diag)
 
 
-def _box_mask(grid, box) -> np.ndarray:
-    lo, hi = box
-    lo = (lo,) if np.isscalar(lo) else tuple(lo)
-    hi = (hi,) if np.isscalar(hi) else tuple(hi)
-    mask = np.ones(grid.shape, dtype=bool)
-    for mesh, a, b in zip(grid.meshes(), lo, hi):
-        mask &= (mesh >= a) & (mesh <= b)
-    return mask
-
-
 def compactum_min(u: GridFunction, box) -> float:
-    mask = _box_mask(u.grid, box)
+    mask = u.grid.box_mask(box)
     if not np.any(mask):
         raise ValueError(f"compactum {box} contains no grid nodes")
     return float(np.min(u.values[mask]))
@@ -232,9 +225,7 @@ def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:
     """
     f = spec.datum_values()
     out = np.zeros(u.grid.shape)
-    interior = np.zeros(u.grid.shape, dtype=bool)
-    interior[tuple(slice(1, -1) for _ in range(u.grid.dim))] = True
-    pos = (f > 0) & interior
+    pos = (f > 0) & ~u.grid.frame_mask()
     if np.any(pos):
         base = np.maximum(u.values[pos], VALUE_FLOOR)
         lg = np.log(f[pos]) - spec.gamma * np.log(base)
@@ -246,7 +237,7 @@ def total_singular_mass(u: GridFunction, spec: ProblemSpec, box=None) -> float:
     """Trapezoid-weight integral of f/u^gamma, optionally over a sub-box."""
     dens = singular_mass_density(u, spec)
     if box is not None:
-        dens = np.where(_box_mask(u.grid, box), dens, 0.0)
+        dens = np.where(u.grid.box_mask(box), dens, 0.0)
     return float(np.sum(dens) * u.grid.cell_volume())
 
 

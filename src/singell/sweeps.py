@@ -7,17 +7,15 @@ harmonic-comparison experiments (reported, never asserted).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import MeasureData, assemble, solve_measure
+from .operators import MeasureData, assemble, node_matrix, solve_measure
 from .solver import (SingularSolution, linfty_certificate, quasilinear_residual,
                      singular_mass_density, solve_singular, to_quasilinear,
                      total_singular_mass)
@@ -49,22 +47,12 @@ def fitted_depth_bound(u: GridFunction, n: float, box,
     support of f (they carry no lower-bound information there).
     """
     z = log_diagnostic(u, n)
-    mask = _box_mask(u.grid, box)
+    mask = u.grid.box_mask(box)
     if f_values is not None:
         mask &= ~(np.isinf(z) & (f_values == 0.0))
     if not np.any(mask):
         raise ValueError(f"compactum {box} contains no admissible nodes")
     return float(np.max(np.maximum(z[mask], 0.0)))
-
-
-def _box_mask(grid: Grid, box) -> np.ndarray:
-    lo, hi = box
-    lo = (lo,) if np.isscalar(lo) else tuple(lo)
-    hi = (hi,) if np.isscalar(hi) else tuple(hi)
-    mask = np.ones(grid.shape, dtype=bool)
-    for mesh, a, b in zip(grid.meshes(), lo, hi):
-        mask &= (mesh >= a) & (mesh <= b)
-    return mask
 
 
 # --- concentration histogram ----------------------------------------------------
@@ -264,7 +252,7 @@ def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
     row = SweepRow(
         n=float(n),
         sup_norm=u.sup_norm(),
-        compacta_min=tuple(float(np.min(u.values[_box_mask(u.grid, box)]))
+        compacta_min=tuple(float(np.min(u.values[u.grid.box_mask(box)]))
                            for box in compacta),
         total_mass=total_singular_mass(u, spec_n),
         local_masses=tuple(total_singular_mass(u, spec_n, box) for box in compacta),
@@ -281,9 +269,7 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               compacta: Sequence = (), *,
               shell_distances: Sequence[float] = (),
               m_schedule: Optional[Sequence[int]] = None,
-              residual_floor: float = DEFAULT_RESIDUAL_FLOOR,
-              limit_check_coefficients: Optional[CoefficientField] = None,
-              workers: int = 1) -> SweepReport:
+              residual_floor: float = DEFAULT_RESIDUAL_FLOOR) -> SweepReport:
     """One singular solve per exponent, all diagnostics filled.
 
     Per-row failures are recorded in the row and the sweep continues.  The
@@ -297,14 +283,8 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     if any(n < 3 for n in ns):
         raise ValueError("sweep exponents must be >= 3")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda n: _sweep_row(spec, n, compacta, m_schedule, residual_floor),
-                ns))
-    else:
-        results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor)
-                   for n in ns]
+    results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor)
+               for n in ns]
 
     rows = tuple(r for r, _ in results)
     last_sol = next((s for _, s in reversed(results) if s is not None), None)
@@ -316,9 +296,9 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
             and isinstance(spec.datum, IndicatorDatum)):
         n_last = next(r.n for r in reversed(rows) if not r.failed)
         histogram = measure_histogram(limit_u, spec, n_last, shell_distances)
-        coeffs = limit_check_coefficients or spec.coefficients
         try:
-            limit_check = limit_equation_check(limit_u, histogram, coeffs)
+            limit_check = limit_equation_check(limit_u, histogram,
+                                               spec.coefficients)
         except InconclusiveCheckError:
             limit_check = None
     return SweepReport(spec, tuple(ns), tuple(compacta), rows, limit_u,
@@ -336,67 +316,26 @@ class ConjectureReport:
     nodes_compared: int
 
 
-def _harmonic_outside(grid: Grid, omega, boundary_value: float = 1.0) -> GridFunction:
+def _harmonic_outside(grid: Grid, omega) -> GridFunction:
     """Laplace solve on the grid restriction of the domain minus the sub-box.
 
-    Dirichlet data: boundary_value on nodes of the sub-box closure edge,
-    zero on the outer boundary; nodes strictly inside the sub-box are
-    excluded from the unknown set.
+    Dirichlet data: 1 on the sub-box edge (box nodes with a grid neighbour
+    outside the box), zero on the outer boundary; nodes strictly inside the
+    sub-box are excluded from the unknown set.
     """
-    inside_closed = _box_mask(grid, omega)
-    lo, hi = omega
-    lo = (lo,) if np.isscalar(lo) else tuple(lo)
-    hi = (hi,) if np.isscalar(hi) else tuple(hi)
-    strict = np.ones(grid.shape, dtype=bool)
-    for mesh, a, b in zip(grid.meshes(), lo, hi):
-        strict &= (mesh > a) & (mesh < b)
-    edge = inside_closed & ~strict
-
-    outer = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = 0
-        outer[tuple(sl)] = True
-        sl[ax] = -1
-        outer[tuple(sl)] = True
-
-    unknown = ~inside_closed & ~outer
-    index = -np.ones(grid.shape, dtype=int)
-    index[unknown] = np.arange(int(np.sum(unknown)))
-    n_unknown = int(np.sum(unknown))
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_unknown)
-    coords = np.argwhere(unknown)
-    for node in coords:
-        node_t = tuple(node)
-        r = index[node_t]
-        diag = 0.0
-        for ax in range(grid.dim):
-            w = 1.0 / grid.h[ax] ** 2
-            for step in (-1, 1):
-                nb = list(node)
-                nb[ax] += step
-                nb_t = tuple(nb)
-                diag += w
-                if unknown[nb_t]:
-                    rows.append(r); cols.append(index[nb_t]); vals.append(-w)
-                elif edge[nb_t]:
-                    rhs[r] += w * boundary_value
-                # outer boundary contributes zero
-        rows.append(r); cols.append(r); vals.append(diag)
-    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
-    sol = spla.splu(matrix).solve(rhs)
-
-    full = np.zeros(grid.shape)
-    full[unknown] = sol
-    full[edge] = boundary_value
-    return GridFunction(grid, full)
+    lap = node_matrix(grid, CoefficientField.identity(grid))
+    box = grid.box_mask(omega).ravel()
+    edge = box & (abs(lap) @ ~box > 0)
+    unknown = np.flatnonzero(~box & ~grid.frame_mask().ravel())
+    lift = edge.astype(float)
+    rows = lap[unknown]
+    lift[unknown] = spla.splu(rows[:, unknown].tocsc()).solve(-(rows @ lift))
+    return GridFunction(grid, lift.reshape(grid.shape))
 
 
 def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
-                          m_schedule: Optional[Sequence[int]] = None,
-                          boundary_value: float = 1.0) -> ConjectureReport:
+                          m_schedule: Optional[Sequence[int]] = None
+                          ) -> ConjectureReport:
     """Compare u_n with the harmonic profile outside the support closure.
 
     Requires identity coefficients and a compactly-contained indicator datum.
@@ -410,13 +349,12 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
         raise ValueError("harmonic comparison requires an indicator datum")
     spec_n = replace(spec, gamma=float(n_large))
     sol = solve_singular(spec_n, m_schedule)
-    harmonic = _harmonic_outside(spec.grid, omega, boundary_value)
+    harmonic = _harmonic_outside(spec.grid, omega)
 
-    inside_closed = _box_mask(spec.grid, omega)
-    outside = ~inside_closed
+    outside = ~spec.grid.box_mask(omega)
     gap = float(np.max(np.abs(sol.u.values[outside] - harmonic.values[outside]))) \
         if np.any(outside) else 0.0
     v = to_quasilinear(sol.u, n_large)
     outer_v = float(np.max(v.values[outside])) if np.any(outside) else 0.0
-    return ConjectureReport(float(n_large), gap, outer_v, boundary_value,
+    return ConjectureReport(float(n_large), gap, outer_v, 1.0,
                             int(np.sum(outside)))

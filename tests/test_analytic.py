@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from singell import (OneDProfile, beta_integral, beta_integral_inverse,
                      beta_total_closed_form, first_zero, gamma_fn,
                      glued_profile, limit_profiles, lower_matching_bound,
                      matching_constant, matching_slope_gap, profile_amplitude,
                      profile_value, upper_matching_bound)
-from singell.analytic import adaptive_simpson
 from singell.solver import solve_singular
 from conftest import interval_spec
 
@@ -39,16 +39,20 @@ class TestBetaIntegral:
             assert abs(beta_integral(x, 3) - 2.0 * math.sqrt(x)) <= 1e-11
 
     def test_total_matches_gamma_route(self):
+        # QUADPACK with the endpoint singularities as algebraic weights
         for n in (5, 9, 33):
-            assert abs(beta_integral(1.0, n) - beta_total_closed_form(n)) <= 1e-9
+            total, _ = quad(lambda h: 1.0, 0.0, 1.0, weight="alg",
+                            wvar=(-0.5, -(n - 3.0) / (2.0 * (n - 1.0))))
+            assert abs(beta_integral(1.0, n) - total) <= 1e-9
+            assert abs(total - beta_total_closed_form(n)) <= 1e-9
 
     def test_limit_integrand_is_pi(self):
-        # exponent 1/2 on both endpoints; substituted panels as in the integral
-        left = adaptive_simpson(lambda s: 2.0 / math.sqrt(1.0 - s * s),
-                                0.0, math.sqrt(0.5))
-        right = adaptive_simpson(lambda tau: 2.0 / math.sqrt(1.0 - tau * tau),
-                                 0.0, math.sqrt(0.5))
-        assert abs(left + right - math.pi) <= 1e-10
+        # both exponents tend to 1/2, so B_n(1) -> pi with deviation
+        # 2 log(2) pi / (n - 1) to leading order
+        for n in (1e3, 1e4, 1e5):
+            deviation = math.pi - beta_integral(1.0, n)
+            expected = 2.0 * math.log(2.0) * math.pi / (n - 1.0)
+            assert abs(deviation / expected - 1.0) <= 5e-3
 
     def test_domain(self):
         with pytest.raises(ValueError):

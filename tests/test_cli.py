@@ -1,8 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from singell.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GAMMA3 = {
     "label": "gamma3-interval",
@@ -171,3 +178,35 @@ class TestConjectureCommand:
         report = json.loads((out / "conjecture.json").read_text())
         assert math.isfinite(report["harmonic_gap"])
         assert math.isfinite(report["outer_v_sup"])
+
+    @pytest.mark.parametrize("name", ["cubic_interval.json",
+                                      "uniform_interval_sweep.json"])
+    def test_non_indicator_datum_is_config_error(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert main(["conjecture", "--config", str(CONFIGS / name),
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "conjecture.json").exists()
+
+    def test_non_identity_coefficients_is_config_error(self, tmp_path, capsys):
+        payload = dict(SECTION6, problem=dict(
+            SECTION6["problem"],
+            coefficients={"kind": "constant", "matrix": [[2.0]]}))
+        cfg = write_config(tmp_path, payload)
+        assert main(["conjecture", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_costly_scipy_modules():
+    # each is slow to import and would add its cost to every CLI start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, singell.cli; print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.ndimage') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == ""

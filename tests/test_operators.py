@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singell import (CoefficientField, GridFunction, MeasureData, assemble,
                      make_uniform_grid, solve_linear, solve_measure)
@@ -16,7 +17,43 @@ def torsion_square_exact(x, y, terms=60):
     return u
 
 
+def dense_stencil(grid, entries):
+    """Loop-built divergence-form stencil on interior nodes (C-order)."""
+    nodes = [tuple(i + 1 for i in idx) for idx in np.ndindex(grid.interior_shape)]
+    index = {node: k for k, node in enumerate(nodes)}
+    dense = np.zeros((len(nodes), len(nodes)))
+    for node, row in index.items():
+        for ax in range(grid.dim):
+            m = entries[..., ax, ax]
+            for step in (-1, 1):
+                nb = list(node)
+                nb[ax] += step
+                nb = tuple(nb)
+                w = 0.5 * (m[node] + m[nb]) / grid.h[ax] ** 2
+                dense[row, row] += w
+                if nb in index:
+                    dense[row, index[nb]] -= w
+    return dense
+
+
 class TestAssembly:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]),
+           cells=st.tuples(st.integers(4, 9), st.integers(4, 9)),
+           widths=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_loop_reference(self, dim, cells, widths, seed):
+        g = make_uniform_grid(tuple(-0.5 * w for w in widths[:dim]),
+                              tuple(0.5 * w for w in widths[:dim]), cells[:dim])
+        rng = np.random.default_rng(seed)
+        ent = np.zeros(g.shape + (dim, dim))
+        for ax in range(dim):
+            ent[..., ax, ax] = 0.1 + 5.0 * rng.random(g.shape)
+        matrix = assemble(g, CoefficientField(g, ent)).matrix
+        ref = dense_stencil(g, ent)
+        assert np.max(np.abs(matrix.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs((matrix - matrix.T).toarray())) == 0.0
+
     def test_1d_laplacian_row(self):
         g = make_uniform_grid(-2.0, 2.0, 8)   # h = 0.5
         op = assemble(g, CoefficientField.identity(g))
