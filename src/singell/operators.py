@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,9 +18,11 @@ import scipy.sparse.linalg as spla
 from .grids import (CoefficientField, EllipticityError, Grid, GridFunction,
                     check_ellipticity)
 
-# direct factorization below this many unknowns, diagonally preconditioned CG above
-DIRECT_SOLVE_LIMIT = 100_000
-CG_RELATIVE_TOL = 1e-12
+COARSE_SIZE = 256           # multigrid levels stop at or below this many unknowns
+CG_RELATIVE_TOL = 1e-13
+CG_MAX_ITERATIONS = 500
+JACOBI_WEIGHT = 0.8
+SMOOTHING_SWEEPS = 2        # damped Jacobi sweeps before and after a coarse correction
 RESIDUAL_BOUND = 1e-10  # scaled by (1 + |rhs|_inf)
 
 
@@ -116,35 +119,115 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     return SparseOperator(grid, matrix, alpha, beta)
 
 
-def _solve_interior(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
-    if op.n_unknowns <= DIRECT_SOLVE_LIMIT:
-        return spla.splu(op.matrix).solve(rhs)
-    precond = spla.LinearOperator(
-        op.matrix.shape, matvec=lambda v: v / op.matrix.diagonal())
-    sol, info = spla.cg(op.matrix, rhs, rtol=CG_RELATIVE_TOL, atol=0.0,
-                        maxiter=20 * op.n_unknowns, M=precond)
-    if info != 0:
-        res = float(np.max(np.abs(op.matrix @ sol - rhs)))
-        raise LinearSolveError("conjugate gradient did not converge", res)
-    return sol
+def _interpolation_1d(n: int) -> sp.csr_matrix:
+    """Linear interpolation from (n - 1)/2 to n interior nodes (n odd)."""
+    coarse = np.arange((n - 1) // 2)
+    rows = np.concatenate([2 * coarse, 2 * coarse + 1, 2 * coarse + 2])
+    cols = np.tile(coarse, 3)
+    vals = np.repeat([0.5, 1.0, 0.5], coarse.size)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size))
+
+
+@functools.lru_cache(maxsize=16)
+def _interpolation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Tensor-product interpolation P onto `shape` (C order) and R = P^T."""
+    interp = functools.reduce(sp.kron, [_interpolation_1d(n) for n in shape]).tocsr()
+    return interp, interp.T.tocsr()
+
+
+def _coarse_shapes(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shapes of the coarser levels below `shape`; empty if none can be formed."""
+    shapes = []
+    while (len(shape) >= 2 and all(n % 2 == 1 and n >= 7 for n in shape)
+           and np.prod(shape) > COARSE_SIZE):
+        shape = tuple((n - 1) // 2 for n in shape)
+        shapes.append(shape)
+    return shapes
+
+
+class _Multigrid:
+    """CG preconditioned by a symmetric geometric V-cycle.
+
+    Every level but the coarsest smooths with damped Jacobi; the coarse
+    matrices are Galerkin products P^T A P and the coarsest is factorized.
+    The Jacobi divisor is the diagonal, raised to half the absolute row sum
+    where a Galerkin matrix loses diagonal dominance (strong anisotropy), so
+    the smoother stays convergent and the V-cycle stays SPD.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, shape: tuple[int, ...],
+                 coarse: list[tuple[int, ...]]):
+        self.matrix = matrix.tocsr()
+        self.levels = []          # (matrix, omega / divisor, P, R) per smoothed level
+        fine = self.matrix
+        for level_shape in [shape] + coarse[:-1]:
+            interp, restrict = _interpolation(level_shape)
+            divisor = np.maximum(fine.diagonal(),
+                                 0.5 * np.asarray(abs(fine).sum(axis=1)).ravel())
+            self.levels.append((fine, JACOBI_WEIGHT / divisor, interp, restrict))
+            fine = (restrict @ fine @ interp).tocsr()
+        self.coarse_solve = spla.splu(fine.tocsc()).solve
+
+    def _vcycle(self, r: np.ndarray) -> np.ndarray:
+        stack = []
+        for matrix, scale, _, restrict in self.levels:
+            x = scale * r
+            for _ in range(SMOOTHING_SWEEPS - 1):
+                x += scale * (r - matrix @ x)
+            stack.append((r, x))
+            r = restrict @ (r - matrix @ x)
+        e = self.coarse_solve(r)
+        for (matrix, scale, interp, _), (r, x) in zip(reversed(self.levels),
+                                                     reversed(stack)):
+            x += interp @ e
+            for _ in range(SMOOTHING_SWEEPS):
+                x += scale * (r - matrix @ x)
+            e = x
+        return e
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        precond = spla.LinearOperator(self.matrix.shape, matvec=self._vcycle,
+                                      dtype=float)
+        x, info = spla.cg(self.matrix, b, rtol=CG_RELATIVE_TOL, atol=0.0,
+                          maxiter=CG_MAX_ITERATIONS, M=precond)
+        if info != 0:
+            res = float(np.max(np.abs(self.matrix @ x - b)))
+            raise LinearSolveError("multigrid-preconditioned CG did not converge", res)
+        return x
+
+
+def spd_solver(matrix: sp.spmatrix,
+               interior_shape: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for a symmetric positive definite matrix on a tensor grid.
+
+    `matrix` acts on the C-ordered nodes of `interior_shape`.  On grids with
+    two or more axes that coarsen (every axis odd, at least 7, and more than
+    COARSE_SIZE unknowns) this is multigrid-preconditioned CG; otherwise,
+    every 1-D grid included, it is a sparse LU of `matrix` (pass it as CSC).
+    """
+    coarse = _coarse_shapes(tuple(interior_shape))
+    if not coarse:
+        return spla.splu(matrix).solve
+    return _Multigrid(matrix, tuple(interior_shape), coarse)
 
 
 def solve_linear(op: SparseOperator, rhs: GridFunction) -> GridFunction:
     """Solve op u = rhs with zero boundary values.
 
     The residual is verified against 1e-10 * (1 + |rhs|_inf); one or two
-    iterative-refinement sweeps absorb factorization rounding.
+    iterative-refinement sweeps absorb factorization or CG rounding.
     """
     if rhs.grid != op.grid:
         raise ValueError("rhs lives on a different grid")
     b = op.interior_of(rhs)
-    x = _solve_interior(op, b)
+    solve = spd_solver(op.matrix, op.grid.interior_shape)
+    x = solve(b)
     bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     for _ in range(2):
         res = b - op.matrix @ x
         if np.max(np.abs(res), initial=0.0) <= bound:
             break
-        x = x + _solve_interior(op, res)
+        x = x + solve(res)
     residual = float(np.max(np.abs(b - op.matrix @ x), initial=0.0))
     if residual > bound:
         raise LinearSolveError("linear solve residual above tolerance", residual)

@@ -13,10 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import GridFunction, ProblemSpec
-from .operators import SparseOperator, assemble
+from .operators import SparseOperator, assemble, spd_solver
 
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
@@ -84,11 +83,12 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
         return RegularizedIterate(m, zero, 0, 0.0)
 
     A = op.matrix
-    lu_a = spla.splu(A)
+    shape = spec.grid.interior_shape
+    solve_a = spd_solver(A, shape)
     if initial is not None:
         u = np.maximum(op.interior_of(initial), 0.0)
     else:
-        u = np.maximum(lu_a.solve(f_int), 0.0)
+        u = np.maximum(solve_a(f_int), 0.0)
 
     def residual_of(vec):
         return float(np.max(np.abs(A @ vec - _regularized_rhs(f_int, vec, eps, gamma))))
@@ -98,15 +98,15 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
 
     # guarded Picard warm-up
     for _ in range(3):
-        cand = np.maximum(lu_a.solve(_regularized_rhs(f_int, u, eps, gamma)), 0.0)
+        cand = np.maximum(solve_a(_regularized_rhs(f_int, u, eps, gamma)), 0.0)
         cand_res = residual_of(cand)
         if cand_res >= res:
             break
         u, res = cand, cand_res
         trace.append(res)
-    # release A's factor: alive next to each Jacobian factor it would set
-    # the peak memory of a 2-D solve
-    del lu_a
+    # release A's solver: alive next to each Jacobian's it would set the
+    # peak memory of a 2-D solve
+    del solve_a
 
     for it in range(1, max_iterations + 1):
         if res <= res_bound:
@@ -116,7 +116,7 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
         g = _regularized_rhs(f_int, u, eps, gamma)
         F = A @ u - g
         J = (A + sp.diags(gamma * g / (u + eps))).tocsc()
-        du = spla.splu(J).solve(-F)
+        du = spd_solver(J, shape)(-F)
         lam = 1.0
         u_new, res_new = u, res
         while True:

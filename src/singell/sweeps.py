@@ -15,10 +15,11 @@ import scipy.sparse.linalg as spla
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import MeasureData, assemble, node_matrix, solve_measure
-from .solver import (SingularSolution, linfty_certificate, quasilinear_residual,
-                     singular_mass_density, solve_singular, to_quasilinear,
-                     total_singular_mass)
+from .operators import (LinearSolveError, MeasureData, assemble, node_matrix,
+                        solve_measure)
+from .solver import (NonlinearSolveError, SingularSolution, linfty_certificate,
+                     quasilinear_residual, singular_mass_density,
+                     solve_singular, to_quasilinear, total_singular_mass)
 
 
 class InconclusiveCheckError(RuntimeError):
@@ -241,7 +242,8 @@ def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
     spec_n = replace(spec, gamma=float(n))
     try:
         sol = solve_singular(spec_n, m_schedule, compacta=compacta)
-    except Exception as exc:  # per-row failures are recorded, the sweep continues
+    except (NonlinearSolveError, LinearSolveError) as exc:
+        # numeric per-row failures are recorded, the sweep continues
         row = SweepRow(n, math.nan, (), math.nan, (), math.nan, math.nan, (),
                        math.nan, math.nan, failed=True, error=str(exc))
         return row, None
@@ -272,10 +274,12 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               residual_floor: float = DEFAULT_RESIDUAL_FLOOR) -> SweepReport:
     """One singular solve per exponent, all diagnostics filled.
 
-    Per-row failures are recorded in the row and the sweep continues.  The
-    largest successful solve doubles as the empirical pointwise limit; when
-    the datum is a compactly-contained indicator the concentration histogram
-    and the measure-data reconstruction check are attached.
+    Numeric per-row failures (a nonlinear or linear solve that does not
+    converge) are recorded in the row and the sweep continues; any other
+    exception propagates.  The largest successful solve doubles as the
+    empirical pointwise limit; when the datum is a compactly-contained
+    indicator the concentration histogram and the measure-data reconstruction
+    check are attached.
     """
     ns = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from singell import (CoefficientField, GridFunction, MeasureData, assemble,
-                     make_uniform_grid, solve_linear, solve_measure)
+import singell.operators as ops
+from singell import (CoefficientField, GridFunction, LinearSolveError,
+                     MeasureData, assemble, make_uniform_grid, solve_linear,
+                     solve_measure)
+from singell.operators import spd_solver
 
 
 def torsion_square_exact(x, y, terms=60):
@@ -127,24 +132,26 @@ class TestSolveLinear:
             assert np.min(u.values) >= 0.0
 
     def test_comparison_principle(self, rng):
-        g = make_uniform_grid(-1.0, 1.0, 48)
-        op = assemble(g, CoefficientField.identity(g))
-        for _ in range(5):
-            r1 = rng.random(g.shape)
-            r2 = r1 + rng.random(g.shape)
-            u1 = solve_linear(op, GridFunction(g, r1))
-            u2 = solve_linear(op, GridFunction(g, r2))
-            assert np.all(u1.values <= u2.values + 1e-10)
+        # 1-D: direct LU; 64^2: multigrid-preconditioned CG
+        for g in (make_uniform_grid(-1.0, 1.0, 48),
+                  make_uniform_grid((0.0, 0.0), (1.0, 1.0), (64, 64))):
+            op = assemble(g, CoefficientField.identity(g))
+            for _ in range(5):
+                r1 = rng.random(g.shape)
+                r2 = r1 + rng.random(g.shape)
+                u1 = solve_linear(op, GridFunction(g, r1))
+                u2 = solve_linear(op, GridFunction(g, r2))
+                assert np.all(u1.values <= u2.values + 1e-10)
 
-    def test_cg_path_matches_direct(self, rng, monkeypatch):
-        import singell.operators as ops
-        g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (24, 24))
+    def test_multigrid_path_matches_direct(self, rng):
+        g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (64, 64))
         op = assemble(g, CoefficientField.identity(g))
+        assert isinstance(spd_solver(op.matrix, g.interior_shape), ops._Multigrid)
         rhs = GridFunction(g, rng.random(g.shape))
-        direct = solve_linear(op, rhs)
-        monkeypatch.setattr(ops, "DIRECT_SOLVE_LIMIT", 10)
         iterative = solve_linear(op, rhs)
-        assert np.max(np.abs(direct.values - iterative.values)) <= 1e-9
+        direct = spla.splu(op.matrix).solve(op.interior_of(rhs))
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(op.interior_of(iterative) - direct)) <= 1e-12 * scale
 
     def test_second_order_refinement_2d(self):
         errors = {}
@@ -156,6 +163,60 @@ class TestSolveLinear:
             errors[cells] = np.max(np.abs(u.values - torsion_square_exact(x, y)))
         assert errors[8] / errors[16] >= 3.5
         assert errors[16] / errors[32] >= 3.5
+
+
+def random_spd_system(seed, cells, widths, contrast, shift):
+    """A 2-D Jacobian-like matrix A + diag(D) with random M and D >= 0."""
+    g = make_uniform_grid((0.0, 0.0), widths, cells)
+    rng = np.random.default_rng(seed)
+    ent = np.zeros(g.shape + (2, 2))
+    for ax in range(2):
+        ent[..., ax, ax] = contrast ** rng.random(g.shape)
+    op = assemble(g, CoefficientField(g, ent))
+    d = shift * rng.random(op.n_unknowns) / min(g.h) ** 2
+    matrix = (op.matrix + sp.diags(d)).tocsc()
+    return g, matrix, rng.standard_normal(op.n_unknowns)
+
+
+class TestSpdSolver:
+    @settings(max_examples=25, deadline=None)
+    @given(base=st.tuples(st.sampled_from([3, 4, 5]), st.sampled_from([3, 4, 5])),
+           k=st.tuples(st.integers(3, 5), st.integers(3, 5)),
+           widths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           contrast=st.floats(1.0, 10.0), shift=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct(self, base, k, widths, contrast, shift, seed):
+        cells = tuple(c * 2 ** e for c, e in zip(base, k))
+        g, matrix, b = random_spd_system(seed, cells, widths, contrast, shift)
+        assert ops._coarse_shapes(g.interior_shape)
+        direct = spla.splu(matrix).solve(b)
+        x = spd_solver(matrix, g.interior_shape)(b)
+        assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+    @settings(max_examples=15, deadline=None)
+    @given(cells=st.integers(4, 512), seed=st.integers(0, 2 ** 32 - 1))
+    def test_1d_is_exactly_direct(self, cells, seed):
+        g = make_uniform_grid(0.0, 1.0, cells)
+        rng = np.random.default_rng(seed)
+        ent = (0.1 + rng.random(g.shape))[:, None, None]
+        op = assemble(g, CoefficientField(g, ent))
+        matrix = (op.matrix + sp.diags(rng.random(op.n_unknowns) / g.h[0] ** 2)).tocsc()
+        b = rng.standard_normal(op.n_unknowns)
+        x = spd_solver(matrix, g.interior_shape)(b)
+        assert np.array_equal(x, spla.splu(matrix).solve(b))
+
+    @pytest.mark.parametrize("cells", [(64, 6), (12, 12), (16, 16), (64, 63)])
+    def test_non_coarsenable_2d_is_exactly_direct(self, cells):
+        g, matrix, b = random_spd_system(1, cells, (1.0, 1.0), 10.0, 0.5)
+        assert not ops._coarse_shapes(g.interior_shape)
+        x = spd_solver(matrix, g.interior_shape)(b)
+        assert np.array_equal(x, spla.splu(matrix).solve(b))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        g, matrix, b = random_spd_system(2, (64, 64), (1.0, 1.0), 10.0, 0.5)
+        monkeypatch.setattr(ops, "CG_MAX_ITERATIONS", 1)
+        with pytest.raises(LinearSolveError):
+            spd_solver(matrix, g.interior_shape)(b)
 
 
 class TestSolveMeasure:

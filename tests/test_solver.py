@@ -1,14 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import singell.operators as ops
 from singell import (GridFunction, NonlinearSolveError,
                      UndefinedCertificateError, from_quasilinear,
                      linfty_certificate, make_uniform_grid,
                      quasilinear_residual, singular_residual, solve_regularized,
                      solve_singular, to_quasilinear)
+from singell.config import load_config
 from conftest import interval_spec, matched_spec
+
+SQUARE_HOLE = Path(__file__).resolve().parents[1] / "configs" / "square_hole.json"
 
 
 class TestSolveRegularized:
@@ -81,6 +87,43 @@ class TestSolveSingular:
         sol = solve_singular(spec, [1, 4])
         assert not sol.stabilized
         assert sol.gap > 0.0
+
+
+class TestMultigridPath:
+    """The shipped 64^2 square: multigrid-preconditioned CG in every Newton step."""
+
+    @pytest.fixture(scope="class")
+    def square(self):
+        spec = load_config(SQUARE_HOLE).spec
+        assert spec.grid.cells == (64, 64)
+        sizes = []
+        real = spla.splu
+
+        def recording(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return real(matrix, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spla, "splu", recording)
+            sol = solve_singular(spec)
+        return spec, sol, sizes
+
+    def test_matches_forced_direct_path(self, square, monkeypatch):
+        spec, sol, _ = square
+        monkeypatch.setattr(ops, "COARSE_SIZE", 10 ** 12)
+        direct = solve_singular(spec)
+        assert ([it.iterations for it in sol.trace]
+                == [it.iterations for it in direct.trace])
+        assert np.max(np.abs(sol.u.values - direct.u.values)) <= 1e-12
+
+    def test_no_fine_grid_factorization(self, square):
+        # a later change must not silently bring back fine-grid LU fill-in
+        spec, sol, sizes = square
+        coarsest = int(np.prod(ops._coarse_shapes(spec.grid.interior_shape)[-1]))
+        assert coarsest <= ops.COARSE_SIZE
+        newton = sum(it.iterations for it in sol.trace)
+        assert len(sizes) >= newton
+        assert max(sizes) <= coarsest
 
 
 class TestQuasilinearMap:

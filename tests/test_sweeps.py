@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
-                     MeasureHistogram, ProblemSpec, conjecture_experiment,
-                     extract_atoms, fitted_depth_bound, limit_equation_check,
-                     log_diagnostic, make_uniform_grid, measure_histogram,
-                     run_sweep, solve_singular)
+                     MeasureHistogram, NonlinearSolveError, ProblemSpec,
+                     conjecture_experiment, extract_atoms, fitted_depth_bound,
+                     limit_equation_check, log_diagnostic, make_uniform_grid,
+                     measure_histogram, run_sweep, solve_singular)
 from singell.grids import IndicatorDatum
 from singell.sweeps import _harmonic_outside
 from conftest import interval_spec, matched_spec
@@ -164,7 +164,7 @@ class TestRunSweep:
 
         def flaky(spec, schedule, **kw):
             if spec.gamma == 20.0:
-                raise RuntimeError("synthetic breakdown")
+                raise NonlinearSolveError("synthetic breakdown", [])
             return real(spec, schedule, **kw)
 
         monkeypatch.setattr(sweeps_mod, "solve_singular", flaky)
@@ -173,6 +173,16 @@ class TestRunSweep:
         assert [r.failed for r in report.rows] == [False, True, False]
         assert "synthetic breakdown" in report.rows[1].error
         assert report.limit_u is not None   # largest successful solve survives
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import singell.sweeps as sweeps_mod
+
+        def broken(spec, schedule, **kw):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(sweeps_mod, "solve_singular", broken)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_sweep(matched_spec(10.0, 128), [10, 20])
 
 
 class TestConjecture:
