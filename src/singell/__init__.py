@@ -18,8 +18,9 @@ from .analytic import (ConstructionError, LimitProfile, OneDProfile,
                        glued_profile, limit_profiles, lower_matching_bound,
                        matching_constant, matching_slope_gap, profile_amplitude,
                        profile_value, upper_matching_bound)
-from .sweeps import (ConjectureReport, InconclusiveCheckError, MeasureHistogram,
-                     SweepReport, SweepRow, conjecture_experiment, extract_atoms,
+from .sweeps import (ConjectureReport, HarmonicComparisonError,
+                     InconclusiveCheckError, MeasureHistogram, SweepReport,
+                     SweepRow, conjecture_experiment, extract_atoms,
                      fitted_depth_bound, limit_equation_check, log_diagnostic,
                      measure_histogram, run_sweep)
 
@@ -41,8 +42,8 @@ __all__ = [
     "glued_profile", "limit_profiles", "lower_matching_bound",
     "matching_constant", "matching_slope_gap", "profile_amplitude",
     "profile_value", "upper_matching_bound",
-    "ConjectureReport", "InconclusiveCheckError", "MeasureHistogram",
-    "SweepReport", "SweepRow", "conjecture_experiment", "extract_atoms",
-    "fitted_depth_bound", "limit_equation_check", "log_diagnostic",
-    "measure_histogram", "run_sweep",
+    "ConjectureReport", "HarmonicComparisonError", "InconclusiveCheckError",
+    "MeasureHistogram", "SweepReport", "SweepRow", "conjecture_experiment",
+    "extract_atoms", "fitted_depth_bound", "limit_equation_check",
+    "log_diagnostic", "measure_histogram", "run_sweep",
 ]

@@ -16,14 +16,14 @@ import numpy as np
 
 from . import analytic
 from .config import ConfigError, ExperimentConfig, load_config
-from .grids import CoefficientField, IndicatorDatum
+from .grids import IndicatorDatum
 from .operators import LinearSolveError
 from .reporting import svg_line_plot, write_csv, write_json
 from .solver import (NonlinearSolveError, linfty_certificate,
                      quasilinear_residual, solve_singular, to_quasilinear)
-from .sweeps import (InconclusiveCheckError, conjecture_experiment,
-                     extract_atoms, limit_equation_check, measure_histogram,
-                     run_sweep)
+from .sweeps import (HarmonicComparisonError, InconclusiveCheckError,
+                     conjecture_experiment, extract_atoms,
+                     limit_equation_check, measure_histogram, run_sweep)
 
 NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError,
                   analytic.ConstructionError, InconclusiveCheckError)
@@ -207,15 +207,9 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_conjecture(config: ExperimentConfig, out: Path) -> int:
-    spec = config.spec
-    if not isinstance(spec.datum, IndicatorDatum):
-        raise ConfigError("conjecture requires an indicator datum")
-    if not np.allclose(spec.coefficients.entries,
-                       CoefficientField.identity(spec.grid).entries):
-        raise ConfigError("conjecture requires identity coefficients")
     if not config.n_list:
         raise ConfigError("conjecture requires sweep.n_list (largest n is used)")
-    report = conjecture_experiment(spec, config.n_list[-1],
+    report = conjecture_experiment(config.spec, config.n_list[-1],
                                    m_schedule=config.m_schedule)
     write_json(out / "conjecture.json", {
         "label": config.label,
@@ -262,7 +256,7 @@ def main(argv=None) -> int:
             return cmd_limit_check(config, out)
         if args.command == "conjecture":
             return cmd_conjecture(config, out)
-    except ConfigError as exc:
+    except (ConfigError, HarmonicComparisonError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERIC_ERRORS as exc:

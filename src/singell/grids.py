@@ -7,7 +7,7 @@ read-only across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class Grid:
     def meshes(self) -> list[np.ndarray]:
         """Node coordinates broadcast to the full grid shape ('ij' indexing)."""
         return list(np.meshgrid(*self.axes(), indexing="ij"))
-
-    def interior_meshes(self) -> list[np.ndarray]:
-        sl = tuple(slice(1, -1) for _ in range(self.dim))
-        return [m[sl] for m in self.meshes()]
 
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
@@ -126,19 +122,12 @@ class GridFunction:
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable) -> "GridFunction":
-        return cls(grid, np.asarray(fn(*grid.meshes()), dtype=float))
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     def interior(self) -> np.ndarray:
         sl = tuple(slice(1, -1) for _ in range(self.grid.dim))
         return self.values[sl]
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
 
 @dataclass(frozen=True)

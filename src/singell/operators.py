@@ -2,7 +2,9 @@
 
 The assembled matrix acts on interior nodes only; Dirichlet rows are
 eliminated.  Assembly certifies the M-matrix sign pattern, which is the
-discrete comparison-principle certificate used throughout.
+discrete comparison-principle certificate used throughout.  This module is
+also the one place that decides how a sparse SPD system is solved
+(`spd_solver`).
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ class SparseOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
 
+    @functools.cached_property
+    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """`spd_solver` for the matrix, built on first use and kept with it."""
+        return spd_solver(self.matrix, self.grid.interior_shape)
+
 
 def _face_average(nodal: np.ndarray, axis: int) -> np.ndarray:
     lo = [slice(None)] * nodal.ndim
@@ -78,43 +85,40 @@ def _verify_m_matrix(matrix: sp.csc_matrix) -> None:
 
 
 def _difference(cells: int) -> sp.spmatrix:
-    """Node-to-face differences along one axis, shape (cells, cells + 1)."""
-    return sp.diags([-np.ones(cells), np.ones(cells)], [0, 1],
-                    shape=(cells, cells + 1))
+    """Interior-node-to-face differences along one axis, shape (cells, cells - 1).
 
-
-def node_matrix(grid: Grid, coefficients: CoefficientField) -> sp.csr_matrix:
-    """-div(M grad .) on every node, boundary included: sum_axis D^T W D.
-
-    D maps nodal values to differences on the cell faces of one axis and W
-    holds the diagonal coefficient, averaged arithmetically onto those faces,
-    over h^2.  The matrix is symmetric; its rows at interior nodes are the
-    3-point / 5-point stencil.
+    Face k joins nodes k and k + 1; interior node j is node j + 1.
     """
-    total = None
-    for axis, h in enumerate(grid.h):
-        factors = [sp.identity(s) for s in grid.shape]
-        factors[axis] = _difference(grid.cells[axis])
-        diff = functools.reduce(sp.kron, factors)
-        weight = _face_average(coefficients.entries[..., axis, axis], axis) / h ** 2
-        term = diff.T @ sp.diags(weight.ravel()) @ diff
-        total = term if total is None else total + term
-    return total.tocsr()
+    return sp.diags([-np.ones(cells - 1), np.ones(cells - 1)], [-1, 0],
+                    shape=(cells, cells - 1))
 
 
 def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     """Assemble the 3-point / 5-point divergence-form stencil on interior nodes.
 
-    Nodal coefficient matrices are averaged arithmetically onto cell faces,
-    which keeps the assembled matrix symmetric.  Only diagonal coefficient
+    The matrix is sum_axis D^T W D: D maps interior nodal values (Dirichlet
+    zeros eliminated) to differences on the cell faces of one axis and W
+    holds the diagonal coefficient, averaged arithmetically onto those faces,
+    over h^2, which keeps the matrix symmetric.  Only diagonal coefficient
     matrices fit the 5-point pattern; off-diagonal entries are rejected.
     """
     alpha, beta = check_ellipticity(coefficients)
     if not coefficients.is_diagonal():
         raise ValueError(
             "5-point assembly supports diagonal coefficient matrices only")
-    interior = np.flatnonzero(~grid.frame_mask())
-    matrix = node_matrix(grid, coefficients)[interior][:, interior].tocsc()
+    matrix = None
+    for axis, h in enumerate(grid.h):
+        factors = [sp.identity(n) for n in grid.interior_shape]
+        factors[axis] = _difference(grid.cells[axis])
+        diff = functools.reduce(sp.kron, factors)
+        faces = [slice(1, -1)] * grid.dim
+        faces[axis] = slice(None)
+        nodal = coefficients.entries[tuple(faces) + (axis, axis)]
+        weight = _face_average(nodal, axis) / h ** 2
+        term = diff.T @ sp.diags(weight.ravel()) @ diff
+        matrix = term if matrix is None else matrix + term
+    matrix = matrix.tocsc()
+    matrix.sort_indices()
     _verify_m_matrix(matrix)
     return SparseOperator(grid, matrix, alpha, beta)
 
@@ -220,14 +224,13 @@ def solve_linear(op: SparseOperator, rhs: GridFunction) -> GridFunction:
     if rhs.grid != op.grid:
         raise ValueError("rhs lives on a different grid")
     b = op.interior_of(rhs)
-    solve = spd_solver(op.matrix, op.grid.interior_shape)
-    x = solve(b)
+    x = op.solve(b)
     bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     for _ in range(2):
         res = b - op.matrix @ x
         if np.max(np.abs(res), initial=0.0) <= bound:
             break
-        x = x + solve(res)
+        x = x + op.solve(res)
     residual = float(np.max(np.abs(b - op.matrix @ x), initial=0.0))
     if residual > bound:
         raise LinearSolveError("linear solve residual above tolerance", residual)

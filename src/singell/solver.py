@@ -83,12 +83,10 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
         return RegularizedIterate(m, zero, 0, 0.0)
 
     A = op.matrix
-    shape = spec.grid.interior_shape
-    solve_a = spd_solver(A, shape)
     if initial is not None:
         u = np.maximum(op.interior_of(initial), 0.0)
     else:
-        u = np.maximum(solve_a(f_int), 0.0)
+        u = np.maximum(op.solve(f_int), 0.0)
 
     def residual_of(vec):
         return float(np.max(np.abs(A @ vec - _regularized_rhs(f_int, vec, eps, gamma))))
@@ -98,15 +96,12 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
 
     # guarded Picard warm-up
     for _ in range(3):
-        cand = np.maximum(solve_a(_regularized_rhs(f_int, u, eps, gamma)), 0.0)
+        cand = np.maximum(op.solve(_regularized_rhs(f_int, u, eps, gamma)), 0.0)
         cand_res = residual_of(cand)
         if cand_res >= res:
             break
         u, res = cand, cand_res
         trace.append(res)
-    # release A's solver: alive next to each Jacobian's it would set the
-    # peak memory of a 2-D solve
-    del solve_a
 
     for it in range(1, max_iterations + 1):
         if res <= res_bound:
@@ -116,7 +111,7 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
         g = _regularized_rhs(f_int, u, eps, gamma)
         F = A @ u - g
         J = (A + sp.diags(gamma * g / (u + eps))).tocsc()
-        du = spd_solver(J, shape)(-F)
+        du = spd_solver(J, spec.grid.interior_shape)(-F)
         lam = 1.0
         u_new, res_new = u, res
         while True:
@@ -286,20 +281,16 @@ def _centered_residual(v: np.ndarray, grid, gamma: float, f: np.ndarray,
     gamma = inf selects the limit coefficient 1 on the gradient term.
     """
     weight = 1.0 if np.isinf(gamma) else gamma / (gamma + 1.0)
-    if grid.dim == 1:
-        (h,) = grid.h
-        vi = v[1:-1]
-        lap = (v[:-2] - 2.0 * vi + v[2:]) / h ** 2
-        grad2 = ((v[2:] - v[:-2]) / (2.0 * h)) ** 2
-        fi = f[1:-1]
-    else:
-        hx, hy = grid.h
-        vi = v[1:-1, 1:-1]
-        lap = ((v[:-2, 1:-1] - 2.0 * vi + v[2:, 1:-1]) / hx ** 2
-               + (v[1:-1, :-2] - 2.0 * vi + v[1:-1, 2:]) / hy ** 2)
-        grad2 = (((v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * hx)) ** 2
-                 + ((v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy)) ** 2)
-        fi = f[1:-1, 1:-1]
+    interior = (slice(1, -1),) * grid.dim
+    vi = v[interior]
+    lap = grad2 = 0.0
+    for axis, h in enumerate(grid.h):
+        below, above = list(interior), list(interior)
+        below[axis], above[axis] = slice(None, -2), slice(2, None)
+        vb, va = v[tuple(below)], v[tuple(above)]
+        lap = lap + (vb - 2.0 * vi + va) / h ** 2
+        grad2 = grad2 + ((va - vb) / (2.0 * h)) ** 2
+    fi = f[interior]
     mask = vi >= floor
     with np.errstate(divide="ignore", invalid="ignore"):
         res = -lap + weight * grad2 / np.where(mask, vi, np.nan) - fi

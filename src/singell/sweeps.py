@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import (LinearSolveError, MeasureData, assemble, node_matrix,
-                        solve_measure)
+from .operators import (LinearSolveError, MeasureData, assemble, solve_measure,
+                        spd_solver)
 from .solver import (NonlinearSolveError, SingularSolution, linfty_certificate,
                      quasilinear_residual, singular_mass_density,
                      solve_singular, to_quasilinear, total_singular_mass)
@@ -24,6 +24,10 @@ from .solver import (NonlinearSolveError, SingularSolution, linfty_certificate,
 
 class InconclusiveCheckError(RuntimeError):
     pass
+
+
+class HarmonicComparisonError(ValueError):
+    """The problem is outside the harmonic comparison's scope."""
 
 
 DEFAULT_RESIDUAL_FLOOR = 1e-10
@@ -73,19 +77,17 @@ class MeasureHistogram:
 
 
 def _distance_to_box_boundary(grid: Grid, omega) -> np.ndarray:
-    """Distance from each node to the boundary of the sub-box omega."""
+    """Distance from each node to the boundary of the sub-box omega.
+
+    This is |signed distance| of the box: per axis, the excess of the node
+    over the box extent is negative inside and positive outside.
+    """
     lo, hi = omega
-    meshes = grid.meshes()
-    if grid.dim == 1:
-        (x,) = meshes
-        return np.minimum(np.abs(x - lo[0]), np.abs(x - hi[0]))
-    x, y = meshes
-    # distance to the rectangle boundary: |signed distance| of the box
-    dx = np.maximum(lo[0] - x, x - hi[0])
-    dy = np.maximum(lo[1] - y, y - hi[1])
-    outside = np.sqrt(np.maximum(dx, 0.0) ** 2 + np.maximum(dy, 0.0) ** 2)
-    inside = -np.maximum(dx, dy)   # positive depth when inside
-    return np.where((dx <= 0) & (dy <= 0), inside, outside)
+    excess = np.stack([np.maximum(a - x, x - b)
+                       for x, a, b in zip(grid.meshes(), lo, hi)])
+    outside = np.sqrt(np.sum(np.maximum(excess, 0.0) ** 2, axis=0))
+    inside = -np.max(excess, axis=0)   # positive depth when inside
+    return np.where(np.all(excess <= 0, axis=0), inside, outside)
 
 
 def measure_histogram(u: GridFunction, spec: ProblemSpec, n: float,
@@ -253,10 +255,9 @@ def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
     res = quasilinear_residual(v, n, f, floor=residual_floor)
     row = SweepRow(
         n=float(n),
-        sup_norm=u.sup_norm(),
-        compacta_min=tuple(float(np.min(u.values[u.grid.box_mask(box)]))
-                           for box in compacta),
-        total_mass=total_singular_mass(u, spec_n),
+        sup_norm=sol.diagnostics["sup_norm"],
+        compacta_min=sol.diagnostics["compacta_min"],
+        total_mass=sol.diagnostics["total_mass"],
         local_masses=tuple(total_singular_mass(u, spec_n, box) for box in compacta),
         quasilinear_residual=res.masked_sup,
         certificate=linfty_certificate(u, n, f),
@@ -324,17 +325,28 @@ def _harmonic_outside(grid: Grid, omega) -> GridFunction:
     """Laplace solve on the grid restriction of the domain minus the sub-box.
 
     Dirichlet data: 1 on the sub-box edge (box nodes with a grid neighbour
-    outside the box), zero on the outer boundary; nodes strictly inside the
-    sub-box are excluded from the unknown set.
+    outside the box), 0 strictly inside the sub-box and on the outer
+    boundary, which wins where the two meet.  The box nodes are eliminated
+    symmetrically, so the solve runs on the whole interior grid: their rows
+    and columns of the Laplacian are replaced by its diagonal.
     """
-    lap = node_matrix(grid, CoefficientField.identity(grid))
-    box = grid.box_mask(omega).ravel()
-    edge = box & (abs(lap) @ ~box > 0)
-    unknown = np.flatnonzero(~box & ~grid.frame_mask().ravel())
-    lift = edge.astype(float)
-    rows = lap[unknown]
-    lift[unknown] = spla.splu(rows[:, unknown].tocsc()).solve(-(rows @ lift))
-    return GridFunction(grid, lift.reshape(grid.shape))
+    box = grid.box_mask(omega)
+    near_outside = np.zeros_like(box)
+    for axis in range(grid.dim):
+        for step in (-1, 1):
+            # wraps only onto frame nodes, which are dropped below
+            near_outside |= np.roll(~box, step, axis)
+    interior = (slice(1, -1),) * grid.dim
+    lift = (box & near_outside)[interior].ravel().astype(float)
+    box = box[interior].ravel()
+
+    op = assemble(grid, CoefficientField.identity(grid))
+    diagonal = op.matrix.diagonal()
+    keep = sp.diags((~box).astype(float))
+    eliminated = keep @ op.matrix @ keep + sp.diags(np.where(box, diagonal, 0.0))
+    rhs = np.where(box, diagonal * lift, -op.apply(lift))
+    values = spd_solver(eliminated.tocsc(), grid.interior_shape)(rhs)
+    return op.full_from_interior(np.where(box, lift, values))
 
 
 def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
@@ -342,15 +354,18 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
                           ) -> ConjectureReport:
     """Compare u_n with the harmonic profile outside the support closure.
 
-    Requires identity coefficients and a compactly-contained indicator datum.
-    Emits numbers only; nothing here is asserted.
+    Requires identity coefficients and a compactly-contained indicator datum
+    (HarmonicComparisonError otherwise).  Emits numbers only; nothing here
+    is asserted.
     """
     ident = CoefficientField.identity(spec.grid)
     if not np.allclose(spec.coefficients.entries, ident.entries):
-        raise ValueError("harmonic comparison requires identity coefficients")
+        raise HarmonicComparisonError(
+            "harmonic comparison requires identity coefficients")
     omega = spec.omega_box()
     if omega is None:
-        raise ValueError("harmonic comparison requires an indicator datum")
+        raise HarmonicComparisonError(
+            "harmonic comparison requires an indicator datum")
     spec_n = replace(spec, gamma=float(n_large))
     sol = solve_singular(spec_n, m_schedule)
     harmonic = _harmonic_outside(spec.grid, omega)

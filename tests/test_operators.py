@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -254,3 +257,20 @@ class TestSolveMeasure:
         u = solve_measure(op, MeasureData.from_pairs([((0.5, 0.5), 1.0)]))
         assert np.min(u.values) >= 0.0
         assert 0.0 < u.sup_norm() < 10.0
+
+
+def test_only_operators_imports_sparse_linalg():
+    # how a sparse system is solved is decided in one module
+    importers = set()
+    for path in Path(ops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.sparse.linalg"
+                   or name.startswith("scipy.sparse.linalg.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"operators"}

