@@ -3,17 +3,19 @@
 The assembled matrix acts on interior nodes only; Dirichlet rows are
 eliminated.  Assembly certifies the M-matrix sign pattern, which is the
 discrete comparison-principle certificate used throughout.  This module is
-also the one place that decides how a sparse SPD system is solved
-(`spd_solver`).
+also the one place that holds sparse matrices and decides how they are
+solved: `SparseOperator.solver(shift)` solves (A + diag(shift)) x = b by
+banded Cholesky in 1-D and by multigrid-preconditioned CG in 2-D.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -60,9 +62,38 @@ class SparseOperator:
         return self.matrix @ vec
 
     @functools.cached_property
+    def _bands(self) -> np.ndarray:
+        """Upper banded storage of a 1-D matrix: superdiagonal over diagonal."""
+        return np.stack([np.r_[0.0, self.matrix.diagonal(1)], self.matrix.diagonal()])
+
+    def solver(self, shift: Optional[np.ndarray] = None
+               ) -> Callable[[np.ndarray], np.ndarray]:
+        """Solver for (A + diag(shift)) x = b with shift >= 0 (None: A itself).
+
+        1-D: LAPACK `solveh_banded` on A's bands plus the shift.  2-D: CG with
+        a geometric V-cycle where the interior coarsens, SuperLU elsewhere.
+        """
+        if self.grid.dim == 1:
+            bands = self._bands if shift is None else np.stack(
+                [self._bands[0], self._bands[1] + shift])
+            return functools.partial(sla.solveh_banded, bands)
+        matrix = self.matrix if shift is None else (self.matrix + sp.diags(shift)).tocsc()
+        coarse = _coarse_shapes(self.grid.interior_shape)
+        if not coarse:
+            return spla.splu(matrix).solve
+        return _Multigrid(matrix, self.grid.interior_shape, coarse)
+
+    @functools.cached_property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        """`spd_solver` for the matrix, built on first use and kept with it."""
-        return spd_solver(self.matrix, self.grid.interior_shape)
+        """`solver()` for A itself, built on first use and kept with it."""
+        return self.solver()
+
+    def eliminate(self, mask: np.ndarray) -> "SparseOperator":
+        """A with the masked unknowns' rows and columns cut to the diagonal (SPD)."""
+        keep = sp.diags((~mask).astype(float))
+        diagonal = sp.diags(np.where(mask, self.matrix.diagonal(), 0.0))
+        matrix = (keep @ self.matrix @ keep + diagonal).tocsc()
+        return SparseOperator(self.grid, matrix, self.alpha, self.beta)
 
 
 def _face_average(nodal: np.ndarray, axis: int) -> np.ndarray:
@@ -198,21 +229,6 @@ class _Multigrid:
             res = float(np.max(np.abs(self.matrix @ x - b)))
             raise LinearSolveError("multigrid-preconditioned CG did not converge", res)
         return x
-
-
-def spd_solver(matrix: sp.spmatrix,
-               interior_shape: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """Solver for a symmetric positive definite matrix on a tensor grid.
-
-    `matrix` acts on the C-ordered nodes of `interior_shape`.  On grids with
-    two or more axes that coarsen (every axis odd, at least 7, and more than
-    COARSE_SIZE unknowns) this is multigrid-preconditioned CG; otherwise,
-    every 1-D grid included, it is a sparse LU of `matrix` (pass it as CSC).
-    """
-    coarse = _coarse_shapes(tuple(interior_shape))
-    if not coarse:
-        return spla.splu(matrix).solve
-    return _Multigrid(matrix, tuple(interior_shape), coarse)
 
 
 def solve_linear(op: SparseOperator, rhs: GridFunction) -> GridFunction:

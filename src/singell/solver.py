@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import GridFunction, ProblemSpec
-from .operators import SparseOperator, assemble, spd_solver
+from .operators import SparseOperator, assemble
 
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
@@ -110,8 +109,7 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
             return RegularizedIterate(m, sol, it - 1, res)
         g = _regularized_rhs(f_int, u, eps, gamma)
         F = A @ u - g
-        J = (A + sp.diags(gamma * g / (u + eps))).tocsc()
-        du = spd_solver(J, spec.grid.interior_shape)(-F)
+        du = op.solver(gamma * g / (u + eps))(-F)
         lam = 1.0
         u_new, res_new = u, res
         while True:
@@ -323,23 +321,14 @@ def singular_residual(u: GridFunction, spec: ProblemSpec, *,
     is unbounded there.
     """
     op = assemble(spec.grid, spec.coefficients)
-    f = spec.datum_values()
     sl = tuple(slice(1, -1) for _ in range(spec.grid.dim))
-    ui = u.interior().reshape(-1)
-    fi = f[sl].reshape(-1)
-    au = op.apply(ui)
-    dens = np.zeros_like(ui)
-    pos = fi > 0
-    base = np.maximum(ui[pos], VALUE_FLOOR)
-    dens[pos] = np.exp(np.minimum(np.log(fi[pos]) - spec.gamma * np.log(base), 700.0))
-    res = au - dens
-    mask = ~(pos & (ui < floor))
-    field = np.zeros(spec.grid.shape)
-    field[sl] = np.where(mask, res, 0.0).reshape(spec.grid.interior_shape)
+    ui = op.interior_of(u)
+    res = op.apply(ui) - singular_mass_density(u, spec)[sl].ravel()
+    mask = ~((spec.datum_values()[sl].ravel() > 0) & (ui < floor))
     evaluated = int(np.sum(mask))
     sup = float(np.max(np.abs(res[mask]))) if evaluated else 0.0
-    return ResidualField(GridFunction(spec.grid, field), sup, evaluated,
-                         int(mask.size - evaluated))
+    return ResidualField(op.full_from_interior(np.where(mask, res, 0.0)), sup,
+                         evaluated, int(mask.size - evaluated))
 
 
 def linfty_certificate(u: GridFunction, gamma: float, f) -> float:

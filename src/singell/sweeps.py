@@ -11,12 +11,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import (LinearSolveError, MeasureData, assemble, solve_measure,
-                        spd_solver)
+from .operators import LinearSolveError, MeasureData, assemble, solve_measure
 from .solver import (NonlinearSolveError, SingularSolution, linfty_certificate,
                      quasilinear_residual, singular_mass_density,
                      solve_singular, to_quasilinear, total_singular_mass)
@@ -32,6 +30,7 @@ class HarmonicComparisonError(ValueError):
 
 DEFAULT_RESIDUAL_FLOOR = 1e-10
 CLUSTER_MASS_SHARE = 0.01    # a cell seeds a cluster when it holds >= 1% of total
+ATOM_TIE_RTOL = 1e-9         # centroids this close (relative squared distance) tie
 
 
 # --- log-depth diagnostic ------------------------------------------------------
@@ -146,7 +145,9 @@ def extract_atoms(hist: MeasureHistogram) -> MeasureData:
 
     Cells holding at least 1% of the total mass seed connected clusters;
     every cell's mass is then assigned to the nearest cluster centroid, so
-    the atoms carry the full histogram mass.
+    the atoms carry the full histogram mass.  A cell whose squared distances
+    to several centroids are within ATOM_TIE_RTOL of the nearest splits its
+    mass equally among them, so mirror-symmetric data give equal atoms.
     """
     total = hist.total
     if total <= 0:
@@ -164,12 +165,9 @@ def extract_atoms(hist: MeasureHistogram) -> MeasureData:
     coords = np.stack([m.ravel() for m in meshes], axis=1)
     cents = np.asarray(centroids)
     d2 = ((coords[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)
-    masses = np.zeros(len(centroids))
-    flat = hist.cell_masses.ravel()
-    for k in range(len(centroids)):
-        masses[k] = float(np.sum(flat[nearest == k]))
-    return MeasureData(tuple((c, m) for c, m in zip(centroids, masses)))
+    nearest = d2 <= (1.0 + ATOM_TIE_RTOL) * np.min(d2, axis=1, keepdims=True)
+    masses = hist.cell_masses.ravel() @ (nearest / np.sum(nearest, axis=1, keepdims=True))
+    return MeasureData(tuple(zip(centroids, masses.tolist())))
 
 
 def _cluster_separation(atoms: MeasureData) -> float:
@@ -341,11 +339,8 @@ def _harmonic_outside(grid: Grid, omega) -> GridFunction:
     box = box[interior].ravel()
 
     op = assemble(grid, CoefficientField.identity(grid))
-    diagonal = op.matrix.diagonal()
-    keep = sp.diags((~box).astype(float))
-    eliminated = keep @ op.matrix @ keep + sp.diags(np.where(box, diagonal, 0.0))
-    rhs = np.where(box, diagonal * lift, -op.apply(lift))
-    values = spd_solver(eliminated.tocsc(), grid.interior_shape)(rhs)
+    rhs = np.where(box, op.matrix.diagonal() * lift, -op.apply(lift))
+    values = op.eliminate(box).solve(rhs)
     return op.full_from_interior(np.where(box, lift, values))
 
 

@@ -11,7 +11,6 @@ import singell.operators as ops
 from singell import (CoefficientField, GridFunction, LinearSolveError,
                      MeasureData, assemble, make_uniform_grid, solve_linear,
                      solve_measure)
-from singell.operators import spd_solver
 
 
 def torsion_square_exact(x, y, terms=60):
@@ -149,7 +148,7 @@ class TestSolveLinear:
     def test_multigrid_path_matches_direct(self, rng):
         g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (64, 64))
         op = assemble(g, CoefficientField.identity(g))
-        assert isinstance(spd_solver(op.matrix, g.interior_shape), ops._Multigrid)
+        assert isinstance(op.solve, ops._Multigrid)
         rhs = GridFunction(g, rng.random(g.shape))
         iterative = solve_linear(op, rhs)
         direct = spla.splu(op.matrix).solve(op.interior_of(rhs))
@@ -169,7 +168,7 @@ class TestSolveLinear:
 
 
 def random_spd_system(seed, cells, widths, contrast, shift):
-    """A 2-D Jacobian-like matrix A + diag(D) with random M and D >= 0."""
+    """A 2-D Jacobian-like system: operator A, random M, shift D >= 0, rhs."""
     g = make_uniform_grid((0.0, 0.0), widths, cells)
     rng = np.random.default_rng(seed)
     ent = np.zeros(g.shape + (2, 2))
@@ -177,8 +176,11 @@ def random_spd_system(seed, cells, widths, contrast, shift):
         ent[..., ax, ax] = contrast ** rng.random(g.shape)
     op = assemble(g, CoefficientField(g, ent))
     d = shift * rng.random(op.n_unknowns) / min(g.h) ** 2
-    matrix = (op.matrix + sp.diags(d)).tocsc()
-    return g, matrix, rng.standard_normal(op.n_unknowns)
+    return op, d, rng.standard_normal(op.n_unknowns)
+
+
+def direct_solve(op, d, b):
+    return spla.splu((op.matrix + sp.diags(d)).tocsc()).solve(b)
 
 
 class TestSpdSolver:
@@ -190,36 +192,51 @@ class TestSpdSolver:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_direct(self, base, k, widths, contrast, shift, seed):
         cells = tuple(c * 2 ** e for c, e in zip(base, k))
-        g, matrix, b = random_spd_system(seed, cells, widths, contrast, shift)
-        assert ops._coarse_shapes(g.interior_shape)
-        direct = spla.splu(matrix).solve(b)
-        x = spd_solver(matrix, g.interior_shape)(b)
+        op, d, b = random_spd_system(seed, cells, widths, contrast, shift)
+        assert ops._coarse_shapes(op.grid.interior_shape)
+        direct = direct_solve(op, d, b)
+        x = op.solver(d)(b)
         assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
     @settings(max_examples=15, deadline=None)
-    @given(cells=st.integers(4, 512), seed=st.integers(0, 2 ** 32 - 1))
-    def test_1d_is_exactly_direct(self, cells, seed):
+    @given(cells=st.integers(4, 512), shifted=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_1d_matches_direct(self, cells, shifted, seed):
+        # banded Cholesky against SuperLU: rounding apart, the same solution
         g = make_uniform_grid(0.0, 1.0, cells)
         rng = np.random.default_rng(seed)
         ent = (0.1 + rng.random(g.shape))[:, None, None]
         op = assemble(g, CoefficientField(g, ent))
-        matrix = (op.matrix + sp.diags(rng.random(op.n_unknowns) / g.h[0] ** 2)).tocsc()
+        d = rng.random(op.n_unknowns) / g.h[0] ** 2 if shifted else np.zeros(op.n_unknowns)
         b = rng.standard_normal(op.n_unknowns)
-        x = spd_solver(matrix, g.interior_shape)(b)
-        assert np.array_equal(x, spla.splu(matrix).solve(b))
+        direct = direct_solve(op, d, b)
+        x = op.solver(d if shifted else None)(b)
+        assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("cells", [(64, 6), (12, 12), (16, 16), (64, 63)])
     def test_non_coarsenable_2d_is_exactly_direct(self, cells):
-        g, matrix, b = random_spd_system(1, cells, (1.0, 1.0), 10.0, 0.5)
-        assert not ops._coarse_shapes(g.interior_shape)
-        x = spd_solver(matrix, g.interior_shape)(b)
-        assert np.array_equal(x, spla.splu(matrix).solve(b))
+        op, d, b = random_spd_system(1, cells, (1.0, 1.0), 10.0, 0.5)
+        assert not ops._coarse_shapes(op.grid.interior_shape)
+        assert np.array_equal(op.solver(d)(b), direct_solve(op, d, b))
 
     def test_iteration_cap_raises(self, monkeypatch):
-        g, matrix, b = random_spd_system(2, (64, 64), (1.0, 1.0), 10.0, 0.5)
+        op, d, b = random_spd_system(2, (64, 64), (1.0, 1.0), 10.0, 0.5)
         monkeypatch.setattr(ops, "CG_MAX_ITERATIONS", 1)
         with pytest.raises(LinearSolveError):
-            spd_solver(matrix, g.interior_shape)(b)
+            op.solver(d)(b)
+
+
+@pytest.mark.parametrize("lo, hi, cells", [(0.0, 1.0, 16),
+                                           ((0.0, 0.0), (1.0, 1.0), (12, 10))])
+def test_eliminate_replaces_rows_and_columns_by_the_diagonal(lo, hi, cells, rng):
+    g = make_uniform_grid(lo, hi, cells)
+    op = assemble(g, CoefficientField.identity(g))
+    mask = rng.random(op.n_unknowns) < 0.3
+    dense = op.matrix.toarray()
+    dense[mask, :] = 0.0
+    dense[:, mask] = 0.0
+    dense[mask, mask] = op.matrix.diagonal()[mask]
+    assert np.array_equal(op.eliminate(mask).matrix.toarray(), dense)
 
 
 class TestSolveMeasure:
@@ -260,7 +277,8 @@ class TestSolveMeasure:
 
 
 def test_only_operators_imports_sparse_linalg():
-    # how a sparse system is solved is decided in one module
+    # sparse matrices, and how their systems are solved, live in one module:
+    # no other module imports scipy.sparse or any of its submodules
     importers = set()
     for path in Path(ops.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -270,7 +288,7 @@ def test_only_operators_imports_sparse_linalg():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(name == "scipy.sparse.linalg"
-                   or name.startswith("scipy.sparse.linalg.") for name in names):
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+                   for name in names):
                 importers.add(path.stem)
     assert importers == {"operators"}

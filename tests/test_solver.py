@@ -88,6 +88,14 @@ class TestSolveSingular:
         assert not sol.stabilized
         assert sol.gap > 0.0
 
+    def test_1d_runs_no_superlu(self, monkeypatch):
+        # 1-D systems are tridiagonal: banded Cholesky, never a sparse LU
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: calls.append(args))
+        sol = solve_singular(matched_spec(40.0, 256))
+        assert sum(it.iterations for it in sol.trace) > 0
+        assert calls == []
+
 
 class TestMultigridPath:
     """The shipped 64^2 square: multigrid-preconditioned CG in every Newton step."""

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from singell.grids import IndicatorDatum
 from singell.sweeps import _harmonic_outside
 from conftest import interval_spec, matched_spec
 
-SQUARE_HOLE = Path(__file__).resolve().parents[1] / "configs" / "square_hole.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SQUARE_HOLE = CONFIGS / "square_hole.json"
 
 
 def reference_harmonic(grid, omega):
@@ -140,6 +142,18 @@ class TestLimitEquationCheck:
         assert len(atoms.atoms) == 2
         assert np.isclose(sum(m for _, m in atoms.atoms), hist.total,
                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name, count", [("matched_indicator", 2),
+                                             ("square_hole", 4)])
+    def test_mirror_symmetric_configs_give_equal_atoms(self, name, count):
+        # cells equidistant from two centroids split their mass between them
+        config = load_config(CONFIGS / f"{name}.json")
+        n = config.n_list[-1]
+        sol = solve_singular(replace(config.spec, gamma=n), config.m_schedule)
+        atoms = extract_atoms(measure_histogram(sol.u, config.spec, n))
+        masses = [m for _, m in atoms.atoms]
+        assert len(masses) == count
+        assert max(masses) - min(masses) <= 1e-12 * max(masses)
 
 
 class TestRunSweep:
@@ -266,6 +280,13 @@ class TestConjecture:
                               m_schedule=config.m_schedule)
         coarse = ops._coarse_shapes(config.spec.grid.interior_shape)
         assert sizes and max(sizes) <= int(np.prod(coarse[-1]))
+
+    def test_1d_runs_no_superlu(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: calls.append(args))
+        report = conjecture_experiment(matched_spec(40.0, 256), 40.0)
+        assert np.isfinite(report.harmonic_gap)
+        assert calls == []
 
     def test_2d_smoke(self):
         grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (32, 32))
