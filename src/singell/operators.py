@@ -5,7 +5,8 @@ eliminated.  Assembly certifies the M-matrix sign pattern, which is the
 discrete comparison-principle certificate used throughout.  This module is
 also the one place that holds sparse matrices and decides how they are
 solved: `SparseOperator.solver(shift)` solves (A + diag(shift)) x = b by
-banded Cholesky in 1-D and by multigrid-preconditioned CG in 2-D.
+banded Cholesky in 1-D and by multigrid-preconditioned CG in 2-D, on A's
+bands or A's multigrid hierarchy, each built once per operator.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class SparseOperator:
 
     grid: Grid
     matrix: sp.csc_matrix
-    alpha: float
-    beta: float
 
     @property
     def n_unknowns(self) -> int:
@@ -54,8 +53,7 @@ class SparseOperator:
 
     def full_from_interior(self, vec: np.ndarray) -> GridFunction:
         full = np.zeros(self.grid.shape)
-        sl = tuple(slice(1, -1) for _ in range(self.grid.dim))
-        full[sl] = vec.reshape(self.grid.interior_shape)
+        full[(slice(1, -1),) * self.grid.dim] = vec.reshape(self.grid.interior_shape)
         return GridFunction(self.grid, full)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -66,22 +64,36 @@ class SparseOperator:
         """Upper banded storage of a 1-D matrix: superdiagonal over diagonal."""
         return np.stack([np.r_[0.0, self.matrix.diagonal(1)], self.matrix.diagonal()])
 
+    @functools.cached_property
+    def _hierarchy(self) -> tuple[list[tuple], sp.spmatrix]:
+        """A's Galerkin levels, (A_l, |A_l| row sums, diagonal, P, R, P 1) each,
+        and the coarsest matrix (A itself where the grid does not coarsen)."""
+        levels = []
+        matrix = self.matrix
+        shapes = [self.grid.interior_shape] + _coarse_shapes(self.grid.interior_shape)
+        for shape in shapes[:-1]:
+            interp, restrict = _interpolation(shape)
+            matrix = matrix.tocsr()
+            levels.append((matrix, np.asarray(abs(matrix).sum(axis=1)).ravel(),
+                           matrix.diagonal(), interp, restrict,
+                           np.asarray(interp.sum(axis=1)).ravel()))
+            matrix = restrict @ matrix @ interp
+        return levels, matrix
+
     def solver(self, shift: Optional[np.ndarray] = None
                ) -> Callable[[np.ndarray], np.ndarray]:
         """Solver for (A + diag(shift)) x = b with shift >= 0 (None: A itself).
 
         1-D: LAPACK `solveh_banded` on A's bands plus the shift.  2-D: CG with
-        a geometric V-cycle where the interior coarsens, SuperLU elsewhere.
+        a geometric V-cycle on A's cached hierarchy plus the shift's coarse
+        images; a grid with no coarse level is solved directly.
         """
         if self.grid.dim == 1:
             bands = self._bands if shift is None else np.stack(
                 [self._bands[0], self._bands[1] + shift])
             return functools.partial(sla.solveh_banded, bands)
-        matrix = self.matrix if shift is None else (self.matrix + sp.diags(shift)).tocsc()
-        coarse = _coarse_shapes(self.grid.interior_shape)
-        if not coarse:
-            return spla.splu(matrix).solve
-        return _Multigrid(matrix, self.grid.interior_shape, coarse)
+        return _Multigrid(self._hierarchy, np.zeros(self.n_unknowns)
+                          if shift is None else shift)
 
     @functools.cached_property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -93,15 +105,7 @@ class SparseOperator:
         keep = sp.diags((~mask).astype(float))
         diagonal = sp.diags(np.where(mask, self.matrix.diagonal(), 0.0))
         matrix = (keep @ self.matrix @ keep + diagonal).tocsc()
-        return SparseOperator(self.grid, matrix, self.alpha, self.beta)
-
-
-def _face_average(nodal: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * nodal.ndim
-    hi = [slice(None)] * nodal.ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (nodal[tuple(lo)] + nodal[tuple(hi)])
+        return SparseOperator(self.grid, matrix)
 
 
 def _verify_m_matrix(matrix: sp.csc_matrix) -> None:
@@ -133,7 +137,7 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     over h^2, which keeps the matrix symmetric.  Only diagonal coefficient
     matrices fit the 5-point pattern; off-diagonal entries are rejected.
     """
-    alpha, beta = check_ellipticity(coefficients)
+    check_ellipticity(coefficients)
     if not coefficients.is_diagonal():
         raise ValueError(
             "5-point assembly supports diagonal coefficient matrices only")
@@ -145,22 +149,22 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
         faces = [slice(1, -1)] * grid.dim
         faces[axis] = slice(None)
         nodal = coefficients.entries[tuple(faces) + (axis, axis)]
-        weight = _face_average(nodal, axis) / h ** 2
+        weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis)) / h ** 2
         term = diff.T @ sp.diags(weight.ravel()) @ diff
         matrix = term if matrix is None else matrix + term
     matrix = matrix.tocsc()
     matrix.sort_indices()
     _verify_m_matrix(matrix)
-    return SparseOperator(grid, matrix, alpha, beta)
+    return SparseOperator(grid, matrix)
 
 
 def _interpolation_1d(n: int) -> sp.csr_matrix:
-    """Linear interpolation from (n - 1)/2 to n interior nodes (n odd)."""
-    coarse = np.arange((n - 1) // 2)
+    """Linear interpolation from n // 2 to n interior nodes (one-sided at an even end)."""
+    coarse = np.arange(n // 2)
     rows = np.concatenate([2 * coarse, 2 * coarse + 1, 2 * coarse + 2])
     cols = np.tile(coarse, 3)
     vals = np.repeat([0.5, 1.0, 0.5], coarse.size)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, coarse.size))[:n]
 
 
 @functools.lru_cache(maxsize=16)
@@ -173,60 +177,59 @@ def _interpolation(shape: tuple[int, ...]) -> tuple[sp.csr_matrix, sp.csr_matrix
 def _coarse_shapes(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Shapes of the coarser levels below `shape`; empty if none can be formed."""
     shapes = []
-    while (len(shape) >= 2 and all(n % 2 == 1 and n >= 7 for n in shape)
-           and np.prod(shape) > COARSE_SIZE):
-        shape = tuple((n - 1) // 2 for n in shape)
+    while len(shape) >= 2 and min(shape) >= 7 and np.prod(shape) > COARSE_SIZE:
+        shape = tuple(n // 2 for n in shape)
         shapes.append(shape)
     return shapes
 
 
 class _Multigrid:
-    """CG preconditioned by a symmetric geometric V-cycle.
+    """CG on A + diag(d), preconditioned by a symmetric geometric V-cycle.
 
-    Every level but the coarsest smooths with damped Jacobi; the coarse
-    matrices are Galerkin products P^T A P and the coarsest is factorized.
-    The Jacobi divisor is the diagonal, raised to half the absolute row sum
-    where a Galerkin matrix loses diagonal dominance (strong anisotropy), so
-    the smoother stays convergent and the V-cycle stays SPD.
+    Level l is A's P^T A P plus diag(d_l), d_{l+1} = R (d_l * P 1) the
+    row-lumped image of d_l.  Damped Jacobi smooths every level but the
+    coarsest, which is factorized (with no coarser level, that is the solve).
+    The divisor max(diagonal, half the absolute row sum) keeps the smoother
+    convergent on anisotropic Galerkin levels, so the V-cycle stays SPD.
     """
 
-    def __init__(self, matrix: sp.spmatrix, shape: tuple[int, ...],
-                 coarse: list[tuple[int, ...]]):
-        self.matrix = matrix.tocsr()
-        self.levels = []          # (matrix, omega / divisor, P, R) per smoothed level
-        fine = self.matrix
-        for level_shape in [shape] + coarse[:-1]:
-            interp, restrict = _interpolation(level_shape)
-            divisor = np.maximum(fine.diagonal(),
-                                 0.5 * np.asarray(abs(fine).sum(axis=1)).ravel())
-            self.levels.append((fine, JACOBI_WEIGHT / divisor, interp, restrict))
-            fine = (restrict @ fine @ interp).tocsr()
-        self.coarse_solve = spla.splu(fine.tocsc()).solve
+    def __init__(self, hierarchy: tuple[list[tuple], sp.spmatrix], shift: np.ndarray):
+        levels, coarsest = hierarchy
+        self.levels = []          # (matrix, shift, omega / divisor, P, R) per smoothed level
+        for matrix, abs_rows, diagonal, interp, restrict, interp_rows in levels:
+            divisor = np.maximum(diagonal + shift, 0.5 * (abs_rows + shift))
+            self.levels.append((matrix, shift, JACOBI_WEIGHT / divisor, interp, restrict))
+            shift = restrict @ (shift * interp_rows)
+        self.coarse_solve = spla.splu((coarsest + sp.diags(shift)).tocsc()).solve
 
     def _vcycle(self, r: np.ndarray) -> np.ndarray:
         stack = []
-        for matrix, scale, _, restrict in self.levels:
+        for matrix, shift, scale, _, restrict in self.levels:
             x = scale * r
             for _ in range(SMOOTHING_SWEEPS - 1):
-                x += scale * (r - matrix @ x)
+                x += scale * (r - matrix @ x - shift * x)
             stack.append((r, x))
-            r = restrict @ (r - matrix @ x)
+            r = restrict @ (r - matrix @ x - shift * x)
         e = self.coarse_solve(r)
-        for (matrix, scale, interp, _), (r, x) in zip(reversed(self.levels),
-                                                     reversed(stack)):
+        for (matrix, shift, scale, interp, _), (r, x) in zip(reversed(self.levels),
+                                                            reversed(stack)):
             x += interp @ e
             for _ in range(SMOOTHING_SWEEPS):
-                x += scale * (r - matrix @ x)
+                x += scale * (r - matrix @ x - shift * x)
             e = x
         return e
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        precond = spla.LinearOperator(self.matrix.shape, matvec=self._vcycle,
-                                      dtype=float)
-        x, info = spla.cg(self.matrix, b, rtol=CG_RELATIVE_TOL, atol=0.0,
+        if not self.levels:
+            return self.coarse_solve(b)
+        matrix, shift = self.levels[0][:2]
+        system = spla.LinearOperator(matrix.shape, matvec=lambda x: matrix @ x + shift * x,
+                                     dtype=float)
+        precond = spla.LinearOperator(matrix.shape, matvec=self._vcycle, dtype=float)
+        x, info = spla.cg(system, b, rtol=CG_RELATIVE_TOL, atol=0.0,
                           maxiter=CG_MAX_ITERATIONS, M=precond)
         if info != 0:
-            res = float(np.max(np.abs(self.matrix @ x - b)))
+            res = float(np.max(np.abs(system @ x - b)))
             raise LinearSolveError("multigrid-preconditioned CG did not converge", res)
         return x
 
@@ -273,10 +276,7 @@ def _nearest_interior_node(grid: Grid, location: tuple[float, ...]) -> tuple[int
     for x, lo, hi, h, c in zip(location, grid.lo, grid.hi, grid.h, grid.cells):
         if not (lo < x < hi):
             raise ValueError(f"measure location {location} is not strictly interior")
-        r = (x - lo) / h
-        base = int(np.floor(r))
-        frac = r - base
-        k = base + (1 if frac > 0.5 else 0)   # ties toward the lower index
+        k = int(np.ceil((x - lo) / h - 0.5))   # ties toward the lower index
         k = min(max(k, 1), c - 1)
         idx.append(k)
     return tuple(idx)

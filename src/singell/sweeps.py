@@ -339,7 +339,7 @@ def _harmonic_outside(grid: Grid, omega) -> GridFunction:
     box = box[interior].ravel()
 
     op = assemble(grid, CoefficientField.identity(grid))
-    rhs = np.where(box, op.matrix.diagonal() * lift, -op.apply(lift))
+    rhs = np.where(box, 0.0, -op.apply(lift))
     values = op.eliminate(box).solve(rhs)
     return op.full_from_interior(np.where(box, lift, values))
 

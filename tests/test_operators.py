@@ -146,14 +146,16 @@ class TestSolveLinear:
                 assert np.all(u1.values <= u2.values + 1e-10)
 
     def test_multigrid_path_matches_direct(self, rng):
-        g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (64, 64))
-        op = assemble(g, CoefficientField.identity(g))
-        assert isinstance(op.solve, ops._Multigrid)
-        rhs = GridFunction(g, rng.random(g.shape))
-        iterative = solve_linear(op, rhs)
-        direct = spla.splu(op.matrix).solve(op.interior_of(rhs))
-        scale = np.max(np.abs(direct))
-        assert np.max(np.abs(op.interior_of(iterative) - direct)) <= 1e-12 * scale
+        # (64, 63) cells: an even interior axis, interpolated one-sided
+        for cells in ((64, 64), (64, 63)):
+            g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), cells)
+            op = assemble(g, CoefficientField.identity(g))
+            assert ops._coarse_shapes(g.interior_shape)
+            rhs = GridFunction(g, rng.random(g.shape))
+            iterative = solve_linear(op, rhs)
+            direct = spla.splu(op.matrix).solve(op.interior_of(rhs))
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(op.interior_of(iterative) - direct)) <= 1e-12 * scale
 
     def test_second_order_refinement_2d(self):
         errors = {}
@@ -187,11 +189,13 @@ class TestSpdSolver:
     @settings(max_examples=25, deadline=None)
     @given(base=st.tuples(st.sampled_from([3, 4, 5]), st.sampled_from([3, 4, 5])),
            k=st.tuples(st.integers(3, 5), st.integers(3, 5)),
+           odd=st.tuples(st.booleans(), st.booleans()),
            widths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
            contrast=st.floats(1.0, 10.0), shift=st.floats(0.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_direct(self, base, k, widths, contrast, shift, seed):
-        cells = tuple(c * 2 ** e for c, e in zip(base, k))
+    def test_matches_direct(self, base, k, odd, widths, contrast, shift, seed):
+        # an odd cell count leaves an even interior, interpolated one-sided
+        cells = tuple(c * 2 ** e - o for c, e, o in zip(base, k, odd))
         op, d, b = random_spd_system(seed, cells, widths, contrast, shift)
         assert ops._coarse_shapes(op.grid.interior_shape)
         direct = direct_solve(op, d, b)
@@ -213,11 +217,27 @@ class TestSpdSolver:
         x = op.solver(d if shifted else None)(b)
         assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("cells", [(64, 6), (12, 12), (16, 16), (64, 63)])
+    @pytest.mark.parametrize("cells", [(64, 6), (12, 12), (16, 16)])
     def test_non_coarsenable_2d_is_exactly_direct(self, cells):
         op, d, b = random_spd_system(1, cells, (1.0, 1.0), 10.0, 0.5)
         assert not ops._coarse_shapes(op.grid.interior_shape)
         assert np.array_equal(op.solver(d)(b), direct_solve(op, d, b))
+
+    def test_even_interior_factorizes_only_the_coarsest_level(self, monkeypatch):
+        op, d, b = random_spd_system(3, (63, 63), (1.0, 1.0), 10.0, 0.5)
+        sizes = []
+        real = spla.splu
+
+        def recording(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        x = op.solver(d)(b)
+        coarsest = int(np.prod(ops._coarse_shapes(op.grid.interior_shape)[-1]))
+        assert sizes == [coarsest] and coarsest <= ops.COARSE_SIZE
+        direct = direct_solve(op, d, b)
+        assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
     def test_iteration_cap_raises(self, monkeypatch):
         op, d, b = random_spd_system(2, (64, 64), (1.0, 1.0), 10.0, 0.5)

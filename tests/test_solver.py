@@ -104,20 +104,25 @@ class TestMultigridPath:
     def square(self):
         spec = load_config(SQUARE_HOLE).spec
         assert spec.grid.cells == (64, 64)
-        sizes = []
-        real = spla.splu
+        sizes, levels = [], []
+        real, interpolation = spla.splu, ops._interpolation
 
         def recording(matrix, *args, **kwargs):
             sizes.append(matrix.shape[0])
             return real(matrix, *args, **kwargs)
 
+        def galerkin_level(shape):
+            levels.append(shape)
+            return interpolation(shape)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spla, "splu", recording)
+            mp.setattr(ops, "_interpolation", galerkin_level)
             sol = solve_singular(spec)
-        return spec, sol, sizes
+        return spec, sol, sizes, levels
 
     def test_matches_forced_direct_path(self, square, monkeypatch):
-        spec, sol, _ = square
+        spec, sol, _, _ = square
         monkeypatch.setattr(ops, "COARSE_SIZE", 10 ** 12)
         direct = solve_singular(spec)
         assert ([it.iterations for it in sol.trace]
@@ -126,7 +131,7 @@ class TestMultigridPath:
 
     def test_no_fine_grid_factorization(self, square):
         # a later change must not silently bring back fine-grid LU fill-in
-        spec, sol, sizes = square
+        spec, sol, sizes, _ = square
         coarsest = int(np.prod(ops._coarse_shapes(spec.grid.interior_shape)[-1]))
         assert coarsest <= ops.COARSE_SIZE
         newton = sum(it.iterations for it in sol.trace)
@@ -135,9 +140,15 @@ class TestMultigridPath:
 
     def test_one_operator_hierarchy_per_solve(self, square):
         # the operator builds its solver once; each Newton step one for J
-        _, sol, sizes = square
+        _, sol, sizes, _ = square
         newton = sum(it.iterations for it in sol.trace)
         assert len(sizes) == newton + 1
+
+    def test_one_galerkin_hierarchy_per_solve(self, square):
+        # P^T A P is formed once per level; a Newton step adds only its shift
+        spec, _, _, levels = square
+        shape = spec.grid.interior_shape
+        assert levels == [shape] + ops._coarse_shapes(shape)[:-1]
 
 
 class TestQuasilinearMap:
