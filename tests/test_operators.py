@@ -217,7 +217,8 @@ class TestSpdSolver:
         x = op.solver(d if shifted else None)(b)
         assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("cells", [(64, 6), (12, 12), (16, 16)])
+    # (17, 15) cells: even interior axes, but at most COARSE_SIZE unknowns
+    @pytest.mark.parametrize("cells", [(64, 6), (12, 12), (16, 16), (17, 15)])
     def test_non_coarsenable_2d_is_exactly_direct(self, cells):
         op, d, b = random_spd_system(1, cells, (1.0, 1.0), 10.0, 0.5)
         assert not ops._coarse_shapes(op.grid.interior_shape)
