@@ -17,6 +17,7 @@ import numpy as np
 from .grids import (CoefficientField, ConstantDatum, Datum, GridFunction,
                     IndicatorDatum, ProblemSpec, TabulatedDatum,
                     make_uniform_grid)
+from .solver import check_m_schedule, default_m_schedule
 
 
 class ConfigError(ValueError):
@@ -114,12 +115,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     n_list = tuple(float(n) for n in sweep.get("n_list", ()))
     if "m_schedule" in sweep and "m_schedule_k_max" in sweep:
         raise ConfigError("give either m_schedule or m_schedule_k_max, not both")
-    if "m_schedule" in sweep:
-        m_schedule: Optional[tuple] = tuple(int(m) for m in sweep["m_schedule"])
-    elif "m_schedule_k_max" in sweep:
-        m_schedule = tuple(4 ** k for k in range(int(sweep["m_schedule_k_max"]) + 1))
-    else:
-        m_schedule = None
+    m_schedule: Optional[tuple] = None
+    if "m_schedule" in sweep or "m_schedule_k_max" in sweep:
+        schedule = ([int(m) for m in sweep["m_schedule"]] if "m_schedule" in sweep
+                    else default_m_schedule(int(sweep["m_schedule_k_max"])))
+        try:
+            m_schedule = tuple(check_m_schedule(schedule))
+        except ValueError as exc:
+            raise ConfigError(f"invalid sweep: {exc}") from exc
     compacta = tuple((tuple(np.atleast_1d(c[0]).astype(float)),
                       tuple(np.atleast_1d(c[1]).astype(float)))
                      for c in sweep.get("compacta", ()))

@@ -178,24 +178,12 @@ def check_ellipticity(coefficients: CoefficientField) -> tuple[float, float]:
     norm.  Raises EllipticityError for non-symmetric entries or alpha <= 0.
     """
     ent = coefficients.entries
-    d = coefficients.grid.dim
-    if d == 1:
-        lam_min = ent[..., 0, 0]
-        lam_max = ent[..., 0, 0]
-    else:
-        a = ent[..., 0, 0]
-        b = ent[..., 0, 1]
-        bt = ent[..., 1, 0]
-        c = ent[..., 1, 1]
-        scale = max(1.0, float(np.max(np.abs(ent))))
-        if np.max(np.abs(b - bt)) > 1e-12 * scale:
-            raise EllipticityError("coefficient matrix is not symmetric")
-        half_tr = (a + c) / 2.0
-        disc = np.sqrt(((a - c) / 2.0) ** 2 + b * bt)
-        lam_min = half_tr - disc
-        lam_max = half_tr + disc
-    alpha = float(np.min(lam_min))
-    beta = float(np.max(np.maximum(np.abs(lam_min), np.abs(lam_max))))
+    scale = max(1.0, float(np.max(np.abs(ent))))
+    if np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) > 1e-12 * scale:
+        raise EllipticityError("coefficient matrix is not symmetric")
+    eig = np.linalg.eigvalsh(ent)
+    alpha = float(np.min(eig))
+    beta = float(np.max(np.abs(eig)))
     if alpha <= 0.0:
         raise EllipticityError(f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
     return alpha, beta

@@ -38,6 +38,15 @@ def default_m_schedule(k_max: int = 12) -> list[int]:
     return [4 ** k for k in range(k_max + 1)]
 
 
+def check_m_schedule(schedule: Sequence[int]) -> list[int]:
+    """The schedule as a list; ValueError unless non-empty, strictly increasing, m >= 1."""
+    schedule = list(schedule)
+    if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("m-schedule must be non-empty and strictly increasing, "
+                         "with every m >= 1")
+    return schedule
+
+
 def _regularized_rhs(f: np.ndarray, u: np.ndarray, eps: float, gamma: float) -> np.ndarray:
     """f/(u+eps)^gamma where f > 0, zero elsewhere; exponent capped."""
     out = np.zeros_like(u)
@@ -63,10 +72,11 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> RegularizedIterate:
     """One damped-Newton solve of the regularized problem at index m.
 
-    Newton runs on F(u) = A u - f/(u + 1/m)^gamma with the iterate clipped to
-    u >= 0 between steps.  A few Picard sweeps seed the iteration, but only
-    while they reduce the residual: for large gamma an unconditional Picard
-    step diverges violently near the fixed point.
+    Newton runs on F(u) = A u - f/(u + 1/m)^gamma from `initial` (or from
+    max(A^-1 f, 0)), with the iterate clipped to u >= 0.  Each step halves
+    until the residual falls.  The solve stops when the residual meets its
+    bound, when the relative update is negligible, or when halving no longer
+    moves the iterate (a stall: no representable step lowers the residual).
     """
     if m < 1:
         raise ValueError("regularization index m must be >= 1")
@@ -92,44 +102,38 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
 
     res = residual_of(u)
     trace = [res]
-
-    # guarded Picard warm-up
-    for _ in range(3):
-        cand = np.maximum(op.solve(_regularized_rhs(f_int, u, eps, gamma)), 0.0)
-        cand_res = residual_of(cand)
-        if cand_res >= res:
-            break
-        u, res = cand, cand_res
-        trace.append(res)
-
-    for it in range(1, max_iterations + 1):
-        if res <= res_bound:
-            sol = op.full_from_interior(u)
-            _check_positive(sol, f)
-            return RegularizedIterate(m, sol, it - 1, res)
+    it = 0
+    while res > res_bound:
+        if it == max_iterations:
+            raise NonlinearSolveError(
+                f"regularized solve (m={m}, gamma={gamma}) did not converge within "
+                f"{max_iterations} iterations; last residual {res:.3e}", trace)
+        it += 1
         g = _regularized_rhs(f_int, u, eps, gamma)
-        F = A @ u - g
-        du = op.solver(gamma * g / (u + eps))(-F)
+        du = op.solver(gamma * g / (u + eps))(g - A @ u)
+        if not np.all(np.isfinite(du)):
+            raise NonlinearSolveError(
+                f"regularized solve (m={m}, gamma={gamma}): non-finite Newton "
+                f"direction at iteration {it}", trace)
+        # halve until the residual falls; a trial equal to u is a stall
         lam = 1.0
-        u_new, res_new = u, res
-        while True:
-            cand = np.maximum(u + lam * du, 0.0)
+        cand = np.maximum(u + du, 0.0)
+        while not np.array_equal(cand, u):
             cand_res = residual_of(cand)
-            if cand_res < res or lam < 1e-12:
-                u_new, res_new = cand, cand_res
+            if cand_res < res:
                 break
             lam *= 0.5
-        rel_update = float(np.max(np.abs(u_new - u))) / max(1.0, float(np.max(np.abs(u_new))))
-        u, res = u_new, res_new
+            cand = np.maximum(u + lam * du, 0.0)
+        else:
+            break
+        rel_update = float(np.max(np.abs(cand - u))) / max(1.0, float(np.max(np.abs(cand))))
+        u, res = cand, cand_res
         trace.append(res)
-        if rel_update <= UPDATE_TOL or res <= res_bound:
-            sol = op.full_from_interior(u)
-            _check_positive(sol, f)
-            return RegularizedIterate(m, sol, it, res)
-
-    raise NonlinearSolveError(
-        f"regularized solve (m={m}, gamma={gamma}) did not converge within "
-        f"{max_iterations} iterations; last residual {res:.3e}", trace)
+        if rel_update <= UPDATE_TOL:
+            break
+    sol = op.full_from_interior(u)
+    _check_positive(sol, f)
+    return RegularizedIterate(m, sol, it, res)
 
 
 def _check_positive(u: GridFunction, f: np.ndarray) -> None:
@@ -150,8 +154,7 @@ class SingularSolution:
 
 def solve_singular(spec: ProblemSpec,
                    m_schedule: Optional[Sequence[int]] = None, *,
-                   compacta: Sequence = (),
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS) -> SingularSolution:
+                   compacta: Sequence = ()) -> SingularSolution:
     """Outer limit m -> infinity over an increasing regularization schedule.
 
     Each m warm-starts from the previous solution shifted by the change in
@@ -161,9 +164,8 @@ def solve_singular(spec: ProblemSpec,
     not the residual: the singular right-hand side amplifies residuals near
     the boundary while monotone convergence makes the gap a faithful rule.
     """
-    schedule = list(m_schedule) if m_schedule is not None else default_m_schedule()
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("m-schedule must be non-empty and strictly increasing")
+    schedule = check_m_schedule(m_schedule if m_schedule is not None
+                                else default_m_schedule())
 
     op = assemble(spec.grid, spec.coefficients)
     f = spec.datum_values()
@@ -180,8 +182,7 @@ def solve_singular(spec: ProblemSpec,
             shifted = u_prev.values.copy()
             shifted[f > 0] += (eps_prev - eps)
             initial = GridFunction(spec.grid, shifted)
-        it = solve_regularized(spec, m, initial=initial, operator=op,
-                               max_iterations=max_iterations)
+        it = solve_regularized(spec, m, initial=initial, operator=op)
         trace.append(it)
         if u_prev is not None:
             gap = float(np.max(np.abs(it.u.values - u_prev.values)))

@@ -75,6 +75,21 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("schedule", [{"m_schedule_k_max": -1},
+                                          {"m_schedule": []},
+                                          {"m_schedule": [4, 1]},
+                                          {"m_schedule": [0, 4]}],
+                             ids=["negative_k_max", "empty", "decreasing",
+                                  "zero_m"])
+    def test_invalid_m_schedule_exit_2_no_files(self, tmp_path, capsys, schedule):
+        bad = json.loads(json.dumps(GAMMA3))
+        bad["sweep"] = {"n_list": [3.0], **schedule}
+        cfg = write_config(tmp_path, bad)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = json.loads(json.dumps(GAMMA3))
         bad["problem"]["typo_key"] = 1

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import singell.operators as ops
-from singell import (GridFunction, NonlinearSolveError,
+import singell.solver as solver_module
+from singell import (CoefficientField, GridFunction, IndicatorDatum,
+                     NonlinearSolveError, ProblemSpec, SparseOperator,
                      UndefinedCertificateError, from_quasilinear,
                      linfty_certificate, make_uniform_grid,
                      quasilinear_residual, singular_residual, solve_regularized,
@@ -14,7 +18,8 @@ from singell import (GridFunction, NonlinearSolveError,
 from singell.config import load_config
 from conftest import interval_spec, matched_spec
 
-SQUARE_HOLE = Path(__file__).resolve().parents[1] / "configs" / "square_hole.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SQUARE_HOLE = CONFIGS / "square_hole.json"
 
 
 class TestSolveRegularized:
@@ -56,6 +61,46 @@ class TestSolveRegularized:
         with pytest.raises(ValueError):
             solve_regularized(interval_spec(2.0, 32), 0)
 
+    def test_line_search_never_evaluates_the_current_iterate(self, monkeypatch):
+        # a trial equal to the iterate is a stall: it ends the m-step unevaluated
+        events = []
+        real_rhs, real_solver = solver_module._regularized_rhs, SparseOperator.solver
+
+        def rhs(f, u, eps, gamma):
+            events.append(u.copy())
+            return real_rhs(f, u, eps, gamma)
+
+        def solver(self, shift=None):
+            if shift is not None:          # one Jacobian solve per Newton step
+                events.append(None)
+            return real_solver(self, shift)
+
+        monkeypatch.setattr(solver_module, "_regularized_rhs", rhs)
+        monkeypatch.setattr(SparseOperator, "solver", solver)
+        config = load_config(CONFIGS / "matched_indicator.json")
+        solve_singular(replace(config.spec, gamma=20.0), config.m_schedule)
+        steps = [i for i, event in enumerate(events) if event is None]
+        assert steps
+        for i, j in zip(steps, steps[1:] + [len(events)]):
+            current = events[i - 1]        # the RHS that formed this step
+            assert not any(np.array_equal(trial, current)
+                           for trial in events[i + 1:j])
+
+    def test_nan_direction_raises_after_one_step(self, monkeypatch):
+        real, steps = SparseOperator.solver, []
+
+        def poisoned(self, shift=None):
+            if shift is None:
+                return real(self)
+            steps.append(shift)
+            return lambda rhs: np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(SparseOperator, "solver", poisoned)
+        with pytest.raises(NonlinearSolveError) as err:
+            solve_regularized(interval_spec(5.0, 128), 4 ** 4)
+        assert len(steps) == 1
+        assert len(err.value.residual_trace) == 1
+
 
 class TestSolveSingular:
     def test_gamma3_closed_form(self):
@@ -77,6 +122,10 @@ class TestSolveSingular:
         with pytest.raises(ValueError):
             solve_singular(interval_spec(2.0, 32), [1, 1, 2])
 
+    def test_schedule_entries_at_least_1(self):
+        with pytest.raises(ValueError):
+            solve_singular(interval_spec(2.0, 32), [0, 4])
+
     def test_symmetric_spec_gives_even_solution(self):
         spec = matched_spec(12.0, 256)
         sol = solve_singular(spec)
@@ -95,6 +144,29 @@ class TestSolveSingular:
         sol = solve_singular(matched_spec(40.0, 256))
         assert sum(it.iterations for it in sol.trace) > 0
         assert calls == []
+
+
+class TestMonotoneInM:
+    """u_m is nondecreasing in m on random indicator problems."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), cells=st.integers(8, 24),
+           gamma=st.floats(0.5, 40.0), value=st.floats(0.1, 10.0),
+           lo=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
+           width=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)))
+    def test_iterates_nondecreasing(self, dim, cells, gamma, value, lo, width):
+        if dim == 1:
+            grid = make_uniform_grid(0.0, 1.0, 4 * cells)
+            box = (lo[0], lo[0] + width[0])
+        else:
+            grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
+            box = (lo, tuple(a + w for a, w in zip(lo, width)))
+        spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                           IndicatorDatum(value, *box), gamma=gamma,
+                           support="compact")
+        sol = solve_singular(spec, [4 ** k for k in range(7)])
+        for a, b in zip(sol.trace, sol.trace[1:]):
+            assert np.all(b.u.values >= a.u.values - 1e-10)
 
 
 class TestMultigridPath:
