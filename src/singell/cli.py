@@ -70,7 +70,9 @@ def cmd_solve(config: ExperimentConfig, out: Path, n_override=None) -> int:
         "linfty_certificate": (linfty_certificate(u, spec.gamma, f)
                                if np.max(f) > 0 else None),
         "regularization_steps": [
-            {"m": it.m, "iterations": it.iterations, "residual": it.residual}
+            {"m": it.m, "iterations": it.iterations,
+             "linear_iterations": it.linear_iterations, "stalled": it.stalled,
+             "residual": it.residual}
             for it in sol.trace],
     }
     if "json" in config.formats:

@@ -4,9 +4,12 @@ The assembled matrix acts on interior nodes only; Dirichlet rows are
 eliminated.  Assembly certifies the M-matrix sign pattern, which is the
 discrete comparison-principle certificate used throughout.  This module is
 also the one place that holds sparse matrices and decides how they are
-solved: `SparseOperator.solver(shift)` solves (A + diag(shift)) x = b by
-banded Cholesky in 1-D and by multigrid-preconditioned CG in 2-D, on A's
-bands or A's multigrid hierarchy, each built once per operator.
+solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b
+by banded Cholesky in 1-D and by multigrid-preconditioned CG in 2-D, on A's
+bands or A's multigrid hierarchy, each built once per operator.  CG stops at
+the relative residual `rtol`: `CG_RELATIVE_TOL` for A's own solves, a looser
+forcing term for inexact Newton steps (the direct 1-D solve ignores it).
+Every solver counts the CG iterations it ran in `iterations` (0 if direct).
 """
 
 from __future__ import annotations
@@ -80,20 +83,21 @@ class SparseOperator:
             matrix = restrict @ matrix @ interp
         return levels, matrix
 
-    def solver(self, shift: Optional[np.ndarray] = None
-               ) -> Callable[[np.ndarray], np.ndarray]:
+    def solver(self, shift: Optional[np.ndarray] = None,
+               rtol: float = CG_RELATIVE_TOL) -> Callable[[np.ndarray], np.ndarray]:
         """Solver for (A + diag(shift)) x = b with shift >= 0 (None: A itself).
 
-        1-D: LAPACK `solveh_banded` on A's bands plus the shift.  2-D: CG with
-        a geometric V-cycle on A's cached hierarchy plus the shift's coarse
-        images; a grid with no coarse level is solved directly.
+        1-D: LAPACK `solveh_banded` on A's bands plus the shift (`rtol` is
+        ignored).  2-D: CG to relative residual `rtol` with a geometric
+        V-cycle on A's cached hierarchy plus the shift's coarse images; a
+        grid with no coarse level is solved directly.
         """
         if self.grid.dim == 1:
             bands = self._bands if shift is None else np.stack(
                 [self._bands[0], self._bands[1] + shift])
-            return functools.partial(sla.solveh_banded, bands)
+            return _Banded(bands)
         return _Multigrid(self._hierarchy, np.zeros(self.n_unknowns)
-                          if shift is None else shift)
+                          if shift is None else shift, rtol)
 
     @functools.cached_property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -183,6 +187,18 @@ def _coarse_shapes(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     return shapes
 
 
+class _Banded:
+    """Banded Cholesky solve of a 1-D system: direct, so no CG iterations."""
+
+    iterations = 0
+
+    def __init__(self, bands: np.ndarray):
+        self.bands = bands
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return sla.solveh_banded(self.bands, b)
+
+
 class _Multigrid:
     """CG on A + diag(d), preconditioned by a symmetric geometric V-cycle.
 
@@ -193,8 +209,11 @@ class _Multigrid:
     convergent on anisotropic Galerkin levels, so the V-cycle stays SPD.
     """
 
-    def __init__(self, hierarchy: tuple[list[tuple], sp.spmatrix], shift: np.ndarray):
+    def __init__(self, hierarchy: tuple[list[tuple], sp.spmatrix], shift: np.ndarray,
+                 rtol: float):
         levels, coarsest = hierarchy
+        self.rtol = rtol
+        self.iterations = 0       # CG iterations over all calls
         self.levels = []          # (matrix, shift, omega / divisor, P, R) per smoothed level
         for matrix, abs_rows, diagonal, interp, restrict, interp_rows in levels:
             divisor = np.maximum(diagonal + shift, 0.5 * (abs_rows + shift))
@@ -219,6 +238,9 @@ class _Multigrid:
             e = x
         return e
 
+    def _count(self, _x: np.ndarray) -> None:
+        self.iterations += 1
+
     def __call__(self, b: np.ndarray) -> np.ndarray:
         if not self.levels:
             return self.coarse_solve(b)
@@ -226,8 +248,9 @@ class _Multigrid:
         system = spla.LinearOperator(matrix.shape, matvec=lambda x: matrix @ x + shift * x,
                                      dtype=float)
         precond = spla.LinearOperator(matrix.shape, matvec=self._vcycle, dtype=float)
-        x, info = spla.cg(system, b, rtol=CG_RELATIVE_TOL, atol=0.0,
-                          maxiter=CG_MAX_ITERATIONS, M=precond)
+        x, info = spla.cg(system, b, rtol=self.rtol, atol=0.0,
+                          maxiter=CG_MAX_ITERATIONS, M=precond,
+                          callback=self._count)
         if info != 0:
             res = float(np.max(np.abs(system @ x - b)))
             raise LinearSolveError("multigrid-preconditioned CG did not converge", res)

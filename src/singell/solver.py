@@ -2,8 +2,11 @@
 
 The singular right-hand side is regularized to f/(u + 1/m)^gamma and solved
 for an increasing schedule of m; the iterates increase monotonically and the
-outer loop stops on a nodal sup-gap.  All power evaluations run in the log
-domain so exponents up to gamma ~ 400 stay representable.
+outer loop stops on a nodal sup-gap.  Each regularized problem is solved by
+damped inexact Newton: a step's linear solve only has to reach the relative
+tolerance of an Eisenstat-Walker forcing term, which tightens as the Newton
+residual falls.  All power evaluations run in the log domain so exponents up
+to gamma ~ 400 stay representable.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import GridFunction, ProblemSpec
-from .operators import SparseOperator, assemble
+from .operators import CG_RELATIVE_TOL, SparseOperator, assemble
 
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
 UPDATE_TOL = 1e-12       # relative Newton update
 RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf)
 SCHEDULE_GAP_TOL = 1e-9  # nodal sup-gap between consecutive schedule entries
+ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
 
 
@@ -58,25 +62,48 @@ def _regularized_rhs(f: np.ndarray, u: np.ndarray, eps: float, gamma: float) -> 
     return out
 
 
+def _forcing_term(res: float, res_prev: float, eta_prev: float,
+                  res_bound: float) -> float:
+    """Eisenstat-Walker choice 2 (gamma 0.9, alpha 2) with its safeguard.
+
+    Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996) 16-32.  The floor
+    stops CG from solving past half the Newton residual bound, and the
+    result stays in [CG_RELATIVE_TOL, ETA_MAX].
+    """
+    eta = 0.9 * (res / res_prev) ** 2
+    safeguard = 0.9 * eta_prev ** 2
+    if safeguard > 0.1:
+        eta = max(eta, safeguard)
+    eta = max(eta, 0.5 * res_bound / res)
+    return min(ETA_MAX, max(CG_RELATIVE_TOL, eta))
+
+
 @dataclass(frozen=True)
 class RegularizedIterate:
     m: int
     u: GridFunction
     iterations: int
     residual: float
+    linear_iterations: int = 0   # CG iterations over the Newton steps (0 if direct)
+    stalled: bool = False        # ended because halving no longer moved the iterate
 
 
 def solve_regularized(spec: ProblemSpec, m: int, *,
                       initial: Optional[GridFunction] = None,
                       operator: Optional[SparseOperator] = None,
                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> RegularizedIterate:
-    """One damped-Newton solve of the regularized problem at index m.
+    """One damped inexact-Newton solve of the regularized problem at index m.
 
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma from `initial` (or from
-    max(A^-1 f, 0)), with the iterate clipped to u >= 0.  Each step halves
-    until the residual falls.  The solve stops when the residual meets its
-    bound, when the relative update is negligible, or when halving no longer
-    moves the iterate (a stall: no representable step lowers the residual).
+    max(A^-1 f, 0)), with the iterate clipped to u >= 0.  Step k solves its
+    Jacobian system to the relative tolerance of the forcing term eta_k
+    (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
+    Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
+    falls.  The solve stops when the residual meets its bound, when the
+    relative update is negligible, or when halving no longer moves the
+    iterate (a stall: no representable step lowers the residual).  An
+    iterate whose right-hand side is still clipped at e^LOG_CAP is no
+    solution: it raises NonlinearSolveError.
     """
     if m < 1:
         raise ValueError("regularization index m must be >= 1")
@@ -98,42 +125,52 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
         u = np.maximum(op.solve(f_int), 0.0)
 
     def residual_of(vec):
-        return float(np.max(np.abs(A @ vec - _regularized_rhs(f_int, vec, eps, gamma))))
+        rhs = _regularized_rhs(f_int, vec, eps, gamma)
+        return float(np.max(np.abs(A @ vec - rhs))), rhs
 
-    res = residual_of(u)
+    res, g = residual_of(u)
     trace = [res]
-    it = 0
+    it = linear_iterations = 0
+    eta, stalled = ETA_MAX, False
     while res > res_bound:
         if it == max_iterations:
             raise NonlinearSolveError(
                 f"regularized solve (m={m}, gamma={gamma}) did not converge within "
                 f"{max_iterations} iterations; last residual {res:.3e}", trace)
         it += 1
-        g = _regularized_rhs(f_int, u, eps, gamma)
-        du = op.solver(gamma * g / (u + eps))(g - A @ u)
+        if it > 1:
+            eta = _forcing_term(res, trace[-2], eta, res_bound)
+        solve = op.solver(gamma * g / (u + eps), rtol=eta)
+        du = solve(g - A @ u)
         if not np.all(np.isfinite(du)):
             raise NonlinearSolveError(
                 f"regularized solve (m={m}, gamma={gamma}): non-finite Newton "
                 f"direction at iteration {it}", trace)
+        linear_iterations += solve.iterations
         # halve until the residual falls; a trial equal to u is a stall
         lam = 1.0
         cand = np.maximum(u + du, 0.0)
         while not np.array_equal(cand, u):
-            cand_res = residual_of(cand)
+            cand_res, cand_g = residual_of(cand)
             if cand_res < res:
                 break
             lam *= 0.5
             cand = np.maximum(u + lam * du, 0.0)
         else:
+            stalled = True
             break
         rel_update = float(np.max(np.abs(cand - u))) / max(1.0, float(np.max(np.abs(cand))))
-        u, res = cand, cand_res
+        u, res, g = cand, cand_res, cand_g
         trace.append(res)
         if rel_update <= UPDATE_TOL:
             break
+    if float(np.max(g)) >= np.exp(LOG_CAP):
+        raise NonlinearSolveError(
+            f"regularized solve (m={m}, gamma={gamma}) ended after {it} iterations "
+            f"at an iterate whose right-hand side is clipped at e^{LOG_CAP:g}", trace)
     sol = op.full_from_interior(u)
     _check_positive(sol, f)
-    return RegularizedIterate(m, sol, it, res)
+    return RegularizedIterate(m, sol, it, res, linear_iterations, stalled)
 
 
 def _check_positive(u: GridFunction, f: np.ndarray) -> None:

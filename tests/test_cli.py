@@ -117,6 +117,23 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["gamma"] == 5.0
 
+    def test_summary_reports_work_counters(self, tmp_path):
+        counts = {}
+        for dim, config in ((1, GAMMA3), (2, json.loads(
+                (CONFIGS / "square_hole.json").read_text()))):
+            payload = json.loads(json.dumps(config))
+            payload["problem"]["cells"] = 128 if dim == 1 else [32, 32]
+            payload["output"] = {"formats": ["json"]}
+            out = tmp_path / f"out{dim}"
+            assert main(["solve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+            steps = json.loads((out / "summary.json").read_text())["regularization_steps"]
+            assert all(isinstance(s["stalled"], bool) for s in steps)
+            counts[dim] = sum(s["linear_iterations"] for s in steps)
+        # 1-D steps are direct solves; 2-D steps run CG
+        assert counts[1] == 0
+        assert counts[2] > 0
+
 
 class TestSweepCommand:
     def test_deterministic_reruns(self, tmp_path):
