@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Commands: solve, sweep, oned, limit-check, conjecture.  Each takes
---config <path> and --out <dir>; solve additionally accepts --n to override
-the exponent.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
+Commands (the COMMANDS table): solve, sweep, oned, limit-check, conjecture.
+Each takes --config <path> and --out <dir>; solve additionally accepts --n to
+override the exponent.  Every command but solve reads its exponents from
+sweep.n_list, which must then be non-empty; a config that cannot be built or
+lacks them is refused before the output directory is made.  Exit codes:
+0 success, 1 numeric failure, 2 invalid config.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,31 +33,19 @@ NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError,
                   analytic.ConstructionError, InconclusiveCheckError)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_solve(config: ExperimentConfig, out: Path, n_override=None) -> int:
+def cmd_solve(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec
-    if n_override is not None:
-        spec = replace(spec, gamma=float(n_override))
+    grid = spec.grid
     sol = solve_singular(spec, config.m_schedule)
     u = sol.u
     v = to_quasilinear(u, spec.gamma)
-
-    if spec.grid.dim == 1:
-        header = ["t", "u (singular solution)", "v = u^(g+1)/(g+1)"]
-        coords = spec.grid.axes()[0]
-        rows = [(coords[i], u.values[i], v.values[i]) for i in range(len(coords))]
-    else:
-        header = ["x", "y", "u (singular solution)", "v = u^(g+1)/(g+1)"]
-        xm, ym = spec.grid.meshes()
-        rows = [(xm.flat[i], ym.flat[i], u.values.flat[i], v.values.flat[i])
-                for i in range(u.values.size)]
+    axis_names = ["t"] if grid.dim == 1 else ["x", "y"]
     if "csv" in config.formats:
-        write_csv(out / "solution.csv", header, rows)
+        rows = np.column_stack([*(m.ravel() for m in grid.meshes()),
+                                u.values.ravel(), v.values.ravel()])
+        write_csv(out / "solution.csv",
+                  axis_names + ["u (singular solution)", "v = u^(g+1)/(g+1)"],
+                  rows.tolist())
 
     f = spec.datum_values()
     res = quasilinear_residual(v, spec.gamma, f, floor=config.residual_floor)
@@ -78,25 +70,19 @@ def cmd_solve(config: ExperimentConfig, out: Path, n_override=None) -> int:
     if "json" in config.formats:
         write_json(out / "summary.json", summary)
     if "svg" in config.formats:
-        if spec.grid.dim == 1:
-            t = list(spec.grid.axes()[0])
-            series = {"u": (t, list(u.values)), "v": (t, list(v.values))}
-            xlabel = "t"
-        else:
-            mid = spec.grid.shape[1] // 2      # centerline y = const
-            x = list(spec.grid.axes()[0])
-            series = {"u centerline": (x, list(u.values[:, mid])),
-                      "v centerline": (x, list(v.values[:, mid]))}
-            xlabel = "x"
+        # the line along the first axis through the middle of the others
+        line = (slice(None),) + tuple(n // 2 for n in grid.shape[1:])
+        suffix = "" if grid.dim == 1 else " centerline"
+        x = grid.axes()[0].tolist()
+        series = {name + suffix: (x, w.values[line].tolist())
+                  for name, w in (("u", u), ("v", v))}
         svg_line_plot(out / "profile.svg", series,
                       title=f"{config.label}: gamma = {spec.gamma:g}",
-                      xlabel=xlabel, ylabel="value")
+                      xlabel=axis_names[0], ylabel="value")
     return 0
 
 
 def cmd_sweep(config: ExperimentConfig, out: Path) -> int:
-    if not config.n_list:
-        raise ConfigError("sweep requires a non-empty sweep.n_list")
     report = run_sweep(config.spec, config.n_list, config.compacta,
                        shell_distances=config.shell_distances,
                        m_schedule=config.m_schedule,
@@ -108,14 +94,9 @@ def cmd_sweep(config: ExperimentConfig, out: Path) -> int:
               + [f"fitted_depth_compactum_{i}" for i in range(k)]
               + ["quasilinear_residual", "linfty_certificate", "v_sup",
                  "v_h1_seminorm", "error"])
-    rows = []
-    for r in report.rows:
-        rows.append([r.n, r.sup_norm, r.total_mass]
-                    + list(r.compacta_min) + [float("nan")] * (k - len(r.compacta_min))
-                    + list(r.local_masses) + [float("nan")] * (k - len(r.local_masses))
-                    + list(r.fitted_depth) + [float("nan")] * (k - len(r.fitted_depth))
-                    + [r.quasilinear_residual, r.certificate, r.v_sup,
-                       r.v_h1_seminorm, r.error or ""])
+    rows = [[r.n, r.sup_norm, r.total_mass, *r.compacta_min, *r.local_masses,
+             *r.fitted_depth, r.quasilinear_residual, r.certificate, r.v_sup,
+             r.v_h1_seminorm, r.error or ""] for r in report.rows]
     if "csv" in config.formats:
         write_csv(out / "sweep.csv", header, rows)
     summary = {
@@ -143,35 +124,29 @@ def cmd_sweep(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_oned(config: ExperimentConfig, out: Path) -> int:
-    if not config.n_list:
-        raise ConfigError("oned requires a non-empty sweep.n_list")
-    geometry = config.oned_geometry
-    radius = config.oned_radius
-    rows = []
-    sample_ts = [i / 8.0 for i in range(17)] if geometry == "matched" \
-        else [radius * i / 8.0 for i in range(9)]
-    profiles = {}
+    geometry, radius = config.oned_geometry, config.oned_radius
+    profile = analytic.OneDProfile
+    if geometry == "matched":    # the glued profile on [0, 2]
+        build, evaluate = profile.for_matched, profile.y
+        sample = lambda prof: np.arange(17) / 8.0
+    else:                        # the shooting profile on [0, R], up to its zero
+        build, evaluate = partial(profile.for_interval, radius), profile.w
+        sample = lambda prof: np.minimum(radius * np.arange(9) / 8.0, prof.t_zero)
+    rows, profiles = [], {}
     for n in config.n_list:
-        if geometry == "matched":
-            prof = analytic.OneDProfile.for_matched(n)
-        else:
-            prof = analytic.OneDProfile.for_interval(radius, n)
-        c_lo = analytic.lower_matching_bound(n)
-        rows.append([n, prof.c, c_lo, analytic.upper_matching_bound(n),
-                     prof.t_zero, prof.amplitude])
-        evaluator = prof.y if geometry == "matched" else prof.w
-        ts = np.asarray(sample_ts) if geometry == "matched" \
-            else np.minimum(sample_ts, prof.t_zero)
-        profiles[f"n={n:g}"] = (ts.tolist(), evaluator(ts).tolist())
+        prof = build(n)
+        rows.append([n, prof.c, analytic.lower_matching_bound(n),
+                     analytic.upper_matching_bound(n), prof.t_zero,
+                     prof.amplitude])
+        ts = sample(prof)
+        profiles[f"n={n:g}"] = (ts.tolist(), evaluate(prof, ts).tolist())
     header = ["n (exponent)", "c (profile strength)", "c_lower_bound",
               "c_upper_bound", "T (first zero)", "alpha (amplitude)"]
     if "csv" in config.formats:
         write_csv(out / "oned.csv", header, rows)
-        prof_header = ["t"] + [k for k in profiles]
-        ts0 = profiles[next(iter(profiles))][0]
-        prof_rows = [[ts0[i]] + [profiles[k][1][i] for k in profiles]
-                     for i in range(len(ts0))]
-        write_csv(out / "profiles.csv", prof_header, prof_rows)
+        ts0 = next(iter(profiles.values()))[0]
+        prof_rows = np.column_stack([ts0, *(y for _, y in profiles.values())])
+        write_csv(out / "profiles.csv", ["t", *profiles], prof_rows.tolist())
     if "json" in config.formats:
         write_json(out / "summary.json", {
             "label": config.label, "geometry": geometry,
@@ -188,8 +163,6 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec
     if not isinstance(spec.datum, IndicatorDatum):
         raise ConfigError("limit-check requires an indicator datum")
-    if not config.n_list:
-        raise ConfigError("limit-check requires sweep.n_list (largest n is used)")
     n = config.n_list[-1]
     sol = solve_singular(replace(spec, gamma=float(n)), config.m_schedule)
     hist = measure_histogram(sol.u, spec, n, config.shell_distances)
@@ -209,8 +182,6 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_conjecture(config: ExperimentConfig, out: Path) -> int:
-    if not config.n_list:
-        raise ConfigError("conjecture requires sweep.n_list (largest n is used)")
     report = conjecture_experiment(config.spec, config.n_list[-1],
                                    m_schedule=config.m_schedule)
     write_json(out / "conjecture.json", {
@@ -224,12 +195,16 @@ def cmd_conjecture(config: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "oned": cmd_oned,
+            "limit-check": cmd_limit_check, "conjecture": cmd_conjecture}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singell",
         description="Singular elliptic solves, exponent sweeps and limit checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep", "oned", "limit-check", "conjecture"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON")
         p.add_argument("--out", required=True, help="output directory")
@@ -243,28 +218,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out = _out_dir(args)
-    try:
         if args.command == "solve":
-            return cmd_solve(config, out, args.n)
-        if args.command == "sweep":
-            return cmd_sweep(config, out)
-        if args.command == "oned":
-            return cmd_oned(config, out)
-        if args.command == "limit-check":
-            return cmd_limit_check(config, out)
-        if args.command == "conjecture":
-            return cmd_conjecture(config, out)
+            if args.n is not None:
+                config = replace(config, spec=replace(config.spec, gamma=args.n))
+        elif not config.n_list:
+            raise ConfigError(f"{args.command} requires a non-empty sweep.n_list")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command](config, out)
     except (ConfigError, HarmonicComparisonError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ import numpy as np
 
 from .grids import (CoefficientField, ConstantDatum, Datum, GridFunction,
                     IndicatorDatum, ProblemSpec, TabulatedDatum,
-                    make_uniform_grid)
-from .solver import check_m_schedule, default_m_schedule
+                    check_ellipticity, make_uniform_grid)
+from .solver import RESIDUAL_FLOOR, check_m_schedule, default_m_schedule
+from .sweeps import check_n_list
 
 
 class ConfigError(ValueError):
@@ -57,8 +58,7 @@ def _build_datum(block: dict, grid) -> Datum:
         if "box" not in block:
             raise ConfigError("indicator datum needs a 'box': [lo, hi]")
         lo, hi = block["box"]
-        return IndicatorDatum(float(block.get("value", 1.0)), lo if np.isscalar(lo)
-                              else tuple(lo), hi if np.isscalar(hi) else tuple(hi))
+        return IndicatorDatum(float(block.get("value", 1.0)), lo, hi)
     if kind == "tabulated":
         if "values" not in block:
             raise ConfigError("tabulated datum needs nodal 'values'")
@@ -95,16 +95,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     prob = raw["problem"]
     _require_keys(prob, {"domain", "cells", "coefficients", "datum", "gamma",
                          "support"}, {"domain", "cells", "datum"}, "problem")
-    lo, hi = prob["domain"]
-    grid = make_uniform_grid(lo if np.isscalar(lo) else tuple(lo),
-                             hi if np.isscalar(hi) else tuple(hi),
-                             prob["cells"])
-    coeffs = _build_coefficients(prob.get("coefficients"), grid)
-    datum = _build_datum(prob["datum"], grid)
     try:
-        spec = ProblemSpec(grid, coeffs, datum,
+        lo, hi = prob["domain"]
+        grid = make_uniform_grid(lo, hi, prob["cells"])
+        coeffs = _build_coefficients(prob.get("coefficients"), grid)
+        check_ellipticity(coeffs)
+        spec = ProblemSpec(grid, coeffs, _build_datum(prob["datum"], grid),
                            gamma=float(prob.get("gamma", 1.0)),
                            support=prob.get("support", "general"))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
@@ -112,7 +112,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require_keys(sweep, {"n_list", "m_schedule", "m_schedule_k_max", "compacta",
                           "shell_distances", "residual_floor", "tolerances"},
                   set(), "sweep")
-    n_list = tuple(float(n) for n in sweep.get("n_list", ()))
+    try:
+        n_list = tuple(check_n_list(sweep.get("n_list", ())))
+    except ValueError as exc:
+        raise ConfigError(f"invalid sweep: {exc}") from exc
     if "m_schedule" in sweep and "m_schedule_k_max" in sweep:
         raise ConfigError("give either m_schedule or m_schedule_k_max, not both")
     m_schedule: Optional[tuple] = None
@@ -127,7 +130,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                       tuple(np.atleast_1d(c[1]).astype(float)))
                      for c in sweep.get("compacta", ()))
     shells = tuple(float(d) for d in sweep.get("shell_distances", ()))
-    floor = float(sweep.get("residual_floor", 1e-10))
+    floor = float(sweep.get("residual_floor", RESIDUAL_FLOOR))
     tolerances = dict(sweep.get("tolerances", {}))
 
     oned = raw.get("oned", {})

@@ -16,11 +16,14 @@ FLOAT_FORMAT = "%.17g"
 
 
 def format_value(value) -> str:
+    """One CSV field.  Text holding a comma or a quote is quoted, so every row
+    has as many fields as the header."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return FLOAT_FORMAT % value
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

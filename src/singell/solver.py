@@ -26,6 +26,7 @@ RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf)
 SCHEDULE_GAP_TOL = 1e-9  # nodal sup-gap between consecutive schedule entries
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
+RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
 
 
 class NonlinearSolveError(RuntimeError):
@@ -334,7 +335,7 @@ def _centered_residual(v: np.ndarray, grid, gamma: float, f: np.ndarray,
 
 
 def quasilinear_residual(v: GridFunction, gamma: float, f, *,
-                         floor: float = 1e-10) -> ResidualField:
+                         floor: float = RESIDUAL_FLOOR) -> ResidualField:
     """Residual of the quasilinear equation for v, masked where v < floor.
 
     The lower-order term |grad v|^2 / v is 0/0 where v vanishes, so nodes
@@ -352,7 +353,7 @@ def quasilinear_residual(v: GridFunction, gamma: float, f, *,
 
 
 def singular_residual(u: GridFunction, spec: ProblemSpec, *,
-                      floor: float = 1e-10) -> ResidualField:
+                      floor: float = RESIDUAL_FLOOR) -> ResidualField:
     """Residual of the assembled singular equation A u - f/u^gamma.
 
     Nodes with u below the floor (where f > 0) are masked: the true residual

@@ -15,9 +15,10 @@ import numpy as np
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
 from .operators import LinearSolveError, MeasureData, assemble, solve_measure
-from .solver import (NonlinearSolveError, SingularSolution, linfty_certificate,
-                     quasilinear_residual, singular_mass_density,
-                     solve_singular, to_quasilinear, total_singular_mass)
+from .solver import (RESIDUAL_FLOOR, NonlinearSolveError, SingularSolution,
+                     linfty_certificate, quasilinear_residual,
+                     singular_mass_density, solve_singular, to_quasilinear,
+                     total_singular_mass)
 
 
 class InconclusiveCheckError(RuntimeError):
@@ -28,7 +29,6 @@ class HarmonicComparisonError(ValueError):
     """The problem is outside the harmonic comparison's scope."""
 
 
-DEFAULT_RESIDUAL_FLOOR = 1e-10
 CLUSTER_MASS_SHARE = 0.01    # a cell seeds a cluster when it holds >= 1% of total
 ATOM_TIE_RTOL = 1e-9         # centroids this close (relative squared distance) tie
 
@@ -244,8 +244,9 @@ def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
         sol = solve_singular(spec_n, m_schedule, compacta=compacta)
     except (NonlinearSolveError, LinearSolveError) as exc:
         # numeric per-row failures are recorded, the sweep continues
-        row = SweepRow(n, math.nan, (), math.nan, (), math.nan, math.nan, (),
-                       math.nan, math.nan, failed=True, error=str(exc))
+        nans = (math.nan,) * len(compacta)
+        row = SweepRow(n, math.nan, nans, math.nan, nans, math.nan, math.nan,
+                       nans, math.nan, math.nan, failed=True, error=str(exc))
         return row, None
     u = sol.u
     f = spec_n.datum_values()
@@ -266,11 +267,21 @@ def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
     return row, sol
 
 
+def check_n_list(n_list: Sequence[float]) -> list[float]:
+    """The sweep exponents as floats: strictly increasing, each at least 3."""
+    ns = [float(n) for n in n_list]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_list must be strictly increasing")
+    if any(n < 3 for n in ns):
+        raise ValueError("sweep exponents must be >= 3")
+    return ns
+
+
 def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               compacta: Sequence = (), *,
               shell_distances: Sequence[float] = (),
               m_schedule: Optional[Sequence[int]] = None,
-              residual_floor: float = DEFAULT_RESIDUAL_FLOOR) -> SweepReport:
+              residual_floor: float = RESIDUAL_FLOOR) -> SweepReport:
     """One singular solve per exponent, all diagnostics filled.
 
     Numeric per-row failures (a nonlinear or linear solve that does not
@@ -280,12 +291,7 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     indicator the concentration histogram and the measure-data reconstruction
     check are attached.
     """
-    ns = [float(n) for n in n_list]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    if any(n < 3 for n in ns):
-        raise ValueError("sweep exponents must be >= 3")
-
+    ns = check_n_list(n_list)
     results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor)
                for n in ns]
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from singell.cli import main
+from singell.config import load_config
+from singell.solver import NonlinearSolveError, solve_singular
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -90,6 +93,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    def test_2d_solution_csv_layout(self, tmp_path):
+        payload = json.loads((CONFIGS / "square_hole.json").read_text())
+        payload["problem"]["cells"] = [32, 32]
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "solution.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("x,y,")
+        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert data.shape == (33 * 33, 4)
+        config = load_config(cfg)
+        xm, ym = config.spec.grid.meshes()
+        assert np.array_equal(data[:, 0], xm.ravel())
+        assert np.array_equal(data[:, 1], ym.ravel())
+        u = solve_singular(config.spec, config.m_schedule).u.values
+        assert np.array_equal(data[:, 2], u.ravel())
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = json.loads(json.dumps(GAMMA3))
         bad["problem"]["typo_key"] = 1
@@ -160,6 +180,35 @@ class TestSweepCommand:
         assert "n (exponent)" in header
 
 
+    def test_failed_row_keeps_header_shape(self, tmp_path, monkeypatch):
+        import singell.sweeps as sweeps_mod
+        real = sweeps_mod.solve_singular
+
+        def flaky(spec, schedule, **kw):
+            if spec.gamma == 20.0:
+                raise NonlinearSolveError(
+                    "regularized solve (m=4, gamma=20.0) did not converge "
+                    "within 200 iterations; last residual 1.000e-03", [])
+            return real(spec, schedule, **kw)
+
+        monkeypatch.setattr(sweeps_mod, "solve_singular", flaky)
+        payload = json.loads(json.dumps(SECTION6))
+        payload["problem"]["cells"] = 128
+        payload["sweep"]["n_list"] = [10.0, 20.0]
+        payload["sweep"]["compacta"] = [[-0.5, 0.5], [-0.9, 0.9]]
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [len(header)] * 2
+        failed = dict(zip(header, rows[1]))
+        per_compactum = [k for k in header if "compactum" in k]
+        assert len(per_compactum) == 6
+        assert all(failed[k] == "nan" for k in per_compactum)
+        assert "did not converge" in failed["error"]
+
+
 class TestOnedCommand:
     def test_matched_n3_row(self, tmp_path):
         payload = json.loads(json.dumps(SECTION6))
@@ -228,6 +277,63 @@ class TestConjectureCommand:
         assert main(["conjecture", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def _mutated(command, path, value):
+    payload = json.loads(json.dumps(GAMMA3))
+    payload["problem"]["cells"] = 64
+    *keys, last = path
+    block = payload
+    for key in keys:
+        block = block[key]
+    block[last] = value
+    return command, payload
+
+
+INVALID_CONFIGS = {
+    "two_cells": _mutated("solve", ["problem", "cells"], 2),
+    "reversed_domain": _mutated("solve", ["problem", "domain"], [1.0, -1.0]),
+    "three_entry_domain": _mutated("solve", ["problem", "domain"],
+                                   [-1.0, 0.0, 1.0]),
+    "degenerate_box": _mutated("solve", ["problem", "datum"],
+                               {"kind": "indicator", "box": [0.5, 0.5]}),
+    "tabulated_wrong_shape": _mutated("solve", ["problem", "datum"],
+                                      {"kind": "tabulated",
+                                       "values": [1.0, 2.0]}),
+    "value_not_a_number": _mutated("solve", ["problem", "datum", "value"],
+                                   "abc"),
+    "negative_datum": _mutated("solve", ["problem", "datum", "value"], -1.0),
+    "matrix_wrong_shape": _mutated("solve", ["problem", "coefficients"],
+                                   {"kind": "constant",
+                                    "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+    "matrix_negative_definite": _mutated("solve", ["problem", "coefficients"],
+                                         {"kind": "constant",
+                                          "matrix": [[-1.0]]}),
+    "n_below_3": _mutated("sweep", ["sweep", "n_list"], [2.0]),
+    "n_not_increasing": _mutated("oned", ["sweep", "n_list"], [5.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_CONFIGS), ids=list(INVALID_CONFIGS))
+def test_invalid_config_exit_2_no_output(tmp_path, capsys, case):
+    command, payload = INVALID_CONFIGS[case]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "oned", "limit-check",
+                                     "conjecture"])
+def test_empty_n_list_is_config_error(tmp_path, capsys, command):
+    payload = json.loads(json.dumps(SECTION6))
+    payload["sweep"]["n_list"] = []
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_out_costly_scipy_modules():

@@ -225,6 +225,51 @@ class TestComparisonPrinciple:
         assert np.all(u[0] <= u[1] + 1e-10)
 
 
+class TestReflectionSymmetry:
+    """Mirrored data give the mirrored solution on random indicator problems.
+
+    Box corners sit at cell midpoints, so which nodes a box holds does not
+    depend on rounding.
+    """
+
+    @staticmethod
+    def _solve(grid, box, gamma, value):
+        spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                           IndicatorDatum(value, *box), gamma=gamma,
+                           support="compact")
+        return solve_singular(spec, [4 ** k for k in range(7)]).u.values
+
+    def _check(self, shape, corners, gamma, value):
+        """`corners` holds per axis the cells (i, j) whose midpoints bound the box."""
+        grid = make_uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
+        lo = [(i + 0.5) / n for n, (i, _) in zip(shape, corners)]
+        hi = [(j + 0.5) / n for n, (_, j) in zip(shape, corners)]
+        u = self._solve(grid, (lo, hi), gamma, value)
+        bound = 1e-12 * np.max(u)
+        mirrored = ([1.0 - hi[0]] + lo[1:], [1.0 - lo[0]] + hi[1:])
+        assert np.max(np.abs(self._solve(grid, mirrored, gamma, value)[::-1]
+                             - u)) <= bound
+        if len(shape) == 2 and shape[0] == shape[1]:
+            swapped = self._solve(grid, (lo[::-1], hi[::-1]), gamma, value)
+            assert np.max(np.abs(swapped.T - u)) <= bound
+
+    @settings(max_examples=12, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), cells=st.integers(24, 32),
+           extra=st.sampled_from([0, 8]), gamma=st.floats(0.5, 40.0),
+           value=st.floats(0.1, 10.0), data=st.data())
+    def test_mirrored_box_mirrored_solution(self, dim, cells, extra, gamma,
+                                            value, data):
+        shape = (4 * cells,) if dim == 1 else (cells, cells + extra)
+        corners = []
+        for n in shape:
+            i = data.draw(st.integers(0, n - 2))
+            corners.append((i, data.draw(st.integers(i + 1, n - 1))))
+        self._check(shape, corners, gamma, value)
+
+    def test_square_24_multigrid(self):
+        self._check((24, 24), [(6, 17), (4, 12)], 10.0, 1.0)
+
+
 class TestMultigridPath:
     """The shipped 64^2 square: multigrid-preconditioned CG in every Newton step."""
 
