@@ -22,7 +22,7 @@ from . import analytic
 from .config import ConfigError, ExperimentConfig, load_config
 from .grids import IndicatorDatum
 from .operators import LinearSolveError
-from .reporting import svg_line_plot, write_csv, write_json
+from .reporting import FLOAT_FORMAT, svg_line_plot, write_csv, write_json
 from .solver import (NonlinearSolveError, linfty_certificate,
                      quasilinear_residual, solve_singular, to_quasilinear)
 from .sweeps import (HarmonicComparisonError, InconclusiveCheckError,
@@ -139,7 +139,8 @@ def cmd_oned(config: ExperimentConfig, out: Path) -> int:
                      analytic.upper_matching_bound(n), prof.t_zero,
                      prof.amplitude])
         ts = sample(prof)
-        profiles[f"n={n:g}"] = (ts.tolist(), evaluate(prof, ts).tolist())
+        profiles["n=" + FLOAT_FORMAT % n] = (ts.tolist(),
+                                             evaluate(prof, ts).tolist())
     header = ["n (exponent)", "c (profile strength)", "c_lower_bound",
               "c_upper_bound", "T (first zero)", "alpha (amplitude)"]
     if "csv" in config.formats:
@@ -220,7 +221,11 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "solve":
             if args.n is not None:
-                config = replace(config, spec=replace(config.spec, gamma=args.n))
+                try:
+                    spec = replace(config.spec, gamma=args.n)
+                except ValueError as exc:
+                    raise ConfigError(f"invalid --n: {exc}") from exc
+                config = replace(config, spec=spec)
         elif not config.n_list:
             raise ConfigError(f"{args.command} requires a non-empty sweep.n_list")
         out = Path(args.out)

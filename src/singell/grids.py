@@ -259,8 +259,8 @@ class ProblemSpec:
     support: Support = "general"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.coefficients.grid != self.grid:
             raise ValueError("coefficient field lives on a different grid")
         if self.support not in ("compact", "strictly_positive", "general"):

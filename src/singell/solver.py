@@ -26,6 +26,7 @@ RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf)
 SCHEDULE_GAP_TOL = 1e-9  # nodal sup-gap between consecutive schedule entries
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
+EXTRAPOLATION_DEPTH = 3  # converged iterates an m-step's start extrapolates from
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
 
 
@@ -87,6 +88,26 @@ class RegularizedIterate:
     residual: float
     linear_iterations: int = 0   # CG iterations over the Newton steps (0 if direct)
     stalled: bool = False        # ended because halving no longer moved the iterate
+
+
+def _extrapolated_start(recent: Sequence[RegularizedIterate], eps: float,
+                        pos: np.ndarray) -> np.ndarray:
+    """Lagrange extrapolation in eps = 1/m of u + eps [f > 0] through `recent`.
+
+    `recent` holds the last converged iterates u_j at eps_j and `pos` is the
+    indicator of f > 0; the result is the extrapolant at eps minus
+    eps [f > 0], summed as sum_j w_j u_j + (sum_j w_j eps_j - eps) [f > 0].
+    With one iterate (w = 1) that is the shift u_j + (eps_j - eps) [f > 0] to
+    the last bit; with more, the weights reproduce eps and it extrapolates u
+    itself, the predictor of a numerical continuation (Allgower and Georg,
+    Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2).
+    """
+    epsilons = [1.0 / it.m for it in recent]
+    weights = [np.prod([(eps - eps_k) / (eps_j - eps_k)
+                        for k, eps_k in enumerate(epsilons) if k != j])
+               for j, eps_j in enumerate(epsilons)]
+    shift = sum(w * eps_j for w, eps_j in zip(weights, epsilons)) - eps
+    return sum(w * it.u.values for w, it in zip(weights, recent)) + shift * pos
 
 
 def solve_regularized(spec: ProblemSpec, m: int, *,
@@ -195,42 +216,40 @@ def solve_singular(spec: ProblemSpec,
                    compacta: Sequence = ()) -> SingularSolution:
     """Outer limit m -> infinity over an increasing regularization schedule.
 
-    Each m warm-starts from the previous solution shifted by the change in
-    regularization where f > 0 (the combination u_m + 1/m is nearly constant
-    there, so the shift lands the Newton iterate inside its basin even for
-    gamma in the hundreds).  Convergence is declared on the nodal sup-gap,
-    not the residual: the singular right-hand side amplifies residuals near
-    the boundary while monotone convergence makes the gap a faithful rule.
+    Each m warm-starts from a polynomial extrapolation in eps = 1/m through
+    the last EXTRAPOLATION_DEPTH converged iterates (`_extrapolated_start`).
+    The iterates depend smoothly on eps, so the extrapolant lands close to
+    the next one.  From a single previous iterate it is that iterate shifted
+    by the change in regularization where f > 0 (u_m + 1/m is nearly
+    constant there, which keeps the Newton start inside its basin even for
+    gamma in the hundreds).  `solve_regularized` clips the start to u >= 0.
+    Convergence is declared on the nodal sup-gap, not the residual: the
+    singular right-hand side amplifies residuals near the boundary while
+    monotone convergence makes the gap a faithful rule.
     """
     schedule = check_m_schedule(m_schedule if m_schedule is not None
                                 else default_m_schedule())
 
     op = assemble(spec.grid, spec.coefficients)
-    f = spec.datum_values()
+    pos = (spec.datum_values() > 0).astype(float)
     trace: list[RegularizedIterate] = []
-    u_prev: Optional[GridFunction] = None
-    eps_prev = None
     gap = np.inf
     stabilized = False
 
     for m in schedule:
         eps = 1.0 / m
-        initial = None
-        if u_prev is not None:
-            shifted = u_prev.values.copy()
-            shifted[f > 0] += (eps_prev - eps)
-            initial = GridFunction(spec.grid, shifted)
+        recent = trace[-EXTRAPOLATION_DEPTH:]
+        initial = (GridFunction(spec.grid, _extrapolated_start(recent, eps, pos))
+                   if recent else None)
         it = solve_regularized(spec, m, initial=initial, operator=op)
+        if trace:
+            gap = float(np.max(np.abs(it.u.values - trace[-1].u.values)))
         trace.append(it)
-        if u_prev is not None:
-            gap = float(np.max(np.abs(it.u.values - u_prev.values)))
-            if gap <= SCHEDULE_GAP_TOL:
-                stabilized = True
-                u_prev = it.u
-                break
-        u_prev, eps_prev = it.u, eps
+        if gap <= SCHEDULE_GAP_TOL:
+            stabilized = True
+            break
 
-    u = u_prev if u_prev is not None else GridFunction.zeros(spec.grid)
+    u = trace[-1].u
     diag = {
         "sup_norm": u.sup_norm(),
         "total_mass": total_singular_mass(u, spec),

@@ -137,6 +137,15 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["gamma"] == 5.0
 
+    @pytest.mark.parametrize("n", ["0", "-3", "nan", "inf"])
+    def test_invalid_n_override_is_config_error(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, GAMMA3)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_summary_reports_work_counters(self, tmp_path):
         counts = {}
         for dim, config in ((1, GAMMA3), (2, json.loads(
@@ -222,6 +231,18 @@ class TestOnedCommand:
         assert abs(c_n - 1.0) <= 1e-8
         assert abs(t_zero - math.sqrt(2.0)) <= 1e-10
         assert (out / "profiles.csv").exists()
+
+    def test_close_exponents_get_distinct_profile_columns(self, tmp_path):
+        payload = json.loads(json.dumps(SECTION6))
+        payload["sweep"]["n_list"] = [10.0, 10.000001]
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["oned", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "profiles.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "n=10", "n=10.000000999999999"]
+        assert all(len(row) == 3 for row in rows)
+        assert any(row[1] != row[2] for row in rows[1:])
 
 
 class TestLimitCheckCommand:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import singell.operators as ops
 import singell.solver as solver_module
@@ -158,6 +158,91 @@ class TestSolveSingular:
         assert sum(it.iterations for it in sol.trace) > 0
         assert calls == []
 
+    @pytest.mark.parametrize("name, gamma, budget", [
+        ("square_hole", None, 34), ("matched_indicator", 400.0, 45),
+        ("cubic_interval", None, 43), ("uniform_interval_sweep", None, 53)])
+    def test_newton_steps_within_budget(self, name, gamma, budget):
+        # starts shifted from the previous iterate alone took 45, 53, 55, 57
+        config = load_config(CONFIGS / f"{name}.json")
+        spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
+        sol = solve_singular(spec, config.m_schedule)
+        assert sum(it.iterations for it in sol.trace) <= budget
+
+
+def _m_schedules():
+    """Strictly increasing m-schedules of 2-6 entries, geometric or not."""
+    def ragged(first, ratios):
+        schedule = [first]
+        for r in ratios:
+            schedule.append(max(schedule[-1] + 1, round(schedule[-1] * r)))
+        return schedule
+    geometric = st.builds(lambda first, q, size: [first * q ** k for k in range(size)],
+                          st.integers(1, 4), st.integers(2, 16), st.integers(2, 6))
+    return geometric | st.builds(ragged, st.integers(1, 4),
+                                 st.lists(st.floats(1.5, 16.0), min_size=1, max_size=5))
+
+
+def _indicator_spec(dim, cells, gamma, value, lo, width):
+    """Indicator datum on a box in the unit interval (4 * cells) or square."""
+    if dim == 1:
+        grid = make_uniform_grid(0.0, 1.0, 4 * cells)
+        box = (lo[0], lo[0] + width[0])
+    else:
+        grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
+        box = (lo, tuple(a + w for a, w in zip(lo, width)))
+    return ProblemSpec(grid, CoefficientField.identity(grid),
+                       IndicatorDatum(value, *box), gamma=gamma, support="compact")
+
+
+class TestExtrapolatedStart:
+    """The extrapolated warm start changes the work of an m-step, not its answer."""
+
+    def test_one_iterate_gives_the_shift(self):
+        spec = matched_spec(10.0, 64)
+        it = solve_regularized(spec, 4)
+        pos = spec.datum_values() > 0
+        shifted = it.u.values.copy()
+        shifted[pos] += 1.0 / 4 - 1.0 / 16
+        start = solver_module._extrapolated_start([it], 1.0 / 16, pos.astype(float))
+        assert np.array_equal(start, shifted)
+
+    def test_three_iterates_reproduce_a_quadratic(self):
+        grid = make_uniform_grid(0.0, 1.0, 8)
+        a, b, c = (np.linspace(1.0, 2.0, 9) * k for k in (1.0, -3.0, 5.0))
+        recent = [solver_module.RegularizedIterate(
+            m, GridFunction(grid, a + b / m + c / m ** 2), 1, 0.0) for m in (1, 4, 16)]
+        pos = (np.arange(9) % 2).astype(float)
+        start = solver_module._extrapolated_start(recent, 1.0 / 64, pos)
+        assert np.allclose(start, a + b / 64 + c / 64 ** 2, rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), cells=st.integers(8, 24),
+           gamma=st.floats(3.0, 400.0), value=st.floats(0.1, 10.0),
+           lo=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
+           width=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)),
+           schedule=_m_schedules())
+    def test_iterates_match_shift_only_start(self, dim, cells, gamma, value, lo,
+                                             width, schedule):
+        spec = _indicator_spec(dim, cells, gamma, value, lo, width)
+        # the reference: each m starts from the previous iterate shifted by
+        # the change in 1/m where f > 0
+        pos = spec.datum_values() > 0
+        reference, initial = [], None
+        for k, m in enumerate(schedule):
+            if k:
+                shifted = reference[-1].copy()
+                shifted[pos] += 1.0 / schedule[k - 1] - 1.0 / m
+                initial = GridFunction(spec.grid, shifted)
+            try:
+                reference.append(solve_regularized(spec, m, initial=initial).u.values)
+            except NonlinearSolveError:
+                break
+        assume(reference)
+        # no m-step may raise where the shift-only start did not
+        trace = solve_singular(spec, schedule[:len(reference)]).trace
+        for it, ref in zip(trace, reference):
+            assert np.max(np.abs(it.u.values - ref)) <= 1e-10 * np.max(ref)
+
 
 class TestMonotoneInM:
     """u_m is nondecreasing in m on random indicator problems."""
@@ -168,15 +253,7 @@ class TestMonotoneInM:
            lo=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
            width=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)))
     def test_iterates_nondecreasing(self, dim, cells, gamma, value, lo, width):
-        if dim == 1:
-            grid = make_uniform_grid(0.0, 1.0, 4 * cells)
-            box = (lo[0], lo[0] + width[0])
-        else:
-            grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
-            box = (lo, tuple(a + w for a, w in zip(lo, width)))
-        spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                           IndicatorDatum(value, *box), gamma=gamma,
-                           support="compact")
+        spec = _indicator_spec(dim, cells, gamma, value, lo, width)
         sol = solve_singular(spec, [4 ** k for k in range(7)])
         for a, b in zip(sol.trace, sol.trace[1:]):
             assert np.all(b.u.values >= a.u.values - 1e-10)
