@@ -3,13 +3,17 @@
 The assembled matrix acts on interior nodes only; Dirichlet rows are
 eliminated.  Assembly certifies the M-matrix sign pattern, which is the
 discrete comparison-principle certificate used throughout.  This module is
-also the one place that holds sparse matrices and decides how they are
-solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b
-by banded Cholesky in 1-D and by multigrid-preconditioned CG in 2-D, on A's
-bands or A's multigrid hierarchy, each built once per operator.  CG stops at
-the relative residual `rtol`: `CG_RELATIVE_TOL` for A's own solves, a looser
-forcing term for inexact Newton steps (the direct 1-D solve ignores it).
-Every solver counts the CG iterations it ran in `iterations` (0 if direct).
+also the one place that holds sparse matrices (CSR) and decides how they
+are solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b
+on A's multigrid hierarchy, built once per operator.  Each solver writes the
+shift into copies of the cached level matrices' diagonals, smooths with
+damped Jacobi and solves the coarsest level by LAPACK banded Cholesky
+(`solveh_banded`), the package's only direct solve.  A grid that does not
+coarsen, every 1-D grid among them, is that coarsest level: its solve is
+direct.  Otherwise CG stops at the relative residual `rtol`:
+`CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
+Newton steps.  Every solver counts the CG iterations it ran in `iterations`
+(0 if direct).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class SparseOperator:
     """Symmetric M-matrix discretization of -div(M grad .) on interior nodes."""
 
     grid: Grid
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
 
     @property
     def n_unknowns(self) -> int:
@@ -63,39 +67,32 @@ class SparseOperator:
         return self.matrix @ vec
 
     @functools.cached_property
-    def _bands(self) -> np.ndarray:
-        """Upper banded storage of a 1-D matrix: superdiagonal over diagonal."""
-        return np.stack([np.r_[0.0, self.matrix.diagonal(1)], self.matrix.diagonal()])
-
-    @functools.cached_property
-    def _hierarchy(self) -> tuple[list[tuple], sp.spmatrix]:
-        """A's Galerkin levels, (A_l, |A_l| row sums, diagonal, P, R, P 1) each,
-        and the coarsest matrix (A itself where the grid does not coarsen)."""
+    def _hierarchy(self) -> tuple[list[tuple], tuple]:
+        """A's Galerkin levels, (A_l, the slots of its diagonal in A_l.data,
+        |A_l| row sums, P, R, P 1) each, and the coarsest matrix (A itself
+        where the grid does not coarsen) as `_coarse_bands` returns it."""
         levels = []
         matrix = self.matrix
         shapes = [self.grid.interior_shape] + _coarse_shapes(self.grid.interior_shape)
         for shape in shapes[:-1]:
             interp, restrict = _interpolation(shape)
-            matrix = matrix.tocsr()
-            levels.append((matrix, np.asarray(abs(matrix).sum(axis=1)).ravel(),
-                           matrix.diagonal(), interp, restrict,
+            rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+            levels.append((matrix, np.flatnonzero(matrix.indices == rows),
+                           np.asarray(abs(matrix).sum(axis=1)).ravel(), interp, restrict,
                            np.asarray(interp.sum(axis=1)).ravel()))
             matrix = restrict @ matrix @ interp
-        return levels, matrix
+            matrix.sort_indices()   # canonical now: sorted later in place, it would move the slots
+        return levels, _coarse_bands(matrix, shapes[-1])
 
     def solver(self, shift: Optional[np.ndarray] = None,
                rtol: float = CG_RELATIVE_TOL) -> Callable[[np.ndarray], np.ndarray]:
         """Solver for (A + diag(shift)) x = b with shift >= 0 (None: A itself).
 
-        1-D: LAPACK `solveh_banded` on A's bands plus the shift (`rtol` is
-        ignored).  2-D: CG to relative residual `rtol` with a geometric
-        V-cycle on A's cached hierarchy plus the shift's coarse images; a
-        grid with no coarse level is solved directly.
+        CG to relative residual `rtol`, preconditioned by a V-cycle on A's
+        cached hierarchy with the shift and its coarse images on the
+        diagonals; on a grid with no coarse level (every 1-D grid) banded
+        Cholesky on A's bands plus the shift, direct (`rtol` is ignored).
         """
-        if self.grid.dim == 1:
-            bands = self._bands if shift is None else np.stack(
-                [self._bands[0], self._bands[1] + shift])
-            return _Banded(bands)
         return _Multigrid(self._hierarchy, np.zeros(self.n_unknowns)
                           if shift is None else shift, rtol)
 
@@ -108,11 +105,11 @@ class SparseOperator:
         """A with the masked unknowns' rows and columns cut to the diagonal (SPD)."""
         keep = sp.diags((~mask).astype(float))
         diagonal = sp.diags(np.where(mask, self.matrix.diagonal(), 0.0))
-        matrix = (keep @ self.matrix @ keep + diagonal).tocsc()
+        matrix = (keep @ self.matrix @ keep + diagonal).tocsr().sorted_indices()
         return SparseOperator(self.grid, matrix)
 
 
-def _verify_m_matrix(matrix: sp.csc_matrix) -> None:
+def _verify_m_matrix(matrix: sp.csr_matrix) -> None:
     coo = matrix.tocoo()
     off = coo.data[coo.row != coo.col]
     if off.size and np.max(off) > 1e-14:
@@ -156,8 +153,7 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
         weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis)) / h ** 2
         term = diff.T @ sp.diags(weight.ravel()) @ diff
         matrix = term if matrix is None else matrix + term
-    matrix = matrix.tocsc()
-    matrix.sort_indices()
+    matrix = matrix.tocsr().sorted_indices()
     _verify_m_matrix(matrix)
     return SparseOperator(grid, matrix)
 
@@ -187,54 +183,92 @@ def _coarse_shapes(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _coarse_bands(matrix: sp.csr_matrix, shape: tuple[int, ...]) -> tuple:
+    """The coarsest level as `_Banded` takes it: (bands, shape, axes).
+
+    The unknowns of `matrix` are the nodes of `shape` in C order; they are
+    renumbered in the C order of the axes transposed to `axes`, the shortest
+    axis last, so that the bandwidth w is at most the shortest axis plus one
+    (nine-point Galerkin stencils).  In 1-D w is 1 and the bands are
+    superdiagonal over diagonal.  Entry (i, j), i <= j, of the renumbered
+    matrix sits at bands[w + i - j, j], LAPACK's upper band storage.
+    """
+    axes = tuple(np.argsort([-n for n in shape], kind="stable"))
+    order = np.arange(matrix.shape[0]).reshape(shape).transpose(axes).ravel()
+    number = np.argsort(order, kind="stable")
+    coo = matrix.tocoo()
+    rows, cols = number[coo.row], number[coo.col]
+    upper = rows <= cols
+    width = int(np.max(cols - rows))
+    bands = np.zeros((width + 1, matrix.shape[0]))
+    bands[width + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
+    return bands, shape, axes
+
+
 class _Banded:
-    """Banded Cholesky solve of a 1-D system: direct, so no CG iterations."""
+    """Banded Cholesky solve of (B + diag(shift)) x = b for B given as
+    `_coarse_bands`: direct, so no CG iterations."""
 
     iterations = 0
 
-    def __init__(self, bands: np.ndarray):
-        self.bands = bands
+    def __init__(self, bands: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...],
+                 shift: np.ndarray):
+        self.shape, self.axes = shape, axes
+        self.bands = bands.copy()
+        self.bands[-1] += self._renumbered(shift)
+
+    def _renumbered(self, v: np.ndarray) -> np.ndarray:
+        return v.reshape(self.shape).transpose(self.axes).ravel()
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        return sla.solveh_banded(self.bands, b)
+        x = np.empty(self.shape)
+        renumbered = x.transpose(self.axes)   # a view: writing it fills x
+        renumbered[...] = sla.solveh_banded(self.bands, self._renumbered(b)).reshape(
+            renumbered.shape)
+        return x.ravel()
 
 
 class _Multigrid:
     """CG on A + diag(d), preconditioned by a symmetric geometric V-cycle.
 
     Level l is A's P^T A P plus diag(d_l), d_{l+1} = R (d_l * P 1) the
-    row-lumped image of d_l.  Damped Jacobi smooths every level but the
-    coarsest, which is factorized (with no coarser level, that is the solve).
-    The divisor max(diagonal, half the absolute row sum) keeps the smoother
-    convergent on anisotropic Galerkin levels, so the V-cycle stays SPD.
+    row-lumped image of d_l, written into a copy of the cached level's data,
+    so every sweep, residual and CG product is one CSR product.  Damped
+    Jacobi smooths every level but the coarsest, which is solved by banded
+    Cholesky (with no coarser level, that is the solve).  The divisor
+    max(diagonal, half the absolute row sum) keeps the smoother convergent
+    on anisotropic Galerkin levels, so the V-cycle stays SPD.
     """
 
-    def __init__(self, hierarchy: tuple[list[tuple], sp.spmatrix], shift: np.ndarray,
+    def __init__(self, hierarchy: tuple[list[tuple], tuple], shift: np.ndarray,
                  rtol: float):
         levels, coarsest = hierarchy
         self.rtol = rtol
         self.iterations = 0       # CG iterations over all calls
-        self.levels = []          # (matrix, shift, omega / divisor, P, R) per smoothed level
-        for matrix, abs_rows, diagonal, interp, restrict, interp_rows in levels:
-            divisor = np.maximum(diagonal + shift, 0.5 * (abs_rows + shift))
-            self.levels.append((matrix, shift, JACOBI_WEIGHT / divisor, interp, restrict))
+        self.levels = []          # (A_l + diag(d_l), omega / divisor, P, R) per smoothed level
+        for matrix, slots, abs_rows, interp, restrict, interp_rows in levels:
+            data = matrix.data.copy()
+            data[slots] += shift
+            shifted = sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+            divisor = np.maximum(data[slots], 0.5 * (abs_rows + shift))
+            self.levels.append((shifted, JACOBI_WEIGHT / divisor, interp, restrict))
             shift = restrict @ (shift * interp_rows)
-        self.coarse_solve = spla.splu((coarsest + sp.diags(shift)).tocsc()).solve
+        self.coarse_solve = _Banded(*coarsest, shift)
 
     def _vcycle(self, r: np.ndarray) -> np.ndarray:
         stack = []
-        for matrix, shift, scale, _, restrict in self.levels:
+        for matrix, scale, _, restrict in self.levels:
             x = scale * r
             for _ in range(SMOOTHING_SWEEPS - 1):
-                x += scale * (r - matrix @ x - shift * x)
+                x += scale * (r - matrix @ x)
             stack.append((r, x))
-            r = restrict @ (r - matrix @ x - shift * x)
+            r = restrict @ (r - matrix @ x)
         e = self.coarse_solve(r)
-        for (matrix, shift, scale, interp, _), (r, x) in zip(reversed(self.levels),
-                                                            reversed(stack)):
+        for (matrix, scale, interp, _), (r, x) in zip(reversed(self.levels),
+                                                     reversed(stack)):
             x += interp @ e
             for _ in range(SMOOTHING_SWEEPS):
-                x += scale * (r - matrix @ x - shift * x)
+                x += scale * (r - matrix @ x)
             e = x
         return e
 
@@ -244,10 +278,8 @@ class _Multigrid:
     def __call__(self, b: np.ndarray) -> np.ndarray:
         if not self.levels:
             return self.coarse_solve(b)
-        matrix, shift = self.levels[0][:2]
-        system = spla.LinearOperator(matrix.shape, matvec=lambda x: matrix @ x + shift * x,
-                                     dtype=float)
-        precond = spla.LinearOperator(matrix.shape, matvec=self._vcycle, dtype=float)
+        system = self.levels[0][0]
+        precond = spla.LinearOperator(system.shape, matvec=self._vcycle, dtype=float)
         x, info = spla.cg(system, b, rtol=self.rtol, atol=0.0,
                           maxiter=CG_MAX_ITERATIONS, M=precond,
                           callback=self._count)

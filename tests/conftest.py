@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import singell.operators as ops
 from singell import (CoefficientField, ConstantDatum, IndicatorDatum,
                      ProblemSpec, make_uniform_grid)
 
@@ -25,6 +27,24 @@ def square_spec(gamma, cells):
     return ProblemSpec(grid, CoefficientField.identity(grid),
                        ConstantDatum(1.0), gamma=gamma,
                        support="strictly_positive")
+
+
+def record_direct_solves(monkeypatch):
+    """Make SuperLU fail and record the unknown count of every banded direct
+    solve that singell builds; returns the list the counts go to."""
+    sizes = []
+
+    class Recording(ops._Banded):
+        def __init__(self, bands, *args):
+            sizes.append(bands.shape[1])
+            super().__init__(bands, *args)
+
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("singell called SuperLU")
+
+    monkeypatch.setattr(ops, "_Banded", Recording)
+    monkeypatch.setattr(spla, "splu", no_superlu)
+    return sizes
 
 
 @pytest.fixture(scope="session")

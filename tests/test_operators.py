@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ import singell.operators as ops
 from singell import (CoefficientField, GridFunction, LinearSolveError,
                      MeasureData, assemble, make_uniform_grid, solve_linear,
                      solve_measure)
+from conftest import record_direct_solves
 
 
 def torsion_square_exact(x, y, terms=60):
@@ -153,7 +155,7 @@ class TestSolveLinear:
             assert ops._coarse_shapes(g.interior_shape)
             rhs = GridFunction(g, rng.random(g.shape))
             iterative = solve_linear(op, rhs)
-            direct = spla.splu(op.matrix).solve(op.interior_of(rhs))
+            direct = spla.splu(op.matrix.tocsc()).solve(op.interior_of(rhs))
             scale = np.max(np.abs(direct))
             assert np.max(np.abs(op.interior_of(iterative) - direct)) <= 1e-12 * scale
 
@@ -183,6 +185,22 @@ def random_spd_system(seed, cells, widths, contrast, shift):
 
 def direct_solve(op, d, b):
     return spla.splu((op.matrix + sp.diags(d)).tocsc()).solve(b)
+
+
+def banded_solve(op, d, b):
+    """LAPACK banded Cholesky on A + diag(d), the shorter axis numbered fastest."""
+    shape = op.grid.interior_shape
+    nodes = np.arange(op.n_unknowns).reshape(shape)
+    order = (nodes.T if shape[0] < shape[1] else nodes).ravel()
+    dense = (op.matrix.toarray() + np.diag(d))[np.ix_(order, order)]
+    rows, cols = np.nonzero(dense)
+    width = int(np.max(cols - rows))
+    bands = np.zeros((width + 1, op.n_unknowns))
+    for k in range(width + 1):
+        bands[width - k, k:] = np.diagonal(dense, k)
+    x = np.empty(op.n_unknowns)
+    x[order] = sla.solveh_banded(bands, b[order])
+    return x
 
 
 class TestSpdSolver:
@@ -222,23 +240,70 @@ class TestSpdSolver:
     def test_non_coarsenable_2d_is_exactly_direct(self, cells):
         op, d, b = random_spd_system(1, cells, (1.0, 1.0), 10.0, 0.5)
         assert not ops._coarse_shapes(op.grid.interior_shape)
-        assert np.array_equal(op.solver(d)(b), direct_solve(op, d, b))
+        solve = op.solver(d)
+        x = solve(b)
+        assert np.array_equal(x, banded_solve(op, d, b))
+        assert solve.iterations == 0
+        direct = direct_solve(op, d, b)
+        assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+    # the shorter axis numbered fastest: bandwidth 5, not 2047
+    @pytest.mark.parametrize("cells", [(6, 2048), (2048, 6)])
+    def test_thin_grid_is_direct_on_few_bands(self, cells):
+        op, d, b = random_spd_system(4, cells, (1.0, 1.0), 10.0, 0.5)
+        assert not ops._coarse_shapes(op.grid.interior_shape)
+        solve = op.solver(d)
+        x = solve(b)
+        assert solve.iterations == 0
+        assert solve.coarse_solve.bands.shape[0] <= 7
+        direct = direct_solve(op, d, b)
+        assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
     def test_even_interior_factorizes_only_the_coarsest_level(self, monkeypatch):
         op, d, b = random_spd_system(3, (63, 63), (1.0, 1.0), 10.0, 0.5)
-        sizes = []
-        real = spla.splu
-
-        def recording(matrix, *args, **kwargs):
-            sizes.append(matrix.shape[0])
-            return real(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", recording)
+        direct = direct_solve(op, d, b)
+        sizes = record_direct_solves(monkeypatch)
         x = op.solver(d)(b)
         coarsest = int(np.prod(ops._coarse_shapes(op.grid.interior_shape)[-1]))
         assert sizes == [coarsest] and coarsest <= ops.COARSE_SIZE
-        direct = direct_solve(op, d, b)
         assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+    def test_solvers_never_write_the_cached_hierarchy(self):
+        op, d1, b = random_spd_system(5, (32, 48), (1.0, 1.5), 10.0, 0.5)
+        d2 = 3.0 * d1[::-1]
+        levels, (bands, *_) = op._hierarchy
+        before = [level[0].data.copy() for level in levels], bands.copy()
+        x1 = op.solver(d1)(b)
+        solve2 = op.solver(d2)
+        solve2(b)
+        assert all(np.array_equal(level[0].data, data)
+                   for level, data in zip(levels, before[0]))
+        assert np.array_equal(bands, before[1])
+        assert np.array_equal(op.solver(d1)(b), x1)
+        # each solver's level l is exactly A_l + diag(d_l), d_{l+1} = R (d_l * P 1)
+        assert len(levels) >= 2
+        shift = d2
+        for (matrix, _, _, interp, restrict, interp_rows), (shifted, *_) in zip(
+                levels, solve2.levels):
+            assert np.array_equal(shifted.toarray(), matrix.toarray() + np.diag(shift))
+            shift = restrict @ (shift * interp_rows)
+
+    @settings(max_examples=20, deadline=None)
+    @given(base=st.tuples(st.sampled_from([3, 4, 5]), st.sampled_from([3, 4, 5])),
+           k=st.tuples(st.integers(3, 4), st.integers(3, 4)),
+           odd=st.tuples(st.booleans(), st.booleans()),
+           widths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           contrast=st.floats(1.0, 10.0), shift=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_vcycle_is_symmetric(self, base, k, odd, widths, contrast, shift, seed):
+        # CG needs an SPD preconditioner: <V r1, r2> = <r1, V r2>
+        cells = tuple(c * 2 ** e - o for c, e, o in zip(base, k, odd))
+        op, d, r1 = random_spd_system(seed, cells, widths, contrast, shift)
+        r2 = np.random.default_rng(seed + 1).standard_normal(op.n_unknowns)
+        vcycle = op.solver(d)._vcycle
+        v1, v2 = vcycle(r1), vcycle(r2)
+        gap = abs(np.dot(v1, r2) - np.dot(r1, v2))
+        assert gap <= 1e-12 * np.linalg.norm(v1) * np.linalg.norm(r2)
 
     def test_iteration_cap_raises(self, monkeypatch):
         op, d, b = random_spd_system(2, (64, 64), (1.0, 1.0), 10.0, 0.5)

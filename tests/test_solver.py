@@ -16,7 +16,7 @@ from singell import (CoefficientField, GridFunction, IndicatorDatum,
                      quasilinear_residual, singular_residual, solve_regularized,
                      solve_singular, to_quasilinear)
 from singell.config import load_config
-from conftest import interval_spec, matched_spec
+from conftest import interval_spec, matched_spec, record_direct_solves
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
@@ -354,19 +354,15 @@ class TestMultigridPath:
     def square(self):
         spec = load_config(SQUARE_HOLE).spec
         assert spec.grid.cells == (64, 64)
-        sizes, levels = [], []
-        real, interpolation = spla.splu, ops._interpolation
-
-        def recording(matrix, *args, **kwargs):
-            sizes.append(matrix.shape[0])
-            return real(matrix, *args, **kwargs)
+        levels = []
+        interpolation = ops._interpolation
 
         def galerkin_level(shape):
             levels.append(shape)
             return interpolation(shape)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spla, "splu", recording)
+            sizes = record_direct_solves(mp)
             mp.setattr(ops, "_interpolation", galerkin_level)
             sol = solve_singular(spec)
         return spec, sol, sizes, levels
@@ -422,7 +418,9 @@ class TestMultigridPath:
         assert np.max(np.abs(sol.u.values - direct.u.values)) <= 1e-12
 
     def test_no_fine_grid_factorization(self, square):
-        # a later change must not silently bring back fine-grid LU fill-in
+        # a later change must not silently bring back fine-grid fill-in: the
+        # only direct solves are banded Cholesky on the coarsest level, and
+        # SuperLU, made to fail, is never called
         spec, sol, sizes, _ = square
         coarsest = int(np.prod(ops._coarse_shapes(spec.grid.interior_shape)[-1]))
         assert coarsest <= ops.COARSE_SIZE
@@ -431,7 +429,8 @@ class TestMultigridPath:
         assert max(sizes) <= coarsest
 
     def test_one_operator_hierarchy_per_solve(self, square):
-        # the operator builds its solver once; each Newton step one for J
+        # the operator builds its solver once; each Newton step one for J;
+        # each solver holds exactly one coarsest-level banded solve
         _, sol, sizes, _ = square
         newton = sum(it.iterations for it in sol.trace)
         assert len(sizes) == newton + 1

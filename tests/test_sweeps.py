@@ -18,7 +18,7 @@ from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
 from singell.config import load_config
 from singell.grids import IndicatorDatum
 from singell.sweeps import _harmonic_outside
-from conftest import interval_spec, matched_spec
+from conftest import interval_spec, matched_spec, record_direct_solves
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
@@ -275,15 +275,9 @@ class TestConjecture:
         assert np.max(np.abs(harmonic - reference_harmonic(grid, omega))) <= 2e-12
 
     def test_square_factorizes_only_the_coarsest_level(self, monkeypatch):
+        # banded Cholesky on the coarsest level only; SuperLU, made to fail, is never called
         config = load_config(SQUARE_HOLE)
-        sizes = []
-        real = spla.splu
-
-        def recording(matrix, *args, **kwargs):
-            sizes.append(matrix.shape[0])
-            return real(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", recording)
+        sizes = record_direct_solves(monkeypatch)
         conjecture_experiment(config.spec, config.n_list[-1],
                               m_schedule=config.m_schedule)
         coarse = ops._coarse_shapes(config.spec.grid.interior_shape)
