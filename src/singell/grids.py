@@ -176,17 +176,23 @@ def check_ellipticity(coefficients: CoefficientField) -> tuple[float, float]:
 
     alpha is the smallest nodal eigenvalue, beta the largest nodal operator
     norm.  Raises EllipticityError for non-symmetric entries or alpha <= 0.
+    The eigenvalues are in closed form: the entry itself in 1-D, and
+    mid +- hypot((a - d)/2, b) for a symmetric [[a, b], [b, d]], mid = (a + d)/2.
     """
     ent = coefficients.entries
     scale = max(1.0, float(np.max(np.abs(ent))))
     if np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) > 1e-12 * scale:
         raise EllipticityError("coefficient matrix is not symmetric")
-    eig = np.linalg.eigvalsh(ent)
-    alpha = float(np.min(eig))
-    beta = float(np.max(np.abs(eig)))
+    if ent.shape[-1] == 1:
+        low = high = ent[..., 0, 0]
+    else:
+        a, b, d = ent[..., 0, 0], ent[..., 0, 1], ent[..., 1, 1]
+        mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+        low, high = mid - radius, mid + radius
+    alpha = float(np.min(low))
     if alpha <= 0.0:
         raise EllipticityError(f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
-    return alpha, beta
+    return alpha, float(np.max(high))
 
 
 # --- data for the right-hand side ------------------------------------------
@@ -270,6 +276,8 @@ class ProblemSpec:
             raise ValueError("datum must be nonnegative")
         if self.support == "compact":
             self._check_compact(f)
+        f.setflags(write=False)
+        object.__setattr__(self, "_datum_values", f)   # not a field: eq, repr, replace ignore it
 
     def _check_compact(self, f: np.ndarray) -> None:
         if isinstance(self.datum, IndicatorDatum):
@@ -286,7 +294,8 @@ class ProblemSpec:
                     "compactly-contained support requires zero datum on the boundary")
 
     def datum_values(self) -> np.ndarray:
-        return sample_datum(self.datum, self.grid)
+        """`sample_datum(datum, grid)`, sampled once on construction; read-only."""
+        return self._datum_values
 
     def omega_box(self) -> Optional[tuple[tuple[float, ...], tuple[float, ...]]]:
         """The indicator sub-box, when the datum is an indicator."""

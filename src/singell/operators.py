@@ -14,6 +14,14 @@ direct.  Otherwise CG stops at the relative residual `rtol`:
 `CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
 Newton steps.  Every solver counts the CG iterations it ran in `iterations`
 (0 if direct).
+
+A computed residual b - A x cannot fall below the rounding error of A x,
+which Higham's bound for k-term dot products puts at eps k |A|_inf |x|_inf,
+k the most entries in a row of A (3 in 1-D, 5 in 2-D; Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.1).
+`SparseOperator.rounding_floor(x)` is that term; `solve_linear` accepts a
+residual up to RESIDUAL_BOUND (1 + |b|_inf) plus it, and the Newton bound
+of `singell.solver` adds it too.
 """
 
 from __future__ import annotations
@@ -65,6 +73,17 @@ class SparseOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
+
+    @functools.cached_property
+    def _product_error_scale(self) -> float:
+        """eps k |A|_inf, with k the most entries in a row of A."""
+        entries = int(np.max(np.diff(self.matrix.indptr)))
+        norm = float(np.max(abs(self.matrix).sum(axis=1)))
+        return np.finfo(float).eps * entries * norm
+
+    def rounding_floor(self, x: np.ndarray) -> float:
+        """eps k |A|_inf |x|_inf: the rounding error a computed A x may carry."""
+        return self._product_error_scale * float(np.max(np.abs(x), initial=0.0))
 
     @functools.cached_property
     def _hierarchy(self) -> tuple[list[tuple], tuple]:
@@ -120,40 +139,44 @@ def _verify_m_matrix(matrix: sp.csr_matrix) -> None:
         raise EllipticityError("assembled operator lost weak diagonal dominance")
 
 
-def _difference(cells: int) -> sp.spmatrix:
-    """Interior-node-to-face differences along one axis, shape (cells, cells - 1).
-
-    Face k joins nodes k and k + 1; interior node j is node j + 1.
-    """
-    return sp.diags([-np.ones(cells - 1), np.ones(cells - 1)], [-1, 0],
-                    shape=(cells, cells - 1))
-
-
 def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     """Assemble the 3-point / 5-point divergence-form stencil on interior nodes.
 
-    The matrix is sum_axis D^T W D: D maps interior nodal values (Dirichlet
-    zeros eliminated) to differences on the cell faces of one axis and W
-    holds the diagonal coefficient, averaged arithmetically onto those faces,
-    over h^2, which keeps the matrix symmetric.  Only diagonal coefficient
-    matrices fit the 5-point pattern; off-diagonal entries are rejected.
+    The matrix is sum_axis D^T W D, D the differences of interior nodal
+    values (Dirichlet zeros eliminated) across the cell faces of one axis and
+    W the diagonal coefficient, averaged arithmetically onto those faces,
+    over h^2, which keeps the matrix symmetric.  It is written row by row by
+    index arithmetic: node j couples to its neighbour across face w with -w
+    and carries the sum of its faces' w on the diagonal.  Only diagonal
+    coefficient matrices fit the 5-point pattern; off-diagonal entries are
+    rejected.
     """
     check_ellipticity(coefficients)
     if not coefficients.is_diagonal():
         raise ValueError(
             "5-point assembly supports diagonal coefficient matrices only")
-    matrix = None
+    shape = grid.interior_shape
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    diagonal = 0.0
+    below, above = [], []       # (column, value, present) of each axis's neighbours
     for axis, h in enumerate(grid.h):
-        factors = [sp.identity(n) for n in grid.interior_shape]
-        factors[axis] = _difference(grid.cells[axis])
-        diff = functools.reduce(sp.kron, factors)
         faces = [slice(1, -1)] * grid.dim
         faces[axis] = slice(None)
         nodal = coefficients.entries[tuple(faces) + (axis, axis)]
         weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis)) / h ** 2
-        term = diff.T @ sp.diags(weight.ravel()) @ diff
-        matrix = term if matrix is None else matrix + term
-    matrix = matrix.tocsr().sorted_indices()
+        lower, upper = np.delete(weight, -1, axis), np.delete(weight, 0, axis)
+        diagonal = diagonal + (lower + upper)
+        stride = int(np.prod(shape[axis + 1:]))
+        position = index // stride % shape[axis]
+        below.append((index - stride, -lower, position > 0))
+        above.append((index + stride, -upper, position < shape[axis] - 1))
+    # columns ascend: -stride_0 < -stride_1 < 0 < stride_1 < stride_0
+    stencil = below + [(index, diagonal, np.ones(shape, dtype=bool))] + above[::-1]
+    columns, values, present = (np.stack([part[i].ravel() for part in stencil], axis=-1)
+                                for i in range(3))
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    matrix = sp.csr_matrix((values[present], columns[present], indptr),
+                           shape=(index.size, index.size))
     _verify_m_matrix(matrix)
     return SparseOperator(grid, matrix)
 
@@ -292,23 +315,23 @@ class _Multigrid:
 def solve_linear(op: SparseOperator, rhs: GridFunction) -> GridFunction:
     """Solve op u = rhs with zero boundary values.
 
-    The residual is verified against 1e-10 * (1 + |rhs|_inf); one or two
+    The residual is verified against RESIDUAL_BOUND (1 + |rhs|_inf) plus the
+    rounding floor of A u (`SparseOperator.rounding_floor`); one or two
     iterative-refinement sweeps absorb factorization or CG rounding.
     """
     if rhs.grid != op.grid:
         raise ValueError("rhs lives on a different grid")
     b = op.interior_of(rhs)
-    x = op.solve(b)
     bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    for _ in range(2):
+    x = op.solve(b)
+    for refinement in range(3):
         res = b - op.matrix @ x
-        if np.max(np.abs(res), initial=0.0) <= bound:
-            break
-        x = x + op.solve(res)
-    residual = float(np.max(np.abs(b - op.matrix @ x), initial=0.0))
-    if residual > bound:
-        raise LinearSolveError("linear solve residual above tolerance", residual)
-    return op.full_from_interior(x)
+        residual = float(np.max(np.abs(res), initial=0.0))
+        if residual <= bound + op.rounding_floor(x):
+            return op.full_from_interior(x)
+        if refinement < 2:
+            x = x + op.solve(res)
+    raise LinearSolveError("linear solve residual above tolerance", residual)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,18 @@ damped inexact Newton: a step's linear solve only has to reach the relative
 tolerance of an Eisenstat-Walker forcing term, which tightens as the Newton
 residual falls.  All power evaluations run in the log domain so exponents up
 to gamma ~ 400 stay representable.
+
+A Newton solve ends when its residual |A u - g|_inf, g = f/(u + 1/m)^gamma,
+meets
+
+    RESIDUAL_TOL (1 + |f|_inf) + eps (k |A|_inf |u|_inf + (1 + gamma) |g|_inf),
+
+the requested tolerance plus the rounding floor of the two terms: Higham's
+k-term dot-product bound for A u (`SparseOperator.rounding_floor`, k = 3 in
+1-D and 5 in 2-D) and about gamma ulps for g, which is evaluated through
+exp and log.  The bound follows the iterate, so it is recomputed after
+every accepted step; without the floor it sits below what a computed
+residual can reach on fine 1-D grids, and no m-step there ends by it.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from .operators import CG_RELATIVE_TOL, SparseOperator, assemble
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
 UPDATE_TOL = 1e-12       # relative Newton update
-RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf)
+RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf); the rounding floor is added
 SCHEDULE_GAP_TOL = 1e-9  # nodal sup-gap between consecutive schedule entries
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
@@ -53,14 +65,15 @@ def check_m_schedule(schedule: Sequence[int]) -> list[int]:
     return schedule
 
 
-def _regularized_rhs(f: np.ndarray, u: np.ndarray, eps: float, gamma: float) -> np.ndarray:
-    """f/(u+eps)^gamma where f > 0, zero elsewhere; exponent capped."""
+def _regularized_rhs(log_f: tuple[np.ndarray, np.ndarray], u: np.ndarray, eps: float,
+                     gamma: float) -> np.ndarray:
+    """f/(u+eps)^gamma where f > 0, zero elsewhere; exponent capped.
+
+    `log_f` is (pos, log f[pos]), pos the indices where f > 0."""
+    pos, log_values = log_f
     out = np.zeros_like(u)
-    pos = f > 0
-    if np.any(pos):
-        base = np.maximum(u[pos] + eps, VALUE_FLOOR)
-        lg = np.log(f[pos]) - gamma * np.log(base)
-        out[pos] = np.exp(np.minimum(lg, LOG_CAP))
+    base = np.maximum(u[pos] + eps, VALUE_FLOOR)
+    out[pos] = np.exp(np.minimum(log_values - gamma * np.log(base), LOG_CAP))
     return out
 
 
@@ -69,8 +82,9 @@ def _forcing_term(res: float, res_prev: float, eta_prev: float,
     """Eisenstat-Walker choice 2 (gamma 0.9, alpha 2) with its safeguard.
 
     Eisenstat and Walker, SIAM J. Sci. Comput. 17 (1996) 16-32.  The floor
-    stops CG from solving past half the Newton residual bound, and the
-    result stays in [CG_RELATIVE_TOL, ETA_MAX].
+    stops CG from solving past half the Newton residual bound `res_bound`
+    (the current one, rounding floor included), and the result stays in
+    [CG_RELATIVE_TOL, ETA_MAX].
     """
     eta = 0.9 * (res / res_prev) ** 2
     safeguard = 0.9 * eta_prev ** 2
@@ -121,7 +135,8 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     Jacobian system to the relative tolerance of the forcing term eta_k
     (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
     Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
-    falls.  The solve stops when the residual meets its bound, when the
+    falls.  The solve stops when the residual meets its bound (the module
+    docstring's; it is recomputed at every accepted iterate), when the
     relative update is negligible, or when halving no longer moves the
     iterate (a stall: no representable step lowers the residual).  An
     iterate whose right-hand side is still clipped at e^LOG_CAP is no
@@ -134,11 +149,13 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     f_int = f[tuple(slice(1, -1) for _ in range(spec.grid.dim))].reshape(-1)
     gamma = float(spec.gamma)
     eps = 1.0 / m
-    res_bound = RESIDUAL_TOL * (1.0 + float(np.max(f_int, initial=0.0)))
+    tolerance = RESIDUAL_TOL * (1.0 + float(np.max(f_int, initial=0.0)))
 
     if not np.any(f_int > 0):
         zero = GridFunction.zeros(spec.grid)
         return RegularizedIterate(m, zero, 0, 0.0)
+    pos = np.flatnonzero(f_int > 0)
+    log_f = (pos, np.log(f_int[pos]))
 
     A = op.matrix
     if initial is not None:
@@ -147,10 +164,15 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
         u = np.maximum(op.solve(f_int), 0.0)
 
     def residual_of(vec):
-        rhs = _regularized_rhs(f_int, vec, eps, gamma)
+        rhs = _regularized_rhs(log_f, vec, eps, gamma)
         return float(np.max(np.abs(A @ vec - rhs))), rhs
 
+    def bound_at(vec, rhs):
+        return (tolerance + op.rounding_floor(vec)
+                + np.finfo(float).eps * (1.0 + gamma) * float(np.max(rhs)))
+
     res, g = residual_of(u)
+    res_bound = bound_at(u, g)
     trace = [res]
     it = linear_iterations = 0
     eta, stalled = ETA_MAX, False
@@ -183,6 +205,7 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
             break
         rel_update = float(np.max(np.abs(cand - u))) / max(1.0, float(np.max(np.abs(cand))))
         u, res, g = cand, cand_res, cand_g
+        res_bound = bound_at(u, g)
         trace.append(res)
         if rel_update <= UPDATE_TOL:
             break

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singell import (CoefficientField, ConstantDatum, EllipticityError,
                      GridFunction, IndicatorDatum, ProblemSpec,
@@ -67,6 +70,23 @@ class TestEllipticity:
         field = CoefficientField.constant(g, [[2.0, 0.0], [0.0, 0.5]])
         assert check_ellipticity(field) == (0.5, 2.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), cells=st.integers(4, 12),
+           spread=st.floats(0.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_matches_eigvalsh(self, dim, cells, spread, seed):
+        # random SPD fields Q diag(lambda) Q^T, eigenvalues across 10^spread
+        g = make_uniform_grid((0.0,) * dim, (1.0,) * dim, (cells,) * dim)
+        rng = np.random.default_rng(seed)
+        eig = 10.0 ** (spread * rng.random(g.shape + (dim,)))
+        q, _ = np.linalg.qr(rng.standard_normal(g.shape + (dim, dim)))
+        ent = (q * eig[..., None, :]) @ np.swapaxes(q, -1, -2)
+        ent = 0.5 * (ent + np.swapaxes(ent, -1, -2))
+        ref = np.linalg.eigvalsh(ent)
+        alpha, beta = check_ellipticity(CoefficientField(g, ent))
+        scale = float(np.max(np.abs(ref)))
+        assert alpha == pytest.approx(float(np.min(ref)), rel=1e-12, abs=1e-14 * scale)
+        assert beta == pytest.approx(scale, rel=1e-12)
+
     def test_negative_eigenvalue(self):
         g = make_uniform_grid((0, 0), (1, 1), (4, 4))
         ent = CoefficientField.identity(g).entries.copy()
@@ -126,6 +146,21 @@ class TestProblemSpec:
         assert f[np.isclose(t, -1.0)] == 3.0
         assert f[np.isclose(t, 1.0)] == 3.0
         assert f[np.isclose(t, 1.5)] == 0.0
+
+    def test_datum_values_sampled_once_and_read_only(self):
+        g = make_uniform_grid(-2.0, 2.0, 16)
+        spec = ProblemSpec(g, CoefficientField.identity(g),
+                           IndicatorDatum(3.0, -1.0, 1.0), gamma=2.0)
+        f = spec.datum_values()
+        assert f is spec.datum_values()
+        assert np.array_equal(f, sample_datum(spec.datum, g))
+        with pytest.raises(ValueError):
+            f[0] = 1.0
+        # not a field: equality, repr and replace see only the fields
+        assert "_datum_values" not in repr(spec)
+        assert replace(spec) == spec
+        assert np.array_equal(replace(spec, datum=ConstantDatum(2.0)).datum_values(),
+                              np.full(g.shape, 2.0))
 
     def test_gamma_positive(self):
         g = make_uniform_grid(0.0, 1.0, 8)

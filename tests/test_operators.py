@@ -1,4 +1,5 @@
 import ast
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ import singell.operators as ops
 from singell import (CoefficientField, GridFunction, LinearSolveError,
                      MeasureData, assemble, make_uniform_grid, solve_linear,
                      solve_measure)
+from singell.config import load_config
 from conftest import record_direct_solves
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def torsion_square_exact(x, y, terms=60):
@@ -45,7 +49,46 @@ def dense_stencil(grid, entries):
     return dense
 
 
+def kron_stencil(grid, entries):
+    """The stencil as sum_axis D^T W D from Kronecker-product differences."""
+    matrix = None
+    for axis, h in enumerate(grid.h):
+        cells = grid.cells[axis]
+        factors = [sp.identity(n) for n in grid.interior_shape]
+        factors[axis] = sp.diags([-np.ones(cells - 1), np.ones(cells - 1)], [-1, 0],
+                                 shape=(cells, cells - 1))
+        diff = functools.reduce(sp.kron, factors)
+        faces = [slice(1, -1)] * grid.dim
+        faces[axis] = slice(None)
+        nodal = entries[tuple(faces) + (axis, axis)]
+        weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis)) / h ** 2
+        term = diff.T @ sp.diags(weight.ravel()) @ diff
+        matrix = term if matrix is None else matrix + term
+    return matrix.tocsr().sorted_indices()
+
+
+def assert_same_csr(matrix, ref):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, part), getattr(ref, part)), part
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("name", ["cubic_interval", "matched_indicator",
+                                      "square_hole", "uniform_interval_sweep"])
+    def test_shipped_configs_match_kron_reference_exactly(self, name):
+        spec = load_config(CONFIGS / f"{name}.json").spec
+        assert_same_csr(assemble(spec.grid, spec.coefficients).matrix,
+                        kron_stencil(spec.grid, spec.coefficients.entries))
+
+    @pytest.mark.parametrize("cells", [(17, 15), (64, 16), (33, 40), (7,), (100,)])
+    def test_random_diagonal_coefficients_match_kron_reference_exactly(self, cells, rng):
+        g = make_uniform_grid((0.0,) * len(cells), tuple(1.0 + k for k in range(len(cells))),
+                              cells)
+        ent = np.zeros(g.shape + (g.dim, g.dim))
+        for ax in range(g.dim):
+            ent[..., ax, ax] = 0.1 + 5.0 * rng.random(g.shape)
+        assert_same_csr(assemble(g, CoefficientField(g, ent)).matrix, kron_stencil(g, ent))
+
     @settings(max_examples=40, deadline=None)
     @given(dim=st.sampled_from([1, 2]),
            cells=st.tuples(st.integers(4, 9), st.integers(4, 9)),
@@ -146,6 +189,26 @@ class TestSolveLinear:
                 u1 = solve_linear(op, GridFunction(g, r1))
                 u2 = solve_linear(op, GridFunction(g, r2))
                 assert np.all(u1.values <= u2.values + 1e-10)
+
+    @pytest.mark.parametrize("cells", [8192, 65536])
+    def test_fine_1d_grid_meets_the_rounding_floor(self, cells):
+        # the computed residual of A x carries eps k |A| |x| ~ 1/h^2 of
+        # rounding: 1.9e-9 (8192 cells) and 6.0e-8 (65536) against a bound
+        # of 2e-10 without that term
+        g = make_uniform_grid(-1.0, 1.0, cells)
+        op = assemble(g, CoefficientField.identity(g))
+        u = solve_linear(op, GridFunction(g, np.ones(g.shape)))
+        t = g.axes()[0]
+        assert np.max(np.abs(u.values - (1.0 - t ** 2) / 2.0)) <= 1e-8
+
+    def test_rounding_floor_is_k_eps_norm(self):
+        for g, entries in ((make_uniform_grid(-1.0, 1.0, 64), 3),
+                           (make_uniform_grid((0.0, 0.0), (1.0, 2.0), (8, 16)), 5)):
+            op = assemble(g, CoefficientField.identity(g))
+            norm = sum(4.0 / h ** 2 for h in g.h)
+            x = np.linspace(-2.0, 1.0, op.n_unknowns)
+            assert op.rounding_floor(x) == pytest.approx(
+                np.finfo(float).eps * entries * norm * 2.0, rel=1e-14)
 
     def test_multigrid_path_matches_direct(self, rng):
         # (64, 63) cells: an even interior axis, interpolated one-sided
