@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import beta, betainc, betaincinv
 
 ROOT_TOL = 1e-10        # |F(c)| at the matching constant
+MAX_ROOT_STEPS = 100    # regula falsi steps before ConstructionError
 N_CAP = 400             # profile evaluation cap in double precision
 
 
@@ -56,16 +57,35 @@ def _invert(y, n: float, complement: bool = False) -> np.ndarray:
     """x with B_n(x) = y, or 1 - x when `complement`, elementwise.
 
     Each side is inverted directly, so each is accurate near its own zero.
+    betaincinv runs once per distinct value of y: on a symmetric grid, or
+    one whose tail is clipped to the endpoint, most values repeat.
     """
     a, b = _beta_exponents(n)
     total = beta(a, b)
-    y = np.clip(y, 0.0, total)
+    values, index = np.unique(np.clip(y, 0.0, total), return_inverse=True)
     # inside the roundoff band of the endpoint x is 1; fractional-power
     # evaluations downstream would amplify the residual otherwise
-    end = y >= total - 1e-12 * (1.0 + total)
+    end = values >= total - 1e-12 * (1.0 + total)
     if complement:
-        return np.where(end, 0.0, betaincinv(b, a, (total - y) / total))
-    return np.where(end, 1.0, betaincinv(a, b, y / total))
+        return np.where(end, 0.0, betaincinv(b, a, (total - values) / total))[index]
+    return np.where(end, 1.0, betaincinv(a, b, values / total))[index]
+
+
+def _invert_scalar(y: float, n: float) -> tuple[float, float]:
+    """(x, 1 - x) with B_n(x) = y: `_invert` in float arithmetic, both sides.
+
+    Raises ValueError for y outside [0, B_n(1)] beyond roundoff; inside, y is
+    clipped and the endpoint band applies as in `_invert`.
+    """
+    a, b = _beta_exponents(n)
+    total = float(beta(a, b))
+    if y < -1e-12 or y > total + 1e-9:
+        raise ValueError(f"value {y} outside [0, B_n(1) = {total}]")
+    y = min(max(y, 0.0), total)
+    if y >= total - 1e-12 * (1.0 + total):
+        return 1.0, 0.0
+    return (float(betaincinv(a, b, y / total)),
+            float(betaincinv(b, a, (total - y) / total)))
 
 
 def beta_integral(x: float, n: float) -> float:
@@ -80,12 +100,7 @@ def beta_integral(x: float, n: float) -> float:
 
 def beta_integral_inverse(y: float, n: float) -> float:
     """Monotone inverse of B_n on [0, B_n(1)]."""
-    n = _check_n(n)
-    y = float(y)
-    total = beta(*_beta_exponents(n))
-    if y < -1e-12 or y > total + 1e-9:
-        raise ValueError(f"value {y} outside [0, B_n(1) = {total}]")
-    return float(_invert(y, n))
+    return _invert_scalar(float(y), _check_n(n))[0]
 
 
 def beta_total_closed_form(n: float) -> float:
@@ -179,7 +194,7 @@ def profile_value(t, n: float, c: float):
 def profile_power(t, n: float, c: float):
     """w^{n+1}(t), evaluated as (1-x)^{(n+1)/(n-1)} for accuracy near the zero."""
     n = _check_n(n)
-    t = np.clip(np.asarray(t, dtype=float), 0.0, first_zero(c, n))
+    t = _domain(t, first_zero(c, n))
     return _result(t, _exp((n + 1.0) * _log_profile(t, n, c)))
 
 
@@ -190,56 +205,46 @@ def matching_slope_gap(n: float, c: float) -> float:
     strictly increasing in c on the matching bracket.
     """
     n = _check_n(n)
-    y = math.sqrt(2.0 / c)
-    x1 = beta_integral_inverse(y, n)
-    xi1 = float(_invert(y, n, complement=True))
+    x1, xi1 = _invert_scalar(math.sqrt(2.0 / c), n)
     return xi1 ** ((n + 1.0) / (n - 1.0)) - 2.0 / (c * (n - 1.0) ** 2) * x1
 
 
 def matching_constant(n: float) -> float:
     """The unique c in (c_lower, c_upper] with matching_slope_gap(c) = 0.
 
-    Bracketed bisection down to a 1e-6 relative bracket, then secant polish
-    to |F| <= 1e-10.
+    Illinois regula falsi (Dowell and Jarratt, BIT 11 (1971) 168-174) on the
+    bracket [c_lower (1 + 1e-6), c_upper], stopped at |F| <= ROOT_TOL: the
+    secant of the bracket ends, with the kept end's value halved when the
+    same end is kept twice in a row.  About a dozen evaluations of F.
     """
     n = _check_n(n)
-    c_lo = lower_matching_bound(n) * (1.0 + 1e-6)
-    c_hi = upper_matching_bound(n)
-    f_lo = matching_slope_gap(n, c_lo)
-    f_hi = matching_slope_gap(n, c_hi)
-    if not (f_lo < 0.0 < f_hi):
+    a = lower_matching_bound(n) * (1.0 + 1e-6)
+    b = upper_matching_bound(n)
+    fa = matching_slope_gap(n, a)
+    fb = matching_slope_gap(n, b)
+    if not (fa < 0.0 < fb):
         raise ConstructionError(
             f"no sign change on the matching bracket at n={n}: "
-            f"F({c_lo:.6g}) = {f_lo:.3e}, F({c_hi:.6g}) = {f_hi:.3e}")
-    a, b, fa = c_lo, c_hi, f_lo
-    while (b - a) > 1e-6 * a:
-        mid = 0.5 * (a + b)
-        fm = matching_slope_gap(n, mid)
-        if fm < 0.0:
-            a, fa = mid, fm
-        else:
-            b = mid
-    c, fc = a, fa
-    c_other, f_other = b, matching_slope_gap(n, b)
-    for _ in range(80):
+            f"F({a:.6g}) = {fa:.3e}, F({b:.6g}) = {fb:.3e}")
+    kept = 0        # +1 when b was kept by the last step, -1 when a was
+    for _ in range(MAX_ROOT_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = matching_slope_gap(n, c)
         if abs(fc) <= ROOT_TOL:
             return c
-        denom = fc - f_other
-        if denom == 0.0:
-            break
-        c_next = c - fc * (c - c_other) / denom
-        if not (a <= c_next <= b):
-            c_next = 0.5 * (a + b)
-        c_other, f_other = c, fc
-        c, fc = c_next, matching_slope_gap(n, c_next)
         if fc < 0.0:
-            a = c
+            a, fa = c, fc
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
         else:
-            b = c
-    if abs(fc) > ROOT_TOL:
-        raise ConstructionError(
-            f"matching constant refinement stalled at n={n}, |F| = {abs(fc):.3e}")
-    return c
+            b, fb = c, fc
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+    raise ConstructionError(
+        f"matching constant did not converge at n={n} in {MAX_ROOT_STEPS} "
+        f"steps, |F| = {abs(fc):.3e}")
 
 
 def glued_profile(t, n: float, c: float):
@@ -252,7 +257,7 @@ def glued_profile(t, n: float, c: float):
 def glued_profile_power(t, n: float, c: float):
     """y^{n+1}(t) for the glued profile, stable for large n."""
     n = _check_n(n)
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 2.0)
+    t = _domain(t, 2.0)
     return _result(t, _exp((n + 1.0) * _log_glued(t, n, c)))
 
 

@@ -236,7 +236,8 @@ class SingularSolution:
 
 def solve_singular(spec: ProblemSpec,
                    m_schedule: Optional[Sequence[int]] = None, *,
-                   compacta: Sequence = ()) -> SingularSolution:
+                   compacta: Sequence = (),
+                   operator: Optional[SparseOperator] = None) -> SingularSolution:
     """Outer limit m -> infinity over an increasing regularization schedule.
 
     Each m warm-starts from a polynomial extrapolation in eps = 1/m through
@@ -248,12 +249,17 @@ def solve_singular(spec: ProblemSpec,
     gamma in the hundreds).  `solve_regularized` clips the start to u >= 0.
     Convergence is declared on the nodal sup-gap, not the residual: the
     singular right-hand side amplifies residuals near the boundary while
-    monotone convergence makes the gap a faithful rule.
+    monotone convergence makes the gap a faithful rule.  `operator` is the
+    assembled A of `spec` (a sweep assembles it once for all exponents);
+    one on another grid raises ValueError.
     """
     schedule = check_m_schedule(m_schedule if m_schedule is not None
                                 else default_m_schedule())
 
-    op = assemble(spec.grid, spec.coefficients)
+    if operator is not None and operator.grid != spec.grid:
+        raise ValueError(f"operator grid {operator.grid} does not match the "
+                         f"problem grid {spec.grid}")
+    op = operator if operator is not None else assemble(spec.grid, spec.coefficients)
     pos = (spec.datum_values() > 0).astype(float)
     trace: list[RegularizedIterate] = []
     gap = np.inf

@@ -14,7 +14,8 @@ import numpy as np
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import LinearSolveError, MeasureData, assemble, solve_measure
+from .operators import (LinearSolveError, MeasureData, SparseOperator, assemble,
+                        solve_measure)
 from .solver import (RESIDUAL_FLOOR, NonlinearSolveError, SingularSolution,
                      linfty_certificate, quasilinear_residual,
                      singular_mass_density, solve_singular, to_quasilinear,
@@ -238,10 +239,12 @@ def _h1_seminorm(v: GridFunction) -> float:
 
 
 def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
-               residual_floor: float) -> tuple[SweepRow, Optional[SingularSolution]]:
+               residual_floor: float,
+               operator: SparseOperator) -> tuple[SweepRow, Optional[SingularSolution]]:
     spec_n = replace(spec, gamma=float(n))
     try:
-        sol = solve_singular(spec_n, m_schedule, compacta=compacta)
+        sol = solve_singular(spec_n, m_schedule, compacta=compacta,
+                             operator=operator)
     except (NonlinearSolveError, LinearSolveError) as exc:
         # numeric per-row failures are recorded, the sweep continues
         nans = (math.nan,) * len(compacta)
@@ -284,7 +287,7 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               residual_floor: float = RESIDUAL_FLOOR) -> SweepReport:
     """One singular solve per exponent, all diagnostics filled.
 
-    Numeric per-row failures (a nonlinear or linear solve that does not
+    A is assembled once and shared by every exponent's solve.  Numeric per-row failures (a nonlinear or linear solve that does not
     converge) are recorded in the row and the sweep continues; any other
     exception propagates.  The largest successful solve doubles as the
     empirical pointwise limit; when the datum is a compactly-contained
@@ -292,7 +295,8 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     check are attached.
     """
     ns = check_n_list(n_list)
-    results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor)
+    op = assemble(spec.grid, spec.coefficients)
+    results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor, op)
                for n in ns]
 
     rows = tuple(r for r, _ in results)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta, betaincinv
 
+import singell.analytic as analytic
 from singell import (OneDProfile, beta_integral, beta_integral_inverse,
                      beta_total_closed_form, first_zero, gamma_fn,
                      glued_profile, limit_profiles, lower_matching_bound,
@@ -91,6 +93,31 @@ class TestBetaInverse:
             beta_integral_inverse(-0.1, 5)
         with pytest.raises(ValueError):
             beta_integral_inverse(beta_integral(1.0, 5) + 1e-3, 5)
+
+    @pytest.mark.parametrize("shape", [(), (13,), (4, 6)])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_deduplicated_inverse_matches_elementwise(self, rng, shape,
+                                                      complement):
+        # repeated values, both clipped ends and the endpoint band
+        for n in (3, 9, 400):
+            a, b = 0.5, 0.5 + 1.0 / (n - 1.0)
+            total = beta(a, b)
+            pool = np.array([-1e-13, 0.0, 0.3 * total, 0.3 * total,
+                             total * (1.0 - 1e-13), total, total + 1e-10])
+            y = rng.choice(np.concatenate([pool, total * rng.random(3)]),
+                           size=shape)
+            want = np.empty(shape)
+            for idx in np.ndindex(shape):
+                yc = min(max(float(y[idx]), 0.0), float(total))
+                if yc >= total - 1e-12 * (1.0 + total):
+                    want[idx] = 0.0 if complement else 1.0
+                elif complement:
+                    want[idx] = betaincinv(b, a, (total - yc) / total)
+                else:
+                    want[idx] = betaincinv(a, b, yc / total)
+            got = analytic._invert(y, n, complement=complement)
+            assert np.shape(got) == shape
+            assert np.array_equal(got, want)
 
 
 class TestParametrization:
@@ -185,6 +212,47 @@ class TestMatchingConstant:
     def test_limit_value(self):
         assert abs(matching_constant(400) - 2.0 / math.pi ** 2) <= 0.01
 
+    def test_float_path_matches_array_path(self):
+        # the reference: F evaluated through the array inversion
+        def gap_by_arrays(n, c):
+            y = np.asarray(math.sqrt(2.0 / c))
+            x1 = float(analytic._invert(y, n))
+            xi1 = float(analytic._invert(y, n, complement=True))
+            return xi1 ** ((n + 1.0) / (n - 1.0)) - 2.0 / (c * (n - 1.0) ** 2) * x1
+
+        for n in (3, 4.5, 9, 33, 100, 400):
+            lo, hi = lower_matching_bound(n), upper_matching_bound(n)
+            for c in np.linspace(lo * (1.0 + 1e-6), hi, 40):
+                assert matching_slope_gap(n, c) == gap_by_arrays(n, c)
+
+    def test_gap_below_the_bracket_is_a_domain_error(self):
+        with pytest.raises(ValueError):
+            matching_slope_gap(9, 0.5 * lower_matching_bound(9))
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 33, 400])
+    def test_few_evaluations_and_small_gap(self, monkeypatch, n):
+        calls = []
+        gap = analytic.matching_slope_gap
+
+        def counted(n_, c):
+            calls.append(c)
+            return gap(n_, c)
+
+        monkeypatch.setattr(analytic, "matching_slope_gap", counted)
+        c = matching_constant(n)
+        assert len(calls) <= 16
+        assert abs(gap(n, c)) <= analytic.ROOT_TOL
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "matching_slope_gap", lambda n, c: 1.0)
+        with pytest.raises(analytic.ConstructionError, match="no sign change"):
+            matching_constant(9)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "MAX_ROOT_STEPS", 2)
+        with pytest.raises(analytic.ConstructionError, match="did not converge"):
+            matching_constant(9)
+
 
 class TestGluedProfile:
     def test_boundary_zero(self):
@@ -208,6 +276,40 @@ class TestGluedProfile:
     def test_domain(self):
         with pytest.raises(ValueError):
             glued_profile(2.1, 3, 1.0)
+
+
+class TestProfilePowers:
+    """w^{n+1} and y^{n+1} check their domain like the profiles do."""
+
+    @pytest.mark.parametrize("t", [-0.1, 2.5])
+    def test_profile_power_domain(self, t):
+        with pytest.raises(ValueError):
+            analytic.profile_power(t, 3, 1.0)
+        with pytest.raises(ValueError):
+            analytic.profile_power(np.array([0.0, t]), 3, 1.0)
+
+    @pytest.mark.parametrize("t", [-0.1, 2.1])
+    def test_glued_profile_power_domain(self, t):
+        with pytest.raises(ValueError):
+            analytic.glued_profile_power(t, 3, 1.0)
+        with pytest.raises(ValueError):
+            analytic.glued_profile_power(np.array([1.0, t]), 3, 1.0)
+
+    def test_values_inside_the_domain(self):
+        for n in (3, 9, 400):
+            c = matching_constant(n)
+            T = first_zero(c, n)
+            ts = np.linspace(0.0, T, 9)
+            want = np.exp((n + 1.0) * analytic._log_profile(ts, n, c))
+            assert np.array_equal(analytic.profile_power(ts, n, c), want)
+            tg = np.linspace(0.0, 2.0, 9)
+            want = np.exp(np.minimum((n + 1.0) * analytic._log_glued(tg, n, c),
+                                     700.0))
+            assert np.array_equal(analytic.glued_profile_power(tg, n, c), want)
+        # n = 3, c = 1: w^4 = (1 - t^2/2)^2, zero at the first zero sqrt(2)
+        assert abs(analytic.profile_power(1.0, 3, 1.0) - 0.25) <= 1e-12
+        assert analytic.profile_power(math.sqrt(2.0), 3, 1.0) == 0.0
+        assert analytic.glued_profile_power(2.0, 3, 1.0) == 0.0
 
 
 class TestLimitProfiles:

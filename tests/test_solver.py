@@ -150,6 +150,21 @@ class TestSolveSingular:
         assert not sol.stabilized
         assert sol.gap > 0.0
 
+    def test_given_operator_gives_the_same_solution(self, monkeypatch):
+        spec = matched_spec(12.0, 128)
+        fresh = solve_singular(spec, [1, 16, 256])
+        op = ops.assemble(spec.grid, spec.coefficients)
+        monkeypatch.setattr(solver_module, "assemble", None)   # never called
+        shared = solve_singular(spec, [1, 16, 256], operator=op)
+        assert np.array_equal(shared.u.values, fresh.u.values)
+
+    def test_operator_on_another_grid_raises(self):
+        spec = matched_spec(12.0, 128)
+        other = matched_spec(12.0, 64)
+        op = ops.assemble(other.grid, other.coefficients)
+        with pytest.raises(ValueError, match="does not match"):
+            solve_singular(spec, [1, 16], operator=op)
+
     def test_1d_runs_no_superlu(self, monkeypatch):
         # 1-D systems are tridiagonal: banded Cholesky, never a sparse LU
         calls = []

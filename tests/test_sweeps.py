@@ -194,6 +194,23 @@ class TestRunSweep:
         depths = [r.fitted_depth[0] for r in report.rows]
         assert max(depths) <= 4.0
 
+    def test_assembles_once_per_sweep(self, monkeypatch):
+        import singell.solver as solver_mod
+        import singell.sweeps as sweeps_mod
+
+        grids = []
+
+        def counted(grid, coefficients):
+            grids.append(grid)
+            return ops.assemble(grid, coefficients)
+
+        monkeypatch.setattr(sweeps_mod, "assemble", counted)
+        monkeypatch.setattr(solver_mod, "assemble", counted)
+        spec = interval_spec(10.0, 128)
+        report = run_sweep(spec, [10, 20, 40])
+        assert not any(r.failed for r in report.rows)
+        assert grids == [spec.grid]
+
     def test_requires_increasing_n(self):
         with pytest.raises(ValueError):
             run_sweep(matched_spec(10.0, 64), [10, 10])
