@@ -63,6 +63,7 @@ def _invert(y, n: float, complement: bool = False) -> np.ndarray:
     a, b = _beta_exponents(n)
     total = beta(a, b)
     values, index = np.unique(np.clip(y, 0.0, total), return_inverse=True)
+    index = index.reshape(np.shape(y))    # flat on numpy 1.x, shaped like y on 2.x
     # inside the roundoff band of the endpoint x is 1; fractional-power
     # evaluations downstream would amplify the residual otherwise
     end = values >= total - 1e-12 * (1.0 + total)

@@ -45,7 +45,7 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> int:
                                 u.values.ravel(), v.values.ravel()])
         write_csv(out / "solution.csv",
                   axis_names + ["u (singular solution)", "v = u^(g+1)/(g+1)"],
-                  rows.tolist())
+                  rows)
 
     f = spec.datum_values()
     res = quasilinear_residual(v, spec.gamma, f, floor=config.residual_floor)
@@ -147,7 +147,7 @@ def cmd_oned(config: ExperimentConfig, out: Path) -> int:
         write_csv(out / "oned.csv", header, rows)
         ts0 = next(iter(profiles.values()))[0]
         prof_rows = np.column_stack([ts0, *(y for _, y in profiles.values())])
-        write_csv(out / "profiles.csv", ["t", *profiles], prof_rows.tolist())
+        write_csv(out / "profiles.csv", ["t", *profiles], prof_rows)
     if "json" in config.formats:
         write_json(out / "summary.json", {
             "label": config.label, "geometry": geometry,

@@ -3,14 +3,19 @@
 The assembled matrix acts on interior nodes only; Dirichlet rows are
 eliminated.  Assembly certifies the M-matrix sign pattern, which is the
 discrete comparison-principle certificate used throughout.  This module is
-also the one place that holds sparse matrices (CSR) and decides how they
-are solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b
-on A's multigrid hierarchy, built once per operator.  Each solver writes the
-shift into copies of the cached level matrices' diagonals, smooths with
-damped Jacobi and solves the coarsest level by LAPACK banded Cholesky
-(`solveh_banded`), the package's only direct solve.  A grid that does not
-coarsen, every 1-D grid among them, is that coarsest level: its solve is
-direct.  Otherwise CG stops at the relative residual `rtol`:
+also the one place that holds sparse matrices and decides how they are
+solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b
+on A's multigrid hierarchy, built once per operator.  Products with A and
+with every smoothed level run in diagonal (DIA) storage, offsets ascending
+(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003,
+sec. 3.4): each row then sums its entries in the CSR column order, so the
+products are bit-identical to CSR ones and read no index array.  Each
+solver adds the shift to one row of a copy of every level's diagonals,
+smooths with damped Jacobi and solves the coarsest level by LAPACK banded
+Cholesky, factored once per solver (`pttrf`/`pbtrf`, the pair
+`solveh_banded` runs); that is the package's only direct solve.  A grid
+that does not coarsen, every 1-D grid among them, is that coarsest level:
+its solve is direct.  Otherwise CG stops at the relative residual `rtol`:
 `CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
 Newton steps.  Every solver counts the CG iterations it ran in `iterations`
 (0 if direct).
@@ -71,8 +76,14 @@ class SparseOperator:
         full[(slice(1, -1),) * self.grid.dim] = vec.reshape(self.grid.interior_shape)
         return GridFunction(self.grid, full)
 
+    @functools.cached_property
+    def diagonals(self) -> sp.dia_matrix:
+        """A in diagonal storage, offsets ascending: its products equal the
+        CSR ones bit for bit."""
+        return self.matrix.todia()
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        return self.diagonals @ vec
 
     @functools.cached_property
     def _product_error_scale(self) -> float:
@@ -87,20 +98,22 @@ class SparseOperator:
 
     @functools.cached_property
     def _hierarchy(self) -> tuple[list[tuple], tuple]:
-        """A's Galerkin levels, (A_l, the slots of its diagonal in A_l.data,
-        |A_l| row sums, P, R, P 1) each, and the coarsest matrix (A itself
-        where the grid does not coarsen) as `_coarse_bands` returns it."""
+        """A's Galerkin levels, (A_l in diagonal storage, the row of its main
+        diagonal in A_l.data, |A_l| row sums, P, R, P 1) each, and the
+        coarsest matrix (A itself where the grid does not coarsen) as
+        `_coarse_bands` returns it.  The CSR Galerkin products are formed
+        once here and not kept."""
         levels = []
         matrix = self.matrix
         shapes = [self.grid.interior_shape] + _coarse_shapes(self.grid.interior_shape)
         for shape in shapes[:-1]:
             interp, restrict = _interpolation(shape)
-            rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-            levels.append((matrix, np.flatnonzero(matrix.indices == rows),
+            stored = matrix.todia() if levels else self.diagonals
+            levels.append((stored, int(np.flatnonzero(stored.offsets == 0)[0]),
                            np.asarray(abs(matrix).sum(axis=1)).ravel(), interp, restrict,
                            np.asarray(interp.sum(axis=1)).ravel()))
             matrix = restrict @ matrix @ interp
-            matrix.sort_indices()   # canonical now: sorted later in place, it would move the slots
+            matrix.sort_indices()   # canonical: the next product sums in column order
         return levels, _coarse_bands(matrix, shapes[-1])
 
     def solver(self, shift: Optional[np.ndarray] = None,
@@ -230,7 +243,13 @@ def _coarse_bands(matrix: sp.csr_matrix, shape: tuple[int, ...]) -> tuple:
 
 class _Banded:
     """Banded Cholesky solve of (B + diag(shift)) x = b for B given as
-    `_coarse_bands`: direct, so no CG iterations."""
+    `_coarse_bands`: direct, so no CG iterations.
+
+    The factor is computed once, here, by the LAPACK routine that
+    `solveh_banded` runs before its solve (`pttrf` on two bands, `pbtrf`
+    otherwise), and `bands` holds it in the same layout, so each call is
+    bit-identical to `solveh_banded` on the shifted bands.
+    """
 
     iterations = 0
 
@@ -239,26 +258,48 @@ class _Banded:
         self.shape, self.axes = shape, axes
         self.bands = bands.copy()
         self.bands[-1] += self._renumbered(shift)
+        if len(self.bands) == 2:
+            d, e, info = sla.lapack.dpttrf(self.bands[1], self.bands[0, 1:])
+            self.bands[1], self.bands[0, 1:] = d, e
+        else:
+            self.bands, info = sla.lapack.dpbtrf(self.bands)
+        _check_lapack(info)
 
     def _renumbered(self, v: np.ndarray) -> np.ndarray:
         return v.reshape(self.shape).transpose(self.axes).ravel()
 
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        if len(self.bands) == 2:
+            x, info = sla.lapack.dpttrs(self.bands[1], self.bands[0, 1:], b)
+        else:
+            x, info = sla.lapack.dpbtrs(self.bands, b)
+        _check_lapack(info)
+        return x
+
     def __call__(self, b: np.ndarray) -> np.ndarray:
         x = np.empty(self.shape)
         renumbered = x.transpose(self.axes)   # a view: writing it fills x
-        renumbered[...] = sla.solveh_banded(self.bands, self._renumbered(b)).reshape(
-            renumbered.shape)
+        renumbered[...] = self._solve(self._renumbered(b)).reshape(renumbered.shape)
         return x.ravel()
+
+
+def _check_lapack(info: int) -> None:
+    """Raise as `solveh_banded` does on a nonzero LAPACK `info`."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal LAPACK call")
 
 
 class _Multigrid:
     """CG on A + diag(d), preconditioned by a symmetric geometric V-cycle.
 
     Level l is A's P^T A P plus diag(d_l), d_{l+1} = R (d_l * P 1) the
-    row-lumped image of d_l, written into a copy of the cached level's data,
-    so every sweep, residual and CG product is one CSR product.  Damped
-    Jacobi smooths every level but the coarsest, which is solved by banded
-    Cholesky (with no coarser level, that is the solve).  The divisor
+    row-lumped image of d_l, added to the main-diagonal row of a copy of the
+    cached level's DIA data, so every sweep, residual and CG product is one
+    DIA product.  Damped Jacobi smooths every level but the coarsest, which
+    is solved by banded Cholesky (with no coarser level, that is the solve),
+    factored here once.  Sweeps and residuals update in place.  The divisor
     max(diagonal, half the absolute row sum) keeps the smoother convergent
     on anisotropic Galerkin levels, so the V-cycle stays SPD.
     """
@@ -269,11 +310,11 @@ class _Multigrid:
         self.rtol = rtol
         self.iterations = 0       # CG iterations over all calls
         self.levels = []          # (A_l + diag(d_l), omega / divisor, P, R) per smoothed level
-        for matrix, slots, abs_rows, interp, restrict, interp_rows in levels:
+        for matrix, main, abs_rows, interp, restrict, interp_rows in levels:
             data = matrix.data.copy()
-            data[slots] += shift
-            shifted = sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
-            divisor = np.maximum(data[slots], 0.5 * (abs_rows + shift))
+            data[main] += shift
+            shifted = sp.dia_matrix((data, matrix.offsets), shape=matrix.shape)
+            divisor = np.maximum(data[main], 0.5 * (abs_rows + shift))
             self.levels.append((shifted, JACOBI_WEIGHT / divisor, interp, restrict))
             shift = restrict @ (shift * interp_rows)
         self.coarse_solve = _Banded(*coarsest, shift)
@@ -283,15 +324,16 @@ class _Multigrid:
         for matrix, scale, _, restrict in self.levels:
             x = scale * r
             for _ in range(SMOOTHING_SWEEPS - 1):
-                x += scale * (r - matrix @ x)
+                _smooth(matrix, scale, r, x)
             stack.append((r, x))
-            r = restrict @ (r - matrix @ x)
+            t = matrix @ x
+            r = restrict @ np.subtract(r, t, out=t)
         e = self.coarse_solve(r)
         for (matrix, scale, interp, _), (r, x) in zip(reversed(self.levels),
                                                      reversed(stack)):
             x += interp @ e
             for _ in range(SMOOTHING_SWEEPS):
-                x += scale * (r - matrix @ x)
+                _smooth(matrix, scale, r, x)
             e = x
         return e
 
@@ -312,6 +354,15 @@ class _Multigrid:
         return x
 
 
+def _smooth(matrix: sp.dia_matrix, scale: np.ndarray, r: np.ndarray,
+            x: np.ndarray) -> None:
+    """One damped Jacobi sweep x += scale (r - matrix x), in place."""
+    t = matrix @ x
+    np.subtract(r, t, out=t)
+    t *= scale
+    x += t
+
+
 def solve_linear(op: SparseOperator, rhs: GridFunction) -> GridFunction:
     """Solve op u = rhs with zero boundary values.
 
@@ -325,7 +376,7 @@ def solve_linear(op: SparseOperator, rhs: GridFunction) -> GridFunction:
     bound = RESIDUAL_BOUND * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     x = op.solve(b)
     for refinement in range(3):
-        res = b - op.matrix @ x
+        res = b - op.apply(x)
         residual = float(np.max(np.abs(res), initial=0.0))
         if residual <= bound + op.rounding_floor(x):
             return op.full_from_interior(x)

@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 FLOAT_FORMAT = "%.17g"
 
 
@@ -26,10 +28,15 @@ def format_value(value) -> str:
     return text
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
+    """A CSV table; a 2-D float array is written with one format per row,
+    the same text as `format_value` field by field."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        row_format = ",".join([FLOAT_FORMAT] * rows.shape[1])
+        lines.extend(row_format % tuple(row) for row in rows.tolist())
+    else:
+        lines.extend(",".join(format_value(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

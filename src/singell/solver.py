@@ -157,7 +157,7 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     pos = np.flatnonzero(f_int > 0)
     log_f = (pos, np.log(f_int[pos]))
 
-    A = op.matrix
+    A = op.diagonals
     if initial is not None:
         u = np.maximum(op.interior_of(initial), 0.0)
     else:

@@ -119,6 +119,18 @@ class TestBetaInverse:
             assert np.shape(got) == shape
             assert np.array_equal(got, want)
 
+    def test_flat_unique_inverse_keeps_the_shape(self, monkeypatch):
+        # numpy 1.x returns the inverse indices of np.unique flat
+        real = np.unique
+
+        def flat_inverse(*args, **kwargs):
+            values, index = real(*args, **kwargs)
+            return values, index.ravel()
+        y = np.linspace(0.0, 1.0, 24).reshape(4, 6)
+        want = analytic._invert(y, 9)
+        monkeypatch.setattr(np, "unique", flat_inverse)
+        assert np.array_equal(analytic._invert(y, 9), want) and want.shape == (4, 6)
+
 
 class TestParametrization:
     def test_amplitude_n3_is_one(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from singell.cli import main
 from singell.config import load_config
+from singell.reporting import write_csv
 from singell.solver import NonlinearSolveError, solve_singular
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -53,6 +54,15 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_float_table_is_written_as_field_by_field(tmp_path):
+    # one format per row of an array, the same bytes as format_value per field
+    rows = np.random.default_rng(3).standard_normal((40, 4)) * np.logspace(-300, 300, 4)
+    rows[:4, 1] = [np.nan, np.inf, -np.inf, -0.0]
+    write_csv(tmp_path / "array.csv", ["a", "b", "c", "d"], rows)
+    write_csv(tmp_path / "lists.csv", ["a", "b", "c", "d"], rows.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
 
 class TestSolveCommand:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import singell.operators as ops
 from singell import (CoefficientField, GridFunction, LinearSolveError,
                      MeasureData, assemble, make_uniform_grid, solve_linear,
-                     solve_measure)
+                     solve_measure, solve_singular)
 from singell.config import load_config
 from conftest import record_direct_solves
 
@@ -266,6 +266,84 @@ def banded_solve(op, d, b):
     return x
 
 
+def solveh_banded_renumbered(bands, shape, axes, b):
+    """`solveh_banded` on the unknowns renumbered as `_coarse_bands` does."""
+    x = np.empty(shape)
+    renumbered = x.transpose(axes)
+    renumbered[...] = sla.solveh_banded(
+        bands, b.reshape(shape).transpose(axes).ravel()).reshape(renumbered.shape)
+    return x.ravel()
+
+
+class CsrMultigrid:
+    """The CSR reference of `ops._Multigrid`: every level a CSR Galerkin
+    matrix with the shift scattered into its diagonal slots, sweeps and
+    residuals out of place, the coarsest level solved by `solveh_banded` on
+    every call.  The solver in diagonal storage must reproduce it bit for bit."""
+
+    def __init__(self, op, shift, rtol):
+        self.rtol, self.iterations, self.levels = rtol, 0, []
+        matrix = op.matrix
+        shapes = [op.grid.interior_shape] + ops._coarse_shapes(op.grid.interior_shape)
+        for shape in shapes[:-1]:
+            interp, restrict = ops._interpolation(shape)
+            rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+            slots = np.flatnonzero(matrix.indices == rows)
+            data = matrix.data.copy()
+            data[slots] += shift
+            shifted = sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+            abs_rows = np.asarray(abs(matrix).sum(axis=1)).ravel()
+            divisor = np.maximum(data[slots], 0.5 * (abs_rows + shift))
+            self.levels.append((shifted, ops.JACOBI_WEIGHT / divisor, interp, restrict))
+            shift = restrict @ (shift * np.asarray(interp.sum(axis=1)).ravel())
+            matrix = restrict @ matrix @ interp
+            matrix.sort_indices()
+        bands, self.shape, self.axes = ops._coarse_bands(matrix, shapes[-1])
+        self.bands = bands.copy()
+        self.bands[-1] += shift.reshape(self.shape).transpose(self.axes).ravel()
+
+    def coarse_solve(self, b):
+        return solveh_banded_renumbered(self.bands, self.shape, self.axes, b)
+
+    def _vcycle(self, r):
+        stack = []
+        for matrix, scale, _, restrict in self.levels:
+            x = scale * r
+            for _ in range(ops.SMOOTHING_SWEEPS - 1):
+                x += scale * (r - matrix @ x)
+            stack.append((r, x))
+            r = restrict @ (r - matrix @ x)
+        e = self.coarse_solve(r)
+        for (matrix, scale, interp, _), (r, x) in zip(reversed(self.levels),
+                                                     reversed(stack)):
+            x += interp @ e
+            for _ in range(ops.SMOOTHING_SWEEPS):
+                x += scale * (r - matrix @ x)
+            e = x
+        return e
+
+    def _count(self, _x):
+        self.iterations += 1
+
+    def __call__(self, b):
+        if not self.levels:
+            return self.coarse_solve(b)
+        system = self.levels[0][0]
+        precond = spla.LinearOperator(system.shape, matvec=self._vcycle, dtype=float)
+        x, info = spla.cg(system, b, rtol=self.rtol, atol=0.0,
+                          maxiter=ops.CG_MAX_ITERATIONS, M=precond, callback=self._count)
+        assert info == 0
+        return x
+
+
+def csr_reference(monkeypatch):
+    """Route every solve and product with A through CSR and `CsrMultigrid`."""
+    monkeypatch.setattr(ops.SparseOperator, "diagonals", property(lambda op: op.matrix))
+    monkeypatch.setattr(ops.SparseOperator, "solver",
+                        lambda op, shift=None, rtol=ops.CG_RELATIVE_TOL: CsrMultigrid(
+                            op, np.zeros(op.n_unknowns) if shift is None else shift, rtol))
+
+
 class TestSpdSolver:
     @settings(max_examples=25, deadline=None)
     @given(base=st.tuples(st.sampled_from([3, 4, 5]), st.sampled_from([3, 4, 5])),
@@ -373,6 +451,101 @@ class TestSpdSolver:
         monkeypatch.setattr(ops, "CG_MAX_ITERATIONS", 1)
         with pytest.raises(LinearSolveError):
             op.solver(d)(b)
+
+
+class TestDiagonalStorage:
+    """Every product and solve in diagonal storage, bit-identical to CSR."""
+
+    @pytest.mark.parametrize("cells", [(64, 64), (63, 80), (96, 40)])
+    def test_levels_equal_the_csr_galerkin_levels(self, cells):
+        op, _, _ = random_spd_system(6, cells, (1.0, 2.0), 10.0, 0.0)
+        levels, _ = op._hierarchy
+        assert len(levels) >= 2 and levels[0][0] is op.diagonals
+        matrix = op.matrix
+        for stored, main, *_, interp, restrict, _ in levels:
+            assert np.all(np.diff(stored.offsets) > 0) and stored.offsets[main] == 0
+            assert np.array_equal(stored.toarray(), matrix.toarray())
+            matrix = restrict @ matrix @ interp
+            matrix.sort_indices()
+
+    def test_products_equal_csr_products(self, rng):
+        op, _, _ = random_spd_system(7, (40, 24), (1.0, 0.5), 10.0, 0.0)
+        levels, _ = op._hierarchy
+        matrix = op.matrix
+        for stored, *_, interp, restrict, _ in levels:
+            x = rng.standard_normal(matrix.shape[0])
+            assert np.array_equal(stored @ x, matrix @ x)
+            matrix = restrict @ matrix @ interp
+            matrix.sort_indices()
+        x = rng.standard_normal(op.n_unknowns)
+        assert np.array_equal(op.apply(x), op.matrix @ x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(base=st.tuples(st.sampled_from([3, 4, 5]), st.sampled_from([3, 4, 5])),
+           k=st.tuples(st.integers(3, 4), st.integers(3, 4)),
+           odd=st.tuples(st.booleans(), st.booleans()),
+           widths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           contrast=st.floats(1.0, 10.0), shift=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_vcycle_and_solve_equal_the_csr_reference(self, base, k, odd, widths,
+                                                      contrast, shift, seed):
+        cells = tuple(c * 2 ** e - o for c, e, o in zip(base, k, odd))
+        op, d, b = random_spd_system(seed, cells, widths, contrast, shift)
+        solve, reference = op.solver(d, rtol=1e-8), CsrMultigrid(op, d, 1e-8)
+        assert np.array_equal(solve._vcycle(b), reference._vcycle(b))
+        assert np.array_equal(solve(b), reference(b))
+        assert solve.iterations == reference.iterations > 0
+
+    @pytest.mark.parametrize("cells", [64, (12, 12), (6, 40), (40, 64)])
+    def test_coarse_solve_equals_solveh_banded(self, cells, rng):
+        lo, hi = ((0.0, 1.0) if np.isscalar(cells) else ((0.0, 0.0), (1.0, 1.0)))
+        g = make_uniform_grid(lo, hi, cells)
+        op = assemble(g, CoefficientField.identity(g))
+        coarsest = op._hierarchy[1]
+        bands, shape, axes = coarsest
+        shift = rng.random(int(np.prod(shape)))
+        solve = ops._Banded(*coarsest, shift)
+        shifted = bands.copy()
+        shifted[-1] += shift.reshape(shape).transpose(axes).ravel()
+        assert solve.bands.shape == bands.shape
+        for b in [rng.standard_normal(shift.size) for _ in range(3)] * 2:
+            assert np.array_equal(solve(b), solveh_banded_renumbered(shifted, shape, axes, b))
+
+    @pytest.mark.parametrize("cells", [64, (40, 64)])
+    def test_coarse_factor_once_per_solver(self, cells, monkeypatch):
+        lo, hi = ((0.0, 1.0) if np.isscalar(cells) else ((0.0, 0.0), (1.0, 1.0)))
+        g = make_uniform_grid(lo, hi, cells)
+        op = assemble(g, CoefficientField.identity(g))
+        calls = []
+
+        def counting(name):
+            real = getattr(sla.lapack, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+        for name in ("dpttrf", "dpbtrf", "dptsv", "dpbsv"):
+            monkeypatch.setattr(sla.lapack, name, counting(name))
+        solve = op.solver(np.ones(op.n_unknowns))
+        for _ in range(3):
+            solve(np.ones(op.n_unknowns))
+        assert calls == ["dpttrf" if g.dim == 1 else "dpbtrf"]
+        assert g.dim == 1 or solve.iterations > 1
+
+    @pytest.mark.parametrize("cells", [64, (12, 12)])
+    def test_indefinite_shift_raises(self, cells):
+        lo, hi = ((0.0, 1.0) if np.isscalar(cells) else ((0.0, 0.0), (1.0, 1.0)))
+        g = make_uniform_grid(lo, hi, cells)
+        op = assemble(g, CoefficientField.identity(g))
+        shift = np.full(op.n_unknowns, -2.0 * np.max(op.matrix.diagonal()))
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solver(shift)
+
+    def test_square_solve_equals_the_csr_reference(self, monkeypatch):
+        spec = load_config(CONFIGS / "square_hole.json").spec
+        sol = solve_singular(spec)
+        csr_reference(monkeypatch)
+        reference = solve_singular(spec)
+        assert np.array_equal(sol.u.values, reference.u.values)
+        assert ([(it.iterations, it.linear_iterations) for it in sol.trace]
+                == [(it.iterations, it.linear_iterations) for it in reference.trace])
 
 
 @pytest.mark.parametrize("lo, hi, cells", [(0.0, 1.0, 16),
