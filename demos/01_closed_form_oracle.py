@@ -45,7 +45,8 @@ def main():
     print(f"\nquasilinear variable v = u^4/4: v(0) = {v.values[len(t)//2]:.6f} "
           f"(closed form 0.25)")
     print(f"sup |v - (1-t^2)^2/4| = {np.max(np.abs(v.values - v_exact)):.3e}")
-    res = quasilinear_residual(v, 3.0, spec.datum_values(), floor=1e-3)
+    res = quasilinear_residual(v, 3.0, spec.datum_values(),
+                               coefficients=spec.coefficients, floor=1e-3)
     print(f"residual of -v'' + (3/4) v'^2/v - 1 (mask floor 1e-3): "
           f"{res.masked_sup:.3e} over {res.evaluated} nodes")
 

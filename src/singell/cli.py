@@ -11,6 +11,7 @@ lacks them is refused before the output directory is made.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from functools import partial
@@ -20,14 +21,12 @@ import numpy as np
 
 from . import analytic
 from .config import ConfigError, ExperimentConfig, load_config
-from .grids import IndicatorDatum
 from .operators import LinearSolveError
 from .reporting import FLOAT_FORMAT, svg_line_plot, write_csv, write_json
-from .solver import (NonlinearSolveError, linfty_certificate,
-                     quasilinear_residual, solve_singular, to_quasilinear)
+from .solver import NonlinearSolveError, solve_singular, to_quasilinear
 from .sweeps import (HarmonicComparisonError, InconclusiveCheckError,
-                     conjecture_experiment, extract_atoms,
-                     limit_equation_check, measure_histogram, run_sweep)
+                     check_limit, conjecture_experiment, describe_solution,
+                     limit_check_applies, run_sweep)
 
 NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError,
                   analytic.ConstructionError, InconclusiveCheckError)
@@ -47,20 +46,18 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> int:
                   axis_names + ["u (singular solution)", "v = u^(g+1)/(g+1)"],
                   rows)
 
-    f = spec.datum_values()
-    res = quasilinear_residual(v, spec.gamma, f, floor=config.residual_floor)
+    row = describe_solution(sol, residual_floor=config.residual_floor)
     summary = {
         "label": config.label,
         "tolerances": config.tolerances,
         "gamma": spec.gamma,
-        "sup_norm_u": u.sup_norm(),
-        "sup_norm_v": v.sup_norm(),
-        "total_mass": sol.diagnostics["total_mass"],
+        "sup_norm_u": row.sup_norm,
+        "sup_norm_v": row.v_sup,
+        "total_mass": row.total_mass,
         "stabilized": sol.stabilized,
-        "schedule_gap": sol.diagnostics["gap"],
-        "quasilinear_residual": res.masked_sup,
-        "linfty_certificate": (linfty_certificate(u, spec.gamma, f)
-                               if np.max(f) > 0 else None),
+        "schedule_gap": sol.gap if math.isfinite(sol.gap) else None,
+        "quasilinear_residual": row.quasilinear_residual,
+        "linfty_certificate": row.certificate,
         "regularization_steps": [
             {"m": it.m, "iterations": it.iterations,
              "linear_iterations": it.linear_iterations, "stalled": it.stalled,
@@ -96,7 +93,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path) -> int:
                  "v_h1_seminorm", "error"])
     rows = [[r.n, r.sup_norm, r.total_mass, *r.compacta_min, *r.local_masses,
              *r.fitted_depth, r.quasilinear_residual, r.certificate, r.v_sup,
-             r.v_h1_seminorm, r.error or ""] for r in report.rows]
+             r.v_h1_seminorm, r.error] for r in report.rows]
     if "csv" in config.formats:
         write_csv(out / "sweep.csv", header, rows)
     summary = {
@@ -162,23 +159,22 @@ def cmd_oned(config: ExperimentConfig, out: Path) -> int:
 
 def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec
-    if not isinstance(spec.datum, IndicatorDatum):
-        raise ConfigError("limit-check requires an indicator datum")
+    if not limit_check_applies(spec):
+        raise ConfigError('limit-check requires an indicator datum with support "compact"')
     n = config.n_list[-1]
     sol = solve_singular(replace(spec, gamma=float(n)), config.m_schedule)
-    hist = measure_histogram(sol.u, spec, n, config.shell_distances)
-    gap = limit_equation_check(sol.u, hist, spec.coefficients)
-    atoms = extract_atoms(hist)
-    payload = {
+    check = check_limit(sol.u, spec, n, config.shell_distances)
+    if check.gap is None:
+        raise InconclusiveCheckError(check.inconclusive)
+    write_json(out / "limit_check.json", {
         "label": config.label,
         "n": n,
         "atoms": [{"location": list(loc), "mass": mass}
-                  for loc, mass in atoms.atoms],
-        "total_mass": hist.total,
-        "shell_fractions": hist.shell_fractions,
-        "reconstruction_gap": gap,
-    }
-    write_json(out / "limit_check.json", payload)
+                  for loc, mass in check.atoms.atoms],
+        "total_mass": check.histogram.total,
+        "shell_fractions": check.histogram.shell_fractions,
+        "reconstruction_gap": check.gap,
+    })
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .grids import (CoefficientField, ConstantDatum, Datum, GridFunction,
                     IndicatorDatum, ProblemSpec, TabulatedDatum,
                     check_ellipticity, make_uniform_grid)
-from .solver import RESIDUAL_FLOOR, check_m_schedule, default_m_schedule
+from .solver import RESIDUAL_FLOOR, check_m_schedule
 from .sweeps import check_n_list
 
 
@@ -109,23 +109,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
     sweep = raw.get("sweep", {})
-    _require_keys(sweep, {"n_list", "m_schedule", "m_schedule_k_max", "compacta",
-                          "shell_distances", "residual_floor", "tolerances"},
-                  set(), "sweep")
+    _require_keys(sweep, {"n_list", "m_schedule", "compacta", "shell_distances",
+                          "residual_floor", "tolerances"}, set(), "sweep")
     try:
         n_list = tuple(check_n_list(sweep.get("n_list", ())))
+        m_schedule = (tuple(check_m_schedule([int(m) for m in sweep["m_schedule"]]))
+                      if "m_schedule" in sweep else None)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep: {exc}") from exc
-    if "m_schedule" in sweep and "m_schedule_k_max" in sweep:
-        raise ConfigError("give either m_schedule or m_schedule_k_max, not both")
-    m_schedule: Optional[tuple] = None
-    if "m_schedule" in sweep or "m_schedule_k_max" in sweep:
-        schedule = ([int(m) for m in sweep["m_schedule"]] if "m_schedule" in sweep
-                    else default_m_schedule(int(sweep["m_schedule_k_max"])))
-        try:
-            m_schedule = tuple(check_m_schedule(schedule))
-        except ValueError as exc:
-            raise ConfigError(f"invalid sweep: {exc}") from exc
     compacta = tuple((tuple(np.atleast_1d(c[0]).astype(float)),
                       tuple(np.atleast_1d(c[1]).astype(float)))
                      for c in sweep.get("compacta", ()))

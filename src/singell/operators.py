@@ -152,32 +152,41 @@ def _verify_m_matrix(matrix: sp.csr_matrix) -> None:
         raise EllipticityError("assembled operator lost weak diagonal dominance")
 
 
+def face_weights(coefficients: CoefficientField) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis a, M_aa averaged arithmetically onto the faces below and above
+    each interior node (two interior-shaped arrays).  Only diagonal
+    coefficient matrices fit the 5-point pattern; others are rejected."""
+    if not coefficients.is_diagonal():
+        raise ValueError(
+            "5-point assembly supports diagonal coefficient matrices only")
+    dim = coefficients.grid.dim
+    out = []
+    for axis in range(dim):
+        faces = [slice(1, -1)] * dim
+        faces[axis] = slice(None)
+        nodal = coefficients.entries[tuple(faces) + (axis, axis)]
+        weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis))
+        out.append((np.delete(weight, -1, axis), np.delete(weight, 0, axis)))
+    return out
+
+
 def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     """Assemble the 3-point / 5-point divergence-form stencil on interior nodes.
 
     The matrix is sum_axis D^T W D, D the differences of interior nodal
     values (Dirichlet zeros eliminated) across the cell faces of one axis and
-    W the diagonal coefficient, averaged arithmetically onto those faces,
-    over h^2, which keeps the matrix symmetric.  It is written row by row by
-    index arithmetic: node j couples to its neighbour across face w with -w
-    and carries the sum of its faces' w on the diagonal.  Only diagonal
-    coefficient matrices fit the 5-point pattern; off-diagonal entries are
-    rejected.
+    W the diagonal coefficient on those faces (`face_weights`) over h^2,
+    which keeps the matrix symmetric.  It is written row by row by index
+    arithmetic: node j couples to its neighbour across face w with -w and
+    carries the sum of its faces' w on the diagonal.
     """
     check_ellipticity(coefficients)
-    if not coefficients.is_diagonal():
-        raise ValueError(
-            "5-point assembly supports diagonal coefficient matrices only")
     shape = grid.interior_shape
     index = np.arange(int(np.prod(shape))).reshape(shape)
     diagonal = 0.0
     below, above = [], []       # (column, value, present) of each axis's neighbours
-    for axis, h in enumerate(grid.h):
-        faces = [slice(1, -1)] * grid.dim
-        faces[axis] = slice(None)
-        nodal = coefficients.entries[tuple(faces) + (axis, axis)]
-        weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis)) / h ** 2
-        lower, upper = np.delete(weight, -1, axis), np.delete(weight, 0, axis)
+    for axis, ((lower, upper), h) in enumerate(zip(face_weights(coefficients), grid.h)):
+        lower, upper = lower / h ** 2, upper / h ** 2
         diagonal = diagonal + (lower + upper)
         stride = int(np.prod(shape[axis + 1:]))
         position = index // stride % shape[axis]

@@ -18,8 +18,10 @@ FLOAT_FORMAT = "%.17g"
 
 
 def format_value(value) -> str:
-    """One CSV field.  Text holding a comma or a quote is quoted, so every row
-    has as many fields as the header."""
+    """One CSV field; None is empty.  Text holding a comma or a quote is
+    quoted, so every row has as many fields as the header."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return FLOAT_FORMAT % value
     text = str(value)

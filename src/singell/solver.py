@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import GridFunction, ProblemSpec
-from .operators import CG_RELATIVE_TOL, SparseOperator, assemble
+from .grids import CoefficientField, GridFunction, ProblemSpec
+from .operators import CG_RELATIVE_TOL, SparseOperator, assemble, face_weights
 
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
@@ -229,16 +229,18 @@ class SingularSolution:
     spec: ProblemSpec
     u: GridFunction
     trace: tuple[RegularizedIterate, ...]
-    stabilized: bool
-    gap: float
-    diagnostics: dict
+    stabilized: bool    # the last schedule gap is at most SCHEDULE_GAP_TOL
+    gap: float          # inf when the schedule has a single entry
 
 
 def solve_singular(spec: ProblemSpec,
                    m_schedule: Optional[Sequence[int]] = None, *,
-                   compacta: Sequence = (),
                    operator: Optional[SparseOperator] = None) -> SingularSolution:
     """Outer limit m -> infinity over an increasing regularization schedule.
+
+    Returns the solve only: the last iterate, the per-m trace and the last
+    nodal sup-gap between consecutive iterates; `singell.sweeps` reads the
+    diagnostics off it.
 
     Each m warm-starts from a polynomial extrapolation in eps = 1/m through
     the last EXTRAPOLATION_DEPTH converged iterates (`_extrapolated_start`).
@@ -249,9 +251,10 @@ def solve_singular(spec: ProblemSpec,
     gamma in the hundreds).  `solve_regularized` clips the start to u >= 0.
     Convergence is declared on the nodal sup-gap, not the residual: the
     singular right-hand side amplifies residuals near the boundary while
-    monotone convergence makes the gap a faithful rule.  `operator` is the
-    assembled A of `spec` (a sweep assembles it once for all exponents);
-    one on another grid raises ValueError.
+    monotone convergence makes the gap a faithful rule.  A one-entry
+    schedule compares nothing: its gap is inf and it is not stabilized.
+    `operator` is the assembled A of `spec` (a sweep assembles it once for
+    all exponents); one on another grid raises ValueError.
     """
     schedule = check_m_schedule(m_schedule if m_schedule is not None
                                 else default_m_schedule())
@@ -263,37 +266,17 @@ def solve_singular(spec: ProblemSpec,
     pos = (spec.datum_values() > 0).astype(float)
     trace: list[RegularizedIterate] = []
     gap = np.inf
-    stabilized = False
-
     for m in schedule:
-        eps = 1.0 / m
         recent = trace[-EXTRAPOLATION_DEPTH:]
-        initial = (GridFunction(spec.grid, _extrapolated_start(recent, eps, pos))
+        initial = (GridFunction(spec.grid, _extrapolated_start(recent, 1.0 / m, pos))
                    if recent else None)
         it = solve_regularized(spec, m, initial=initial, operator=op)
         if trace:
             gap = float(np.max(np.abs(it.u.values - trace[-1].u.values)))
         trace.append(it)
         if gap <= SCHEDULE_GAP_TOL:
-            stabilized = True
             break
-
-    u = trace[-1].u
-    diag = {
-        "sup_norm": u.sup_norm(),
-        "total_mass": total_singular_mass(u, spec),
-        "compacta_min": tuple(compactum_min(u, box) for box in compacta),
-        "gap": gap if np.isfinite(gap) else 0.0,
-        "stabilized": stabilized or len(schedule) == 1,
-    }
-    return SingularSolution(spec, u, tuple(trace), diag["stabilized"], diag["gap"], diag)
-
-
-def compactum_min(u: GridFunction, box) -> float:
-    mask = u.grid.box_mask(box)
-    if not np.any(mask):
-        raise ValueError(f"compactum {box} contains no grid nodes")
-    return float(np.min(u.values[mask]))
+    return SingularSolution(spec, trace[-1].u, tuple(trace), gap <= SCHEDULE_GAP_TOL, gap)
 
 
 def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:
@@ -359,45 +342,42 @@ class ResidualField:
         return self.evaluated == 0
 
 
-def _centered_residual(v: np.ndarray, grid, gamma: float, f: np.ndarray,
-                       floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interior residual of -lap v + (g/(g+1)) |grad v|^2 / v - f, and its mask.
+def quasilinear_residual(v: GridFunction, gamma: float, f, *,
+                         coefficients: CoefficientField,
+                         floor: float = RESIDUAL_FLOOR) -> ResidualField:
+    """Residual of -div(M grad v) + (g/(g+1)) grad v.M grad v / v - f at the
+    interior nodes, masked where v < floor.
 
-    gamma = inf selects the limit coefficient 1 on the gradient term.
+    The divergence term is `assemble`'s stencil (`face_weights`); the
+    centred gradient term takes M at the node.  With M = I every product is
+    by 1.0: the plain Laplacian to the last bit.  The gradient term is 0/0
+    where v vanishes, so nodes below the floor are masked and counted
+    instead of evaluated.  gamma = inf selects the limit coefficient 1.
     """
+    grid = v.grid
+    if coefficients.grid != grid:
+        raise ValueError("coefficient field lives on a different grid")
+    f_vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
     weight = 1.0 if np.isinf(gamma) else gamma / (gamma + 1.0)
     interior = (slice(1, -1),) * grid.dim
-    vi = v[interior]
+    vi = v.values[interior]
     lap = grad2 = 0.0
-    for axis, h in enumerate(grid.h):
+    for axis, ((lower, upper), h) in enumerate(zip(face_weights(coefficients), grid.h)):
         below, above = list(interior), list(interior)
         below[axis], above[axis] = slice(None, -2), slice(2, None)
-        vb, va = v[tuple(below)], v[tuple(above)]
-        lap = lap + (vb - 2.0 * vi + va) / h ** 2
-        grad2 = grad2 + ((va - vb) / (2.0 * h)) ** 2
-    fi = f[interior]
+        vb, va = v.values[tuple(below)], v.values[tuple(above)]
+        lap = lap + (lower * vb - (lower + upper) * vi + upper * va) / h ** 2
+        nodal = coefficients.entries[interior + (axis, axis)]
+        grad2 = grad2 + nodal * ((va - vb) / (2.0 * h)) ** 2
     mask = vi >= floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = -lap + weight * grad2 / np.where(mask, vi, np.nan) - fi
-    return res, mask
-
-
-def quasilinear_residual(v: GridFunction, gamma: float, f, *,
-                         floor: float = RESIDUAL_FLOOR) -> ResidualField:
-    """Residual of the quasilinear equation for v, masked where v < floor.
-
-    The lower-order term |grad v|^2 / v is 0/0 where v vanishes, so nodes
-    below the floor are masked and counted instead of evaluated.
-    """
-    f_vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
-    res, mask = _centered_residual(v.values, v.grid, gamma, f_vals, floor)
-    field = np.full(v.grid.shape, np.nan)
-    sl = tuple(slice(1, -1) for _ in range(v.grid.dim))
-    field[sl] = res
+        res = -lap + weight * grad2 / np.where(mask, vi, np.nan) - f_vals[interior]
+    field = np.zeros(grid.shape)
+    field[interior] = res
     evaluated = int(np.sum(mask))
     sup = float(np.max(np.abs(res[mask]))) if evaluated else 0.0
-    out = GridFunction(v.grid, np.nan_to_num(field, nan=0.0))
-    return ResidualField(out, sup, evaluated, int(mask.size - evaluated))
+    return ResidualField(GridFunction(grid, np.nan_to_num(field, nan=0.0)), sup,
+                         evaluated, int(mask.size - evaluated))
 
 
 def singular_residual(u: GridFunction, spec: ProblemSpec, *,

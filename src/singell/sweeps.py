@@ -2,6 +2,9 @@
 sup norms, compacta minima, masses, the log-depth diagnostic, the discrete
 concentration histogram, the measure-data limit-equation check, and the
 harmonic-comparison experiments (reported, never asserted).
+
+The one description of a solution: `describe_solution` turns a solve into its
+`SweepRow` and `check_limit` checks the limit equation, for every command.
 """
 
 from __future__ import annotations
@@ -93,8 +96,6 @@ def _distance_to_box_boundary(grid: Grid, omega) -> np.ndarray:
 def measure_histogram(u: GridFunction, spec: ProblemSpec, n: float,
                       shell_distances: Sequence[float] = ()) -> MeasureHistogram:
     """Per-cell masses of f/u^n and their concentration near the support edge."""
-    if spec.support == "compact" and not isinstance(spec.datum, IndicatorDatum):
-        raise ValueError("histogram shells require an indicator datum")
     omega = spec.omega_box()
     if omega is None:
         raise ValueError("histogram requires a compactly-contained indicator datum")
@@ -102,12 +103,8 @@ def measure_histogram(u: GridFunction, spec: ProblemSpec, n: float,
     masses = singular_mass_density(u, gamma_spec) * u.grid.cell_volume()
     total = float(np.sum(masses))
     dist = _distance_to_box_boundary(u.grid, omega)
-    fractions = {}
-    for d in shell_distances:
-        if total > 0:
-            fractions[float(d)] = float(np.sum(masses[dist <= d]) / total)
-        else:
-            fractions[float(d)] = 0.0
+    fractions = {float(d): float(np.sum(masses[dist <= d]) / total) if total > 0 else 0.0
+                 for d in shell_distances}
     return MeasureHistogram(u.grid, masses, total, fractions, omega)
 
 
@@ -180,19 +177,48 @@ def _cluster_separation(atoms: MeasureData) -> float:
 
 
 def limit_equation_check(u_limit: GridFunction, hist: MeasureHistogram,
-                         coefficients: CoefficientField) -> float:
+                         coefficients: CoefficientField, *,
+                         atoms: Optional[MeasureData] = None) -> float:
     """Reconstruct u from the collapsed measure and return sup |u_rec - u_limit|.
 
+    `atoms` is `extract_atoms(hist)`, extracted here when not given.
     Clusters closer than 4h are not separable on the grid and the check is
     inconclusive.
     """
-    atoms = extract_atoms(hist)
+    if atoms is None:
+        atoms = extract_atoms(hist)
     h_max = max(hist.grid.h)
     if _cluster_separation(atoms) <= 4.0 * h_max:
         raise InconclusiveCheckError("concentration clusters are not separable")
     op = assemble(hist.grid, coefficients)
     reconstructed = solve_measure(op, atoms)
     return float(np.max(np.abs(reconstructed.values - u_limit.values)))
+
+
+def limit_check_applies(spec: ProblemSpec) -> bool:
+    """An indicator datum with compact support (`ProblemSpec` has put its box inside)."""
+    return spec.support == "compact" and isinstance(spec.datum, IndicatorDatum)
+
+
+@dataclass(frozen=True)
+class LimitCheck:
+    histogram: MeasureHistogram
+    atoms: Optional[MeasureData]     # None when no cluster was found
+    gap: Optional[float]             # sup |u_rec - u_limit|; None if inconclusive
+    inconclusive: Optional[str] = None   # why, when it is
+
+
+def check_limit(u_limit: GridFunction, spec: ProblemSpec, n: float,
+                shell_distances: Sequence[float] = ()) -> LimitCheck:
+    """The histogram of f/u^n, its atoms (extracted once) and the
+    limit-equation gap; an inconclusive check keeps the histogram and says why."""
+    hist = measure_histogram(u_limit, spec, n, shell_distances)
+    try:
+        atoms = extract_atoms(hist)
+        gap = limit_equation_check(u_limit, hist, spec.coefficients, atoms=atoms)
+    except InconclusiveCheckError as exc:
+        return LimitCheck(hist, None, None, str(exc))
+    return LimitCheck(hist, atoms, gap)
 
 
 # --- sweep orchestration ----------------------------------------------------------
@@ -205,7 +231,7 @@ class SweepRow:
     total_mass: float
     local_masses: tuple
     quasilinear_residual: float
-    certificate: float
+    certificate: Optional[float]     # None when f = 0
     fitted_depth: tuple
     v_sup: float
     v_h1_seminorm: float
@@ -225,49 +251,55 @@ class SweepReport:
 
 
 def _h1_seminorm(v: GridFunction) -> float:
-    grid = v.grid
-    vol = grid.cell_volume()
-    acc = 0.0
-    for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        diff = (v.values[tuple(hi)] - v.values[tuple(lo)]) / grid.h[ax]
-        acc += float(np.sum(diff ** 2)) * vol
-    return math.sqrt(acc)
+    vol = v.grid.cell_volume()
+    return math.sqrt(sum(float(np.sum((np.diff(v.values, axis=ax) / h) ** 2)) * vol
+                         for ax, h in enumerate(v.grid.h)))
+
+
+def compactum_min(u: GridFunction, box) -> float:
+    mask = u.grid.box_mask(box)
+    if not np.any(mask):
+        raise ValueError(f"compactum {box} contains no grid nodes")
+    return float(np.min(u.values[mask]))
+
+
+def describe_solution(sol: SingularSolution, compacta: Sequence = (),
+                      residual_floor: float = RESIDUAL_FLOOR) -> SweepRow:
+    """The row the paper reads off u_n, n = sol.spec.gamma: sup u_n, the
+    masses of f/u_n^n, compacta minima and fitted depths, and for
+    v_n = u_n^(n+1)/(n+1) its norms and quasilinear residual (masked where
+    v_n < residual_floor).  The certificate is None when f = 0.
+    """
+    spec, u = sol.spec, sol.u
+    n, f = spec.gamma, spec.datum_values()
+    v = to_quasilinear(u, n)
+    res = quasilinear_residual(v, n, f, coefficients=spec.coefficients,
+                               floor=residual_floor)
+    return SweepRow(
+        n=float(n),
+        sup_norm=u.sup_norm(),
+        compacta_min=tuple(compactum_min(u, box) for box in compacta),
+        total_mass=total_singular_mass(u, spec),
+        local_masses=tuple(total_singular_mass(u, spec, box) for box in compacta),
+        quasilinear_residual=res.masked_sup,
+        certificate=linfty_certificate(u, n, f) if np.max(f) > 0 else None,
+        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) for box in compacta),
+        v_sup=v.sup_norm(),
+        v_h1_seminorm=_h1_seminorm(v),
+    )
 
 
 def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
                residual_floor: float,
                operator: SparseOperator) -> tuple[SweepRow, Optional[SingularSolution]]:
-    spec_n = replace(spec, gamma=float(n))
     try:
-        sol = solve_singular(spec_n, m_schedule, compacta=compacta,
-                             operator=operator)
+        sol = solve_singular(replace(spec, gamma=n), m_schedule, operator=operator)
     except (NonlinearSolveError, LinearSolveError) as exc:
         # numeric per-row failures are recorded, the sweep continues
         nans = (math.nan,) * len(compacta)
-        row = SweepRow(n, math.nan, nans, math.nan, nans, math.nan, math.nan,
-                       nans, math.nan, math.nan, failed=True, error=str(exc))
-        return row, None
-    u = sol.u
-    f = spec_n.datum_values()
-    v = to_quasilinear(u, n)
-    res = quasilinear_residual(v, n, f, floor=residual_floor)
-    row = SweepRow(
-        n=float(n),
-        sup_norm=sol.diagnostics["sup_norm"],
-        compacta_min=sol.diagnostics["compacta_min"],
-        total_mass=sol.diagnostics["total_mass"],
-        local_masses=tuple(total_singular_mass(u, spec_n, box) for box in compacta),
-        quasilinear_residual=res.masked_sup,
-        certificate=linfty_certificate(u, n, f),
-        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) for box in compacta),
-        v_sup=v.sup_norm(),
-        v_h1_seminorm=_h1_seminorm(v),
-    )
-    return row, sol
+        return SweepRow(n, math.nan, nans, math.nan, nans, math.nan, math.nan,
+                        nans, math.nan, math.nan, failed=True, error=str(exc)), None
+    return describe_solution(sol, compacta, residual_floor), sol
 
 
 def check_n_list(n_list: Sequence[float]) -> list[float]:
@@ -285,37 +317,28 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               shell_distances: Sequence[float] = (),
               m_schedule: Optional[Sequence[int]] = None,
               residual_floor: float = RESIDUAL_FLOOR) -> SweepReport:
-    """One singular solve per exponent, all diagnostics filled.
+    """One singular solve per exponent, each row from `describe_solution`.
 
-    A is assembled once and shared by every exponent's solve.  Numeric per-row failures (a nonlinear or linear solve that does not
-    converge) are recorded in the row and the sweep continues; any other
-    exception propagates.  The largest successful solve doubles as the
-    empirical pointwise limit; when the datum is a compactly-contained
-    indicator the concentration histogram and the measure-data reconstruction
-    check are attached.
+    A is assembled once and shared by every exponent's solve.  Numeric
+    per-row failures (a nonlinear or linear solve that does not converge)
+    are recorded in the row and the sweep continues; any other exception
+    propagates.  The largest successful solve doubles as the empirical
+    pointwise limit; when `limit_check_applies` to the datum, `check_limit`
+    attaches the concentration histogram and the measure-data
+    reconstruction gap (None when the check is inconclusive).
     """
     ns = check_n_list(n_list)
     op = assemble(spec.grid, spec.coefficients)
     results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor, op)
                for n in ns]
-
-    rows = tuple(r for r, _ in results)
     last_sol = next((s for _, s in reversed(results) if s is not None), None)
-
-    histogram = None
-    limit_check = None
     limit_u = last_sol.u if last_sol is not None else None
-    if (last_sol is not None and spec.support == "compact"
-            and isinstance(spec.datum, IndicatorDatum)):
-        n_last = next(r.n for r in reversed(rows) if not r.failed)
-        histogram = measure_histogram(limit_u, spec, n_last, shell_distances)
-        try:
-            limit_check = limit_equation_check(limit_u, histogram,
-                                               spec.coefficients)
-        except InconclusiveCheckError:
-            limit_check = None
-    return SweepReport(spec, tuple(ns), tuple(compacta), rows, limit_u,
-                       histogram, limit_check)
+    check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances)
+             if last_sol is not None and limit_check_applies(spec) else None)
+    return SweepReport(spec, tuple(ns), tuple(compacta),
+                       tuple(r for r, _ in results), limit_u,
+                       check.histogram if check else None,
+                       check.gap if check else None)
 
 
 # --- harmonic comparison (reported, never asserted) -------------------------------
@@ -376,9 +399,7 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
     harmonic = _harmonic_outside(spec.grid, omega)
 
     outside = ~spec.grid.box_mask(omega)
-    gap = float(np.max(np.abs(sol.u.values[outside] - harmonic.values[outside]))) \
-        if np.any(outside) else 0.0
-    v = to_quasilinear(sol.u, n_large)
-    outer_v = float(np.max(v.values[outside])) if np.any(outside) else 0.0
+    gap = float(np.max(np.abs(sol.u.values - harmonic.values)[outside], initial=0.0))
+    outer_v = float(np.max(to_quasilinear(sol.u, n_large).values[outside], initial=0.0))
     return ConjectureReport(float(n_large), gap, outer_v, 1.0,
                             int(np.sum(outside)))

@@ -252,7 +252,8 @@ def test_criterion_9_quasilinear_consistency():
             spec = interval_spec(n, cells)
             sol = solve_singular(spec)
             v = to_quasilinear(sol.u, n)
-            res = quasilinear_residual(v, n, spec.datum_values(), floor=floor)
+            res = quasilinear_residual(v, n, spec.datum_values(),
+                                       coefficients=spec.coefficients, floor=floor)
             sups[cells] = res.masked_sup
         ratio = sups[512] / sups[1024]
         ok = ok and sups[1024] <= 5e-3 and ratio >= 3.0

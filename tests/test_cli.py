@@ -25,7 +25,7 @@ GAMMA3 = {
         "gamma": 3.0,
         "support": "strictly_positive",
     },
-    "sweep": {"n_list": [3.0], "m_schedule_k_max": 12},
+    "sweep": {"n_list": [3.0]},
     "output": {"formats": ["csv", "json", "svg"]},
 }
 
@@ -41,7 +41,6 @@ SECTION6 = {
     },
     "sweep": {
         "n_list": [400.0],
-        "m_schedule_k_max": 12,
         "shell_distances": [0.1],
         "compacta": [[-0.5, 0.5]],
     },
@@ -88,11 +87,11 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists() or not list(out.iterdir())
 
-    @pytest.mark.parametrize("schedule", [{"m_schedule_k_max": -1},
+    @pytest.mark.parametrize("schedule", [{"m_schedule_k_max": 12},
                                           {"m_schedule": []},
                                           {"m_schedule": [4, 1]},
                                           {"m_schedule": [0, 4]}],
-                             ids=["negative_k_max", "empty", "decreasing",
+                             ids=["removed_k_max_key", "empty", "decreasing",
                                   "zero_m"])
     def test_invalid_m_schedule_exit_2_no_files(self, tmp_path, capsys, schedule):
         bad = json.loads(json.dumps(GAMMA3))
@@ -156,6 +155,18 @@ class TestSolveCommand:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_one_entry_schedule_gap_is_null(self, tmp_path):
+        payload = json.loads(json.dumps(GAMMA3))
+        payload["problem"]["cells"] = 64
+        payload["sweep"]["m_schedule"] = [1]
+        payload["output"] = {"formats": ["json"]}
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["schedule_gap"] is None
+        assert summary["stabilized"] is False
+
     def test_summary_reports_work_counters(self, tmp_path):
         counts = {}
         for dim, config in ((1, GAMMA3), (2, json.loads(
@@ -198,6 +209,49 @@ class TestSweepCommand:
         assert "total_mass (integral f/u^n)" in header
         assert "n (exponent)" in header
 
+
+    def test_zero_datum_sweep_has_no_certificate(self, tmp_path):
+        payload = {"problem": {"domain": [-1.0, 1.0], "cells": 64,
+                               "datum": {"kind": "constant", "value": 0.0}},
+                   "sweep": {"n_list": [3.0, 5.0]}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert fields["linfty_certificate"] == fields["error"] == ""
+
+    def test_row_is_the_solve_summary(self, tmp_path):
+        # `solve` and `sweep` describe one solution with one function
+        payload = json.loads(json.dumps(SECTION6))
+        payload["problem"]["cells"] = 128
+        payload["sweep"]["n_list"] = [payload["problem"]["gamma"]]
+        cfg = write_config(tmp_path, payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        with open(tmp_path / "w" / "sweep.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        fields = dict(zip(header, row))
+        for key, column in (("sup_norm_u", "sup_norm_u"),
+                            ("total_mass", "total_mass (integral f/u^n)"),
+                            ("sup_norm_v", "v_sup"),
+                            ("quasilinear_residual", "quasilinear_residual"),
+                            ("linfty_certificate", "linfty_certificate")):
+            assert summary[key] == float(fields[column]), key
+
+    def test_limit_gap_is_the_limit_check_gap(self, tmp_path):
+        cfg = str(CONFIGS / "matched_indicator.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert main(["limit-check", "--config", cfg,
+                     "--out", str(tmp_path / "l")]) == 0
+        sweep = json.loads((tmp_path / "s" / "summary.json").read_text())
+        check = json.loads((tmp_path / "l" / "limit_check.json").read_text())
+        assert sweep["limit_equation_gap"] == check["reconstruction_gap"]
+        assert sweep["histogram_total"] == check["total_mass"]
+        assert sweep["shell_fractions"] == check["shell_fractions"]
 
     def test_failed_row_keeps_header_shape(self, tmp_path, monkeypatch):
         import singell.sweeps as sweeps_mod
@@ -268,6 +322,15 @@ class TestLimitCheckCommand:
             assert abs(atom["mass"] - 1.0) <= 0.05
         assert payload["reconstruction_gap"] <= 0.02
 
+    def test_general_support_indicator_is_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(SECTION6))
+        payload["problem"]["support"] = "general"
+        out = tmp_path / "out"
+        assert main(["limit-check", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (out / "limit_check.json").exists()
+
 
 class TestConjectureCommand:
     def test_2d_report_finite(self, tmp_path):
@@ -281,7 +344,7 @@ class TestConjectureCommand:
                 "support": "compact",
                 "gamma": 10.0,
             },
-            "sweep": {"n_list": [10.0], "m_schedule_k_max": 10},
+            "sweep": {"n_list": [10.0], "m_schedule": [4 ** k for k in range(11)]},
             "output": {"formats": ["json"]},
         }
         cfg = write_config(tmp_path, payload)
@@ -343,6 +406,12 @@ INVALID_CONFIGS = {
     "n_below_3": _mutated("sweep", ["sweep", "n_list"], [2.0]),
     "n_not_increasing": _mutated("oned", ["sweep", "n_list"], [5.0, 3.0]),
 }
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_shipped_config_loads(path):
+    assert load_config(path).spec.grid.dim in (1, 2)
 
 
 @pytest.mark.parametrize("case", list(INVALID_CONFIGS), ids=list(INVALID_CONFIGS))

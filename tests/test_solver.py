@@ -125,6 +125,12 @@ class TestSolveSingular:
         # boundary-limited first-order convergence: ~0.65 * h at this resolution
         assert err <= 2e-3
 
+    def test_one_entry_schedule_is_not_stabilized(self):
+        # nothing is compared, so there is no gap to report
+        sol = solve_singular(interval_spec(3.0, 64), [1])
+        assert not sol.stabilized
+        assert sol.gap == math.inf
+
     def test_trace_monotone(self):
         spec = interval_spec(2.0, 128)
         sol = solve_singular(spec, [1, 4, 16, 64, 256])
@@ -507,7 +513,8 @@ class TestResiduals:
         spec = interval_spec(3.0, 1024)
         sol = solve_singular(spec)
         v = to_quasilinear(sol.u, 3.0)
-        res = quasilinear_residual(v, 3.0, spec.datum_values(), floor=1e-3)
+        res = quasilinear_residual(v, 3.0, spec.datum_values(),
+                                   coefficients=spec.coefficients, floor=1e-3)
         assert res.masked_sup <= 5e-3
 
     def test_limit_form_residual_decreases(self):
@@ -516,14 +523,48 @@ class TestResiduals:
             g = make_uniform_grid(-1.0, 1.0, cells)
             t = g.axes()[0]
             v = GridFunction(g, 2.0 / np.pi ** 2 * np.cos(np.pi * t / 2.0) ** 2)
-            res = quasilinear_residual(v, math.inf, np.ones(g.shape))
+            res = quasilinear_residual(v, math.inf, np.ones(g.shape),
+                                       coefficients=CoefficientField.identity(g))
             sups.append(res.masked_sup)
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] <= 5e-3
 
+    def test_residual_applies_the_coefficients(self):
+        # M = 2 scales the discrete solution's v by 1/2 (2 c^(g+1) = 1 for
+        # u = c u_I), and the M-residual of v/2 is the plain residual of v
+        spec = interval_spec(3.0, 256)
+        doubled = replace(spec, coefficients=CoefficientField.constant(spec.grid, [[2.0]]))
+        sups = []
+        for s, floor in ((doubled, 1e-3), (spec, 2e-3)):
+            v = to_quasilinear(solve_singular(s).u, 3.0)
+            sups.append(quasilinear_residual(v, 3.0, s.datum_values(),
+                                             coefficients=s.coefficients,
+                                             floor=floor).masked_sup)
+        assert abs(sups[0] - sups[1]) <= 1e-4 * sups[1]
+
+    def test_divergence_term_is_the_assembled_operator(self, rng):
+        # residual = A v + w G with w = 1/2 at gamma = 1 and w = 1 in the
+        # limit form, so A v = 2 res(1) - res(inf) on a variable diagonal M
+        g = make_uniform_grid((0.0, 0.0), (1.0, 2.0), (12, 9))
+        entries = np.zeros(g.shape + (2, 2))
+        entries[..., 0, 0] = 1.0 + rng.random(g.shape)
+        entries[..., 1, 1] = 1.0 + rng.random(g.shape)
+        coefficients = CoefficientField(g, entries)
+        values = np.zeros(g.shape)
+        values[1:-1, 1:-1] = 0.5 + rng.random(g.interior_shape)
+        v = GridFunction(g, values)
+        half, full = (quasilinear_residual(v, gamma, np.zeros(g.shape),
+                                           coefficients=coefficients).field.interior()
+                      for gamma in (1.0, math.inf))
+        op = ops.assemble(g, coefficients)
+        expected = op.apply(op.interior_of(v))
+        np.testing.assert_allclose((2.0 * half - full).ravel(), expected,
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))
+
     def test_vacuous_when_all_masked(self):
         g = make_uniform_grid(-1.0, 1.0, 16)
-        res = quasilinear_residual(GridFunction.zeros(g), 3.0, np.zeros(g.shape))
+        res = quasilinear_residual(GridFunction.zeros(g), 3.0, np.zeros(g.shape),
+                                   coefficients=CoefficientField.identity(g))
         assert res.vacuous
         assert res.masked_sup == 0.0
 
