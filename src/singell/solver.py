@@ -52,8 +52,13 @@ class UndefinedCertificateError(ValueError):
     pass
 
 
-def default_m_schedule(k_max: int = 12) -> list[int]:
-    return [4 ** k for k in range(k_max + 1)]
+def default_m_schedule() -> list[int]:
+    """16^0, ..., 16^6: the last m is 4^12, reached in 7 m-steps.
+
+    Only the last m decides the answer; the others are a continuation path,
+    and the extrapolated start of each m-step (`_extrapolated_start`) keeps
+    Newton inside its basin over a ratio of 16 between consecutive m."""
+    return [16 ** k for k in range(7)]
 
 
 def check_m_schedule(schedule: Sequence[int]) -> list[int]:
@@ -131,8 +136,9 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     """One damped inexact-Newton solve of the regularized problem at index m.
 
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma from `initial` (or from
-    max(A^-1 f, 0)), with the iterate clipped to u >= 0.  Step k solves its
-    Jacobian system to the relative tolerance of the forcing term eta_k
+    max(A^-1 f, 0), with A^-1 f solved only to ETA_MAX: it is a start),
+    with the iterate clipped to u >= 0.  Step k solves its Jacobian system
+    to the relative tolerance of the forcing term eta_k
     (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
     Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
     falls.  The solve stops when the residual meets its bound (the module
@@ -161,7 +167,7 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     if initial is not None:
         u = np.maximum(op.interior_of(initial), 0.0)
     else:
-        u = np.maximum(op.solve(f_int), 0.0)
+        u = np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0)
 
     def residual_of(vec):
         rhs = _regularized_rhs(log_f, vec, eps, gamma)
@@ -236,7 +242,8 @@ class SingularSolution:
 def solve_singular(spec: ProblemSpec,
                    m_schedule: Optional[Sequence[int]] = None, *,
                    operator: Optional[SparseOperator] = None) -> SingularSolution:
-    """Outer limit m -> infinity over an increasing regularization schedule.
+    """Outer limit m -> infinity over an increasing regularization schedule,
+    by default `default_m_schedule()` (16^0, ..., 16^6).
 
     Returns the solve only: the last iterate, the per-m trace and the last
     nodal sup-gap between consecutive iterates; `singell.sweeps` reads the

@@ -352,8 +352,9 @@ class ConjectureReport:
     nodes_compared: int
 
 
-def _harmonic_outside(grid: Grid, omega) -> GridFunction:
-    """Laplace solve on the grid restriction of the domain minus the sub-box.
+def _harmonic_outside(op: SparseOperator, omega) -> GridFunction:
+    """Laplace solve on the grid restriction of the domain minus the sub-box;
+    `op` is the operator assembled with identity coefficients on its grid.
 
     Dirichlet data: 1 on the sub-box edge (box nodes with a grid neighbour
     outside the box), 0 strictly inside the sub-box and on the outer
@@ -361,6 +362,7 @@ def _harmonic_outside(grid: Grid, omega) -> GridFunction:
     symmetrically, so the solve runs on the whole interior grid: their rows
     and columns of the Laplacian are replaced by its diagonal.
     """
+    grid = op.grid
     box = grid.box_mask(omega)
     near_outside = np.zeros_like(box)
     for axis in range(grid.dim):
@@ -371,7 +373,6 @@ def _harmonic_outside(grid: Grid, omega) -> GridFunction:
     lift = (box & near_outside)[interior].ravel().astype(float)
     box = box[interior].ravel()
 
-    op = assemble(grid, CoefficientField.identity(grid))
     rhs = np.where(box, 0.0, -op.apply(lift))
     values = op.eliminate(box).solve(rhs)
     return op.full_from_interior(np.where(box, lift, values))
@@ -384,7 +385,8 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
 
     Requires identity coefficients and a compactly-contained indicator datum
     (HarmonicComparisonError otherwise).  Emits numbers only; nothing here
-    is asserted.
+    is asserted.  The operator is assembled once, for the solve and the
+    harmonic profile.
     """
     ident = CoefficientField.identity(spec.grid)
     if not np.allclose(spec.coefficients.entries, ident.entries):
@@ -394,9 +396,9 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
     if omega is None:
         raise HarmonicComparisonError(
             "harmonic comparison requires an indicator datum")
-    spec_n = replace(spec, gamma=float(n_large))
-    sol = solve_singular(spec_n, m_schedule)
-    harmonic = _harmonic_outside(spec.grid, omega)
+    op = assemble(spec.grid, spec.coefficients)
+    sol = solve_singular(replace(spec, gamma=float(n_large)), m_schedule, operator=op)
+    harmonic = _harmonic_outside(op, omega)
 
     outside = ~spec.grid.box_mask(omega)
     gap = float(np.max(np.abs(sol.u.values - harmonic.values)[outside], initial=0.0))

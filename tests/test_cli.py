@@ -403,6 +403,11 @@ INVALID_CONFIGS = {
     "matrix_negative_definite": _mutated("solve", ["problem", "coefficients"],
                                          {"kind": "constant",
                                           "matrix": [[-1.0]]}),
+    # elliptic, but the 5-point stencil takes a diagonal M only
+    "off_diagonal_matrix": _mutated("solve", ["problem"], {
+        "domain": [[0.0, 0.0], [1.0, 1.0]], "cells": [8, 8],
+        "coefficients": {"kind": "constant", "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+        "datum": {"kind": "constant", "value": 1.0}, "gamma": 3.0}),
     "n_below_3": _mutated("sweep", ["sweep", "n_list"], [2.0]),
     "n_not_increasing": _mutated("oned", ["sweep", "n_list"], [5.0, 3.0]),
 }

@@ -180,15 +180,33 @@ class TestSolveSingular:
         assert calls == []
 
     @pytest.mark.parametrize("name, gamma, budget", [
-        ("square_hole", None, 34), ("matched_indicator", 400.0, 37),
-        ("cubic_interval", None, 32), ("uniform_interval_sweep", None, 43)])
+        ("square_hole", None, 23), ("matched_indicator", 400.0, 32),
+        ("cubic_interval", None, 25), ("uniform_interval_sweep", None, 26)])
     def test_newton_steps_within_budget(self, name, gamma, budget):
         # starts shifted from the previous iterate alone took 45, 53, 55, 57;
-        # a residual bound without its rounding floor took 34, 45, 43, 53
+        # a residual bound without its rounding floor took 34, 45, 43, 53;
+        # the schedule 4^0, ..., 4^12 in place of 16^0, ..., 16^6 took 34, 37, 32, 43
         config = load_config(CONFIGS / f"{name}.json")
         spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
         sol = solve_singular(spec, config.m_schedule)
         assert sum(it.iterations for it in sol.trace) <= budget
+
+    def test_default_schedule_ends_at_4_to_the_12(self):
+        schedule = solver_module.default_m_schedule()
+        assert schedule[-1] == 4 ** 12
+        assert all(b == 16 * a for a, b in zip(schedule, schedule[1:]))
+
+    @pytest.mark.parametrize("name, gamma", [
+        ("square_hole", None), ("matched_indicator", 10.0),
+        ("matched_indicator", 400.0)])
+    def test_default_schedule_matches_the_4k_schedule(self, name, gamma):
+        # the last m decides the answer; the steps to it only cost work
+        config = load_config(CONFIGS / f"{name}.json")
+        spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
+        sol = solve_singular(spec)
+        ref = solve_singular(spec, [4 ** k for k in range(13)])
+        assert len(sol.trace) == 7
+        assert np.max(np.abs(sol.u.values - ref.u.values)) <= 1e-12 * np.max(ref.u.values)
 
     @pytest.mark.parametrize("name, gamma", [("square_hole", None)] + [
         (name, gamma) for name in ("cubic_interval", "matched_indicator",
@@ -425,9 +443,10 @@ class TestMultigridPath:
 
     def test_forcing_term_reaches_cg(self, cg_work):
         sol, rtols, _ = cg_work
-        # the cold start A^-1 f, then one CG solve per Newton step
+        # the cold start A^-1 f, only a Newton start, then one CG solve per
+        # Newton step
         assert len(rtols) == 1 + sum(it.iterations for it in sol.trace)
-        assert rtols[0] == ops.CG_RELATIVE_TOL
+        assert rtols[0] == solver_module.ETA_MAX
         newton = rtols[1:]
         assert all(ops.CG_RELATIVE_TOL <= r <= solver_module.ETA_MAX for r in newton)
         assert newton[0] == solver_module.ETA_MAX

@@ -24,6 +24,27 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
 
 
+def harmonic_outside(grid, omega):
+    """`_harmonic_outside` on the Laplacian of `grid`."""
+    return _harmonic_outside(ops.assemble(grid, CoefficientField.identity(grid)), omega)
+
+
+def record_assemblies(monkeypatch):
+    """The grid of every `assemble` call that `sweeps` or `solver` makes."""
+    import singell.solver as solver_mod
+    import singell.sweeps as sweeps_mod
+
+    grids = []
+
+    def counted(grid, coefficients):
+        grids.append(grid)
+        return ops.assemble(grid, coefficients)
+
+    monkeypatch.setattr(sweeps_mod, "assemble", counted)
+    monkeypatch.setattr(solver_mod, "assemble", counted)
+    return grids
+
+
 def reference_harmonic(grid, omega):
     """SuperLU solve of the Laplacian on the nodes outside the box only."""
     lap = None
@@ -195,17 +216,7 @@ class TestRunSweep:
         assert max(depths) <= 4.0
 
     def test_assembles_once_per_sweep(self, monkeypatch):
-        import singell.solver as solver_mod
-        import singell.sweeps as sweeps_mod
-
-        grids = []
-
-        def counted(grid, coefficients):
-            grids.append(grid)
-            return ops.assemble(grid, coefficients)
-
-        monkeypatch.setattr(sweeps_mod, "assemble", counted)
-        monkeypatch.setattr(solver_mod, "assemble", counted)
+        grids = record_assemblies(monkeypatch)
         spec = interval_spec(10.0, 128)
         report = run_sweep(spec, [10, 20, 40])
         assert not any(r.failed for r in report.rows)
@@ -264,7 +275,7 @@ class TestConjecture:
         exact = np.where(t < a, (t - t[0]) / (a - t[0]),
                          np.where(t > b, (t[-1] - t) / (t[-1] - b), 0.0))
         exact[i0] = exact[i1] = 1.0
-        harmonic = _harmonic_outside(g, (a, b)).values
+        harmonic = harmonic_outside(g, (a, b)).values
         assert np.max(np.abs(harmonic - exact)) <= 1e-12
 
     @settings(max_examples=15, deadline=None)
@@ -279,7 +290,7 @@ class TestConjecture:
             lo.append(t[i0])
             hi.append(t[i1])
         omega = (tuple(lo), tuple(hi))
-        harmonic = _harmonic_outside(grid, omega).values
+        harmonic = harmonic_outside(grid, omega).values
         # the CG stopping error: at most 4.1e-13 over 200 random boxes
         assert np.max(np.abs(harmonic - reference_harmonic(grid, omega))) <= 2e-12
 
@@ -288,7 +299,7 @@ class TestConjecture:
         # loosen CG's relative stop past the bound here (2.9e-12 with diag * lift)
         grid = make_uniform_grid((0.0, 0.0), (1.0, 2.0), (64, 16))
         omega = ((0.09375, 0.125), (0.65625, 1.5))
-        harmonic = _harmonic_outside(grid, omega).values
+        harmonic = harmonic_outside(grid, omega).values
         assert np.max(np.abs(harmonic - reference_harmonic(grid, omega))) <= 2e-12
 
     def test_square_factorizes_only_the_coarsest_level(self, monkeypatch):
@@ -299,6 +310,14 @@ class TestConjecture:
                               m_schedule=config.m_schedule)
         coarse = ops._coarse_shapes(config.spec.grid.interior_shape)
         assert sizes and max(sizes) <= int(np.prod(coarse[-1]))
+
+    def test_assembles_once(self, monkeypatch):
+        # the solve and the harmonic profile share one operator
+        grids = record_assemblies(monkeypatch)
+        spec = load_config(SQUARE_HOLE).spec
+        report = conjecture_experiment(spec, 20.0)
+        assert np.isfinite(report.harmonic_gap)
+        assert grids == [spec.grid]
 
     def test_1d_runs_no_superlu(self, monkeypatch):
         calls = []
