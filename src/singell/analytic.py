@@ -22,7 +22,7 @@ from typing import Literal, Optional
 import numpy as np
 from scipy.special import beta, betainc, betaincinv
 
-ROOT_TOL = 1e-10        # |F(c)| at the matching constant
+ROOT_TOL = 1e-12        # |F(c)| at the matching constant
 MAX_ROOT_STEPS = 100    # regula falsi steps before ConstructionError
 N_CAP = 400             # profile evaluation cap in double precision
 

@@ -32,6 +32,13 @@ NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError,
                   analytic.ConstructionError, InconclusiveCheckError)
 
 
+def _regularization_steps(trace) -> list[dict]:
+    """Per m-step of a solve: its Newton and CG iterations, stall and residual."""
+    return [{"m": it.m, "iterations": it.iterations,
+             "linear_iterations": it.linear_iterations, "stalled": it.stalled,
+             "residual": it.residual} for it in trace]
+
+
 def cmd_solve(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec
     grid = spec.grid
@@ -58,11 +65,7 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> int:
         "schedule_gap": sol.gap if math.isfinite(sol.gap) else None,
         "quasilinear_residual": row.quasilinear_residual,
         "linfty_certificate": row.certificate,
-        "regularization_steps": [
-            {"m": it.m, "iterations": it.iterations,
-             "linear_iterations": it.linear_iterations, "stalled": it.stalled,
-             "residual": it.residual}
-            for it in sol.trace],
+        "regularization_steps": _regularization_steps(sol.trace),
     }
     if "json" in config.formats:
         write_json(out / "summary.json", summary)
@@ -106,6 +109,9 @@ def cmd_sweep(config: ExperimentConfig, out: Path) -> int:
         "shell_fractions": (report.histogram.shell_fractions
                             if report.histogram else None),
         "limit_equation_gap": report.limit_check,
+        "regularization_steps": {
+            str(r.n): _regularization_steps(trace) if trace is not None else None
+            for r, trace in zip(report.rows, report.traces)},
     }
     if "json" in config.formats:
         write_json(out / "summary.json", summary)

@@ -8,6 +8,7 @@ at every level.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -34,6 +35,35 @@ def _require_keys(block: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number (a boolean is none) as a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, where: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, where) for v in value]
+
+
+def _compactum(value, grid, where: str) -> tuple:
+    """A compactum [lo, hi] as (lo, hi) tuples: a corner is a number in 1-D
+    and one number per axis otherwise, and the box holds an interior node."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a pair [lo, hi], got {value!r}")
+    lo, hi = (tuple(_numbers(corner if isinstance(corner, (list, tuple)) else [corner],
+                             where)) for corner in value)
+    if not len(lo) == len(hi) == grid.dim:
+        raise ConfigError(f"{where} {value!r} does not have {grid.dim} "
+                          f"coordinate(s) per corner")
+    if not np.any(grid.box_mask((lo, hi)) & ~grid.frame_mask()):
+        raise ConfigError(f"{where} {value!r} contains no interior grid node")
+    return lo, hi
+
+
 def _build_coefficients(block: Optional[dict], grid) -> CoefficientField:
     if block is None:
         return CoefficientField.identity(grid)
@@ -57,12 +87,13 @@ def _build_datum(block: dict, grid) -> Datum:
                   "problem.datum")
     kind = block["kind"]
     if kind == "constant":
-        return ConstantDatum(float(block.get("value", 1.0)))
+        return ConstantDatum(_number(block.get("value", 1.0), "problem.datum.value"))
     if kind == "indicator":
         if "box" not in block:
             raise ConfigError("indicator datum needs a 'box': [lo, hi]")
         lo, hi = block["box"]
-        return IndicatorDatum(float(block.get("value", 1.0)), lo, hi)
+        return IndicatorDatum(_number(block.get("value", 1.0), "problem.datum.value"),
+                              lo, hi)
     if kind == "tabulated":
         if "values" not in block:
             raise ConfigError("tabulated datum needs nodal 'values'")
@@ -115,25 +146,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep = raw.get("sweep", {})
     _require_keys(sweep, {"n_list", "m_schedule", "compacta", "shell_distances",
                           "residual_floor", "tolerances"}, set(), "sweep")
+    schedule = sweep.get("m_schedule")
+    if schedule is not None:
+        schedule = _numbers(schedule, "sweep.m_schedule")
+        if not all(m.is_integer() for m in schedule):
+            raise ConfigError(f"sweep.m_schedule entries must be integers, got {schedule!r}")
     try:
-        n_list = tuple(check_n_list(sweep.get("n_list", ())))
-        m_schedule = (tuple(check_m_schedule([int(m) for m in sweep["m_schedule"]]))
-                      if "m_schedule" in sweep else None)
+        n_list = tuple(check_n_list(_numbers(sweep.get("n_list", []), "sweep.n_list")))
+        m_schedule = (tuple(check_m_schedule([int(m) for m in schedule]))
+                      if schedule is not None else None)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep: {exc}") from exc
-    compacta = tuple((tuple(np.atleast_1d(c[0]).astype(float)),
-                      tuple(np.atleast_1d(c[1]).astype(float)))
-                     for c in sweep.get("compacta", ()))
-    shells = tuple(float(d) for d in sweep.get("shell_distances", ()))
-    floor = float(sweep.get("residual_floor", RESIDUAL_FLOOR))
-    tolerances = dict(sweep.get("tolerances", {}))
+    compacta = sweep.get("compacta", [])
+    if not isinstance(compacta, (list, tuple)):
+        raise ConfigError(f"sweep.compacta must be a list, got {compacta!r}")
+    compacta = tuple(_compactum(c, grid, f"sweep.compacta[{i}]")
+                     for i, c in enumerate(compacta))
+    shells = tuple(_numbers(sweep.get("shell_distances", []), "sweep.shell_distances"))
+    floor = _number(sweep.get("residual_floor", RESIDUAL_FLOOR), "sweep.residual_floor")
+    if floor <= 0:
+        raise ConfigError(f"sweep.residual_floor must be positive, got {floor!r}")
+    tolerances = sweep.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError(f"sweep.tolerances must be an object, got {tolerances!r}")
+    tolerances = dict(tolerances)
 
     oned = raw.get("oned", {})
     _require_keys(oned, {"geometry", "radius"}, set(), "oned")
     geometry = oned.get("geometry", "interval")
     if geometry not in ("interval", "matched"):
         raise ConfigError(f"unknown oned geometry {geometry!r}")
-    radius = float(oned.get("radius", 1.0))
+    radius = _number(oned.get("radius", 1.0), "oned.radius")
+    if radius <= 0:
+        raise ConfigError(f"oned.radius must be positive, got {radius!r}")
 
     output = raw.get("output", {})
     _require_keys(output, {"formats"}, set(), "output")

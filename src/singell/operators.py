@@ -18,7 +18,10 @@ that does not coarsen, every 1-D grid among them, is that coarsest level:
 its solve is direct.  Otherwise CG stops at the relative residual `rtol`:
 `CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
 Newton steps.  Every solver counts the CG iterations it ran in `iterations`
-(0 if direct).
+(0 if direct).  A (k, n) stack of shifts gives one solver for the k systems
+(`_Stacked`), as a sweep's lockstep Newton step needs: on a 1-D grid one
+banded Cholesky of their block-diagonal concatenation, otherwise one CG per
+row; each row is bit for bit its own solver.
 
 A computed residual b - A x cannot fall below the rounding error of A x,
 which Higham's bound for k-term dot products puts at eps k |A|_inf |x|_inf,
@@ -92,9 +95,10 @@ class SparseOperator:
         norm = float(np.max(abs(self.matrix).sum(axis=1)))
         return np.finfo(float).eps * entries * norm
 
-    def rounding_floor(self, x: np.ndarray) -> float:
-        """eps k |A|_inf |x|_inf: the rounding error a computed A x may carry."""
-        return self._product_error_scale * float(np.max(np.abs(x), initial=0.0))
+    def rounding_floor(self, x: np.ndarray):
+        """eps k |A|_inf |x|_inf: the rounding error a computed A x may carry;
+        one value per row of a stack of vectors."""
+        return self._product_error_scale * np.max(np.abs(x), axis=-1, initial=0.0)
 
     @functools.cached_property
     def _hierarchy(self) -> tuple[list[tuple], tuple]:
@@ -117,14 +121,20 @@ class SparseOperator:
         return levels, _coarse_bands(matrix, shapes[-1])
 
     def solver(self, shift: Optional[np.ndarray] = None,
-               rtol: float = CG_RELATIVE_TOL) -> Callable[[np.ndarray], np.ndarray]:
+               rtol=CG_RELATIVE_TOL) -> Callable[[np.ndarray], np.ndarray]:
         """Solver for (A + diag(shift)) x = b with shift >= 0 (None: A itself).
 
         CG to relative residual `rtol`, preconditioned by a V-cycle on A's
         cached hierarchy with the shift and its coarse images on the
         diagonals; on a grid with no coarse level (every 1-D grid) banded
         Cholesky on A's bands plus the shift, direct (`rtol` is ignored).
+        A (k, n) stack of shifts gives the solver of the k systems, one per
+        row, with `rtol` one value or one per row (`_Stacked`): it maps a
+        (k, n) stack of right-hand sides to the stack of solutions, each row
+        bit for bit the one the row's own solver computes.
         """
+        if shift is not None and np.ndim(shift) == 2:
+            return _Stacked(self._hierarchy, shift, rtol)
         return _Multigrid(self._hierarchy, np.zeros(self.n_unknowns)
                           if shift is None else shift, rtol)
 
@@ -360,6 +370,59 @@ class _Multigrid:
         if info != 0:
             res = float(np.max(np.abs(system @ x - b)))
             raise LinearSolveError("multigrid-preconditioned CG did not converge", res)
+        return x
+
+
+class _Stacked:
+    """Solver of (A + diag(s_i)) x_i = b_i for the rows s_i of a (k, n) shift
+    stack, mapping a (k, n) stack of right-hand sides to its solutions.
+
+    Where A is tridiagonal (every 1-D grid), one `pttrf` factors the
+    block-diagonal concatenation of the k systems once and one `pttrs`
+    solves it (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999):
+    the couplings between blocks are zero, so each block is factored and
+    solved bit for bit as `_Banded` does it alone, as long as every value
+    stays finite: the factor and the solve multiply the zero coupling by a
+    neighbouring block's value, and 0 * inf is NaN.  So a stacked solution
+    with a non-finite entry is solved again row by row.  Off 1-D grids each
+    row has its own `_Multigrid` and `rtol`; a row whose CG fails comes
+    back as NaN, with its LinearSolveError kept in `failures` under the
+    row's index, and the other rows still solve.  `iterations` holds CG
+    iterations per row.
+    """
+
+    def __init__(self, hierarchy: tuple[list[tuple], tuple], shifts: np.ndarray, rtol):
+        levels, (bands, _, _) = hierarchy
+        self.hierarchy, self.shifts, self.rtol = hierarchy, shifts, rtol
+        self.failures: dict[int, LinearSolveError] = {}
+        self.iterations = np.zeros(len(shifts), dtype=int)
+        self.block = None
+        if not levels and len(bands) == 2:
+            couplings = np.zeros(shifts.shape)
+            couplings[:, :-1] = bands[0, 1:]
+            *self.block, info = sla.lapack.dpttrf((bands[1] + shifts).ravel(),
+                                                  couplings.ravel()[:-1])
+            _check_lapack(info)
+
+    @functools.cached_property
+    def rows(self) -> list["_Multigrid"]:
+        return [_Multigrid(self.hierarchy, shift, rtol) for shift, rtol
+                in zip(self.shifts, np.broadcast_to(self.rtol, len(self.shifts)))]
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        if self.block is not None:
+            x, info = sla.lapack.dpttrs(*self.block, b.ravel())
+            _check_lapack(info)
+            if np.isfinite(x).all():
+                return x.reshape(b.shape)
+        x = np.empty_like(b)
+        for i, (solve, row) in enumerate(zip(self.rows, b)):
+            try:
+                x[i] = solve(row)
+            except LinearSolveError as exc:
+                self.failures[i] = exc
+                x[i] = np.nan
+        self.iterations = np.array([solve.iterations for solve in self.rows])
         return x
 
 

@@ -19,12 +19,19 @@ k-term dot-product bound for A u (`SparseOperator.rounding_floor`, k = 3 in
 exp and log.  The bound follows the iterate, so it is recomputed after
 every accepted step; without the floor it sits below what a computed
 residual can reach on fine 1-D grids, and no m-step there ends by it.
+
+A sweep's exponents share the grid, the datum and the m-schedule, so they
+are solved in lockstep (`solve_lockstep`): each Newton iteration advances
+the stack of their iterates with one stacked Jacobian solve, and everything
+else is evaluated per row, so every row is bit for bit the solve of its
+exponent alone.  `solve_singular` and `solve_regularized` are the case of
+one exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -71,14 +78,15 @@ def check_m_schedule(schedule: Sequence[int]) -> list[int]:
 
 
 def _regularized_rhs(log_f: tuple[np.ndarray, np.ndarray], u: np.ndarray, eps: float,
-                     gamma: float) -> np.ndarray:
+                     gamma: np.ndarray) -> np.ndarray:
     """f/(u+eps)^gamma where f > 0, zero elsewhere; exponent capped.
 
+    `u` is a stack of iterates, one row per exponent in `gamma`, and
     `log_f` is (pos, log f[pos]), pos the indices where f > 0."""
     pos, log_values = log_f
     out = np.zeros_like(u)
-    base = np.maximum(u[pos] + eps, VALUE_FLOOR)
-    out[pos] = np.exp(np.minimum(log_values - gamma * np.log(base), LOG_CAP))
+    base = np.maximum(u.take(pos, axis=1) + eps, VALUE_FLOOR)
+    out[:, pos] = np.exp(np.minimum(log_values - gamma[:, None] * np.log(base), LOG_CAP))
     return out
 
 
@@ -129,6 +137,185 @@ def _extrapolated_start(recent: Sequence[RegularizedIterate], eps: float,
     return sum(w * it.u.values for w, it in zip(weights, recent)) + shift * pos
 
 
+def _check_iterate(m: int, gamma: float, u: np.ndarray, g: np.ndarray,
+                   iterations: int, trace: list[float]) -> None:
+    """NonlinearSolveError unless the last Newton iterate of one exponent is
+    a solution: its right-hand side g must not be clipped at e^LOG_CAP and
+    its interior values u must be strictly positive (f > 0 somewhere)."""
+    if float(np.max(g)) >= np.exp(LOG_CAP):
+        raise NonlinearSolveError(
+            f"regularized solve (m={m}, gamma={gamma}) ended after {iterations} "
+            f"iterations at an iterate whose right-hand side is clipped at "
+            f"e^{LOG_CAP:g}", trace)
+    if float(np.min(u)) <= 0.0:
+        raise NonlinearSolveError(
+            "converged iterate is not strictly positive at interior nodes", [])
+
+
+@dataclass
+class _Rows:
+    """The rows of a stacked Newton solve still iterating; row j of every
+    array belongs to the exponent at position index[j] of the stack."""
+
+    index: np.ndarray
+    gamma: np.ndarray
+    u: np.ndarray                  # interior iterates, one row each
+    au: np.ndarray                 # A u
+    g: np.ndarray                  # f/(u + 1/m)^gamma
+    res: np.ndarray                # |A u - g|_inf
+    bound: np.ndarray              # the residual bound at u
+    eta: np.ndarray                # forcing terms
+    linear_iterations: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        if keep.all():
+            return self
+        return _Rows(*(getattr(self, field.name)[keep] for field in fields(self)))
+
+
+def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
+                       initials: Sequence[Optional[GridFunction]], op: SparseOperator,
+                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> list:
+    """Damped inexact Newton in lockstep on the regularized problems of
+    `spec`'s datum at index m, one per exponent in `gammas`.
+
+    Each iteration advances the (k, n) stack of iterates with one stacked
+    Jacobian solve (`SparseOperator.solver` on the stack of shifts); the
+    right-hand sides, residuals, their bounds, the forcing terms, the step
+    halving and every stop are evaluated per row, so each row is bit for bit
+    the solve its exponent would get alone.  A row leaves the stack when it
+    stops or fails.  Returns per exponent its RegularizedIterate or the
+    NonlinearSolveError / LinearSolveError it failed with; any other
+    exception propagates.  `initials` holds each row's start (None: the cold
+    start max(A^-1 f, 0), solved once for every row that takes it).
+    """
+    f = spec.datum_values()
+    f_int = f[tuple(slice(1, -1) for _ in range(spec.grid.dim))].reshape(-1)
+    if not np.any(f_int > 0):
+        return [RegularizedIterate(m, GridFunction.zeros(spec.grid), 0, 0.0)
+                for _ in gammas]
+    eps = 1.0 / m
+    tolerance = RESIDUAL_TOL * (1.0 + float(np.max(f_int, initial=0.0)))
+    pos = np.flatnonzero(f_int > 0)
+    log_f = (pos, np.log(f_int[pos]))
+    A = op.diagonals
+    k = len(gammas)
+    outcomes: list = [None] * k
+    traces: list[list[float]] = [[] for _ in range(k)]
+    it = 0                         # Newton iterations, the same for every row
+
+    def residuals(u, gamma):
+        g = _regularized_rhs(log_f, u, eps, gamma)
+        au = (A @ u.T).T
+        return np.abs(au - g).max(axis=1), g, au
+
+    def bounds(u, g, gamma):
+        return (tolerance + op.rounding_floor(u)
+                + np.finfo(float).eps * (1.0 + gamma) * g.max(axis=1))
+
+    def leave(rows, stop, stalled):
+        """Rows `stop` end: each as its iterate, or as the error of its check."""
+        for j in np.flatnonzero(stop):
+            i = rows.index[j]
+            try:
+                _check_iterate(m, float(rows.gamma[j]), rows.u[j], rows.g[j], it,
+                               traces[i])
+            except NonlinearSolveError as exc:
+                outcomes[i] = exc
+                continue
+            outcomes[i] = RegularizedIterate(
+                m, op.full_from_interior(rows.u[j]), it, float(rows.res[j]),
+                int(rows.linear_iterations[j]), bool(stalled[j]))
+        return rows.take(~stop)
+
+    def fail(rows, failed, error):
+        """Rows `failed` end as error(j), j their row in `rows`."""
+        for j in np.flatnonzero(failed):
+            outcomes[rows.index[j]] = error(j)
+        return rows.take(~failed)
+
+    gamma = np.array(gammas, dtype=float)
+    u = np.empty((k, op.n_unknowns))
+    cold = None
+    for row, initial in zip(u, initials):
+        if initial is not None:
+            np.maximum(op.interior_of(initial), 0.0, out=row)
+        else:
+            if cold is None:
+                cold = np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0)
+            row[:] = cold
+    res, g, au = residuals(u, gamma)
+    rows = _Rows(np.arange(k), gamma, u, au, g, res, bounds(u, g, gamma),
+                 np.full(k, ETA_MAX), np.zeros(k, dtype=int))
+    for trace, r in zip(traces, res.tolist()):
+        trace.append(r)
+    stop, stalled = rows.res <= rows.bound, np.zeros(k, dtype=bool)
+    while True:
+        if stop.any():
+            rows = leave(rows, stop, stalled)
+        if rows.index.size and it == max_iterations:
+            rows = fail(rows, np.ones(rows.index.size, dtype=bool), lambda j: NonlinearSolveError(
+                f"regularized solve (m={m}, gamma={float(rows.gamma[j])}) did not "
+                f"converge within {max_iterations} iterations; last residual "
+                f"{rows.res[j]:.3e}", traces[rows.index[j]]))
+        if not rows.index.size:
+            return outcomes
+        it += 1
+        if it > 1:
+            for j, i in enumerate(rows.index):
+                rows.eta[j] = _forcing_term(float(rows.res[j]), traces[i][-2],
+                                            float(rows.eta[j]), float(rows.bound[j]))
+        solve = op.solver(rows.gamma[:, None] * rows.g / (rows.u + eps), rtol=rows.eta)
+        du = solve(rows.g - rows.au)
+        rows.linear_iterations += solve.iterations
+        finite = np.isfinite(du).all(axis=1)
+        if not finite.all():
+            rows = fail(rows, ~finite, lambda j: solve.failures.get(j) or NonlinearSolveError(
+                f"regularized solve (m={m}, gamma={float(rows.gamma[j])}): non-finite "
+                f"Newton direction at iteration {it}", traces[rows.index[j]]))
+            du = du[finite]
+            if not rows.index.size:
+                return outcomes
+        # halve until the residual falls; a trial equal to u is a stall.  An
+        # index array selects the rows still halving, slice(None) the whole
+        # stack without a copy (the common case: every row takes its full step)
+        size = rows.index.size
+        lam, search = np.ones(size), np.arange(size)
+        stalled = np.zeros(size, dtype=bool)
+        cand = np.maximum(rows.u + du, 0.0)
+        accepted = None                # (res, g, A u) of the rows' new iterates
+        while search.size:
+            sel = slice(None) if search.size == size else search
+            same = (cand[sel] == rows.u[sel]).all(axis=1)
+            if same.any():             # a stalled row keeps its iterate
+                halted = search[same]
+                stalled[halted], cand[halted] = True, rows.u[halted]
+                search = search[~same]
+                continue
+            r, g, au = residuals(cand[sel], rows.gamma[sel])
+            better = r < rows.res[sel]
+            if search.size == size and better.all():
+                accepted = r, g, au
+                break
+            if accepted is None:       # start from the current iterates
+                accepted = rows.res.copy(), rows.g.copy(), rows.au.copy()
+            done = search[better]
+            for new, trial in zip(accepted, (r, g, au)):
+                new[done] = trial[better]
+            search = search[~better]
+            lam[search] *= 0.5
+            cand[search] = np.maximum(rows.u[search] + lam[search, None] * du[search], 0.0)
+        rel_update = (np.abs(cand - rows.u).max(axis=1)
+                      / np.maximum(1.0, np.abs(cand).max(axis=1)))
+        if accepted is not None:
+            rows.u, (rows.res, rows.g, rows.au) = cand, accepted
+            rows.bound = bounds(rows.u, rows.g, rows.gamma)
+        for i, r, halted in zip(rows.index, rows.res.tolist(), stalled):
+            if not halted:
+                traces[i].append(r)
+        stop = stalled | (rel_update <= UPDATE_TOL) | (rows.res <= rows.bound)
+
+
 def solve_regularized(spec: ProblemSpec, m: int, *,
                       initial: Optional[GridFunction] = None,
                       operator: Optional[SparseOperator] = None,
@@ -146,88 +333,16 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     relative update is negligible, or when halving no longer moves the
     iterate (a stall: no representable step lowers the residual).  An
     iterate whose right-hand side is still clipped at e^LOG_CAP is no
-    solution: it raises NonlinearSolveError.
+    solution: it raises NonlinearSolveError.  This is the one-exponent case
+    of the lockstep solve `_regularized_stack`.
     """
     if m < 1:
         raise ValueError("regularization index m must be >= 1")
     op = operator if operator is not None else assemble(spec.grid, spec.coefficients)
-    f = spec.datum_values()
-    f_int = f[tuple(slice(1, -1) for _ in range(spec.grid.dim))].reshape(-1)
-    gamma = float(spec.gamma)
-    eps = 1.0 / m
-    tolerance = RESIDUAL_TOL * (1.0 + float(np.max(f_int, initial=0.0)))
-
-    if not np.any(f_int > 0):
-        zero = GridFunction.zeros(spec.grid)
-        return RegularizedIterate(m, zero, 0, 0.0)
-    pos = np.flatnonzero(f_int > 0)
-    log_f = (pos, np.log(f_int[pos]))
-
-    A = op.diagonals
-    if initial is not None:
-        u = np.maximum(op.interior_of(initial), 0.0)
-    else:
-        u = np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0)
-
-    def residual_of(vec):
-        rhs = _regularized_rhs(log_f, vec, eps, gamma)
-        return float(np.max(np.abs(A @ vec - rhs))), rhs
-
-    def bound_at(vec, rhs):
-        return (tolerance + op.rounding_floor(vec)
-                + np.finfo(float).eps * (1.0 + gamma) * float(np.max(rhs)))
-
-    res, g = residual_of(u)
-    res_bound = bound_at(u, g)
-    trace = [res]
-    it = linear_iterations = 0
-    eta, stalled = ETA_MAX, False
-    while res > res_bound:
-        if it == max_iterations:
-            raise NonlinearSolveError(
-                f"regularized solve (m={m}, gamma={gamma}) did not converge within "
-                f"{max_iterations} iterations; last residual {res:.3e}", trace)
-        it += 1
-        if it > 1:
-            eta = _forcing_term(res, trace[-2], eta, res_bound)
-        solve = op.solver(gamma * g / (u + eps), rtol=eta)
-        du = solve(g - A @ u)
-        if not np.all(np.isfinite(du)):
-            raise NonlinearSolveError(
-                f"regularized solve (m={m}, gamma={gamma}): non-finite Newton "
-                f"direction at iteration {it}", trace)
-        linear_iterations += solve.iterations
-        # halve until the residual falls; a trial equal to u is a stall
-        lam = 1.0
-        cand = np.maximum(u + du, 0.0)
-        while not np.array_equal(cand, u):
-            cand_res, cand_g = residual_of(cand)
-            if cand_res < res:
-                break
-            lam *= 0.5
-            cand = np.maximum(u + lam * du, 0.0)
-        else:
-            stalled = True
-            break
-        rel_update = float(np.max(np.abs(cand - u))) / max(1.0, float(np.max(np.abs(cand))))
-        u, res, g = cand, cand_res, cand_g
-        res_bound = bound_at(u, g)
-        trace.append(res)
-        if rel_update <= UPDATE_TOL:
-            break
-    if float(np.max(g)) >= np.exp(LOG_CAP):
-        raise NonlinearSolveError(
-            f"regularized solve (m={m}, gamma={gamma}) ended after {it} iterations "
-            f"at an iterate whose right-hand side is clipped at e^{LOG_CAP:g}", trace)
-    sol = op.full_from_interior(u)
-    _check_positive(sol, f)
-    return RegularizedIterate(m, sol, it, res, linear_iterations, stalled)
-
-
-def _check_positive(u: GridFunction, f: np.ndarray) -> None:
-    if np.any(f > 0) and float(np.min(u.interior())) <= 0.0:
-        raise NonlinearSolveError(
-            "converged iterate is not strictly positive at interior nodes", [])
+    (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op, max_iterations)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -237,6 +352,57 @@ class SingularSolution:
     trace: tuple[RegularizedIterate, ...]
     stabilized: bool    # the last schedule gap is at most SCHEDULE_GAP_TOL
     gap: float          # inf when the schedule has a single entry
+
+
+def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[int],
+                    regularize: Callable) -> list:
+    """The outer limit over `schedule` for specs that differ only in gamma.
+
+    For each m, `regularize(m, active specs, their starts)` solves the
+    regularized problems of the rows still running and returns per row its
+    RegularizedIterate or the error it failed with; a failed row leaves with
+    that error and one whose gap is at most SCHEDULE_GAP_TOL stops.  Returns
+    per spec its SingularSolution or its error.
+    """
+    if not specs:
+        return []
+    pos = (specs[0].datum_values() > 0).astype(float)
+    grid = specs[0].grid
+    traces: list[list[RegularizedIterate]] = [[] for _ in specs]
+    gaps = [np.inf] * len(specs)
+    outcomes: list = [None] * len(specs)
+    active = list(range(len(specs)))
+    for m in schedule:
+        if not active:
+            break
+        initials = [GridFunction(grid, _extrapolated_start(
+                        traces[i][-EXTRAPOLATION_DEPTH:], 1.0 / m, pos))
+                    if traces[i] else None for i in active]
+        running = []
+        for i, it in zip(active, regularize(m, [specs[i] for i in active], initials)):
+            if isinstance(it, Exception):
+                outcomes[i] = it
+                continue
+            if traces[i]:
+                gaps[i] = float(np.max(np.abs(it.u.values - traces[i][-1].u.values)))
+            traces[i].append(it)
+            if gaps[i] > SCHEDULE_GAP_TOL:
+                running.append(i)
+        active = running
+    for i, spec in enumerate(specs):
+        if outcomes[i] is None:
+            outcomes[i] = SingularSolution(spec, traces[i][-1].u, tuple(traces[i]),
+                                           gaps[i] <= SCHEDULE_GAP_TOL, gaps[i])
+    return outcomes
+
+
+def _operator_for(spec: ProblemSpec, operator: Optional[SparseOperator]) -> SparseOperator:
+    if operator is None:
+        return assemble(spec.grid, spec.coefficients)
+    if operator.grid != spec.grid:
+        raise ValueError(f"operator grid {operator.grid} does not match the "
+                         f"problem grid {spec.grid}")
+    return operator
 
 
 def solve_singular(spec: ProblemSpec,
@@ -260,30 +426,42 @@ def solve_singular(spec: ProblemSpec,
     singular right-hand side amplifies residuals near the boundary while
     monotone convergence makes the gap a faithful rule.  A one-entry
     schedule compares nothing: its gap is inf and it is not stabilized.
-    `operator` is the assembled A of `spec` (a sweep assembles it once for
-    all exponents); one on another grid raises ValueError.
+    `operator` is the assembled A of `spec`; one on another grid raises
+    ValueError.  This is the one-exponent case of `solve_lockstep`, with
+    each m-step one `solve_regularized` call.
     """
     schedule = check_m_schedule(m_schedule if m_schedule is not None
                                 else default_m_schedule())
+    op = _operator_for(spec, operator)
 
-    if operator is not None and operator.grid != spec.grid:
-        raise ValueError(f"operator grid {operator.grid} does not match the "
-                         f"problem grid {spec.grid}")
-    op = operator if operator is not None else assemble(spec.grid, spec.coefficients)
-    pos = (spec.datum_values() > 0).astype(float)
-    trace: list[RegularizedIterate] = []
-    gap = np.inf
-    for m in schedule:
-        recent = trace[-EXTRAPOLATION_DEPTH:]
-        initial = (GridFunction(spec.grid, _extrapolated_start(recent, 1.0 / m, pos))
-                   if recent else None)
-        it = solve_regularized(spec, m, initial=initial, operator=op)
-        if trace:
-            gap = float(np.max(np.abs(it.u.values - trace[-1].u.values)))
-        trace.append(it)
-        if gap <= SCHEDULE_GAP_TOL:
-            break
-    return SingularSolution(spec, trace[-1].u, tuple(trace), gap <= SCHEDULE_GAP_TOL, gap)
+    def regularize(m, specs, initials):
+        return [solve_regularized(specs[0], m, initial=initials[0], operator=op)]
+
+    (sol,) = _solve_schedule([spec], schedule, regularize)
+    return sol
+
+
+def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
+                   m_schedule: Optional[Sequence[int]] = None, *,
+                   operator: Optional[SparseOperator] = None) -> list:
+    """`solve_singular` for every exponent in `gammas` at once: each m-step
+    of the shared schedule runs one lockstep Newton solve
+    (`_regularized_stack`) on the rows still running.
+
+    Returns per exponent its SingularSolution, bit for bit the one
+    `solve_singular(replace(spec, gamma=n), m_schedule)` gives, or the
+    NonlinearSolveError / LinearSolveError that exponent's solve raises
+    there; the other rows continue.  Any other exception propagates.
+    """
+    schedule = check_m_schedule(m_schedule if m_schedule is not None
+                                else default_m_schedule())
+    op = _operator_for(spec, operator)
+
+    def regularize(m, specs, initials):
+        return _regularized_stack(spec, [s.gamma for s in specs], m, initials, op)
+
+    return _solve_schedule([replace(spec, gamma=float(n)) for n in gammas],
+                           schedule, regularize)
 
 
 def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:

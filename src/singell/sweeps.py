@@ -17,12 +17,10 @@ import numpy as np
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import (LinearSolveError, MeasureData, SparseOperator, assemble,
-                        solve_measure)
-from .solver import (RESIDUAL_FLOOR, NonlinearSolveError, SingularSolution,
-                     linfty_certificate, quasilinear_residual,
-                     singular_mass_density, solve_singular, to_quasilinear,
-                     total_singular_mass)
+from .operators import MeasureData, SparseOperator, assemble, solve_measure
+from .solver import (RESIDUAL_FLOOR, SingularSolution, linfty_certificate,
+                     quasilinear_residual, singular_mass_density, solve_lockstep,
+                     solve_singular, to_quasilinear, total_singular_mass)
 
 
 class InconclusiveCheckError(RuntimeError):
@@ -248,6 +246,7 @@ class SweepReport:
     limit_u: Optional[GridFunction]
     histogram: Optional[MeasureHistogram]
     limit_check: Optional[float]
+    traces: tuple         # per row its solve's RegularizedIterates; None if it failed
 
 
 def _h1_seminorm(v: GridFunction) -> float:
@@ -289,22 +288,22 @@ def describe_solution(sol: SingularSolution, compacta: Sequence = (),
     )
 
 
-def _sweep_row(spec: ProblemSpec, n: float, compacta, m_schedule,
-               residual_floor: float,
-               operator: SparseOperator) -> tuple[SweepRow, Optional[SingularSolution]]:
-    try:
-        sol = solve_singular(replace(spec, gamma=n), m_schedule, operator=operator)
-    except (NonlinearSolveError, LinearSolveError) as exc:
-        # numeric per-row failures are recorded, the sweep continues
-        nans = (math.nan,) * len(compacta)
-        return SweepRow(n, math.nan, nans, math.nan, nans, math.nan, math.nan,
-                        nans, math.nan, math.nan, failed=True, error=str(exc)), None
-    return describe_solution(sol, compacta, residual_floor), sol
+def _sweep_row(n: float, outcome, compacta,
+               residual_floor: float) -> SweepRow:
+    """The row of exponent n from its lockstep outcome: `describe_solution`
+    of its solve, or a failed row (NaN values, the error's text)."""
+    if isinstance(outcome, SingularSolution):
+        return describe_solution(outcome, compacta, residual_floor)
+    nans = (math.nan,) * len(compacta)
+    return SweepRow(n, math.nan, nans, math.nan, nans, math.nan, math.nan,
+                    nans, math.nan, math.nan, failed=True, error=str(outcome))
 
 
 def check_n_list(n_list: Sequence[float]) -> list[float]:
-    """The sweep exponents as floats: strictly increasing, each at least 3."""
+    """The sweep exponents as floats: finite, strictly increasing, each at least 3."""
     ns = [float(n) for n in n_list]
+    if not all(math.isfinite(n) for n in ns):
+        raise ValueError("sweep exponents must be finite")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
     if any(n < 3 for n in ns):
@@ -317,11 +316,12 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               shell_distances: Sequence[float] = (),
               m_schedule: Optional[Sequence[int]] = None,
               residual_floor: float = RESIDUAL_FLOOR) -> SweepReport:
-    """One singular solve per exponent, each row from `describe_solution`.
+    """The exponents' singular solves in lockstep (`solve_lockstep`), each
+    row from `describe_solution`.
 
-    A is assembled once and shared by every exponent's solve.  Numeric
-    per-row failures (a nonlinear or linear solve that does not converge)
-    are recorded in the row and the sweep continues; any other exception
+    A is assembled once and shared by every exponent.  Numeric per-row
+    failures (a nonlinear or linear solve that does not converge) are
+    recorded in the row and the other rows continue; any other exception
     propagates.  The largest successful solve doubles as the empirical
     pointwise limit; when `limit_check_applies` to the datum, `check_limit`
     attaches the concentration histogram and the measure-data
@@ -329,16 +329,19 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     """
     ns = check_n_list(n_list)
     op = assemble(spec.grid, spec.coefficients)
-    results = [_sweep_row(spec, n, compacta, m_schedule, residual_floor, op)
-               for n in ns]
-    last_sol = next((s for _, s in reversed(results) if s is not None), None)
+    outcomes = solve_lockstep(spec, ns, m_schedule, operator=op)
+    solved = [s if isinstance(s, SingularSolution) else None for s in outcomes]
+    last_sol = next((s for s in reversed(solved) if s is not None), None)
     limit_u = last_sol.u if last_sol is not None else None
     check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances)
              if last_sol is not None and limit_check_applies(spec) else None)
     return SweepReport(spec, tuple(ns), tuple(compacta),
-                       tuple(r for r, _ in results), limit_u,
+                       tuple(_sweep_row(n, s, compacta, residual_floor)
+                             for n, s in zip(ns, outcomes)),
+                       limit_u,
                        check.histogram if check else None,
-                       check.gap if check else None)
+                       check.gap if check else None,
+                       tuple(s.trace if s is not None else None for s in solved))
 
 
 # --- harmonic comparison (reported, never asserted) -------------------------------

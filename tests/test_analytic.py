@@ -255,6 +255,16 @@ class TestMatchingConstant:
         assert len(calls) <= 16
         assert abs(gap(n, c)) <= analytic.ROOT_TOL
 
+    def test_accurate_against_a_tighter_root(self, monkeypatch):
+        # |F| <= ROOT_TOL leaves c within 1e-10 relative of the root solved
+        # to |F| <= 1e-13, evenly over the exponent range
+        ns = np.linspace(3.0, 400.0, 100)
+        constants = [matching_constant(n) for n in ns]
+        monkeypatch.setattr(analytic, "ROOT_TOL", 1e-13)
+        for n, c in zip(ns, constants):
+            reference = matching_constant(n)
+            assert abs(c - reference) <= 1e-10 * reference, n
+
     def test_no_sign_change_raises(self, monkeypatch):
         monkeypatch.setattr(analytic, "matching_slope_gap", lambda n, c: 1.0)
         with pytest.raises(analytic.ConstructionError, match="no sign change"):

@@ -254,17 +254,17 @@ class TestSweepCommand:
         assert sweep["shell_fractions"] == check["shell_fractions"]
 
     def test_failed_row_keeps_header_shape(self, tmp_path, monkeypatch):
-        import singell.sweeps as sweeps_mod
-        real = sweeps_mod.solve_singular
+        import singell.solver as solver_mod
+        real = solver_mod._check_iterate
 
-        def flaky(spec, schedule, **kw):
-            if spec.gamma == 20.0:
+        def flaky(m, gamma, *args):
+            if gamma == 20.0:
                 raise NonlinearSolveError(
                     "regularized solve (m=4, gamma=20.0) did not converge "
                     "within 200 iterations; last residual 1.000e-03", [])
-            return real(spec, schedule, **kw)
+            return real(m, gamma, *args)
 
-        monkeypatch.setattr(sweeps_mod, "solve_singular", flaky)
+        monkeypatch.setattr(solver_mod, "_check_iterate", flaky)
         payload = json.loads(json.dumps(SECTION6))
         payload["problem"]["cells"] = 128
         payload["sweep"]["n_list"] = [10.0, 20.0]
@@ -425,6 +425,65 @@ def test_invalid_config_exit_2_no_output(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, payload),
                  "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def _matched_hole(command, path, value):
+    """matched_indicator.json at 64 cells with `path` set to `value`; the
+    string "1e400" stands for that JSON literal, which overflows to inf."""
+    payload = json.loads((CONFIGS / "matched_indicator.json").read_text())
+    payload["problem"]["cells"] = 64
+    *keys, last = path
+    block = payload
+    for key in keys:
+        block = block.setdefault(key, {})
+    block[last] = value
+    return command, json.dumps(payload).replace('"1e400"', "1e400")
+
+
+CONFIG_HOLES = {
+    "n_list_nan_sweep": _matched_hole("sweep", ["sweep", "n_list"], [10.0, math.nan]),
+    "n_list_nan_oned": _matched_hole("oned", ["sweep", "n_list"], [10.0, math.nan]),
+    "n_list_inf_sweep": _matched_hole("sweep", ["sweep", "n_list"], [10.0, "1e400"]),
+    "n_list_inf_limit_check": _matched_hole("limit-check", ["sweep", "n_list"],
+                                            [10.0, "1e400"]),
+    "n_list_entry_not_a_number": _matched_hole("sweep", ["sweep", "n_list"], [[10.0]]),
+    "compactum_not_a_pair": _matched_hole("sweep", ["sweep", "compacta"], [[0.5]]),
+    "compactum_three_entries": _matched_hole("sweep", ["sweep", "compacta"],
+                                             [[-0.5, 0.0, 0.5]]),
+    "compactum_a_number": _matched_hole("sweep", ["sweep", "compacta"], [0.5]),
+    "compactum_reversed": _matched_hole("sweep", ["sweep", "compacta"], [[0.5, -0.5]]),
+    "compactum_outside_domain": _matched_hole("sweep", ["sweep", "compacta"],
+                                              [[2.5, 3.0]]),
+    "compactum_2d_on_1d_grid": _matched_hole("sweep", ["sweep", "compacta"],
+                                             [[[-0.5, -0.5], [0.5, 0.5]]]),
+    "shell_distance_not_a_number": _matched_hole("sweep", ["sweep", "shell_distances"],
+                                                 ["abc"]),
+    "residual_floor_not_a_number": _matched_hole("sweep", ["sweep", "residual_floor"],
+                                                 "abc"),
+    "radius_not_a_number": _matched_hole("oned", ["oned", "radius"], "abc"),
+    "radius_zero": _matched_hole("oned", ["oned"], {"geometry": "interval", "radius": 0.0}),
+    "radius_negative": _matched_hole("oned", ["oned"],
+                                     {"geometry": "interval", "radius": -1.0}),
+    "tolerances_a_list": _matched_hole("sweep", ["sweep", "tolerances"], [1.0, 2.0]),
+    "tolerances_a_string": _matched_hole("sweep", ["sweep", "tolerances"], "abc"),
+    "m_schedule_not_integer": _matched_hole("sweep", ["sweep", "m_schedule"],
+                                            [1.5, 16]),
+    "compactum_on_the_boundary_only": _matched_hole("sweep", ["sweep", "compacta"],
+                                                    [[2.0, 2.5]]),
+    "datum_value_nan": _matched_hole("sweep", ["problem", "datum", "value"], math.nan),
+    "residual_floor_zero": _matched_hole("sweep", ["sweep", "residual_floor"], 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_HOLES), ids=list(CONFIG_HOLES))
+def test_config_hole_exit_2_before_output(tmp_path, capsys, case):
+    command, text = CONFIG_HOLES[case]
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
 

@@ -336,12 +336,32 @@ class CsrMultigrid:
         return x
 
 
+class CsrStack:
+    """The CSR reference of `ops._Stacked` off a 1-D grid: one `CsrMultigrid`
+    per row of the shift stack."""
+
+    def __init__(self, op, shifts, rtol):
+        self.failures = {}
+        self.rows = [CsrMultigrid(op, shift, r)
+                     for shift, r in zip(shifts, np.broadcast_to(rtol, len(shifts)))]
+
+    @property
+    def iterations(self):
+        return np.array([solve.iterations for solve in self.rows])
+
+    def __call__(self, b):
+        return np.array([solve(row) for solve, row in zip(self.rows, b)])
+
+
 def csr_reference(monkeypatch):
     """Route every solve and product with A through CSR and `CsrMultigrid`."""
+    def solver(op, shift=None, rtol=ops.CG_RELATIVE_TOL):
+        if shift is not None and shift.ndim == 2:
+            return CsrStack(op, shift, rtol)
+        return CsrMultigrid(op, np.zeros(op.n_unknowns) if shift is None else shift, rtol)
+
     monkeypatch.setattr(ops.SparseOperator, "diagonals", property(lambda op: op.matrix))
-    monkeypatch.setattr(ops.SparseOperator, "solver",
-                        lambda op, shift=None, rtol=ops.CG_RELATIVE_TOL: CsrMultigrid(
-                            op, np.zeros(op.n_unknowns) if shift is None else shift, rtol))
+    monkeypatch.setattr(ops.SparseOperator, "solver", solver)
 
 
 class TestSpdSolver:
@@ -546,6 +566,67 @@ class TestDiagonalStorage:
         assert np.array_equal(sol.u.values, reference.u.values)
         assert ([(it.iterations, it.linear_iterations) for it in sol.trace]
                 == [(it.iterations, it.linear_iterations) for it in reference.trace])
+
+
+class TestStackedSolver:
+    """`solver` on a (k, n) stack of shifts: each row bit for bit its own solver."""
+
+    @staticmethod
+    def operator(cells):
+        lo, hi = ((0.0, 1.0) if np.isscalar(cells) else ((0.0, 0.0), (1.0, 1.0)))
+        g = make_uniform_grid(lo, hi, cells)
+        return assemble(g, CoefficientField.identity(g))
+
+    # 1-D (block-diagonal pttrf), 2-D with coarse levels (CG), 2-D without (pbtrf)
+    @pytest.mark.parametrize("cells", [64, 1024, (40, 64), (12, 10)])
+    def test_rows_equal_row_solvers(self, cells, rng):
+        op = self.operator(cells)
+        rtol = np.array([1e-2, 1e-6, 1e-10, 1e-13])
+        shifts = rng.random((4, op.n_unknowns)) * np.array([[0.0], [1.0], [1e3], [1e6]])
+        b = rng.standard_normal((4, op.n_unknowns))
+        solve = op.solver(shifts, rtol=rtol)
+        x = solve(b)
+        for i in range(4):
+            alone = op.solver(shifts[i], rtol=rtol[i])
+            assert np.array_equal(x[i], alone(b[i]))
+            assert solve.iterations[i] == alone.iterations
+        assert not solve.failures
+
+    def test_1d_factors_the_stack_once(self, rng, monkeypatch):
+        op = self.operator(64)
+        calls = []
+        real = sla.lapack.dpttrf
+        monkeypatch.setattr(sla.lapack, "dpttrf",
+                            lambda *args: calls.append(args[0].size) or real(*args))
+        solve = op.solver(rng.random((5, op.n_unknowns)))
+        solve(rng.standard_normal((5, op.n_unknowns)))
+        assert calls == [5 * op.n_unknowns]
+
+    @pytest.mark.parametrize("cells", [64, (40, 64)])
+    def test_non_finite_row_leaves_the_others_alone(self, cells, rng):
+        # 0 * inf is NaN: a non-finite row must not leak across a zero coupling
+        op = self.operator(cells)
+        shifts = rng.random((3, op.n_unknowns))
+        b = rng.standard_normal((3, op.n_unknowns))
+        bad_shifts, bad_b = shifts.copy(), b.copy()
+        bad_shifts[1, 5], bad_b[1, 7] = np.inf, np.nan
+        for stack_shifts, stack_b in ((bad_shifts, b), (shifts, bad_b)):
+            with np.errstate(invalid="ignore"):
+                x = op.solver(stack_shifts)(stack_b)
+            for i in (0, 2):
+                assert np.array_equal(x[i], op.solver(shifts[i])(b[i]))
+
+    def test_failed_cg_row_is_nan_and_recorded(self, rng, monkeypatch):
+        op = self.operator((40, 64))
+        monkeypatch.setattr(ops, "CG_MAX_ITERATIONS", 2)
+        shifts = rng.random((2, op.n_unknowns))
+        b = rng.standard_normal((2, op.n_unknowns))
+        solve = op.solver(shifts, rtol=[0.5, 1e-13])
+        x = solve(b)
+        assert list(solve.failures) == [1]
+        assert isinstance(solve.failures[1], ops.LinearSolveError)
+        assert np.all(np.isnan(x[1]))
+        assert np.array_equal(x[0], op.solver(shifts[0], rtol=0.5)(b[0]))
 
 
 @pytest.mark.parametrize("lo, hi, cells", [(0.0, 1.0, 16),

@@ -17,7 +17,8 @@ from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
                      measure_histogram, run_sweep, solve_singular)
 from singell.config import load_config
 from singell.grids import IndicatorDatum
-from singell.sweeps import _harmonic_outside
+from singell.solver import solve_lockstep
+from singell.sweeps import _harmonic_outside, describe_solution
 from conftest import interval_spec, matched_spec, record_direct_solves
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -229,16 +230,16 @@ class TestRunSweep:
             run_sweep(matched_spec(10.0, 64), [2, 10])
 
     def test_row_failure_recorded_sweep_continues(self, monkeypatch):
-        import singell.sweeps as sweeps_mod
+        import singell.solver as solver_mod
 
-        real = sweeps_mod.solve_singular
+        real = solver_mod._check_iterate
 
-        def flaky(spec, schedule, **kw):
-            if spec.gamma == 20.0:
+        def flaky(m, gamma, *args):
+            if gamma == 20.0:
                 raise NonlinearSolveError("synthetic breakdown", [])
-            return real(spec, schedule, **kw)
+            return real(m, gamma, *args)
 
-        monkeypatch.setattr(sweeps_mod, "solve_singular", flaky)
+        monkeypatch.setattr(solver_mod, "_check_iterate", flaky)
         report = run_sweep(matched_spec(10.0, 128), [10, 20, 40],
                            compacta=[(-0.5, 0.5)])
         assert [r.failed for r in report.rows] == [False, True, False]
@@ -246,14 +247,85 @@ class TestRunSweep:
         assert report.limit_u is not None   # largest successful solve survives
 
     def test_programming_error_propagates(self, monkeypatch):
-        import singell.sweeps as sweeps_mod
+        import singell.solver as solver_mod
 
-        def broken(spec, schedule, **kw):
+        def broken(*args):
             raise TypeError("synthetic programming error")
 
-        monkeypatch.setattr(sweeps_mod, "solve_singular", broken)
+        monkeypatch.setattr(solver_mod, "_check_iterate", broken)
         with pytest.raises(TypeError, match="synthetic programming error"):
             run_sweep(matched_spec(10.0, 128), [10, 20])
+
+
+def assert_same_trace(a, b):
+    """Two m-schedules bit for bit alike: every step's counts and iterate."""
+    def steps(trace):
+        return [(it.m, it.iterations, it.linear_iterations, it.stalled, it.residual)
+                for it in trace]
+    assert steps(a) == steps(b)
+    assert all(np.array_equal(x.u.values, y.u.values) for x, y in zip(a, b))
+
+
+def assert_same_solve(a, b):
+    assert (a.gap, a.stabilized) == (b.gap, b.stabilized)
+    assert np.array_equal(a.u.values, b.u.values)
+    assert_same_trace(a.trace, b.trace)
+
+
+class TestLockstep:
+    """A sweep solves its exponents in lockstep; each row must be the solve
+    its exponent gets alone."""
+
+    def check_rows_equal_solo_solves(self, spec, ns, compacta):
+        report = run_sweep(spec, ns, compacta)
+        for n, row, trace in zip(ns, report.rows, report.traces):
+            try:
+                alone = solve_singular(replace(spec, gamma=n))
+            except NonlinearSolveError as exc:   # the same failure, the same text
+                assert (row.failed, row.error, trace) == (True, str(exc), None)
+                continue
+            assert row == describe_solution(alone, compacta)
+            assert_same_trace(trace, alone.trace)
+
+    @settings(max_examples=12, deadline=None)
+    @given(ns=st.lists(st.floats(3.0, 400.0), min_size=1, max_size=7, unique=True),
+           cells=st.integers(64, 512), matched=st.booleans())
+    def test_rows_equal_solo_solves_1d(self, ns, cells, matched):
+        spec = matched_spec(10.0, cells) if matched else interval_spec(10.0, cells)
+        self.check_rows_equal_solo_solves(spec, sorted(ns), [(-0.5, 0.5)])
+
+    def test_no_exponents_no_rows(self):
+        report = run_sweep(matched_spec(10.0, 64), [])
+        assert report.rows == report.traces == ()
+        assert report.limit_u is None
+
+    def test_rows_equal_solo_solves_square(self):
+        config = load_config(SQUARE_HOLE)
+        grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (24, 24))
+        spec = ProblemSpec(grid, CoefficientField.identity(grid), config.spec.datum,
+                           gamma=20.0, support="compact")
+        self.check_rows_equal_solo_solves(spec, [5.0, 20.0, 60.0],
+                                          [((0.3, 0.3), (0.7, 0.7))])
+
+    def test_failed_row_leaves_the_other_rows_unchanged(self, monkeypatch):
+        spec, ns = matched_spec(10.0, 128), [10.0, 20.0, 40.0]
+        clean = solve_lockstep(spec, ns)
+        real, poisoned = ops.SparseOperator.solver, []
+
+        def solver(self, shift=None, rtol=ops.CG_RELATIVE_TOL):
+            if shift is not None and shift.ndim == 2 and not poisoned:
+                poisoned.append(shift.shape)
+                shift = shift.copy()
+                shift[1] = np.nan         # the first Newton step of n = 20
+            return real(self, shift, rtol)
+
+        monkeypatch.setattr(ops.SparseOperator, "solver", solver)
+        outcomes = solve_lockstep(spec, ns)
+        assert poisoned == [(3, spec.grid.cells[0] - 1)]
+        assert isinstance(outcomes[1], NonlinearSolveError)
+        assert "non-finite Newton direction at iteration 1" in str(outcomes[1])
+        for i in (0, 2):
+            assert_same_solve(outcomes[i], clean[i])
 
 
 class TestConjecture:
