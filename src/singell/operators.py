@@ -4,24 +4,25 @@ The assembled matrix acts on interior nodes only; Dirichlet rows are
 eliminated.  Assembly certifies the M-matrix sign pattern, which is the
 discrete comparison-principle certificate used throughout.  This module is
 also the one place that holds sparse matrices and decides how they are
-solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b
-on A's multigrid hierarchy, built once per operator.  Products with A and
-with every smoothed level run in diagonal (DIA) storage, offsets ascending
-(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003,
-sec. 3.4): each row then sums its entries in the CSR column order, so the
-products are bit-identical to CSR ones and read no index array.  Each
-solver adds the shift to one row of a copy of every level's diagonals,
-smooths with damped Jacobi and solves the coarsest level by LAPACK banded
-Cholesky, factored once per solver (`pttrf`/`pbtrf`, the pair
-`solveh_banded` runs); that is the package's only direct solve.  A grid
-that does not coarsen, every 1-D grid among them, is that coarsest level:
-its solve is direct.  Otherwise CG stops at the relative residual `rtol`:
-`CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
-Newton steps.  Every solver counts the CG iterations it ran in `iterations`
-(0 if direct).  A (k, n) stack of shifts gives one solver for the k systems
-(`_Stacked`), as a sweep's lockstep Newton step needs: on a 1-D grid one
-banded Cholesky of their block-diagonal concatenation, otherwise one CG per
-row; each row is bit for bit its own solver.
+solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b,
+for one shift or for each row of a (k, n) stack of shifts, as a sweep's
+lockstep Newton step needs.  A grid that does not coarsen, every 1-D grid
+among them, gets the package's only direct solve (`_Banded`): LAPACK banded
+Cholesky (`pttrf`/`pbtrf`, the pair `solveh_banded` runs), factored once
+per solver, of the block-diagonal concatenation of the stack's systems.
+Every other grid gets CG on A's multigrid hierarchy, built once per
+operator, with one CG per row of a stack.  Products with A and with every
+smoothed level run in diagonal (DIA) storage, offsets ascending (Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 3.4):
+each row then sums its entries in the CSR column order, so the products
+are bit-identical to CSR ones and read no index array.  Each solver adds
+the shift to one row of a copy of every level's diagonals, smooths with
+damped Jacobi and solves the coarsest level by `_Banded`.  CG stops at the
+relative residual `rtol`: `CG_RELATIVE_TOL` for A's own solves, a looser
+forcing term for inexact Newton steps.  Every solver counts the CG
+iterations it ran in `iterations` (0 if direct; per row for a stack) and
+keeps in `failures` the rows of a stack whose CG failed.  Each row of a
+stack is bit for bit its own solver.
 
 A computed residual b - A x cannot fall below the rounding error of A x,
 which Higham's bound for k-term dot products puts at eps k |A|_inf |x|_inf,
@@ -124,19 +125,25 @@ class SparseOperator:
                rtol=CG_RELATIVE_TOL) -> Callable[[np.ndarray], np.ndarray]:
         """Solver for (A + diag(shift)) x = b with shift >= 0 (None: A itself).
 
-        CG to relative residual `rtol`, preconditioned by a V-cycle on A's
-        cached hierarchy with the shift and its coarse images on the
-        diagonals; on a grid with no coarse level (every 1-D grid) banded
-        Cholesky on A's bands plus the shift, direct (`rtol` is ignored).
-        A (k, n) stack of shifts gives the solver of the k systems, one per
-        row, with `rtol` one value or one per row (`_Stacked`): it maps a
-        (k, n) stack of right-hand sides to the stack of solutions, each row
-        bit for bit the one the row's own solver computes.
+        The one place that chooses the method.  On a grid with no coarse
+        level (every 1-D grid), banded Cholesky on A's bands plus the shift,
+        direct (`_Banded`; `rtol` is ignored).  Otherwise CG to relative
+        residual `rtol`, preconditioned by a V-cycle on A's cached hierarchy
+        with the shift and its coarse images on the diagonals (`_Multigrid`).
+        A (k, n) stack of shifts gives the solver of the k systems, with
+        `rtol` one value or one per row: one `_Banded` of the stack, or one
+        `_Multigrid` per row (`_PerRow`).  It maps a (k, n) stack of
+        right-hand sides to the stack of solutions, each row bit for bit the
+        one the row's own solver computes.
         """
-        if shift is not None and np.ndim(shift) == 2:
-            return _Stacked(self._hierarchy, shift, rtol)
-        return _Multigrid(self._hierarchy, np.zeros(self.n_unknowns)
-                          if shift is None else shift, rtol)
+        levels, coarsest = self._hierarchy
+        shift = np.zeros(self.n_unknowns) if shift is None else shift
+        if not levels:
+            return _Banded(*coarsest, shift)
+        if shift.ndim == 1:
+            return _Multigrid(self._hierarchy, shift, rtol)
+        return _PerRow([_Multigrid(self._hierarchy, row, row_rtol) for row, row_rtol
+                        in zip(shift, np.broadcast_to(rtol, len(shift)))])
 
     @functools.cached_property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -261,22 +268,29 @@ def _coarse_bands(matrix: sp.csr_matrix, shape: tuple[int, ...]) -> tuple:
 
 
 class _Banded:
-    """Banded Cholesky solve of (B + diag(shift)) x = b for B given as
-    `_coarse_bands`: direct, so no CG iterations.
+    """Banded Cholesky solve of (B + diag(s)) x = b for B given as
+    `_coarse_bands` and a shift s of shape (n,), or of the k systems of a
+    (k, n) shift stack, mapping a (k, n) stack of right-hand sides to its
+    solutions: one shift is the stack of one.  Direct, so no CG iterations.
 
-    The factor is computed once, here, by the LAPACK routine that
-    `solveh_banded` runs before its solve (`pttrf` on two bands, `pbtrf`
-    otherwise), and `bands` holds it in the same layout, so each call is
-    bit-identical to `solveh_banded` on the shifted bands.
+    The k systems are factored once, here, as their block-diagonal
+    concatenation: the tiled bands couple no two blocks.  The LAPACK routine
+    is the one `solveh_banded` runs before its solve (`pttrf` on two bands,
+    `pbtrf` otherwise; Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM
+    1999), and `bands` holds the factor in the same layout, so each block is
+    bit for bit `solveh_banded` on its shifted bands as long as every value
+    stays finite: the factor and the solve multiply a zero coupling by a
+    neighbouring block's value, and 0 * inf is NaN.  So a stacked solution
+    with a non-finite entry is solved again row by row.
     """
-
-    iterations = 0
 
     def __init__(self, bands: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...],
                  shift: np.ndarray):
-        self.shape, self.axes = shape, axes
-        self.bands = bands.copy()
-        self.bands[-1] += self._renumbered(shift)
+        self.unshifted, self.shape, self.axes, self.shift = bands, shape, axes, shift
+        self.iterations = np.zeros(len(shift), dtype=int) if shift.ndim == 2 else 0
+        self.failures: dict[int, LinearSolveError] = {}
+        self.bands = np.tile(bands, shift.size // bands.shape[1])
+        self.bands[-1] += self._renumbered(shift).ravel()
         if len(self.bands) == 2:
             d, e, info = sla.lapack.dpttrf(self.bands[1], self.bands[0, 1:])
             self.bands[1], self.bands[0, 1:] = d, e
@@ -285,7 +299,9 @@ class _Banded:
         _check_lapack(info)
 
     def _renumbered(self, v: np.ndarray) -> np.ndarray:
-        return v.reshape(self.shape).transpose(self.axes).ravel()
+        """The rows of v, one vector or a stack, in the band numbering (a
+        view of a contiguous v)."""
+        return v.reshape((-1,) + self.shape).transpose((0,) + tuple(a + 1 for a in self.axes))
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         if len(self.bands) == 2:
@@ -296,10 +312,13 @@ class _Banded:
         return x
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty(self.shape)
-        renumbered = x.transpose(self.axes)   # a view: writing it fills x
-        renumbered[...] = self._solve(self._renumbered(b)).reshape(renumbered.shape)
-        return x.ravel()
+        x = np.empty(b.shape)
+        renumbered = self._renumbered(x)   # a view: writing it fills x
+        renumbered[...] = self._solve(self._renumbered(b).ravel()).reshape(renumbered.shape)
+        if b.ndim == 2 and not np.isfinite(x).all():
+            return np.array([_Banded(self.unshifted, self.shape, self.axes, shift)(row)
+                             for shift, row in zip(self.shift, b)])
+        return x
 
 
 def _check_lapack(info: int) -> None:
@@ -317,10 +336,11 @@ class _Multigrid:
     row-lumped image of d_l, added to the main-diagonal row of a copy of the
     cached level's DIA data, so every sweep, residual and CG product is one
     DIA product.  Damped Jacobi smooths every level but the coarsest, which
-    is solved by banded Cholesky (with no coarser level, that is the solve),
-    factored here once.  Sweeps and residuals update in place.  The divisor
-    max(diagonal, half the absolute row sum) keeps the smoother convergent
-    on anisotropic Galerkin levels, so the V-cycle stays SPD.
+    is solved by banded Cholesky (`_Banded`), factored here once; a grid
+    with no coarse level takes `_Banded` alone.  Sweeps and residuals update
+    in place.  The divisor max(diagonal, half the absolute row sum) keeps
+    the smoother convergent on anisotropic Galerkin levels, so the V-cycle
+    stays SPD.
     """
 
     def __init__(self, hierarchy: tuple[list[tuple], tuple], shift: np.ndarray,
@@ -328,6 +348,7 @@ class _Multigrid:
         levels, coarsest = hierarchy
         self.rtol = rtol
         self.iterations = 0       # CG iterations over all calls
+        self.failures: dict[int, LinearSolveError] = {}   # a failed CG raises
         self.levels = []          # (A_l + diag(d_l), omega / divisor, P, R) per smoothed level
         for matrix, main, abs_rows, interp, restrict, interp_rows in levels:
             data = matrix.data.copy()
@@ -360,8 +381,6 @@ class _Multigrid:
         self.iterations += 1
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        if not self.levels:
-            return self.coarse_solve(b)
         system = self.levels[0][0]
         precond = spla.LinearOperator(system.shape, matvec=self._vcycle, dtype=float)
         x, info = spla.cg(system, b, rtol=self.rtol, atol=0.0,
@@ -373,48 +392,21 @@ class _Multigrid:
         return x
 
 
-class _Stacked:
-    """Solver of (A + diag(s_i)) x_i = b_i for the rows s_i of a (k, n) shift
-    stack, mapping a (k, n) stack of right-hand sides to its solutions.
+class _PerRow:
+    """Solver of a (k, n) stack by one solver per row.  A row whose solve
+    raises LinearSolveError comes back as NaN, with the error kept in
+    `failures` under the row's index, and the other rows still solve;
+    `iterations` holds each row's CG iterations."""
 
-    Where A is tridiagonal (every 1-D grid), one `pttrf` factors the
-    block-diagonal concatenation of the k systems once and one `pttrs`
-    solves it (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999):
-    the couplings between blocks are zero, so each block is factored and
-    solved bit for bit as `_Banded` does it alone, as long as every value
-    stays finite: the factor and the solve multiply the zero coupling by a
-    neighbouring block's value, and 0 * inf is NaN.  So a stacked solution
-    with a non-finite entry is solved again row by row.  Off 1-D grids each
-    row has its own `_Multigrid` and `rtol`; a row whose CG fails comes
-    back as NaN, with its LinearSolveError kept in `failures` under the
-    row's index, and the other rows still solve.  `iterations` holds CG
-    iterations per row.
-    """
-
-    def __init__(self, hierarchy: tuple[list[tuple], tuple], shifts: np.ndarray, rtol):
-        levels, (bands, _, _) = hierarchy
-        self.hierarchy, self.shifts, self.rtol = hierarchy, shifts, rtol
+    def __init__(self, rows: list["_Multigrid"]):
+        self.rows = rows
         self.failures: dict[int, LinearSolveError] = {}
-        self.iterations = np.zeros(len(shifts), dtype=int)
-        self.block = None
-        if not levels and len(bands) == 2:
-            couplings = np.zeros(shifts.shape)
-            couplings[:, :-1] = bands[0, 1:]
-            *self.block, info = sla.lapack.dpttrf((bands[1] + shifts).ravel(),
-                                                  couplings.ravel()[:-1])
-            _check_lapack(info)
 
-    @functools.cached_property
-    def rows(self) -> list["_Multigrid"]:
-        return [_Multigrid(self.hierarchy, shift, rtol) for shift, rtol
-                in zip(self.shifts, np.broadcast_to(self.rtol, len(self.shifts)))]
+    @property
+    def iterations(self) -> np.ndarray:
+        return np.array([solve.iterations for solve in self.rows])
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        if self.block is not None:
-            x, info = sla.lapack.dpttrs(*self.block, b.ravel())
-            _check_lapack(info)
-            if np.isfinite(x).all():
-                return x.reshape(b.shape)
         x = np.empty_like(b)
         for i, (solve, row) in enumerate(zip(self.rows, b)):
             try:
@@ -422,7 +414,6 @@ class _Stacked:
             except LinearSolveError as exc:
                 self.failures[i] = exc
                 x[i] = np.nan
-        self.iterations = np.array([solve.iterations for solve in self.rows])
         return x
 
 

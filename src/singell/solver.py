@@ -334,11 +334,12 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     iterate (a stall: no representable step lowers the residual).  An
     iterate whose right-hand side is still clipped at e^LOG_CAP is no
     solution: it raises NonlinearSolveError.  This is the one-exponent case
-    of the lockstep solve `_regularized_stack`.
+    of the lockstep solve `_regularized_stack`.  `operator` is the assembled
+    A of `spec`; one on another grid raises ValueError.
     """
     if m < 1:
         raise ValueError("regularization index m must be >= 1")
-    op = operator if operator is not None else assemble(spec.grid, spec.coefficients)
+    op = _operator_for(spec, operator)
     (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op, max_iterations)
     if isinstance(outcome, Exception):
         raise outcome

@@ -267,10 +267,12 @@ def describe_solution(sol: SingularSolution, compacta: Sequence = (),
     """The row the paper reads off u_n, n = sol.spec.gamma: sup u_n, the
     masses of f/u_n^n, compacta minima and fitted depths, and for
     v_n = u_n^(n+1)/(n+1) its norms and quasilinear residual (masked where
-    v_n < residual_floor).  The certificate is None when f = 0.
+    v_n < residual_floor).  The certificate and the fitted depths are None
+    when f = 0: no node of a compactum then carries a lower bound.
     """
     spec, u = sol.spec, sol.u
     n, f = spec.gamma, spec.datum_values()
+    positive = np.max(f) > 0
     v = to_quasilinear(u, n)
     res = quasilinear_residual(v, n, f, coefficients=spec.coefficients,
                                floor=residual_floor)
@@ -281,8 +283,9 @@ def describe_solution(sol: SingularSolution, compacta: Sequence = (),
         total_mass=total_singular_mass(u, spec),
         local_masses=tuple(total_singular_mass(u, spec, box) for box in compacta),
         quasilinear_residual=res.masked_sup,
-        certificate=linfty_certificate(u, n, f) if np.max(f) > 0 else None,
-        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) for box in compacta),
+        certificate=linfty_certificate(u, n, f) if positive else None,
+        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) if positive else None
+                           for box in compacta),
         v_sup=v.sup_norm(),
         v_h1_seminorm=_h1_seminorm(v),
     )

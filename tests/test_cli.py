@@ -213,7 +213,7 @@ class TestSweepCommand:
     def test_zero_datum_sweep_has_no_certificate(self, tmp_path):
         payload = {"problem": {"domain": [-1.0, 1.0], "cells": 64,
                                "datum": {"kind": "constant", "value": 0.0}},
-                   "sweep": {"n_list": [3.0, 5.0]}}
+                   "sweep": {"n_list": [3.0, 5.0], "compacta": [[-0.5, 0.5]]}}
         out = tmp_path / "out"
         assert main(["sweep", "--config", write_config(tmp_path, payload),
                      "--out", str(out)]) == 0
@@ -222,6 +222,7 @@ class TestSweepCommand:
         for row in rows:
             fields = dict(zip(header, row))
             assert fields["linfty_certificate"] == fields["error"] == ""
+            assert fields["fitted_depth_compactum_0"] == ""
 
     def test_row_is_the_solve_summary(self, tmp_path):
         # `solve` and `sweep` describe one solution with one function

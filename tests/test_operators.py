@@ -337,8 +337,8 @@ class CsrMultigrid:
 
 
 class CsrStack:
-    """The CSR reference of `ops._Stacked` off a 1-D grid: one `CsrMultigrid`
-    per row of the shift stack."""
+    """The CSR reference of `solver` on a shift stack over a grid with
+    coarse levels: one `CsrMultigrid` per row of the stack."""
 
     def __init__(self, op, shifts, rtol):
         self.failures = {}
@@ -416,7 +416,7 @@ class TestSpdSolver:
         solve = op.solver(d)
         x = solve(b)
         assert solve.iterations == 0
-        assert solve.coarse_solve.bands.shape[0] <= 7
+        assert solve.bands.shape[0] <= 7
         direct = direct_solve(op, d, b)
         assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
 
@@ -592,17 +592,22 @@ class TestStackedSolver:
             assert solve.iterations[i] == alone.iterations
         assert not solve.failures
 
-    def test_1d_factors_the_stack_once(self, rng, monkeypatch):
-        op = self.operator(64)
+    # without coarse levels: one banded Cholesky of the block-diagonal stack
+    @pytest.mark.parametrize("cells", [64, (12, 10)])
+    def test_factors_the_stack_once(self, cells, rng, monkeypatch):
+        op = self.operator(cells)
         calls = []
-        real = sla.lapack.dpttrf
-        monkeypatch.setattr(sla.lapack, "dpttrf",
-                            lambda *args: calls.append(args[0].size) or real(*args))
+
+        def counting(name):
+            real = getattr(sla.lapack, name)
+            return lambda *args: calls.append(args[0].shape[-1]) or real(*args)
+        for name in ("dpttrf", "dpbtrf"):
+            monkeypatch.setattr(sla.lapack, name, counting(name))
         solve = op.solver(rng.random((5, op.n_unknowns)))
         solve(rng.standard_normal((5, op.n_unknowns)))
         assert calls == [5 * op.n_unknowns]
 
-    @pytest.mark.parametrize("cells", [64, (40, 64)])
+    @pytest.mark.parametrize("cells", [64, (40, 64), (12, 10)])
     def test_non_finite_row_leaves_the_others_alone(self, cells, rng):
         # 0 * inf is NaN: a non-finite row must not leak across a zero coupling
         op = self.operator(cells)

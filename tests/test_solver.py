@@ -170,6 +170,13 @@ class TestSolveSingular:
         op = ops.assemble(other.grid, other.coefficients)
         with pytest.raises(ValueError, match="does not match"):
             solve_singular(spec, [1, 16], operator=op)
+        # one m-step too: another interval with the same unknown count would
+        # solve the wrong problem, another count fail to reshape
+        spec = interval_spec(3.0, 64)
+        for other in (interval_spec(3.0, 64, lo=0.0, hi=3.0), interval_spec(3.0, 32)):
+            op = ops.assemble(other.grid, other.coefficients)
+            with pytest.raises(ValueError, match="does not match"):
+                solve_regularized(spec, 16, operator=op)
 
     def test_1d_runs_no_superlu(self, monkeypatch):
         # 1-D systems are tridiagonal: banded Cholesky, never a sparse LU
