@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +202,10 @@ COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "oned": cmd_oned,
             "limit-check": cmd_limit_check, "conjecture": cmd_conjecture}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    far more than a parse, and in-process callers run many commands."""
     parser = argparse.ArgumentParser(
         prog="singell",
         description="Singular elliptic solves, exponent sweeps and limit checks")

@@ -82,14 +82,21 @@ class Grid:
         return mask
 
 
+def _cell_count(c) -> int:
+    """A cell count as an int; ValueError unless it is an integral number
+    (an int, or a float with no fractional part; not a bool or a string)."""
+    integral = (isinstance(c, (int, np.integer))
+                or (isinstance(c, (float, np.floating)) and float(c).is_integer()))
+    if isinstance(c, bool) or not integral:
+        raise ValueError(f"cell counts must be integers, got {c!r}")
+    return int(c)
+
+
 def make_uniform_grid(lo, hi, cells) -> Grid:
     """Build an equispaced grid; extent and cell counts are validated per axis."""
     lo_t = _axis_tuple(lo, "lo")
     hi_t = _axis_tuple(hi, "hi")
-    if np.isscalar(cells):
-        cells_t: tuple[int, ...] = (int(cells),)
-    else:
-        cells_t = tuple(int(c) for c in cells)
+    cells_t = tuple(_cell_count(c) for c in ((cells,) if np.isscalar(cells) else cells))
     if not (len(lo_t) == len(hi_t) == len(cells_t)):
         raise ValueError("lo, hi and cells must agree in dimension")
     for a, b in zip(lo_t, hi_t):

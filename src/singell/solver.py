@@ -20,6 +20,15 @@ exp and log.  The bound follows the iterate, so it is recomputed after
 every accepted step; without the floor it sits below what a computed
 residual can reach on fine 1-D grids, and no m-step there ends by it.
 
+The continuation starts from the picture of the large-gamma limit: u nearly
+flat on S = {interior nodes with f > 0} and harmonic off it.  Once per solve
+`_SupportLift` computes the discrete harmonic lift phi of S (phi = 1 on S,
+A phi = 0 off S, 0 on the boundary).  The first m-step starts from
+(c - 1/m) phi, c the capacity level at which the equation summed over S
+balances, and a step after one converged iterate from that iterate shifted
+by the change in 1/m along phi.  Where S is every interior node phi is 1
+and the first start is max(A^-1 f, 0).
+
 A sweep's exponents share the grid, the datum and the m-schedule, so they
 are solved in lockstep (`solve_lockstep`): each Newton iteration advances
 the stack of their iterates with one stacked Jacobian solve, and everything
@@ -30,6 +39,7 @@ one exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
@@ -47,6 +57,8 @@ ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solv
 DEFAULT_MAX_ITERATIONS = 200
 EXTRAPOLATION_DEPTH = 3  # converged iterates an m-step's start extrapolates from
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
+LIFT_PENALTY = 1e8       # weight on S of the lift solve, in units of max diag A
+LEVEL_MAX_STEPS = 100    # Newton steps of the capacity level, at most
 
 
 class NonlinearSolveError(RuntimeError):
@@ -117,24 +129,93 @@ class RegularizedIterate:
     stalled: bool = False        # ended because halving no longer moved the iterate
 
 
-def _extrapolated_start(recent: Sequence[RegularizedIterate], eps: float,
-                        pos: np.ndarray) -> np.ndarray:
-    """Lagrange extrapolation in eps = 1/m of u + eps [f > 0] through `recent`.
+def _capacity_level(log_ratio: float, gamma: float, eps: float) -> float:
+    """d = c - eps > 0 where c^gamma (c - eps) = e^log_ratio.
 
-    `recent` holds the last converged iterates u_j at eps_j and `pos` is the
-    indicator of f > 0; the result is the extrapolant at eps minus
-    eps [f > 0], summed as sum_j w_j u_j + (sum_j w_j eps_j - eps) [f > 0].
-    With one iterate (w = 1) that is the shift u_j + (eps_j - eps) [f > 0] to
-    the last bit; with more, the weights reproduce eps and it extrapolates u
-    itself, the predictor of a numerical continuation (Allgower and Georg,
-    Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2).
+    Newton in x = log d on h(x) = gamma log(eps + e^x) + x - log_ratio,
+    which is increasing (h' between 1 and gamma + 1) and convex.  It starts
+    at x = log_ratio / (gamma + 1), the root without eps, where h >= 0; from
+    the right of its root Newton on a convex increasing h decreases
+    monotonically to it, so the first step that does not move x down ends
+    the iteration (the safeguard against rounding).
+    """
+    log_eps = math.log(eps)
+    x = log_ratio / (gamma + 1.0)
+    for _ in range(LEVEL_MAX_STEPS):
+        log_c = max(x, log_eps) + math.log1p(math.exp(-abs(x - log_eps)))
+        step = (gamma * log_c + x - log_ratio) / (gamma * math.exp(x - log_c) + 1.0)
+        if not (step > 0.0 and x - step < x):
+            break
+        x -= step
+    return math.exp(x)
+
+
+class _SupportLift:
+    """The discrete harmonic lift phi of S = {interior nodes with f > 0},
+    the direction in which a solve's continuation in m starts.
+
+    phi is 1 on S, (A phi)_i = 0 off S and 0 on the boundary.  It is
+    1_S + y with (A + s diag(1_S)) y = -A 1_S off S and 0 on S,
+    s = LIFT_PENALTY max diag A: the penalty pins y to ~0 on S, and the
+    right-hand side stays of the size of A 1_S, so the relative tolerance
+    ETA_MAX of the one `SparseOperator.solver` call (on A's own hierarchy)
+    bounds the residual of A phi off S.  phi is then set to 1 on S and
+    clipped to [0, 1].
+
+    Summing the regularized equation over S with u = (c - eps) phi, where
+    u + eps = c on S, gives c^gamma (c - eps) = sum_S f / sum_S (A phi):
+    `start(gamma, eps)` is that (c - eps) phi (`_capacity_level`).  Where S
+    is every interior node there is no lift (`log_ratio` is None): phi is 1
+    and the start is max(A^-1 f, 0), A^-1 f solved only to ETA_MAX; where S
+    is empty phi and the start are 0.
+    """
+
+    def __init__(self, op: SparseOperator, f_int: np.ndarray):
+        support = f_int > 0
+        self.phi = support.astype(float)
+        self.log_ratio: Optional[float] = None
+        self._cold = np.zeros_like(f_int)       # the start where f = 0
+        if support.all():
+            self._cold = np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0)
+            return
+        if not support.any():
+            return
+        A = op.diagonals
+        penalty = LIFT_PENALTY * float(op.matrix.diagonal().max())
+        y = op.solver(penalty * self.phi, rtol=ETA_MAX)(
+            np.where(support, 0.0, -(A @ self.phi)))
+        self.phi = np.where(support, 1.0, np.clip(y, 0.0, 1.0))
+        flux = float(np.sum((A @ self.phi)[support]))
+        self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
+
+    def start(self, gamma: float, eps: float) -> np.ndarray:
+        """The interior start of a regularized solve at eps with no earlier iterate."""
+        if self.log_ratio is None:
+            return self._cold
+        return _capacity_level(self.log_ratio, gamma, eps) * self.phi
+
+
+def _extrapolated_start(recent: Sequence[RegularizedIterate], eps: float,
+                        phi: np.ndarray) -> np.ndarray:
+    """Lagrange extrapolation in eps = 1/m of u + eps phi through `recent`.
+
+    `recent` holds the last converged iterates u_j at eps_j and `phi` is the
+    support lift (`_SupportLift`; the indicator of f > 0 where f > 0 at
+    every interior node); the result is the extrapolant at eps minus
+    eps phi, summed as sum_j w_j u_j + (sum_j w_j eps_j - eps) phi.  With one
+    iterate (w = 1) that is the shift u_j + (eps_j - eps) phi to the last
+    bit: u + eps stays nearly constant on f > 0 and the shift there carries
+    over harmonically to the rest.  With more iterates the weights reproduce
+    eps and it extrapolates u itself, the predictor of a numerical
+    continuation (Allgower and Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003, ch. 2).
     """
     epsilons = [1.0 / it.m for it in recent]
     weights = [np.prod([(eps - eps_k) / (eps_j - eps_k)
                         for k, eps_k in enumerate(epsilons) if k != j])
                for j, eps_j in enumerate(epsilons)]
     shift = sum(w * eps_j for w, eps_j in zip(weights, epsilons)) - eps
-    return sum(w * it.u.values for w, it in zip(weights, recent)) + shift * pos
+    return sum(w * it.u.values for w, it in zip(weights, recent)) + shift * phi
 
 
 def _check_iterate(m: int, gamma: float, u: np.ndarray, g: np.ndarray,
@@ -174,7 +255,7 @@ class _Rows:
 
 
 def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
-                       initials: Sequence[Optional[GridFunction]], op: SparseOperator,
+                       initials: Sequence[GridFunction], op: SparseOperator,
                        max_iterations: int = DEFAULT_MAX_ITERATIONS) -> list:
     """Damped inexact Newton in lockstep on the regularized problems of
     `spec`'s datum at index m, one per exponent in `gammas`.
@@ -186,11 +267,9 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
     the solve its exponent would get alone.  A row leaves the stack when it
     stops or fails.  Returns per exponent its RegularizedIterate or the
     NonlinearSolveError / LinearSolveError it failed with; any other
-    exception propagates.  `initials` holds each row's start (None: the cold
-    start max(A^-1 f, 0), solved once for every row that takes it).
+    exception propagates.  `initials` holds each row's start.
     """
-    f = spec.datum_values()
-    f_int = f[tuple(slice(1, -1) for _ in range(spec.grid.dim))].reshape(-1)
+    f_int = _interior_datum(spec)
     if not np.any(f_int > 0):
         return [RegularizedIterate(m, GridFunction.zeros(spec.grid), 0, 0.0)
                 for _ in gammas]
@@ -236,14 +315,8 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
 
     gamma = np.array(gammas, dtype=float)
     u = np.empty((k, op.n_unknowns))
-    cold = None
     for row, initial in zip(u, initials):
-        if initial is not None:
-            np.maximum(op.interior_of(initial), 0.0, out=row)
-        else:
-            if cold is None:
-                cold = np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0)
-            row[:] = cold
+        np.maximum(op.interior_of(initial), 0.0, out=row)
     res, g, au = residuals(u, gamma)
     rows = _Rows(np.arange(k), gamma, u, au, g, res, bounds(u, g, gamma),
                  np.full(k, ETA_MAX), np.zeros(k, dtype=int))
@@ -323,9 +396,11 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     """One damped inexact-Newton solve of the regularized problem at index m.
 
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma from `initial` (or from
-    max(A^-1 f, 0), with A^-1 f solved only to ETA_MAX: it is a start),
-    with the iterate clipped to u >= 0.  Step k solves its Jacobian system
-    to the relative tolerance of the forcing term eta_k
+    the cold start of `_SupportLift`: the harmonic lift of {f > 0} scaled
+    to its capacity level, or max(A^-1 f, 0) where f > 0 at every interior
+    node; either is solved only to ETA_MAX: it is a start), with the
+    iterate clipped to u >= 0.  Step k solves its Jacobian system to the
+    relative tolerance of the forcing term eta_k
     (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
     Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
     falls.  The solve stops when the residual meets its bound (the module
@@ -340,6 +415,9 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     if m < 1:
         raise ValueError("regularization index m must be >= 1")
     op = _operator_for(spec, operator)
+    if initial is None:
+        initial = op.full_from_interior(
+            _SupportLift(op, _interior_datum(spec)).start(spec.gamma, 1.0 / m))
     (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op, max_iterations)
     if isinstance(outcome, Exception):
         raise outcome
@@ -355,19 +433,27 @@ class SingularSolution:
     gap: float          # inf when the schedule has a single entry
 
 
+def _interior_datum(spec: ProblemSpec) -> np.ndarray:
+    """f at the interior nodes, in the order of the operator's unknowns."""
+    return spec.datum_values()[(slice(1, -1),) * spec.grid.dim].reshape(-1)
+
+
 def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[int],
-                    regularize: Callable) -> list:
+                    regularize: Callable, op: SparseOperator) -> list:
     """The outer limit over `schedule` for specs that differ only in gamma.
 
     For each m, `regularize(m, active specs, their starts)` solves the
     regularized problems of the rows still running and returns per row its
     RegularizedIterate or the error it failed with; a failed row leaves with
-    that error and one whose gap is at most SCHEDULE_GAP_TOL stops.  Returns
+    that error and one whose gap is at most SCHEDULE_GAP_TOL stops.  The
+    support lift is computed once, here, for every row: it gives each row's
+    first start and the direction of its one-iterate predictor.  Returns
     per spec its SingularSolution or its error.
     """
     if not specs:
         return []
-    pos = (specs[0].datum_values() > 0).astype(float)
+    lift = _SupportLift(op, _interior_datum(specs[0]))
+    phi = op.full_from_interior(lift.phi).values
     grid = specs[0].grid
     traces: list[list[RegularizedIterate]] = [[] for _ in specs]
     gaps = [np.inf] * len(specs)
@@ -377,8 +463,9 @@ def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[int],
         if not active:
             break
         initials = [GridFunction(grid, _extrapolated_start(
-                        traces[i][-EXTRAPOLATION_DEPTH:], 1.0 / m, pos))
-                    if traces[i] else None for i in active]
+                        traces[i][-EXTRAPOLATION_DEPTH:], 1.0 / m, phi))
+                    if traces[i] else op.full_from_interior(
+                        lift.start(specs[i].gamma, 1.0 / m)) for i in active]
         running = []
         for i, it in zip(active, regularize(m, [specs[i] for i in active], initials)):
             if isinstance(it, Exception):
@@ -416,12 +503,15 @@ def solve_singular(spec: ProblemSpec,
     nodal sup-gap between consecutive iterates; `singell.sweeps` reads the
     diagnostics off it.
 
-    Each m warm-starts from a polynomial extrapolation in eps = 1/m through
-    the last EXTRAPOLATION_DEPTH converged iterates (`_extrapolated_start`).
-    The iterates depend smoothly on eps, so the extrapolant lands close to
-    the next one.  From a single previous iterate it is that iterate shifted
-    by the change in regularization where f > 0 (u_m + 1/m is nearly
-    constant there, which keeps the Newton start inside its basin even for
+    The first m starts from the harmonic lift phi of {f > 0} scaled to its
+    capacity level (`_SupportLift`; max(A^-1 f, 0) where f > 0 at every
+    interior node), computed once per call.  Each later m warm-starts from
+    a polynomial extrapolation in eps = 1/m through the last
+    EXTRAPOLATION_DEPTH converged iterates (`_extrapolated_start`).  The
+    iterates depend smoothly on eps, so the extrapolant lands close to the
+    next one.  From a single previous iterate it is that iterate shifted by
+    the change in regularization along phi (u_m + 1/m is nearly constant
+    where f > 0, which keeps the Newton start inside its basin even for
     gamma in the hundreds).  `solve_regularized` clips the start to u >= 0.
     Convergence is declared on the nodal sup-gap, not the residual: the
     singular right-hand side amplifies residuals near the boundary while
@@ -438,7 +528,7 @@ def solve_singular(spec: ProblemSpec,
     def regularize(m, specs, initials):
         return [solve_regularized(specs[0], m, initial=initials[0], operator=op)]
 
-    (sol,) = _solve_schedule([spec], schedule, regularize)
+    (sol,) = _solve_schedule([spec], schedule, regularize, op)
     return sol
 
 
@@ -462,7 +552,7 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
         return _regularized_stack(spec, [s.gamma for s in specs], m, initials, op)
 
     return _solve_schedule([replace(spec, gamma=float(n)) for n in gammas],
-                           schedule, regularize)
+                           schedule, regularize, op)
 
 
 def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:

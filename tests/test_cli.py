@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from singell.cli import main
+from singell.cli import build_parser, main
 from singell.config import load_config
 from singell.reporting import write_csv
 from singell.solver import NonlinearSolveError, solve_singular
@@ -430,10 +430,11 @@ def test_invalid_config_exit_2_no_output(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def _matched_hole(command, path, value):
-    """matched_indicator.json at 64 cells with `path` set to `value`; the
-    string "1e400" stands for that JSON literal, which overflows to inf."""
-    payload = json.loads((CONFIGS / "matched_indicator.json").read_text())
+def _matched_hole(command, path, value, config="matched_indicator"):
+    """`config` (matched_indicator.json by default) at 64 cells with `path`
+    set to `value`; the string "1e400" stands for that JSON literal, which
+    overflows to inf."""
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
     payload["problem"]["cells"] = 64
     *keys, last = path
     block = payload
@@ -475,6 +476,11 @@ CONFIG_HOLES = {
                                                     [[2.0, 2.5]]),
     "datum_value_nan": _matched_hole("sweep", ["problem", "datum", "value"], math.nan),
     "residual_floor_zero": _matched_hole("sweep", ["sweep", "residual_floor"], 0.0),
+    # a cell count that is not an integral number is refused, not truncated
+    "cells_fractional": _matched_hole("solve", ["problem", "cells"], 64.5),
+    "cells_fractional_2d": _matched_hole("solve", ["problem", "cells"], [64, 64.5],
+                                         config="square_hole"),
+    "cells_a_string": _matched_hole("solve", ["problem", "cells"], "64"),
 }
 
 
@@ -499,6 +505,17 @@ def test_empty_n_list_is_config_error(tmp_path, capsys, command):
                  "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parser_built_once_and_reused():
+    # building costs far more than a parse; one parse must not leak into the next
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["solve", "--config", "a.json", "--out", "o", "--n", "3"])
+    second = parser.parse_args(["sweep", "--config", "b.json", "--out", "p"])
+    assert (first.command, first.n, first.config) == ("solve", 3.0, "a.json")
+    assert (second.command, second.config) == ("sweep", "b.json")
+    assert not hasattr(second, "n")
 
 
 def test_cli_import_leaves_out_costly_scipy_modules():

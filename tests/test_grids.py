@@ -36,6 +36,19 @@ class TestMakeUniformGrid:
         with pytest.raises(ValueError):
             make_uniform_grid(0.0, 1.0, 3)
 
+    @pytest.mark.parametrize("cells", [64.5, 2.5, "64", True, np.nan, np.inf])
+    def test_non_integer_cell_count_raises(self, cells):
+        # int() would truncate 64.5 to 64 and accept the string "64"
+        with pytest.raises(ValueError, match="integers"):
+            make_uniform_grid(0.0, 1.0, cells)
+        with pytest.raises(ValueError, match="integers"):
+            make_uniform_grid((0.0, 0.0), (1.0, 1.0), (64, cells))
+
+    def test_integral_cell_counts_accepted(self):
+        assert make_uniform_grid(0.0, 1.0, 64.0).cells == (64,)
+        assert make_uniform_grid(0.0, 1.0, np.int64(64)).cells == (64,)
+        assert make_uniform_grid((0.0, 0.0), (1.0, 1.0), [8, 16.0]).cells == (8, 16)
+
 
 class TestTruncation:
     def test_values(self):

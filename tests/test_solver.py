@@ -71,7 +71,7 @@ class TestSolveRegularized:
             return real_rhs(f, u, eps, gamma)
 
         def solver(self, shift=None, **kwargs):
-            if shift is not None:          # one Jacobian solve per Newton step
+            if np.ndim(shift) == 2:        # one Jacobian solve per Newton step
                 events.append(None)
             return real_solver(self, shift, **kwargs)
 
@@ -87,7 +87,8 @@ class TestSolveRegularized:
                            for trial in events[i + 1:j])
 
     def test_cold_start_at_clip_raises(self):
-        # max(A^-1 f, 0) clips the RHS near the boundary at large m and no
+        # f > 0 at every interior node, so the cold start is max(A^-1 f, 0),
+        # not a lift; it clips the RHS near the boundary at large m and no
         # step lowers the capped residual: that iterate is no solution
         config = load_config(CONFIGS / "uniform_interval_sweep.json")
         spec = replace(config.spec, gamma=160.0)
@@ -187,16 +188,34 @@ class TestSolveSingular:
         assert calls == []
 
     @pytest.mark.parametrize("name, gamma, budget", [
-        ("square_hole", None, 23), ("matched_indicator", 400.0, 32),
+        ("square_hole", None, 21), ("matched_indicator", 400.0, 20),
         ("cubic_interval", None, 25), ("uniform_interval_sweep", None, 26)])
     def test_newton_steps_within_budget(self, name, gamma, budget):
         # starts shifted from the previous iterate alone took 45, 53, 55, 57;
         # a residual bound without its rounding floor took 34, 45, 43, 53;
-        # the schedule 4^0, ..., 4^12 in place of 16^0, ..., 16^6 took 34, 37, 32, 43
+        # the schedule 4^0, ..., 4^12 in place of 16^0, ..., 16^6 took 34, 37, 32, 43;
+        # on compact data, the cold start max(A^-1 f, 0) and a first predictor
+        # shifted along [f > 0] in place of the support lift took 23, 32
         config = load_config(CONFIGS / f"{name}.json")
         spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
         sol = solve_singular(spec, config.m_schedule)
         assert sum(it.iterations for it in sol.trace) <= budget
+
+    @pytest.mark.parametrize("cells, budget", [(256, 22), (1024, 21), (4096, 22),
+                                               (16384, 22)])
+    def test_matched_sweep_lockstep_iterations_within_budget(self, cells, budget):
+        # the lockstep runs as many Newton iterations per m-step as its
+        # slowest row; the cold start max(A^-1 f, 0) and a first predictor
+        # shifted along [f > 0] took 30, 32, 31, 35
+        config = load_config(CONFIGS / "matched_indicator.json")
+        shipped = matched_spec(10.0, 1024)
+        assert (config.spec.grid, config.spec.datum) == (shipped.grid, shipped.datum)
+        traces = [sol.trace for sol in solver_module.solve_lockstep(
+            matched_spec(10.0, cells), config.n_list, config.m_schedule)]
+        steps = max(len(trace) for trace in traces)
+        assert steps == 7
+        assert sum(max(trace[k].iterations for trace in traces if len(trace) > k)
+                   for k in range(steps)) <= budget
 
     def test_default_schedule_ends_at_4_to_the_12(self):
         schedule = solver_module.default_m_schedule()
@@ -302,6 +321,84 @@ class TestExtrapolatedStart:
         trace = solve_singular(spec, schedule[:len(reference)]).trace
         for it, ref in zip(trace, reference):
             assert np.max(np.abs(it.u.values - ref)) <= 1e-10 * np.max(ref)
+
+
+def _lift(spec):
+    op = ops.assemble(spec.grid, spec.coefficients)
+    f_int = solver_module._interior_datum(spec)
+    return op, f_int, solver_module._SupportLift(op, f_int)
+
+
+class TestSupportLift:
+    """The harmonic lift phi of S = {f > 0} and the capacity level c of the
+    first start (c - 1/m) phi."""
+
+    @pytest.fixture(scope="class", params=["matched_indicator", "square_hole"])
+    def lifted(self, request):
+        return _lift(load_config(CONFIGS / f"{request.param}.json").spec)
+
+    def test_one_on_the_support_between_zero_and_one(self, lifted):
+        _, f_int, lift = lifted
+        assert lift.log_ratio is not None
+        assert np.all(lift.phi[f_int > 0] == 1.0)
+        assert np.all((lift.phi >= 0.0) & (lift.phi <= 1.0))
+        assert np.min(lift.phi) > 0.0            # harmonic, positive off S
+
+    def test_harmonic_off_the_support(self, lifted):
+        # A phi off S is minus the residual of the lift solve, which stops
+        # at relative residual ETA_MAX (the penalty on S adds ~1e-8 of it)
+        op, f_int, lift = lifted
+        off = f_int <= 0
+        rhs = op.apply((f_int > 0).astype(float))[off]
+        assert (np.linalg.norm(op.apply(lift.phi)[off])
+                <= solver_module.ETA_MAX * np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("shape", [(96,), (24, 24), (32, 40)])
+    def test_mirrored_data_mirrored_lift(self, shape):
+        # box corners at cell midpoints: the mirrored box holds the mirrored nodes
+        grid = make_uniform_grid((0.0,) * len(shape), (1.0,) * len(shape), shape)
+        lo = [3.5 / n for n in shape]
+        hi = [(n // 2 + 2.5) / n for n in shape]
+        lifts = []
+        for box in ((lo, hi), ([1.0 - hi[0]] + lo[1:], [1.0 - lo[0]] + hi[1:])):
+            corners = box if len(shape) == 2 else (box[0][0], box[1][0])
+            spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                               IndicatorDatum(1.0, *corners), gamma=3.0,
+                               support="compact")
+            _, _, lift = _lift(spec)
+            lifts.append(lift)
+        phi, mirrored = (lift.phi.reshape(grid.interior_shape) for lift in lifts)
+        assert np.max(np.abs(mirrored[::-1] - phi)) <= 1e-14
+        assert abs(lifts[1].log_ratio - lifts[0].log_ratio) <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0, 10.0, 40.0, 160.0, 400.0])
+    def test_capacity_level_solves_its_equation(self, lifted, gamma):
+        # c^gamma (c - 1/m) = sum_S f / sum_S A phi, in the log domain
+        _, _, lift = lifted
+        for log_ratio in (lift.log_ratio, -60.0, 60.0):
+            for eps in (16.0 ** -k for k in range(7)):
+                d = solver_module._capacity_level(log_ratio, gamma, eps)
+                assert d > 0.0
+                c = eps + d
+                assert abs(gamma * math.log(c) + math.log(d) - log_ratio) <= 1e-12
+
+    def test_start_is_the_lift_at_the_capacity_level(self, lifted):
+        op, f_int, lift = lifted
+        pos = f_int > 0
+        ratio = np.sum(f_int[pos]) / np.sum(op.apply(lift.phi)[pos])
+        start = lift.start(20.0, 1.0 / 16)
+        c = start[pos][0] + 1.0 / 16
+        assert np.array_equal(start, (c - 1.0 / 16) * lift.phi)
+        assert abs(c ** 20 * (c - 1.0 / 16) / ratio - 1.0) <= 1e-12
+
+    def test_no_lift_on_strictly_positive_or_zero_data(self):
+        # phi is the indicator of S; the start of positive data is max(A^-1 f, 0)
+        for value, support in ((1.0, "strictly_positive"), (0.0, "general")):
+            op, f_int, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
+            assert lift.log_ratio is None
+            assert np.array_equal(lift.phi, np.full(f_int.size, value))
+            expected = np.maximum(op.solver(rtol=solver_module.ETA_MAX)(f_int), 0.0)
+            assert np.array_equal(lift.start(3.0, 1.0), expected)
 
 
 class TestMonotoneInM:
@@ -450,8 +547,8 @@ class TestMultigridPath:
 
     def test_forcing_term_reaches_cg(self, cg_work):
         sol, rtols, _ = cg_work
-        # the cold start A^-1 f, only a Newton start, then one CG solve per
-        # Newton step
+        # the support lift of the cold start, only a Newton start, then one
+        # CG solve per Newton step
         assert len(rtols) == 1 + sum(it.iterations for it in sol.trace)
         assert rtols[0] == solver_module.ETA_MAX
         newton = rtols[1:]
