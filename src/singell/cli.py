@@ -33,8 +33,9 @@ NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError,
 
 
 def _regularization_steps(trace) -> list[dict]:
-    """Per m-step of a solve: its Newton and CG iterations, stall and residual."""
-    return [{"m": it.m, "iterations": it.iterations,
+    """Per m-step of a solve: its m (null for m = inf, which JSON cannot
+    hold), Newton and CG iterations, stall and residual."""
+    return [{"m": it.m if math.isfinite(it.m) else None, "iterations": it.iterations,
              "linear_iterations": it.linear_iterations, "stalled": it.stalled,
              "residual": it.residual} for it in trace]
 
@@ -66,6 +67,7 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> int:
         "quasilinear_residual": row.quasilinear_residual,
         "linfty_certificate": row.certificate,
         "regularization_steps": _regularization_steps(sol.trace),
+        "base_iterations": sol.base_iterations,
     }
     if "json" in config.formats:
         write_json(out / "summary.json", summary)

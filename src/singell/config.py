@@ -105,7 +105,7 @@ def _build_datum(block: dict, grid) -> Datum:
 class ExperimentConfig:
     spec: ProblemSpec
     n_list: tuple
-    m_schedule: Optional[tuple]
+    m_schedule: Optional[tuple]   # None: the default, one solve at m = inf
     compacta: tuple
     shell_distances: tuple
     residual_floor: float

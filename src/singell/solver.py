@@ -1,12 +1,14 @@
 """Monotone regularized solver for -div(M grad u) = f/u^gamma, u|_boundary = 0.
 
-The singular right-hand side is regularized to f/(u + 1/m)^gamma and solved
-for an increasing schedule of m; the iterates increase monotonically and the
-outer loop stops on a nodal sup-gap.  Each regularized problem is solved by
-damped inexact Newton: a step's linear solve only has to reach the relative
-tolerance of an Eisenstat-Walker forcing term, which tightens as the Newton
-residual falls.  All power evaluations run in the log domain so exponents up
-to gamma ~ 400 stay representable.
+The singular right-hand side is regularized to f/(u + 1/m)^gamma.  The
+discrete problem at m = inf (eps = 1/m = 0) is well posed, and by default
+it is solved directly, in one Newton solve; an explicit finite schedule of
+m solves the paper's approximations in turn, and their iterates increase
+monotonically in m.  Each regularized problem is solved by damped inexact
+Newton: a step's linear solve only has to reach the relative tolerance of
+an Eisenstat-Walker forcing term, which tightens as the Newton residual
+falls.  All power evaluations run in the log domain so exponents up to
+gamma ~ 400 stay representable.
 
 A Newton solve ends when its residual |A u - g|_inf, g = f/(u + 1/m)^gamma,
 meets
@@ -18,16 +20,18 @@ k-term dot-product bound for A u (`SparseOperator.rounding_floor`, k = 3 in
 1-D and 5 in 2-D) and about gamma ulps for g, which is evaluated through
 exp and log.  The bound follows the iterate, so it is recomputed after
 every accepted step; without the floor it sits below what a computed
-residual can reach on fine 1-D grids, and no m-step there ends by it.
+residual can reach on fine 1-D grids, and no solve there ends by it.
 
-The continuation starts from the picture of the large-gamma limit: u nearly
-flat on S = {interior nodes with f > 0} and harmonic off it.  Once per solve
-`_SupportLift` computes the discrete harmonic lift phi of S (phi = 1 on S,
-A phi = 0 off S, 0 on the boundary).  The first m-step starts from
-(c - 1/m) phi, c the capacity level at which the equation summed over S
-balances, and a step after one converged iterate from that iterate shifted
-by the change in 1/m along phi.  Where S is every interior node phi is 1
-and the first start is max(A^-1 f, 0).
+A solve starts from a function that already has the shape of the
+large-gamma solution, chosen by the data once per call (`_Start`).  Where
+f = 0 at every interior node next to the boundary, that is the discrete
+harmonic lift phi of S = {interior nodes with f > 0} (phi = 1 on S,
+A phi = 0 off S, 0 on the boundary) scaled to the capacity level at which
+the equation summed over S balances.  Otherwise it is the paper's
+transformation v = u^(gamma+1)/(gamma+1), which barely moves with gamma:
+one base solve at gamma = 1 gives v, and ((gamma+1) v)^(1/(gamma+1)) is the
+start of every exponent.  A later m of a schedule starts from the iterate
+before it shifted by the change in 1/m along phi.
 
 A sweep's exponents share the grid, the datum and the m-schedule, so they
 are solved in lockstep (`solve_lockstep`): each Newton iteration advances
@@ -46,19 +50,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import CoefficientField, GridFunction, ProblemSpec
-from .operators import CG_RELATIVE_TOL, SparseOperator, assemble, face_weights
+from .operators import (CG_RELATIVE_TOL, LinearSolveError, SparseOperator, assemble,
+                        face_weights)
 
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
 UPDATE_TOL = 1e-12       # relative Newton update
 RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf); the rounding floor is added
-SCHEDULE_GAP_TOL = 1e-9  # nodal sup-gap between consecutive schedule entries
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
-EXTRAPOLATION_DEPTH = 3  # converged iterates an m-step's start extrapolates from
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
 LIFT_PENALTY = 1e8       # weight on S of the lift solve, in units of max diag A
 LEVEL_MAX_STEPS = 100    # Newton steps of the capacity level, at most
+BASE_GAMMA = 1.0         # exponent of the base solve of the v-start
 
 
 class NonlinearSolveError(RuntimeError):
@@ -71,19 +75,17 @@ class UndefinedCertificateError(ValueError):
     pass
 
 
-def default_m_schedule() -> list[int]:
-    """16^0, ..., 16^6: the last m is 4^12, reached in 7 m-steps.
-
-    Only the last m decides the answer; the others are a continuation path,
-    and the extrapolated start of each m-step (`_extrapolated_start`) keeps
-    Newton inside its basin over a ratio of 16 between consecutive m."""
-    return [16 ** k for k in range(7)]
+def default_m_schedule() -> list[float]:
+    """[inf]: one Newton solve of the discrete singular problem (eps = 0)."""
+    return [math.inf]
 
 
-def check_m_schedule(schedule: Sequence[int]) -> list[int]:
-    """The schedule as a list; ValueError unless non-empty, strictly increasing, m >= 1."""
+def check_m_schedule(schedule: Sequence[float]) -> list[float]:
+    """The schedule as a list; ValueError unless non-empty, strictly increasing
+    and m >= 1, with only its last entry allowed to be inf."""
     schedule = list(schedule)
-    if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+    if (not schedule or not schedule[0] >= 1
+            or any(not b > a for a, b in zip(schedule, schedule[1:]))):
         raise ValueError("m-schedule must be non-empty and strictly increasing, "
                          "with every m >= 1")
     return schedule
@@ -121,7 +123,7 @@ def _forcing_term(res: float, res_prev: float, eta_prev: float,
 
 @dataclass(frozen=True)
 class RegularizedIterate:
-    m: int
+    m: float                     # the regularization index; inf is eps = 0
     u: GridFunction
     iterations: int
     residual: float
@@ -137,10 +139,13 @@ def _capacity_level(log_ratio: float, gamma: float, eps: float) -> float:
     at x = log_ratio / (gamma + 1), the root without eps, where h >= 0; from
     the right of its root Newton on a convex increasing h decreases
     monotonically to it, so the first step that does not move x down ends
-    the iteration (the safeguard against rounding).
+    the iteration (the safeguard against rounding).  At eps = 0 that root
+    is the answer: d = c = e^(log_ratio / (gamma + 1)).
     """
-    log_eps = math.log(eps)
     x = log_ratio / (gamma + 1.0)
+    if eps == 0.0:
+        return math.exp(x)
+    log_eps = math.log(eps)
     for _ in range(LEVEL_MAX_STEPS):
         log_c = max(x, log_eps) + math.log1p(math.exp(-abs(x - log_eps)))
         step = (gamma * log_c + x - log_ratio) / (gamma * math.exp(x - log_c) + 1.0)
@@ -150,75 +155,66 @@ def _capacity_level(log_ratio: float, gamma: float, eps: float) -> float:
     return math.exp(x)
 
 
-class _SupportLift:
-    """The discrete harmonic lift phi of S = {interior nodes with f > 0},
-    the direction in which a solve's continuation in m starts.
+class _Start:
+    """The first start of a solve, chosen by the data, and the direction
+    phi along which a later m-step shifts the iterate before it.
 
-    phi is 1 on S, (A phi)_i = 0 off S and 0 on the boundary.  It is
-    1_S + y with (A + s diag(1_S)) y = -A 1_S off S and 0 on S,
-    s = LIFT_PENALTY max diag A: the penalty pins y to ~0 on S, and the
-    right-hand side stays of the size of A 1_S, so the relative tolerance
-    ETA_MAX of the one `SparseOperator.solver` call (on A's own hierarchy)
-    bounds the residual of A phi off S.  phi is then set to 1 on S and
-    clipped to [0, 1].
+    phi is the discrete harmonic lift of S = {interior nodes with f > 0}:
+    1 on S, (A phi)_i = 0 off S and 0 on the boundary.  It is 1_S + y with
+    (A + s diag(1_S)) y = -A 1_S off S and 0 on S, s = LIFT_PENALTY max
+    diag A: the penalty pins y to ~0 on S, and the right-hand side stays of
+    the size of A 1_S, so the relative tolerance ETA_MAX of the one
+    `SparseOperator.solver` call (on A's own hierarchy) bounds the residual
+    of A phi off S.  phi is then set to 1 on S and clipped to [0, 1].
 
-    Summing the regularized equation over S with u = (c - eps) phi, where
-    u + eps = c on S, gives c^gamma (c - eps) = sum_S f / sum_S (A phi):
-    `start(gamma, eps)` is that (c - eps) phi (`_capacity_level`).  Where S
-    is every interior node there is no lift (`log_ratio` is None): phi is 1
-    and the start is max(A^-1 f, 0), A^-1 f solved only to ETA_MAX; where S
-    is empty phi and the start are 0.
+    Where f = 0 at every interior node next to the boundary, `start` is
+    the lift (c - eps) phi: with u + eps = c on S, the equation summed over
+    S is c^gamma (c - eps) = sum_S f / sum_S (A phi) (`_capacity_level`).
+    Otherwise it is the v-start ((gamma+1) v)^(1/(gamma+1)), where
+    v = u^2/2 of one base solve at gamma = BASE_GAMMA and m = inf from
+    max(A^-1 f, 0) (solved only to ETA_MAX); a failed base solve raises.
+    Where S is empty phi and the start are 0.
     """
 
-    def __init__(self, op: SparseOperator, f_int: np.ndarray):
+    def __init__(self, op: SparseOperator, spec: ProblemSpec):
+        f_int = _interior_datum(spec)
         support = f_int > 0
+        self._op = op
         self.phi = support.astype(float)
         self.log_ratio: Optional[float] = None
-        self._cold = np.zeros_like(f_int)       # the start where f = 0
-        if support.all():
-            self._cold = np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0)
-            return
+        self.base: Optional[GridFunction] = None    # v of the base solve
+        self.base_iterations = 0
         if not support.any():
             return
         A = op.diagonals
-        penalty = LIFT_PENALTY * float(op.matrix.diagonal().max())
-        y = op.solver(penalty * self.phi, rtol=ETA_MAX)(
-            np.where(support, 0.0, -(A @ self.phi)))
-        self.phi = np.where(support, 1.0, np.clip(y, 0.0, 1.0))
-        flux = float(np.sum((A @ self.phi)[support]))
-        self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
+        if not support.all():
+            penalty = LIFT_PENALTY * float(op.matrix.diagonal().max())
+            y = op.solver(penalty * self.phi, rtol=ETA_MAX)(
+                np.where(support, 0.0, -(A @ self.phi)))
+            self.phi = np.where(support, 1.0, np.clip(y, 0.0, 1.0))
+        edge = np.ones(op.grid.interior_shape, dtype=bool)
+        edge[(slice(1, -1),) * op.grid.dim] = False
+        if not support[edge.reshape(-1)].any():
+            flux = float(np.sum((A @ self.phi)[support]))
+            self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
+            return
+        cold = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))
+        (base,) = _regularized_stack(replace(spec, gamma=BASE_GAMMA), [BASE_GAMMA],
+                                     math.inf, [cold], op)
+        if isinstance(base, Exception):
+            raise base
+        self.base = to_quasilinear(base.u, BASE_GAMMA)
+        self.base_iterations = base.iterations
 
-    def start(self, gamma: float, eps: float) -> np.ndarray:
-        """The interior start of a regularized solve at eps with no earlier iterate."""
-        if self.log_ratio is None:
-            return self._cold
-        return _capacity_level(self.log_ratio, gamma, eps) * self.phi
-
-
-def _extrapolated_start(recent: Sequence[RegularizedIterate], eps: float,
-                        phi: np.ndarray) -> np.ndarray:
-    """Lagrange extrapolation in eps = 1/m of u + eps phi through `recent`.
-
-    `recent` holds the last converged iterates u_j at eps_j and `phi` is the
-    support lift (`_SupportLift`; the indicator of f > 0 where f > 0 at
-    every interior node); the result is the extrapolant at eps minus
-    eps phi, summed as sum_j w_j u_j + (sum_j w_j eps_j - eps) phi.  With one
-    iterate (w = 1) that is the shift u_j + (eps_j - eps) phi to the last
-    bit: u + eps stays nearly constant on f > 0 and the shift there carries
-    over harmonically to the rest.  With more iterates the weights reproduce
-    eps and it extrapolates u itself, the predictor of a numerical
-    continuation (Allgower and Georg, Introduction to Numerical Continuation
-    Methods, SIAM 2003, ch. 2).
-    """
-    epsilons = [1.0 / it.m for it in recent]
-    weights = [np.prod([(eps - eps_k) / (eps_j - eps_k)
-                        for k, eps_k in enumerate(epsilons) if k != j])
-               for j, eps_j in enumerate(epsilons)]
-    shift = sum(w * eps_j for w, eps_j in zip(weights, epsilons)) - eps
-    return sum(w * it.u.values for w, it in zip(weights, recent)) + shift * phi
+    def start(self, gamma: float, eps: float) -> GridFunction:
+        """The start of a regularized solve at eps with no earlier iterate."""
+        if self.base is not None:
+            return from_quasilinear(self.base, gamma)
+        level = 0.0 if self.log_ratio is None else _capacity_level(self.log_ratio, gamma, eps)
+        return self._op.full_from_interior(level * self.phi)
 
 
-def _check_iterate(m: int, gamma: float, u: np.ndarray, g: np.ndarray,
+def _check_iterate(m: float, gamma: float, u: np.ndarray, g: np.ndarray,
                    iterations: int, trace: list[float]) -> None:
     """NonlinearSolveError unless the last Newton iterate of one exponent is
     a solution: its right-hand side g must not be clipped at e^LOG_CAP and
@@ -254,7 +250,7 @@ class _Rows:
         return _Rows(*(getattr(self, field.name)[keep] for field in fields(self)))
 
 
-def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
+def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
                        initials: Sequence[GridFunction], op: SparseOperator,
                        max_iterations: int = DEFAULT_MAX_ITERATIONS) -> list:
     """Damped inexact Newton in lockstep on the regularized problems of
@@ -338,7 +334,8 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
             for j, i in enumerate(rows.index):
                 rows.eta[j] = _forcing_term(float(rows.res[j]), traces[i][-2],
                                             float(rows.eta[j]), float(rows.bound[j]))
-        solve = op.solver(rows.gamma[:, None] * rows.g / (rows.u + eps), rtol=rows.eta)
+        solve = op.solver(rows.gamma[:, None] * rows.g
+                          / np.maximum(rows.u + eps, VALUE_FLOOR), rtol=rows.eta)
         du = solve(rows.g - rows.au)
         rows.linear_iterations += solve.iterations
         finite = np.isfinite(du).all(axis=1)
@@ -389,17 +386,17 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: int,
         stop = stalled | (rel_update <= UPDATE_TOL) | (rows.res <= rows.bound)
 
 
-def solve_regularized(spec: ProblemSpec, m: int, *,
+def solve_regularized(spec: ProblemSpec, m: float, *,
                       initial: Optional[GridFunction] = None,
                       operator: Optional[SparseOperator] = None,
                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> RegularizedIterate:
     """One damped inexact-Newton solve of the regularized problem at index m.
 
-    Newton runs on F(u) = A u - f/(u + 1/m)^gamma from `initial` (or from
-    the cold start of `_SupportLift`: the harmonic lift of {f > 0} scaled
-    to its capacity level, or max(A^-1 f, 0) where f > 0 at every interior
-    node; either is solved only to ETA_MAX: it is a start), with the
-    iterate clipped to u >= 0.  Step k solves its Jacobian system to the
+    Newton runs on F(u) = A u - f/(u + 1/m)^gamma, m = inf being eps = 0,
+    from `initial` (or from the start rule of the data, `_Start`: the
+    harmonic lift of {f > 0} scaled to its capacity level where f = 0 next
+    to the boundary, the v-start of one base solve at gamma = 1 otherwise),
+    with the iterate clipped to u >= 0.  Step k solves its Jacobian system to the
     relative tolerance of the forcing term eta_k
     (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
     Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
@@ -412,12 +409,11 @@ def solve_regularized(spec: ProblemSpec, m: int, *,
     of the lockstep solve `_regularized_stack`.  `operator` is the assembled
     A of `spec`; one on another grid raises ValueError.
     """
-    if m < 1:
+    if not m >= 1:
         raise ValueError("regularization index m must be >= 1")
     op = _operator_for(spec, operator)
     if initial is None:
-        initial = op.full_from_interior(
-            _SupportLift(op, _interior_datum(spec)).start(spec.gamma, 1.0 / m))
+        initial = _Start(op, spec).start(spec.gamma, 1.0 / m)
     (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op, max_iterations)
     if isinstance(outcome, Exception):
         raise outcome
@@ -429,8 +425,9 @@ class SingularSolution:
     spec: ProblemSpec
     u: GridFunction
     trace: tuple[RegularizedIterate, ...]
-    stabilized: bool    # the last schedule gap is at most SCHEDULE_GAP_TOL
-    gap: float          # inf when the schedule has a single entry
+    stabilized: bool    # solved at m = inf: the last schedule entry is inf
+    gap: float          # sup-gap of the last two iterates; inf for one entry
+    base_iterations: int    # Newton steps of the v-start's base solve (0: the lift)
 
 
 def _interior_datum(spec: ProblemSpec) -> np.ndarray:
@@ -438,49 +435,52 @@ def _interior_datum(spec: ProblemSpec) -> np.ndarray:
     return spec.datum_values()[(slice(1, -1),) * spec.grid.dim].reshape(-1)
 
 
-def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[int],
+def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[float],
                     regularize: Callable, op: SparseOperator) -> list:
-    """The outer limit over `schedule` for specs that differ only in gamma.
+    """The regularized solves over `schedule` for specs that differ only in gamma.
 
     For each m, `regularize(m, active specs, their starts)` solves the
     regularized problems of the rows still running and returns per row its
     RegularizedIterate or the error it failed with; a failed row leaves with
-    that error and one whose gap is at most SCHEDULE_GAP_TOL stops.  The
-    support lift is computed once, here, for every row: it gives each row's
-    first start and the direction of its one-iterate predictor.  Returns
-    per spec its SingularSolution or its error.
+    that error.  The start rule (`_Start`) is set up once, here, for every
+    row (a failed base solve is every row's error); a later m starts from
+    the iterate u_j at eps_j before it, shifted to u_j + (eps_j - eps) phi.
+    Returns per spec its SingularSolution or its error.
     """
     if not specs:
         return []
-    lift = _SupportLift(op, _interior_datum(specs[0]))
-    phi = op.full_from_interior(lift.phi).values
+    try:
+        first = _Start(op, specs[0])
+    except (NonlinearSolveError, LinearSolveError) as exc:
+        return [exc] * len(specs)
+    phi = op.full_from_interior(first.phi).values
     grid = specs[0].grid
     traces: list[list[RegularizedIterate]] = [[] for _ in specs]
-    gaps = [np.inf] * len(specs)
     outcomes: list = [None] * len(specs)
     active = list(range(len(specs)))
     for m in schedule:
         if not active:
             break
-        initials = [GridFunction(grid, _extrapolated_start(
-                        traces[i][-EXTRAPOLATION_DEPTH:], 1.0 / m, phi))
-                    if traces[i] else op.full_from_interior(
-                        lift.start(specs[i].gamma, 1.0 / m)) for i in active]
+        eps = 1.0 / m
+        initials = [GridFunction(grid, traces[i][-1].u.values
+                                 + (1.0 / traces[i][-1].m - eps) * phi)
+                    if traces[i] else first.start(specs[i].gamma, eps) for i in active]
         running = []
         for i, it in zip(active, regularize(m, [specs[i] for i in active], initials)):
             if isinstance(it, Exception):
                 outcomes[i] = it
                 continue
-            if traces[i]:
-                gaps[i] = float(np.max(np.abs(it.u.values - traces[i][-1].u.values)))
             traces[i].append(it)
-            if gaps[i] > SCHEDULE_GAP_TOL:
-                running.append(i)
+            running.append(i)
         active = running
     for i, spec in enumerate(specs):
         if outcomes[i] is None:
-            outcomes[i] = SingularSolution(spec, traces[i][-1].u, tuple(traces[i]),
-                                           gaps[i] <= SCHEDULE_GAP_TOL, gaps[i])
+            trace = traces[i]
+            gap = (float(np.max(np.abs(trace[-1].u.values - trace[-2].u.values)))
+                   if len(trace) > 1 else math.inf)
+            outcomes[i] = SingularSolution(spec, trace[-1].u, tuple(trace),
+                                           math.isinf(trace[-1].m), gap,
+                                           first.base_iterations)
     return outcomes
 
 
@@ -494,29 +494,17 @@ def _operator_for(spec: ProblemSpec, operator: Optional[SparseOperator]) -> Spar
 
 
 def solve_singular(spec: ProblemSpec,
-                   m_schedule: Optional[Sequence[int]] = None, *,
+                   m_schedule: Optional[Sequence[float]] = None, *,
                    operator: Optional[SparseOperator] = None) -> SingularSolution:
-    """Outer limit m -> infinity over an increasing regularization schedule,
-    by default `default_m_schedule()` (16^0, ..., 16^6).
+    """The discrete singular solution: by default (`default_m_schedule()`)
+    one Newton solve at m = inf, eps = 0; with an explicit increasing
+    `m_schedule` one regularized solve per m, in turn.
 
-    Returns the solve only: the last iterate, the per-m trace and the last
-    nodal sup-gap between consecutive iterates; `singell.sweeps` reads the
-    diagnostics off it.
-
-    The first m starts from the harmonic lift phi of {f > 0} scaled to its
-    capacity level (`_SupportLift`; max(A^-1 f, 0) where f > 0 at every
-    interior node), computed once per call.  Each later m warm-starts from
-    a polynomial extrapolation in eps = 1/m through the last
-    EXTRAPOLATION_DEPTH converged iterates (`_extrapolated_start`).  The
-    iterates depend smoothly on eps, so the extrapolant lands close to the
-    next one.  From a single previous iterate it is that iterate shifted by
-    the change in regularization along phi (u_m + 1/m is nearly constant
-    where f > 0, which keeps the Newton start inside its basin even for
-    gamma in the hundreds).  `solve_regularized` clips the start to u >= 0.
-    Convergence is declared on the nodal sup-gap, not the residual: the
-    singular right-hand side amplifies residuals near the boundary while
-    monotone convergence makes the gap a faithful rule.  A one-entry
-    schedule compares nothing: its gap is inf and it is not stabilized.
+    Returns the solve only (`singell.sweeps` reads the diagnostics off it).
+    The first m starts from the start rule of the data (`_Start`), each
+    later one from the iterate before it shifted by the change in 1/m
+    along phi (u_m + 1/m is nearly constant where f > 0, which keeps the
+    start inside Newton's basin even for gamma in the hundreds).
     `operator` is the assembled A of `spec`; one on another grid raises
     ValueError.  This is the one-exponent case of `solve_lockstep`, with
     each m-step one `solve_regularized` call.
@@ -529,15 +517,18 @@ def solve_singular(spec: ProblemSpec,
         return [solve_regularized(specs[0], m, initial=initials[0], operator=op)]
 
     (sol,) = _solve_schedule([spec], schedule, regularize, op)
+    if isinstance(sol, Exception):
+        raise sol
     return sol
 
 
 def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
-                   m_schedule: Optional[Sequence[int]] = None, *,
+                   m_schedule: Optional[Sequence[float]] = None, *,
                    operator: Optional[SparseOperator] = None) -> list:
     """`solve_singular` for every exponent in `gammas` at once: each m-step
     of the shared schedule runs one lockstep Newton solve
-    (`_regularized_stack`) on the rows still running.
+    (`_regularized_stack`) on the rows still running, and the rows share
+    the start rule's one base solve.
 
     Returns per exponent its SingularSolution, bit for bit the one
     `solve_singular(replace(spec, gamma=n), m_schedule)` gives, or the

@@ -317,7 +317,7 @@ def check_n_list(n_list: Sequence[float]) -> list[float]:
 def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               compacta: Sequence = (), *,
               shell_distances: Sequence[float] = (),
-              m_schedule: Optional[Sequence[int]] = None,
+              m_schedule: Optional[Sequence[float]] = None,
               residual_floor: float = RESIDUAL_FLOOR) -> SweepReport:
     """The exponents' singular solves in lockstep (`solve_lockstep`), each
     row from `describe_solution`.
@@ -385,7 +385,7 @@ def _harmonic_outside(op: SparseOperator, omega) -> GridFunction:
 
 
 def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
-                          m_schedule: Optional[Sequence[int]] = None
+                          m_schedule: Optional[Sequence[float]] = None
                           ) -> ConjectureReport:
     """Compare u_n with the harmonic profile outside the support closure.
 

@@ -167,6 +167,25 @@ class TestSolveCommand:
         assert summary["schedule_gap"] is None
         assert summary["stabilized"] is False
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_solves_at_m_infinity(self, tmp_path, name):
+        # JSON has no inf: m = inf is written as null, and the file must
+        # parse without the non-standard Infinity and NaN tokens
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"summary.json holds {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["stabilized"] is True
+        assert summary["schedule_gap"] is None
+        (step,) = summary["regularization_steps"]
+        assert step["m"] is None and step["iterations"] > 0
+        # data positive next to the boundary take the v-start's base solve
+        positive = name in ("cubic_interval.json", "uniform_interval_sweep.json")
+        assert (summary["base_iterations"] > 0) == positive
+
     def test_summary_reports_work_counters(self, tmp_path):
         counts = {}
         for dim, config in ((1, GAMMA3), (2, json.loads(

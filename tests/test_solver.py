@@ -87,13 +87,37 @@ class TestSolveRegularized:
                            for trial in events[i + 1:j])
 
     def test_cold_start_at_clip_raises(self):
-        # f > 0 at every interior node, so the cold start is max(A^-1 f, 0),
-        # not a lift; it clips the RHS near the boundary at large m and no
-        # step lowers the capped residual: that iterate is no solution
+        # f > 0 at every interior node; the cold start max(A^-1 f, 0) clips
+        # the RHS near the boundary at large m and no step lowers the capped
+        # residual: that iterate is no solution
         config = load_config(CONFIGS / "uniform_interval_sweep.json")
         spec = replace(config.spec, gamma=160.0)
+        op = ops.assemble(spec.grid, spec.coefficients)
+        cold = np.maximum(op.solver(rtol=solver_module.ETA_MAX)(
+            solver_module._interior_datum(spec)), 0.0)
         with pytest.raises(NonlinearSolveError, match="clipped"):
-            solve_regularized(spec, 4 ** 6)
+            solve_regularized(spec, 4 ** 6, initial=op.full_from_interior(cold))
+
+    @pytest.mark.parametrize("m", [4 ** 6, math.inf])
+    def test_v_start_converges_at_gamma_160(self, m):
+        # f > 0 next to the boundary, so the start is the v-start; the cold
+        # start max(A^-1 f, 0) clipped the RHS near the boundary here and no
+        # step lowered the capped residual
+        config = load_config(CONFIGS / "uniform_interval_sweep.json")
+        spec = replace(config.spec, gamma=160.0)
+        it = solve_regularized(spec, m)
+        assert it.m == m and not it.stalled
+        assert it.iterations <= 10
+        assert np.min(it.u.interior()) > 0.0
+
+    def test_start_vanishing_off_the_support_at_m_infinity(self):
+        # at eps = 0 the Jacobian shift gamma g/(u + eps) is 0/0 where f = 0
+        # and u = 0; it is 0 there, and Newton converges to the default solve
+        spec = matched_spec(10.0, 256)
+        start = GridFunction(spec.grid, (spec.datum_values() > 0).astype(float))
+        it = solve_regularized(spec, math.inf, initial=start)
+        ref = solve_singular(spec).u.values
+        assert np.max(np.abs(it.u.values - ref)) <= 1e-10 * np.max(ref)
 
     def test_1d_direct_path_counts_no_linear_iterations(self):
         sol = solve_singular(interval_spec(3.0, 128), [1, 4, 16])
@@ -132,6 +156,17 @@ class TestSolveSingular:
         assert not sol.stabilized
         assert sol.gap == math.inf
 
+    def test_default_solve_at_m_infinity_is_stabilized(self):
+        for spec in (interval_spec(3.0, 64), matched_spec(10.0, 64)):
+            sol = solve_singular(spec)
+            assert [it.m for it in sol.trace] == [math.inf]
+            assert sol.stabilized
+            assert sol.gap == math.inf
+        # a finite schedule may end at m = inf; its gap is the last m-step's
+        sol = solve_singular(matched_spec(10.0, 64), [16, math.inf])
+        assert sol.stabilized
+        assert 0.0 < sol.gap < 1.0 / 16
+
     def test_trace_monotone(self):
         spec = interval_spec(2.0, 128)
         sol = solve_singular(spec, [1, 4, 16, 64, 256])
@@ -145,6 +180,12 @@ class TestSolveSingular:
     def test_schedule_entries_at_least_1(self):
         with pytest.raises(ValueError):
             solve_singular(interval_spec(2.0, 32), [0, 4])
+
+    @pytest.mark.parametrize("schedule", [[math.inf, math.inf], [math.inf, 4],
+                                          [math.nan], [1, math.nan]])
+    def test_inf_only_last_and_no_nan(self, schedule):
+        with pytest.raises(ValueError):
+            solver_module.check_m_schedule(schedule)
 
     def test_symmetric_spec_gives_even_solution(self):
         spec = matched_spec(12.0, 256)
@@ -188,39 +229,33 @@ class TestSolveSingular:
         assert calls == []
 
     @pytest.mark.parametrize("name, gamma, budget", [
-        ("square_hole", None, 21), ("matched_indicator", 400.0, 20),
-        ("cubic_interval", None, 25), ("uniform_interval_sweep", None, 26)])
+        ("square_hole", None, 8), ("matched_indicator", 400.0, 10),
+        ("cubic_interval", None, 13), ("uniform_interval_sweep", None, 13)])
     def test_newton_steps_within_budget(self, name, gamma, budget):
-        # starts shifted from the previous iterate alone took 45, 53, 55, 57;
-        # a residual bound without its rounding floor took 34, 45, 43, 53;
-        # the schedule 4^0, ..., 4^12 in place of 16^0, ..., 16^6 took 34, 37, 32, 43;
-        # on compact data, the cold start max(A^-1 f, 0) and a first predictor
-        # shifted along [f > 0] in place of the support lift took 23, 32
+        # the base solve of the v-start counts; the continuation over
+        # 16^0, ..., 16^6 took 21, 20, 25, 26 (lift start, extrapolated
+        # predictors), and the cold start alone does not converge at m = inf
+        # on the two positive data
         config = load_config(CONFIGS / f"{name}.json")
         spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
         sol = solve_singular(spec, config.m_schedule)
-        assert sum(it.iterations for it in sol.trace) <= budget
+        assert len(sol.trace) == 1
+        assert sum(it.iterations for it in sol.trace) + sol.base_iterations <= budget
 
-    @pytest.mark.parametrize("cells, budget", [(256, 22), (1024, 21), (4096, 22),
-                                               (16384, 22)])
-    def test_matched_sweep_lockstep_iterations_within_budget(self, cells, budget):
-        # the lockstep runs as many Newton iterations per m-step as its
-        # slowest row; the cold start max(A^-1 f, 0) and a first predictor
-        # shifted along [f > 0] took 30, 32, 31, 35
+    @pytest.mark.parametrize("cells", [256, 1024, 4096, 16384])
+    def test_matched_sweep_lockstep_iterations_within_budget(self, cells):
+        # the lockstep runs as many Newton iterations as its slowest row;
+        # the continuation over 16^0, ..., 16^6 took 21, 21, 20, 22 in 7 m-steps
         config = load_config(CONFIGS / "matched_indicator.json")
         shipped = matched_spec(10.0, 1024)
         assert (config.spec.grid, config.spec.datum) == (shipped.grid, shipped.datum)
         traces = [sol.trace for sol in solver_module.solve_lockstep(
             matched_spec(10.0, cells), config.n_list, config.m_schedule)]
-        steps = max(len(trace) for trace in traces)
-        assert steps == 7
-        assert sum(max(trace[k].iterations for trace in traces if len(trace) > k)
-                   for k in range(steps)) <= budget
+        assert all(len(trace) == 1 for trace in traces)
+        assert max(trace[0].iterations for trace in traces) <= 10
 
-    def test_default_schedule_ends_at_4_to_the_12(self):
-        schedule = solver_module.default_m_schedule()
-        assert schedule[-1] == 4 ** 12
-        assert all(b == 16 * a for a, b in zip(schedule, schedule[1:]))
+    def test_default_schedule_is_m_infinity(self):
+        assert solver_module.default_m_schedule() == [math.inf]
 
     @pytest.mark.parametrize("name, gamma", [
         ("square_hole", None), ("matched_indicator", 10.0),
@@ -230,9 +265,19 @@ class TestSolveSingular:
         config = load_config(CONFIGS / f"{name}.json")
         spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
         sol = solve_singular(spec)
-        ref = solve_singular(spec, [4 ** k for k in range(13)])
-        assert len(sol.trace) == 7
+        ref = solve_singular(spec, [4 ** k for k in range(13)] + [math.inf])
+        assert len(sol.trace) == 1
         assert np.max(np.abs(sol.u.values - ref.u.values)) <= 1e-12 * np.max(ref.u.values)
+
+    @pytest.mark.parametrize("name", ["square_hole", "matched_indicator",
+                                      "cubic_interval", "uniform_interval_sweep"])
+    def test_default_answer_within_the_tail_of_the_16k_schedule(self, name):
+        # the last m = 4^12 of 16^0, ..., 16^6 leaves a regularization tail of
+        # about 1/4^12 = 6e-8 relative
+        spec = load_config(CONFIGS / f"{name}.json").spec
+        sol = solve_singular(spec)
+        ref = solve_singular(spec, [16 ** k for k in range(7)])
+        assert np.max(np.abs(sol.u.values - ref.u.values)) <= 1e-6 * np.max(ref.u.values)
 
     @pytest.mark.parametrize("name, gamma", [("square_hole", None)] + [
         (name, gamma) for name in ("cubic_interval", "matched_indicator",
@@ -274,25 +319,24 @@ def _indicator_spec(dim, cells, gamma, value, lo, width):
 
 
 class TestExtrapolatedStart:
-    """The extrapolated warm start changes the work of an m-step, not its answer."""
+    """A later m-step starts from the iterate u_j before it extrapolated at
+    constant u + eps phi: u_j + (eps_j - eps) phi.  The start changes the
+    work of an m-step, not its answer."""
 
-    def test_one_iterate_gives_the_shift(self):
+    def test_one_iterate_gives_the_shift(self, monkeypatch):
         spec = matched_spec(10.0, 64)
-        it = solve_regularized(spec, 4)
-        pos = spec.datum_values() > 0
-        shifted = it.u.values.copy()
-        shifted[pos] += 1.0 / 4 - 1.0 / 16
-        start = solver_module._extrapolated_start([it], 1.0 / 16, pos.astype(float))
-        assert np.array_equal(start, shifted)
+        starts, real = [], solver_module.solve_regularized
 
-    def test_three_iterates_reproduce_a_quadratic(self):
-        grid = make_uniform_grid(0.0, 1.0, 8)
-        a, b, c = (np.linspace(1.0, 2.0, 9) * k for k in (1.0, -3.0, 5.0))
-        recent = [solver_module.RegularizedIterate(
-            m, GridFunction(grid, a + b / m + c / m ** 2), 1, 0.0) for m in (1, 4, 16)]
-        pos = (np.arange(9) % 2).astype(float)
-        start = solver_module._extrapolated_start(recent, 1.0 / 64, pos)
-        assert np.allclose(start, a + b / 64 + c / 64 ** 2, rtol=0.0, atol=1e-14)
+        def recording(spec, m, *, initial, **kwargs):
+            starts.append(initial.values)
+            return real(spec, m, initial=initial, **kwargs)
+
+        monkeypatch.setattr(solver_module, "solve_regularized", recording)
+        sol = solve_singular(spec, [4, 16, math.inf])
+        op, _, lift = _lift(spec)
+        phi = op.full_from_interior(lift.phi).values
+        for start, (a, b) in zip(starts[1:], zip(sol.trace, sol.trace[1:])):
+            assert np.array_equal(start, a.u.values + (1.0 / a.m - 1.0 / b.m) * phi)
 
     @settings(max_examples=25, deadline=None)
     @given(dim=st.sampled_from([1, 2]), cells=st.integers(8, 24),
@@ -325,13 +369,12 @@ class TestExtrapolatedStart:
 
 def _lift(spec):
     op = ops.assemble(spec.grid, spec.coefficients)
-    f_int = solver_module._interior_datum(spec)
-    return op, f_int, solver_module._SupportLift(op, f_int)
+    return op, solver_module._interior_datum(spec), solver_module._Start(op, spec)
 
 
 class TestSupportLift:
     """The harmonic lift phi of S = {f > 0} and the capacity level c of the
-    first start (c - 1/m) phi."""
+    first start (c - 1/m) phi, where f = 0 next to the boundary."""
 
     @pytest.fixture(scope="class", params=["matched_indicator", "square_hole"])
     def lifted(self, request):
@@ -376,7 +419,7 @@ class TestSupportLift:
         # c^gamma (c - 1/m) = sum_S f / sum_S A phi, in the log domain
         _, _, lift = lifted
         for log_ratio in (lift.log_ratio, -60.0, 60.0):
-            for eps in (16.0 ** -k for k in range(7)):
+            for eps in [16.0 ** -k for k in range(7)] + [0.0]:
                 d = solver_module._capacity_level(log_ratio, gamma, eps)
                 assert d > 0.0
                 c = eps + d
@@ -384,25 +427,98 @@ class TestSupportLift:
 
     def test_start_is_the_lift_at_the_capacity_level(self, lifted):
         op, f_int, lift = lifted
+        assert lift.base is None and lift.base_iterations == 0
         pos = f_int > 0
         ratio = np.sum(f_int[pos]) / np.sum(op.apply(lift.phi)[pos])
-        start = lift.start(20.0, 1.0 / 16)
-        c = start[pos][0] + 1.0 / 16
-        assert np.array_equal(start, (c - 1.0 / 16) * lift.phi)
-        assert abs(c ** 20 * (c - 1.0 / 16) / ratio - 1.0) <= 1e-12
+        for eps in (1.0 / 16, 0.0):
+            start = op.interior_of(lift.start(20.0, eps))
+            c = start[pos][0] + eps
+            assert np.array_equal(start, (c - eps) * lift.phi)
+            assert abs(c ** 20 * (c - eps) / ratio - 1.0) <= 1e-12
 
     def test_no_lift_on_strictly_positive_or_zero_data(self):
-        # phi is the indicator of S; the start of positive data is max(A^-1 f, 0)
+        # phi is the indicator of S: 1 on positive data, 0 on zero data
         for value, support in ((1.0, "strictly_positive"), (0.0, "general")):
-            op, f_int, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
+            _, f_int, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
             assert lift.log_ratio is None
             assert np.array_equal(lift.phi, np.full(f_int.size, value))
-            expected = np.maximum(op.solver(rtol=solver_module.ETA_MAX)(f_int), 0.0)
-            assert np.array_equal(lift.start(3.0, 1.0), expected)
+        assert lift.base is None
+        assert lift.start(3.0, 1.0).sup_norm() == 0.0
+
+
+class TestVStart:
+    """Where f > 0 next to the boundary the first start is
+    ((gamma+1) v)^(1/(gamma+1)), v = u_1^2/2 of one base solve at gamma = 1
+    and m = inf."""
+
+    def test_start_is_the_power_map_of_the_base_solve(self):
+        spec = interval_spec(10.0, 128)
+        op, f_int, start = _lift(spec)
+        assert start.log_ratio is None and 0 < start.base_iterations <= 10
+        base = solve_regularized(replace(spec, gamma=1.0), math.inf, initial=op.full_from_interior(
+            np.maximum(op.solver(rtol=solver_module.ETA_MAX)(f_int), 0.0)))
+        assert base.iterations == start.base_iterations
+        assert np.array_equal(start.base.values, to_quasilinear(base.u, 1.0).values)
+        for gamma in (1.0, 40.0, 400.0):
+            expected = ((gamma + 1.0) * base.u.values ** 2 / 2.0) ** (1.0 / (gamma + 1.0))
+            np.testing.assert_allclose(start.start(gamma, 0.0).values, expected,
+                                       rtol=1e-13, atol=0.0)
+
+    def test_the_rule_follows_the_data_next_to_the_boundary(self):
+        # a box that reaches the first interior node takes the v-start, one
+        # node short of it the lift
+        grid = make_uniform_grid(0.0, 1.0, 64)
+        for lo, lifted in ((0.5 / 64, False), (1.5 / 64, True)):
+            spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                               IndicatorDatum(1.0, lo, 0.5), gamma=20.0,
+                               support="general")
+            _, _, start = _lift(spec)
+            assert (start.log_ratio is not None) == lifted
+            assert (start.base is None) == lifted
+            sol = solve_singular(spec)
+            assert sol.stabilized and sol.base_iterations == (0 if lifted else
+                                                              start.base_iterations)
+
+    def test_a_sweep_shares_the_base_solve(self, monkeypatch):
+        config = load_config(CONFIGS / "uniform_interval_sweep.json")
+        calls, real = [], solver_module._regularized_stack
+
+        def recording(spec, gammas, m, *args, **kwargs):
+            calls.append((list(gammas), m))
+            return real(spec, gammas, m, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_regularized_stack", recording)
+        sols = solver_module.solve_lockstep(config.spec, config.n_list)
+        assert calls == [([1.0], math.inf), (list(config.n_list), math.inf)]
+        assert len({sol.base_iterations for sol in sols}) == 1
+
+    def test_a_failed_base_solve_fails_every_row(self, monkeypatch):
+        real = solver_module._regularized_stack
+
+        def failing_base(spec, gammas, m, *args, **kwargs):
+            if spec.gamma == solver_module.BASE_GAMMA:
+                return [NonlinearSolveError("synthetic base failure", [])]
+            return real(spec, gammas, m, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_regularized_stack", failing_base)
+        spec = interval_spec(10.0, 128)
+        with pytest.raises(NonlinearSolveError, match="synthetic base failure"):
+            solve_singular(spec)
+        outcomes = solver_module.solve_lockstep(spec, [10.0, 20.0])
+        assert [str(o) for o in outcomes] == ["synthetic base failure"] * 2
 
 
 class TestMonotoneInM:
-    """u_m is nondecreasing in m on random indicator problems."""
+    """u_m is nondecreasing in m, up to the default solve at m = inf."""
+
+    @staticmethod
+    def _check(spec):
+        sol = solve_singular(spec, [4 ** k for k in range(7)])
+        for a, b in zip(sol.trace, sol.trace[1:]):
+            assert np.all(b.u.values >= a.u.values - 1e-10)
+        limit = solve_singular(spec).u.values
+        for it in sol.trace:
+            assert np.all(limit >= it.u.values - 1e-10)
 
     @settings(max_examples=20, deadline=None)
     @given(dim=st.sampled_from([1, 2]), cells=st.integers(8, 24),
@@ -410,10 +526,11 @@ class TestMonotoneInM:
            lo=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
            width=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)))
     def test_iterates_nondecreasing(self, dim, cells, gamma, value, lo, width):
-        spec = _indicator_spec(dim, cells, gamma, value, lo, width)
-        sol = solve_singular(spec, [4 ** k for k in range(7)])
-        for a, b in zip(sol.trace, sol.trace[1:]):
-            assert np.all(b.u.values >= a.u.values - 1e-10)
+        self._check(_indicator_spec(dim, cells, gamma, value, lo, width))
+
+    @pytest.mark.parametrize("gamma", [0.5, 3.0, 40.0])
+    def test_strictly_positive_iterates_nondecreasing(self, gamma):
+        self._check(interval_spec(gamma, 128))
 
 
 def _recording_cg(rtols):
