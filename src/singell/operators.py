@@ -22,7 +22,9 @@ relative residual `rtol`: `CG_RELATIVE_TOL` for A's own solves, a looser
 forcing term for inexact Newton steps.  Every solver counts the CG
 iterations it ran in `iterations` (0 if direct; per row for a stack) and
 keeps in `failures` the rows of a stack whose CG failed.  Each row of a
-stack is bit for bit its own solver.
+stack is bit for bit its own solver.  `SparseOperator.harmonic_lift` is the
+one discrete harmonic lift of a node set, one penalized solve on A's own
+hierarchy: the solver's start and the harmonic comparison both use it.
 
 A computed residual b - A x cannot fall below the rounding error of A x,
 which Higham's bound for k-term dot products puts at eps k |A|_inf |x|_inf,
@@ -53,6 +55,7 @@ CG_MAX_ITERATIONS = 500
 JACOBI_WEIGHT = 0.8
 SMOOTHING_SWEEPS = 2        # damped Jacobi sweeps before and after a coarse correction
 RESIDUAL_BOUND = 1e-10  # scaled by (1 + |rhs|_inf)
+LIFT_PENALTY = 1e12     # weight on the mask of the lift solve, in units of max diag A
 
 
 class LinearSolveError(RuntimeError):
@@ -150,12 +153,24 @@ class SparseOperator:
         """`solver()` for A itself, built on first use and kept with it."""
         return self.solver()
 
-    def eliminate(self, mask: np.ndarray) -> "SparseOperator":
-        """A with the masked unknowns' rows and columns cut to the diagonal (SPD)."""
-        keep = sp.diags((~mask).astype(float))
-        diagonal = sp.diags(np.where(mask, self.matrix.diagonal(), 0.0))
-        matrix = (keep @ self.matrix @ keep + diagonal).tocsr().sorted_indices()
-        return SparseOperator(self.grid, matrix)
+    def harmonic_lift(self, mask: np.ndarray, rtol=CG_RELATIVE_TOL) -> np.ndarray:
+        """The discrete harmonic lift phi of the interior nodes in `mask`:
+        1 on the mask, (A phi)_i = 0 off it and 0 on the boundary.
+
+        phi is 1_mask + y with (A + s diag(1_mask)) y = -A 1_mask off the
+        mask and 0 on it, s = LIFT_PENALTY max diag A: the penalty pins y to
+        about 1/LIFT_PENALTY of its size on the mask, and the right-hand side
+        stays of the size of A 1_mask, so `rtol` bounds the relative residual
+        of A phi off the mask.  One `solver` call, on A's own hierarchy; phi
+        is then set to 1 on the mask and clipped to [0, 1].  An empty or
+        full mask needs no solve.
+        """
+        phi = mask.astype(float)
+        if not mask.any() or mask.all():
+            return phi
+        penalty = LIFT_PENALTY * float(self.matrix.diagonal().max())
+        y = self.solver(penalty * phi, rtol=rtol)(np.where(mask, 0.0, -self.apply(phi)))
+        return np.where(mask, 1.0, np.clip(y, 0.0, 1.0))
 
 
 def _verify_m_matrix(matrix: sp.csr_matrix) -> None:

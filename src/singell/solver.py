@@ -26,12 +26,13 @@ A solve starts from a function that already has the shape of the
 large-gamma solution, chosen by the data once per call (`_Start`).  Where
 f = 0 at every interior node next to the boundary, that is the discrete
 harmonic lift phi of S = {interior nodes with f > 0} (phi = 1 on S,
-A phi = 0 off S, 0 on the boundary) scaled to the capacity level at which
-the equation summed over S balances.  Otherwise it is the paper's
-transformation v = u^(gamma+1)/(gamma+1), which barely moves with gamma:
-one base solve at gamma = 1 gives v, and ((gamma+1) v)^(1/(gamma+1)) is the
-start of every exponent.  A later m of a schedule starts from the iterate
-before it shifted by the change in 1/m along phi.
+A phi = 0 off S, 0 on the boundary; `SparseOperator.harmonic_lift`) scaled
+to the capacity level at which the equation summed over S balances.
+Otherwise it is the paper's transformation v = u^(gamma+1)/(gamma+1), which
+barely moves with gamma: one base solve at gamma = 1 gives v, and
+((gamma+1) v)^(1/(gamma+1)) is the start of every exponent.  A later m of
+a schedule starts from the iterate before it shifted by the change in 1/m
+along phi.
 
 A sweep's exponents share the grid, the datum and the m-schedule, so they
 are solved in lockstep (`solve_lockstep`): each Newton iteration advances
@@ -60,7 +61,6 @@ RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf); the rounding floor is added
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
-LIFT_PENALTY = 1e8       # weight on S of the lift solve, in units of max diag A
 LEVEL_MAX_STEPS = 100    # Newton steps of the capacity level, at most
 BASE_GAMMA = 1.0         # exponent of the base solve of the v-start
 
@@ -160,12 +160,9 @@ class _Start:
     phi along which a later m-step shifts the iterate before it.
 
     phi is the discrete harmonic lift of S = {interior nodes with f > 0}:
-    1 on S, (A phi)_i = 0 off S and 0 on the boundary.  It is 1_S + y with
-    (A + s diag(1_S)) y = -A 1_S off S and 0 on S, s = LIFT_PENALTY max
-    diag A: the penalty pins y to ~0 on S, and the right-hand side stays of
-    the size of A 1_S, so the relative tolerance ETA_MAX of the one
-    `SparseOperator.solver` call (on A's own hierarchy) bounds the residual
-    of A phi off S.  phi is then set to 1 on S and clipped to [0, 1].
+    1 on S, (A phi)_i = 0 off S and 0 on the boundary
+    (`SparseOperator.harmonic_lift`), solved only to ETA_MAX: a start needs
+    its shape, not its last digits.
 
     Where f = 0 at every interior node next to the boundary, `start` is
     the lift (c - eps) phi: with u + eps = c on S, the equation summed over
@@ -180,22 +177,16 @@ class _Start:
         f_int = _interior_datum(spec)
         support = f_int > 0
         self._op = op
-        self.phi = support.astype(float)
+        self.phi = op.harmonic_lift(support, rtol=ETA_MAX)
         self.log_ratio: Optional[float] = None
         self.base: Optional[GridFunction] = None    # v of the base solve
         self.base_iterations = 0
         if not support.any():
             return
-        A = op.diagonals
-        if not support.all():
-            penalty = LIFT_PENALTY * float(op.matrix.diagonal().max())
-            y = op.solver(penalty * self.phi, rtol=ETA_MAX)(
-                np.where(support, 0.0, -(A @ self.phi)))
-            self.phi = np.where(support, 1.0, np.clip(y, 0.0, 1.0))
         edge = np.ones(op.grid.interior_shape, dtype=bool)
         edge[(slice(1, -1),) * op.grid.dim] = False
         if not support[edge.reshape(-1)].any():
-            flux = float(np.sum((A @ self.phi)[support]))
+            flux = float(np.sum(op.apply(self.phi)[support]))
             self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
             return
         cold = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import MeasureData, SparseOperator, assemble, solve_measure
+from .operators import MeasureData, assemble, solve_measure
 from .solver import (RESIDUAL_FLOOR, SingularSolution, linfty_certificate,
                      quasilinear_residual, singular_mass_density, solve_lockstep,
                      solve_singular, to_quasilinear, total_singular_mass)
@@ -358,41 +358,18 @@ class ConjectureReport:
     nodes_compared: int
 
 
-def _harmonic_outside(op: SparseOperator, omega) -> GridFunction:
-    """Laplace solve on the grid restriction of the domain minus the sub-box;
-    `op` is the operator assembled with identity coefficients on its grid.
-
-    Dirichlet data: 1 on the sub-box edge (box nodes with a grid neighbour
-    outside the box), 0 strictly inside the sub-box and on the outer
-    boundary, which wins where the two meet.  The box nodes are eliminated
-    symmetrically, so the solve runs on the whole interior grid: their rows
-    and columns of the Laplacian are replaced by its diagonal.
-    """
-    grid = op.grid
-    box = grid.box_mask(omega)
-    near_outside = np.zeros_like(box)
-    for axis in range(grid.dim):
-        for step in (-1, 1):
-            # wraps only onto frame nodes, which are dropped below
-            near_outside |= np.roll(~box, step, axis)
-    interior = (slice(1, -1),) * grid.dim
-    lift = (box & near_outside)[interior].ravel().astype(float)
-    box = box[interior].ravel()
-
-    rhs = np.where(box, 0.0, -op.apply(lift))
-    values = op.eliminate(box).solve(rhs)
-    return op.full_from_interior(np.where(box, lift, values))
-
-
 def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
                           m_schedule: Optional[Sequence[float]] = None
                           ) -> ConjectureReport:
     """Compare u_n with the harmonic profile outside the support closure.
 
-    Requires identity coefficients and a compactly-contained indicator datum
-    (HarmonicComparisonError otherwise).  Emits numbers only; nothing here
-    is asserted.  The operator is assembled once, for the solve and the
-    harmonic profile.
+    The profile is the discrete harmonic lift of the box's interior nodes
+    (`SparseOperator.harmonic_lift`, to CG_RELATIVE_TOL): 1 on the box,
+    harmonic outside it and 0 on the boundary; only its values outside the
+    box are compared.  Requires identity coefficients and a
+    compactly-contained indicator datum (HarmonicComparisonError otherwise).
+    Emits numbers only; nothing here is asserted.  The operator is assembled
+    once, and its one multigrid hierarchy serves the solve and the profile.
     """
     ident = CoefficientField.identity(spec.grid)
     if not np.allclose(spec.coefficients.entries, ident.entries):
@@ -404,9 +381,11 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
             "harmonic comparison requires an indicator datum")
     op = assemble(spec.grid, spec.coefficients)
     sol = solve_singular(replace(spec, gamma=float(n_large)), m_schedule, operator=op)
-    harmonic = _harmonic_outside(op, omega)
+    box = spec.grid.box_mask(omega)
+    interior = (slice(1, -1),) * spec.grid.dim
+    harmonic = op.full_from_interior(op.harmonic_lift(box[interior].ravel()))
 
-    outside = ~spec.grid.box_mask(omega)
+    outside = ~box
     gap = float(np.max(np.abs(sol.u.values - harmonic.values)[outside], initial=0.0))
     outer_v = float(np.max(to_quasilinear(sol.u, n_large).values[outside], initial=0.0))
     return ConjectureReport(float(n_large), gap, outer_v, 1.0,

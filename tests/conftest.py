@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import singell.operators as ops
@@ -27,6 +30,36 @@ def square_spec(gamma, cells):
     return ProblemSpec(grid, CoefficientField.identity(grid),
                        ConstantDatum(1.0), gamma=gamma,
                        support="strictly_positive")
+
+
+def reference_harmonic(grid, mask):
+    """SuperLU solve of the Laplacian on the interior nodes outside `mask`
+    (a node mask of `grid`) only: 1 on the mask's interior nodes, harmonic
+    off the mask and 0 on the boundary."""
+    lap = None
+    for axis, h in enumerate(grid.h):
+        c = grid.cells[axis]
+        factors = [sp.identity(n) for n in grid.shape]
+        factors[axis] = sp.diags([-np.ones(c), np.ones(c)], [0, 1],
+                                 shape=(c, c + 1))
+        diff = functools.reduce(sp.kron, factors)
+        term = diff.T @ diff / h ** 2
+        lap = term if lap is None else lap + term
+    lap = lap.tocsr()
+    mask, frame = mask.ravel(), grid.frame_mask().ravel()
+    lift = (mask & ~frame).astype(float)
+    unknown = np.flatnonzero(~mask & ~frame)
+    rows = lap[unknown]
+    lift[unknown] = spla.splu(rows[:, unknown].tocsc()).solve(-(rows @ lift))
+    return lift.reshape(grid.shape)
+
+
+def harmonic_lift(grid, mask):
+    """`SparseOperator.harmonic_lift` of the interior nodes of `mask` (a
+    node mask of `grid`) on the Laplacian of `grid`, as nodal values."""
+    op = ops.assemble(grid, CoefficientField.identity(grid))
+    interior = (slice(1, -1),) * grid.dim
+    return op.full_from_interior(op.harmonic_lift(mask[interior].ravel())).values
 
 
 def record_direct_solves(monkeypatch):

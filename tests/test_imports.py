@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -13,3 +14,22 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_operators_imports_sparse_linalg():
+    # sparse matrices and linear solves, and so the one harmonic lift, live
+    # in one module: no other module imports scipy.sparse, scipy.linalg or
+    # any of their submodules
+    importers = set()
+    for path in (SRC / "singell").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == package or name.startswith(package + ".")
+                   for name in names for package in ("scipy.sparse", "scipy.linalg")):
+                importers.add(path.stem)
+    assert importers == {"operators"}

@@ -389,7 +389,7 @@ class TestSupportLift:
 
     def test_harmonic_off_the_support(self, lifted):
         # A phi off S is minus the residual of the lift solve, which stops
-        # at relative residual ETA_MAX (the penalty on S adds ~1e-8 of it)
+        # at relative residual ETA_MAX (the penalty on S adds ~1e-12 of it)
         op, f_int, lift = lifted
         off = f_int <= 0
         rhs = op.apply((f_int > 0).astype(float))[off]

@@ -1,11 +1,9 @@
-import functools
 import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -18,16 +16,12 @@ from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
 from singell.config import load_config
 from singell.grids import IndicatorDatum
 from singell.solver import solve_lockstep
-from singell.sweeps import _harmonic_outside, describe_solution
-from conftest import interval_spec, matched_spec, record_direct_solves
+from singell.sweeps import describe_solution
+from conftest import (harmonic_lift, interval_spec, matched_spec, record_direct_solves,
+                      reference_harmonic)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
-
-
-def harmonic_outside(grid, omega):
-    """`_harmonic_outside` on the Laplacian of `grid`."""
-    return _harmonic_outside(ops.assemble(grid, CoefficientField.identity(grid)), omega)
 
 
 def record_assemblies(monkeypatch):
@@ -44,27 +38,6 @@ def record_assemblies(monkeypatch):
     monkeypatch.setattr(sweeps_mod, "assemble", counted)
     monkeypatch.setattr(solver_mod, "assemble", counted)
     return grids
-
-
-def reference_harmonic(grid, omega):
-    """SuperLU solve of the Laplacian on the nodes outside the box only."""
-    lap = None
-    for axis, h in enumerate(grid.h):
-        c = grid.cells[axis]
-        factors = [sp.identity(n) for n in grid.shape]
-        factors[axis] = sp.diags([-np.ones(c), np.ones(c)], [0, 1],
-                                 shape=(c, c + 1))
-        diff = functools.reduce(sp.kron, factors)
-        term = diff.T @ diff / h ** 2
-        lap = term if lap is None else lap + term
-    lap = lap.tocsr()
-    box = grid.box_mask(omega).ravel()
-    edge = box & (abs(lap) @ ~box > 0)
-    unknown = np.flatnonzero(~box & ~grid.frame_mask().ravel())
-    lift = edge.astype(float)
-    rows = lap[unknown]
-    lift[unknown] = spla.splu(rows[:, unknown].tocsc()).solve(-(rows @ lift))
-    return lift.reshape(grid.shape)
 
 
 class TestLogDiagnostic:
@@ -345,9 +318,8 @@ class TestConjecture:
         i1 = data.draw(st.integers(i0 + 1, cells - 2))
         a, b = t[i0], t[i1]
         exact = np.where(t < a, (t - t[0]) / (a - t[0]),
-                         np.where(t > b, (t[-1] - t) / (t[-1] - b), 0.0))
-        exact[i0] = exact[i1] = 1.0
-        harmonic = harmonic_outside(g, (a, b)).values
+                         np.where(t > b, (t[-1] - t) / (t[-1] - b), 1.0))
+        harmonic = harmonic_lift(g, g.box_mask((a, b)))
         assert np.max(np.abs(harmonic - exact)) <= 1e-12
 
     @settings(max_examples=15, deadline=None)
@@ -361,18 +333,16 @@ class TestConjecture:
             i1 = data.draw(st.integers(i0 + 1, c - 1))
             lo.append(t[i0])
             hi.append(t[i1])
-        omega = (tuple(lo), tuple(hi))
-        harmonic = harmonic_outside(grid, omega).values
-        # the CG stopping error: at most 4.1e-13 over 200 random boxes
-        assert np.max(np.abs(harmonic - reference_harmonic(grid, omega))) <= 2e-12
+        box = grid.box_mask((tuple(lo), tuple(hi)))
+        # the CG stopping error and the penalty: at most 4.7e-13 over 200 random boxes
+        assert np.max(np.abs(harmonic_lift(grid, box) - reference_harmonic(grid, box))) <= 2e-12
 
     def test_2d_harmonic_anisotropic_box_matches_superlu_reference(self):
-        # hy = 8 hx: any large entry of rhs on the eliminated box rows would
-        # loosen CG's relative stop past the bound here (2.9e-12 with diag * lift)
+        # hy = 8 hx: any large entry of rhs on the penalized box rows would
+        # loosen CG's relative stop past the bound here
         grid = make_uniform_grid((0.0, 0.0), (1.0, 2.0), (64, 16))
-        omega = ((0.09375, 0.125), (0.65625, 1.5))
-        harmonic = harmonic_outside(grid, omega).values
-        assert np.max(np.abs(harmonic - reference_harmonic(grid, omega))) <= 2e-12
+        box = grid.box_mask(((0.09375, 0.125), (0.65625, 1.5)))
+        assert np.max(np.abs(harmonic_lift(grid, box) - reference_harmonic(grid, box))) <= 2e-12
 
     def test_square_factorizes_only_the_coarsest_level(self, monkeypatch):
         # banded Cholesky on the coarsest level only; SuperLU, made to fail, is never called
@@ -384,12 +354,21 @@ class TestConjecture:
         assert sizes and max(sizes) <= int(np.prod(coarse[-1]))
 
     def test_assembles_once(self, monkeypatch):
-        # the solve and the harmonic profile share one operator
+        # the solve and the harmonic profile share one operator and its one
+        # multigrid hierarchy (one coarsest level per hierarchy)
         grids = record_assemblies(monkeypatch)
+        hierarchies, coarse_bands = [], ops._coarse_bands
+
+        def counted(*args):
+            hierarchies.append(args)
+            return coarse_bands(*args)
+
+        monkeypatch.setattr(ops, "_coarse_bands", counted)
         spec = load_config(SQUARE_HOLE).spec
         report = conjecture_experiment(spec, 20.0)
         assert np.isfinite(report.harmonic_gap)
         assert grids == [spec.grid]
+        assert len(hierarchies) == 1
 
     def test_1d_runs_no_superlu(self, monkeypatch):
         calls = []
