@@ -48,11 +48,9 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> int:
     v = to_quasilinear(u, spec.gamma)
     axis_names = ["t"] if grid.dim == 1 else ["x", "y"]
     if "csv" in config.formats:
-        rows = np.column_stack([*(m.ravel() for m in grid.meshes()),
-                                u.values.ravel(), v.values.ravel()])
         write_csv(out / "solution.csv",
                   axis_names + ["u (singular solution)", "v = u^(g+1)/(g+1)"],
-                  rows)
+                  np.column_stack([u.values.ravel(), v.values.ravel()]), grid=grid)
 
     row = describe_solution(sol, residual_floor=config.residual_floor)
     summary = {

@@ -182,14 +182,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     output = raw.get("output", {})
     _require_keys(output, {"formats"}, set(), "output")
-    formats = tuple(output.get("formats", ("csv", "json", "svg")))
+    formats = output.get("formats", ["csv", "json", "svg"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"output.formats must be a list of strings, got {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+            raise ConfigError(f"unknown output format {fmt!r} in output.formats")
 
     return ExperimentConfig(spec=spec, n_list=n_list, m_schedule=m_schedule,
                             compacta=compacta, shell_distances=shells,
                             residual_floor=floor, tolerances=tolerances,
                             oned_geometry=geometry, oned_radius=radius,
-                            formats=formats,
+                            formats=tuple(formats),
                             label=str(raw.get("label", "experiment")))

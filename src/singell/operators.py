@@ -1,8 +1,9 @@
 """Discrete divergence-form elliptic operators with homogeneous Dirichlet data.
 
 The assembled matrix acts on interior nodes only; Dirichlet rows are
-eliminated.  Assembly certifies the M-matrix sign pattern, which is the
-discrete comparison-principle certificate used throughout.  This module is
+eliminated.  Assembly writes it straight into diagonal (DIA) storage and
+certifies the M-matrix sign pattern there, which is the discrete
+comparison-principle certificate used throughout.  This module is
 also the one place that holds sparse matrices and decides how they are
 solved: `SparseOperator.solver(shift, rtol)` solves (A + diag(shift)) x = b,
 for one shift or for each row of a (k, n) stack of shifts, as a sweep's
@@ -15,16 +16,18 @@ operator, with one CG per row of a stack.  Products with A and with every
 smoothed level run in diagonal (DIA) storage, offsets ascending (Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 3.4):
 each row then sums its entries in the CSR column order, so the products
-are bit-identical to CSR ones and read no index array.  Each solver adds
-the shift to one row of a copy of every level's diagonals, smooths with
-damped Jacobi and solves the coarsest level by `_Banded`.  CG stops at the
-relative residual `rtol`: `CG_RELATIVE_TOL` for A's own solves, a looser
-forcing term for inexact Newton steps.  Every solver counts the CG
-iterations it ran in `iterations` (0 if direct; per row for a stack) and
-keeps in `failures` the rows of a stack whose CG failed.  Each row of a
-stack is bit for bit its own solver.  `SparseOperator.harmonic_lift` is the
-one discrete harmonic lift of a node set, one penalized solve on A's own
-hierarchy: the solver's start and the harmonic comparison both use it.
+are bit-identical to CSR ones and read no index array.  A's CSR form
+`matrix` is derived once from its diagonals, for the Galerkin products and
+the rounding floor.  Each solver adds the shift to one row of a copy of
+every level's diagonals, smooths with damped Jacobi and solves the
+coarsest level by `_Banded`.  CG stops at the relative residual `rtol`:
+`CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
+Newton steps.  Every solver counts the CG iterations it ran in
+`iterations` (0 if direct; per row for a stack) and keeps in `failures`
+the rows of a stack whose CG failed.  Each row of a stack is bit for bit
+its own solver.  `SparseOperator.harmonic_lift` is the one discrete
+harmonic lift of a node set, one penalized solve on A's own hierarchy: the
+solver's start and the harmonic comparison both use it.
 
 A computed residual b - A x cannot fall below the rounding error of A x,
 which Higham's bound for k-term dot products puts at eps k |A|_inf |x|_inf,
@@ -66,14 +69,16 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Symmetric M-matrix discretization of -div(M grad .) on interior nodes."""
+    """Symmetric M-matrix discretization of -div(M grad .) on interior nodes,
+    held in diagonal storage, offsets ascending: its products equal the
+    CSR ones bit for bit."""
 
     grid: Grid
-    matrix: sp.csr_matrix
+    diagonals: sp.dia_matrix
 
     @property
     def n_unknowns(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonals.shape[0]
 
     def interior_of(self, u: GridFunction) -> np.ndarray:
         return u.interior().reshape(-1)
@@ -84,10 +89,10 @@ class SparseOperator:
         return GridFunction(self.grid, full)
 
     @functools.cached_property
-    def diagonals(self) -> sp.dia_matrix:
-        """A in diagonal storage, offsets ascending: its products equal the
-        CSR ones bit for bit."""
-        return self.matrix.todia()
+    def matrix(self) -> sp.csr_matrix:
+        """A in canonical CSR, derived once from `diagonals`: the Galerkin
+        products and the rounding floor take it."""
+        return self.diagonals.tocsr()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.diagonals @ vec
@@ -168,18 +173,17 @@ class SparseOperator:
         phi = mask.astype(float)
         if not mask.any() or mask.all():
             return phi
-        penalty = LIFT_PENALTY * float(self.matrix.diagonal().max())
+        penalty = LIFT_PENALTY * float(self.diagonals.diagonal().max())
         y = self.solver(penalty * phi, rtol=rtol)(np.where(mask, 0.0, -self.apply(phi)))
         return np.where(mask, 1.0, np.clip(y, 0.0, 1.0))
 
 
-def _verify_m_matrix(matrix: sp.csr_matrix) -> None:
-    coo = matrix.tocoo()
-    off = coo.data[coo.row != coo.col]
-    if off.size and np.max(off) > 1e-14:
+def _verify_m_matrix(diagonals: sp.dia_matrix) -> None:
+    main = diagonals.offsets == 0
+    if np.max(diagonals.data[~main], initial=0.0) > 1e-14:
         raise EllipticityError("assembled operator has a positive off-diagonal entry")
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    scale = np.abs(matrix.diagonal())
+    row_sums = diagonals @ np.ones(diagonals.shape[1])
+    scale = np.abs(diagonals.data[main])
     if np.min(row_sums) < -1e-12 * np.max(scale):
         raise EllipticityError("assembled operator lost weak diagonal dominance")
 
@@ -208,31 +212,34 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     The matrix is sum_axis D^T W D, D the differences of interior nodal
     values (Dirichlet zeros eliminated) across the cell faces of one axis and
     W the diagonal coefficient on those faces (`face_weights`) over h^2,
-    which keeps the matrix symmetric.  It is written row by row by index
-    arithmetic: node j couples to its neighbour across face w with -w and
-    carries the sum of its faces' w on the diagonal.
+    which keeps the matrix symmetric.  It is written straight into diagonal
+    storage, offsets ascending, data[k, j] = A[j - offset_k, j]: the
+    diagonal carries the sum of node j's face weights w, and the diagonals
+    at -+stride of an axis carry -w of the face above and below node j on
+    it, 0 where that face lies on the boundary.
     """
     check_ellipticity(coefficients)
     shape = grid.interior_shape
-    index = np.arange(int(np.prod(shape))).reshape(shape)
     diagonal = 0.0
-    below, above = [], []       # (column, value, present) of each axis's neighbours
+    below, above = [], []       # (offset, data) of each axis's neighbour diagonals
     for axis, ((lower, upper), h) in enumerate(zip(face_weights(coefficients), grid.h)):
         lower, upper = lower / h ** 2, upper / h ** 2
         diagonal = diagonal + (lower + upper)
         stride = int(np.prod(shape[axis + 1:]))
-        position = index // stride % shape[axis]
-        below.append((index - stride, -lower, position > 0))
-        above.append((index + stride, -upper, position < shape[axis] - 1))
-    # columns ascend: -stride_0 < -stride_1 < 0 < stride_1 < stride_0
-    stencil = below + [(index, diagonal, np.ones(shape, dtype=bool))] + above[::-1]
-    columns, values, present = (np.stack([part[i].ravel() for part in stencil], axis=-1)
-                                for i in range(3))
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-    matrix = sp.csr_matrix((values[present], columns[present], indptr),
-                           shape=(index.size, index.size))
-    _verify_m_matrix(matrix)
-    return SparseOperator(grid, matrix)
+        # A[j + stride, j] and A[j - stride, j]: -w of the faces above and
+        # below node j, 0 on the last and the first layer of the axis
+        up, down = -upper, -lower
+        up[(slice(None),) * axis + (-1,)] = 0.0
+        down[(slice(None),) * axis + (0,)] = 0.0
+        below.append((-stride, up))
+        above.append((stride, down))
+    # offsets ascend: -stride_0 < -stride_1 < 0 < stride_1 < stride_0
+    offsets, data = zip(*below, (0, diagonal), *above[::-1])
+    size = int(np.prod(shape))
+    diagonals = sp.dia_matrix((np.stack(data).reshape(len(data), size), offsets),
+                              shape=(size, size))
+    _verify_m_matrix(diagonals)
+    return SparseOperator(grid, diagonals)
 
 
 def _interpolation_1d(n: int) -> sp.csr_matrix:

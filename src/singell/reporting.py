@@ -2,17 +2,21 @@
 and dependency-free SVG line plots.
 
 Floating-point formatting is fixed at 17 significant digits so reruns of the
-same configuration produce byte-identical files.
+same configuration produce byte-identical files.  A grid's node table is
+written with each axis's coordinates formatted once, not once per node.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .grids import Grid
 
 FLOAT_FORMAT = "%.17g"
 
@@ -30,11 +34,21 @@ def format_value(value) -> str:
     return text
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
+def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray,
+              grid: Grid | None = None) -> None:
     """A CSV table; a 2-D float array is written with one format per row,
-    the same text as `format_value` field by field."""
+    the same text as `format_value` field by field.  With `grid`, `rows` is
+    the (node_count, k) array of fields at the grid's nodes in C order, and
+    each row starts with its node's coordinates: the text of the float table
+    of the raveled `grid.meshes()` and `rows`, with each axis's coordinates
+    formatted once."""
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
+    if grid is not None:
+        nodes = itertools.product(*([FLOAT_FORMAT % x for x in axis.tolist()]
+                                    for axis in grid.axes()))
+        row_format = ",".join(["%s"] * grid.dim + [FLOAT_FORMAT] * rows.shape[1])
+        lines.extend(row_format % (*node, *row) for node, row in zip(nodes, rows.tolist()))
+    elif isinstance(rows, np.ndarray):
         row_format = ",".join([FLOAT_FORMAT] * rows.shape[1])
         lines.extend(row_format % tuple(row) for row in rows.tolist())
     else:

@@ -264,7 +264,6 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
     tolerance = RESIDUAL_TOL * (1.0 + float(np.max(f_int, initial=0.0)))
     pos = np.flatnonzero(f_int > 0)
     log_f = (pos, np.log(f_int[pos]))
-    A = op.diagonals
     k = len(gammas)
     outcomes: list = [None] * k
     traces: list[list[float]] = [[] for _ in range(k)]
@@ -272,7 +271,7 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
 
     def residuals(u, gamma):
         g = _regularized_rhs(log_f, u, eps, gamma)
-        au = (A @ u.T).T
+        au = op.apply(u.T).T
         return np.abs(au - g).max(axis=1), g, au
 
     def bounds(u, g, gamma):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from singell.cli import build_parser, main
 from singell.config import load_config
+from singell.grids import make_uniform_grid
 from singell.reporting import write_csv
 from singell.solver import NonlinearSolveError, solve_singular
 
@@ -62,6 +63,44 @@ def test_float_table_is_written_as_field_by_field(tmp_path):
     write_csv(tmp_path / "array.csv", ["a", "b", "c", "d"], rows)
     write_csv(tmp_path / "lists.csv", ["a", "b", "c", "d"], rows.tolist())
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+
+
+# 1-D; 2-D with unequal cells; negative and non-unit domains
+@pytest.mark.parametrize("lo, hi, cells", [
+    (0.0, 1.0, 16),
+    ((0.0, 0.0), (1.0, 1.0), (8, 12)),
+    (-2.5, 7.3, 10),
+    ((-3.7, 0.1), (2.3, 0.35), (6, 9)),
+])
+def test_grid_table_is_written_as_its_node_table(tmp_path, lo, hi, cells):
+    # each axis formatted once: the same bytes as the float table of
+    # the meshes and the fields, column by column
+    grid = make_uniform_grid(lo, hi, cells)
+    fields = (np.random.default_rng(4).standard_normal((grid.node_count, 3))
+              * np.logspace(-200, 200, 3))
+    fields[:4, 0] = [0.0, 1e-300, 5e-324, -0.0]
+    fields[-3:, 2] = [5e-324, 1e-300, 0.0]
+    header = ["t"] if grid.dim == 1 else ["x", "y"]
+    header = header + ["a", "b", "c"]
+    write_csv(tmp_path / "grid.csv", header, fields, grid=grid)
+    table = np.column_stack([*(mesh.ravel() for mesh in grid.meshes()), fields])
+    write_csv(tmp_path / "table.csv", header, table)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
+@pytest.mark.parametrize("formats", ["csv", "json", {"csv": True}, 3],
+                         ids=["string", "short_string", "object", "number"])
+def test_output_formats_not_a_list_is_config_error(tmp_path, capsys, formats):
+    # a string is not split into its characters
+    payload = json.loads(json.dumps(GAMMA3))
+    payload["output"]["formats"] = formats
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.formats must be a list of strings")
+    assert repr(formats) in err
+    assert not out.exists()
 
 
 class TestSolveCommand:

@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import singell.operators as ops
-from singell import (CoefficientField, GridFunction, LinearSolveError,
-                     MeasureData, assemble, make_uniform_grid, solve_linear,
-                     solve_measure, solve_singular)
+from singell import (CoefficientField, EllipticityError, GridFunction,
+                     LinearSolveError, MeasureData, assemble, make_uniform_grid,
+                     solve_linear, solve_measure, solve_singular)
 from singell.config import load_config
 from conftest import harmonic_lift, record_direct_solves, reference_harmonic
 
@@ -153,6 +153,112 @@ class TestAssembly:
         field = CoefficientField.constant(g, [[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(ValueError):
             assemble(g, field)
+
+
+def assert_diagonal_storage(op):
+    """A's diagonals: offsets strictly ascending, the data of A's `todia`."""
+    reference = op.matrix.todia()
+    assert np.all(np.diff(op.diagonals.offsets) > 0)
+    assert np.array_equal(op.diagonals.offsets, reference.offsets)
+    assert np.array_equal(op.diagonals.data, reference.data)
+
+
+def count_todia(monkeypatch):
+    """The list every `todia` of a CSR or COO matrix appends itself to."""
+    calls = []
+    owners = {cls for kind in (sp.csr_matrix, sp.coo_matrix) for cls in kind.__mro__
+              if "todia" in vars(cls)}
+    for cls in owners:
+        real = vars(cls)["todia"]
+        monkeypatch.setattr(cls, "todia", lambda matrix, *args, _real=real, **kwargs:
+                            calls.append(matrix) or _real(matrix, *args, **kwargs))
+    return calls
+
+
+class TestDiagonalAssembly:
+    """`assemble` writes A's diagonals directly, data[k, j] = A[j - offset_k, j]."""
+
+    @pytest.mark.parametrize("name", ["cubic_interval", "matched_indicator",
+                                      "square_hole", "uniform_interval_sweep"])
+    def test_shipped_configs(self, name):
+        spec = load_config(CONFIGS / f"{name}.json").spec
+        assert_diagonal_storage(assemble(spec.grid, spec.coefficients))
+
+    @pytest.mark.parametrize("cells", [(17, 15), (64, 16), (33, 40), (7,), (100,)])
+    def test_random_diagonal_coefficients(self, cells, rng):
+        g = make_uniform_grid((-1.0,) * len(cells), tuple(1.0 + k for k in range(len(cells))),
+                              cells)
+        ent = np.zeros(g.shape + (g.dim, g.dim))
+        for ax in range(g.dim):
+            ent[..., ax, ax] = 0.1 + 5.0 * rng.random(g.shape)
+        op = assemble(g, CoefficientField(g, ent))
+        assert_diagonal_storage(op)
+        assert np.array_equal(op.diagonals.toarray(), kron_stencil(g, ent).toarray())
+
+    @pytest.mark.parametrize("cells", [64, (40, 64)])
+    def test_assembly_converts_nothing(self, cells, rng, monkeypatch):
+        lo, hi = ((0.0, 1.0) if np.isscalar(cells) else ((0.0, 0.0), (1.0, 1.0)))
+        g = make_uniform_grid(lo, hi, cells)
+        calls = count_todia(monkeypatch)
+        op = assemble(g, CoefficientField.identity(g))
+        x = rng.standard_normal(op.n_unknowns)
+        assert np.array_equal(op.apply(x), op.matrix @ x)
+        op.rounding_floor(x)
+        assert calls == []
+        levels, _ = op._hierarchy
+        # the coarse Galerkin levels are converted: the count sees them
+        assert bool(calls) == (len(levels) > 1)
+
+
+class TestMMatrixCheck:
+    """The sign-pattern certificate, at its thresholds: off-diagonal entries
+    at most 1e-14, row sums at least -1e-12 max |diag A|."""
+
+    @staticmethod
+    def with_entry(k, j, value):
+        """The 1-D Laplacian at h = 1/16 (diagonal 512, interior row sums 0)
+        with data[k, j] = A[j - offset_k, j] set to `value`."""
+        g = make_uniform_grid(0.0, 1.0, 16)
+        diagonals = assemble(g, CoefficientField.identity(g)).diagonals
+        data = diagonals.data.copy()
+        data[k, j] = value
+        return sp.dia_matrix((data, diagonals.offsets), shape=diagonals.shape)
+
+    # data[0, 3] is A[4, 3]: offsets (-1, 0, 1)
+    @pytest.mark.parametrize("value, raises", [(1e-10, True), (2e-14, True),
+                                               (5e-15, False)])
+    def test_positive_off_diagonal(self, value, raises):
+        matrix = self.with_entry(0, 3, value)
+        assert matrix.toarray()[4, 3] == value
+        if raises:
+            with pytest.raises(EllipticityError, match="positive off-diagonal"):
+                ops._verify_m_matrix(matrix)
+        else:
+            ops._verify_m_matrix(matrix)
+
+    @pytest.mark.parametrize("loss, raises", [(0.5, True), (2e-12, True),
+                                              (0.5e-12, False)])
+    def test_row_losing_dominance(self, loss, raises):
+        matrix = self.with_entry(1, 5, 512.0 * (1.0 - loss))
+        if raises:
+            with pytest.raises(EllipticityError, match="diagonal dominance"):
+                ops._verify_m_matrix(matrix)
+        else:
+            ops._verify_m_matrix(matrix)
+
+    def test_assemble_refuses_a_negative_face_weight(self, monkeypatch):
+        real = ops.face_weights
+
+        def flipped(coefficients):
+            weights = real(coefficients)
+            lower, upper = weights[0]
+            upper = upper.copy()
+            upper[3] = -upper[3]
+            return [(lower, upper)]
+        monkeypatch.setattr(ops, "face_weights", flipped)
+        g = make_uniform_grid(0.0, 1.0, 16)
+        with pytest.raises(EllipticityError, match="positive off-diagonal"):
+            assemble(g, CoefficientField.identity(g))
 
 
 class TestSolveLinear:
@@ -359,7 +465,7 @@ def csr_reference(monkeypatch):
             return CsrStack(op, shift, rtol)
         return CsrMultigrid(op, np.zeros(op.n_unknowns) if shift is None else shift, rtol)
 
-    monkeypatch.setattr(ops.SparseOperator, "diagonals", property(lambda op: op.matrix))
+    monkeypatch.setattr(ops.SparseOperator, "apply", lambda op, vec: op.matrix @ vec)
     monkeypatch.setattr(ops.SparseOperator, "solver", solver)
 
 
