@@ -168,7 +168,7 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     if not limit_check_applies(spec):
         raise ConfigError('limit-check requires an indicator datum with support "compact"')
     n = config.n_list[-1]
-    sol = solve_singular(replace(spec, gamma=float(n)), config.m_schedule)
+    sol = solve_singular(spec.with_gamma(float(n)), config.m_schedule)
     check = check_limit(sol.u, spec, n, config.shell_distances)
     if check.gap is None:
         raise InconclusiveCheckError(check.inconclusive)
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             if args.n is not None:
                 try:
-                    spec = replace(config.spec, gamma=args.n)
+                    spec = config.spec.with_gamma(args.n)
                 except ValueError as exc:
                     raise ConfigError(f"invalid --n: {exc}") from exc
                 config = replace(config, spec=spec)

@@ -6,6 +6,8 @@ read-only across threads.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Literal, Optional, Union
 
@@ -170,6 +172,33 @@ class CoefficientField:
         ent = np.broadcast_to(mat, grid.shape + (d, d)).copy()
         return cls(grid, ent)
 
+    @functools.cached_property
+    def ellipticity(self) -> tuple[float, float]:
+        """Field-wide ellipticity certificate (alpha, beta), scanned once per
+        field (the entries are frozen).
+
+        alpha is the smallest nodal eigenvalue, beta the largest nodal operator
+        norm.  Raises EllipticityError for non-symmetric entries or alpha <= 0
+        (nothing is cached then, so every check raises).  The eigenvalues are
+        in closed form: the entry itself in 1-D, and mid +- hypot((a - d)/2, b)
+        for a symmetric [[a, b], [b, d]], mid = (a + d)/2.
+        """
+        ent = self.entries
+        scale = max(1.0, float(np.max(np.abs(ent))))
+        if np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) > 1e-12 * scale:
+            raise EllipticityError("coefficient matrix is not symmetric")
+        if ent.shape[-1] == 1:
+            low = high = ent[..., 0, 0]
+        else:
+            a, b, d = ent[..., 0, 0], ent[..., 0, 1], ent[..., 1, 1]
+            mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+            low, high = mid - radius, mid + radius
+        alpha = float(np.min(low))
+        if alpha <= 0.0:
+            raise EllipticityError(
+                f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
+        return alpha, float(np.max(high))
+
     def is_diagonal(self) -> bool:
         d = self.grid.dim
         if d == 1:
@@ -179,27 +208,9 @@ class CoefficientField:
 
 
 def check_ellipticity(coefficients: CoefficientField) -> tuple[float, float]:
-    """Field-wide ellipticity certificate (alpha, beta).
-
-    alpha is the smallest nodal eigenvalue, beta the largest nodal operator
-    norm.  Raises EllipticityError for non-symmetric entries or alpha <= 0.
-    The eigenvalues are in closed form: the entry itself in 1-D, and
-    mid +- hypot((a - d)/2, b) for a symmetric [[a, b], [b, d]], mid = (a + d)/2.
-    """
-    ent = coefficients.entries
-    scale = max(1.0, float(np.max(np.abs(ent))))
-    if np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) > 1e-12 * scale:
-        raise EllipticityError("coefficient matrix is not symmetric")
-    if ent.shape[-1] == 1:
-        low = high = ent[..., 0, 0]
-    else:
-        a, b, d = ent[..., 0, 0], ent[..., 0, 1], ent[..., 1, 1]
-        mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-        low, high = mid - radius, mid + radius
-    alpha = float(np.min(low))
-    if alpha <= 0.0:
-        raise EllipticityError(f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
-    return alpha, float(np.max(high))
+    """Field-wide ellipticity certificate (alpha, beta): `coefficients.ellipticity`,
+    scanned once per field.  Raises EllipticityError for a field that fails."""
+    return coefficients.ellipticity
 
 
 # --- data for the right-hand side ------------------------------------------
@@ -261,6 +272,11 @@ def sample_datum(datum: Datum, grid: Grid) -> np.ndarray:
     raise TypeError(f"unknown datum {datum!r}")
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Domain, coefficients, datum, exponent and support annotation."""
@@ -272,8 +288,7 @@ class ProblemSpec:
     support: Support = "general"
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
+        _check_gamma(self.gamma)
         if self.coefficients.grid != self.grid:
             raise ValueError("coefficient field lives on a different grid")
         if self.support not in ("compact", "strictly_positive", "general"):
@@ -299,6 +314,15 @@ class ProblemSpec:
             if np.any(f[self.grid.frame_mask()] != 0.0):
                 raise ValueError(
                     "compactly-contained support requires zero datum on the boundary")
+
+    def with_gamma(self, gamma: float) -> "ProblemSpec":
+        """This problem at exponent gamma: `replace(self, gamma=gamma)` without
+        sampling the datum again (only gamma differs, so its checks are the
+        gamma check alone)."""
+        _check_gamma(gamma)
+        spec = copy.copy(self)
+        object.__setattr__(spec, "gamma", gamma)
+        return spec
 
     def datum_values(self) -> np.ndarray:
         """`sample_datum(datum, grid)`, sampled once on construction; read-only."""

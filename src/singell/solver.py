@@ -45,7 +45,7 @@ one exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -190,7 +190,7 @@ class _Start:
             self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
             return
         cold = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))
-        (base,) = _regularized_stack(replace(spec, gamma=BASE_GAMMA), [BASE_GAMMA],
+        (base,) = _regularized_stack(spec.with_gamma(BASE_GAMMA), [BASE_GAMMA],
                                      math.inf, [cold], op)
         if isinstance(base, Exception):
             raise base
@@ -521,7 +521,7 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
     the start rule's one base solve.
 
     Returns per exponent its SingularSolution, bit for bit the one
-    `solve_singular(replace(spec, gamma=n), m_schedule)` gives, or the
+    `solve_singular(spec.with_gamma(n), m_schedule)` gives, or the
     NonlinearSolveError / LinearSolveError that exponent's solve raises
     there; the other rows continue.  Any other exception propagates.
     """
@@ -532,8 +532,40 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
     def regularize(m, specs, initials):
         return _regularized_stack(spec, [s.gamma for s in specs], m, initials, op)
 
-    return _solve_schedule([replace(spec, gamma=float(n)) for n in gammas],
+    return _solve_schedule([spec.with_gamma(float(n)) for n in gammas],
                            schedule, regularize, op)
+
+
+# --- diagnostics of a stack of solutions --------------------------------------
+#
+# Each formula lives in one kernel that takes a (k, *shape) stack of nodal
+# values with one exponent per row and evaluates the whole stack at once.  A
+# sum runs along the contiguous last axis of the stack reshaped to
+# (k, nodes), so every row adds its nodes in the pairwise order of its own
+# flat sum.  The one-solution functions are the stack of one.
+
+def mass_density_stack(u: np.ndarray, gamma, f: np.ndarray) -> np.ndarray:
+    """f/u^gamma row by row of the stack u, gamma one exponent per row, at the
+    interior nodes where f > 0; log-domain, u floored at VALUE_FLOOR, the
+    exponent capped at 700, 0 at every other node."""
+    support = np.zeros(f.shape, dtype=bool)
+    inner = (slice(1, -1),) * f.ndim
+    support[inner] = f[inner] > 0
+    out = np.zeros(u.shape)
+    base = np.maximum(u[:, support], VALUE_FLOOR)
+    lg = np.log(f[support]) - np.asarray(gamma, dtype=float)[:, None] * np.log(base)
+    out[:, support] = np.exp(np.minimum(lg, 700.0))
+    return out
+
+
+def mass_stack(density: np.ndarray, cell_volume: float,
+               masks: Optional[np.ndarray] = None) -> np.ndarray:
+    """Trapezoid-weight integrals of a (k, nodes) stack of densities: one per
+    row, or with (c, nodes) node masks one per row and mask, (k, c), each
+    the sum over every node with the density zeroed off the mask."""
+    if masks is not None:
+        density = np.where(masks, density[:, None], 0.0)
+    return np.sum(density, axis=-1) * cell_volume
 
 
 def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:
@@ -541,37 +573,34 @@ def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:
 
     Boundary nodes carry zero weight: u vanishes there by the Dirichlet
     condition, and the improper integral of f/u^gamma is approximated by the
-    interior nodal sum.
+    interior nodal sum.  `mass_density_stack` of one row.
     """
-    f = spec.datum_values()
-    out = np.zeros(u.grid.shape)
-    pos = (f > 0) & ~u.grid.frame_mask()
-    if np.any(pos):
-        base = np.maximum(u.values[pos], VALUE_FLOOR)
-        lg = np.log(f[pos]) - spec.gamma * np.log(base)
-        out[pos] = np.exp(np.minimum(lg, 700.0))
-    return out
+    return mass_density_stack(u.values[None], [spec.gamma], spec.datum_values())[0]
 
 
 def total_singular_mass(u: GridFunction, spec: ProblemSpec, box=None) -> float:
     """Trapezoid-weight integral of f/u^gamma, optionally over a sub-box."""
-    dens = singular_mass_density(u, spec)
-    if box is not None:
-        dens = np.where(u.grid.box_mask(box), dens, 0.0)
-    return float(np.sum(dens) * u.grid.cell_volume())
+    masks = None if box is None else u.grid.box_mask(box).reshape(1, -1)
+    dens = singular_mass_density(u, spec).reshape(1, -1)
+    return float(mass_stack(dens, u.grid.cell_volume(), masks).ravel()[0])
 
 
 # --- quasilinear side --------------------------------------------------------
 
-def to_quasilinear(u: GridFunction, gamma: float) -> GridFunction:
-    """Nodal power map v = u^(gamma+1)/(gamma+1)."""
-    if float(np.min(u.values)) < 0:
+def quasilinear_stack(u: np.ndarray, gamma) -> np.ndarray:
+    """Nodal power map v = u^(gamma+1)/(gamma+1) row by row of the stack u,
+    gamma one exponent per row; log-domain, 0 where u = 0."""
+    if float(np.min(u)) < 0:
         raise ValueError("power map requires u >= 0")
-    vals = np.zeros(u.grid.shape)
-    pos = u.values > 0
-    lg = (gamma + 1.0) * np.log(u.values[pos]) - np.log(gamma + 1.0)
-    vals[pos] = np.exp(np.minimum(lg, 700.0))   # underflow falls through to 0
-    return GridFunction(u.grid, vals)
+    g1 = np.reshape(gamma, (-1,) + (1,) * (u.ndim - 1)) + 1.0
+    with np.errstate(divide="ignore"):
+        lg = g1 * np.log(u) - np.log(g1)
+    return np.exp(np.minimum(lg, 700.0))   # underflow falls through to 0
+
+
+def to_quasilinear(u: GridFunction, gamma: float) -> GridFunction:
+    """Nodal power map v = u^(gamma+1)/(gamma+1): `quasilinear_stack` of one row."""
+    return GridFunction(u.grid, quasilinear_stack(u.values[None], [gamma])[0])
 
 
 def from_quasilinear(v: GridFunction, gamma: float) -> GridFunction:
@@ -599,6 +628,41 @@ class ResidualField:
         return self.evaluated == 0
 
 
+def quasilinear_residual_stack(v: np.ndarray, gamma, f: np.ndarray,
+                               coefficients: CoefficientField,
+                               floor: float = RESIDUAL_FLOOR) -> tuple:
+    """Residual of -div(M grad v) + (g/(g+1)) grad v.M grad v / v - f at the
+    interior nodes, row by row of the stack v, g one exponent per row.
+
+    Returns the (k, *interior) residuals (NaN where masked), the mask of
+    the nodes evaluated (v >= floor) and each row's sup over them (0 when
+    none is).
+    """
+    grid = coefficients.grid
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(invalid="ignore"):
+        weight = np.where(np.isinf(gamma), 1.0, gamma / (gamma + 1.0))
+    inner = (slice(1, -1),) * grid.dim
+    interior = (slice(None),) + inner
+    vi = v[interior]
+    lap = grad2 = 0.0
+    for axis, ((lower, upper), h) in enumerate(zip(face_weights(coefficients), grid.h)):
+        below, above = list(interior), list(interior)
+        below[axis + 1], above[axis + 1] = slice(None, -2), slice(2, None)
+        vb, va = v[tuple(below)], v[tuple(above)]
+        lap = lap + (lower * vb - (lower + upper) * vi + upper * va) / h ** 2
+        nodal = coefficients.entries[inner + (axis, axis)]
+        grad2 = grad2 + nodal * ((va - vb) / (2.0 * h)) ** 2
+    mask = vi >= floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = (-lap + weight.reshape((-1,) + (1,) * grid.dim) * grad2
+               / np.where(mask, vi, np.nan) - f[inner])
+    k = len(v)
+    sup = np.max(np.abs(res).reshape(k, -1), axis=-1, where=mask.reshape(k, -1),
+                 initial=0.0)
+    return res, mask, sup
+
+
 def quasilinear_residual(v: GridFunction, gamma: float, f, *,
                          coefficients: CoefficientField,
                          floor: float = RESIDUAL_FLOOR) -> ResidualField:
@@ -610,31 +674,19 @@ def quasilinear_residual(v: GridFunction, gamma: float, f, *,
     by 1.0: the plain Laplacian to the last bit.  The gradient term is 0/0
     where v vanishes, so nodes below the floor are masked and counted
     instead of evaluated.  gamma = inf selects the limit coefficient 1.
+    `quasilinear_residual_stack` of one row.
     """
     grid = v.grid
     if coefficients.grid != grid:
         raise ValueError("coefficient field lives on a different grid")
     f_vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
-    weight = 1.0 if np.isinf(gamma) else gamma / (gamma + 1.0)
-    interior = (slice(1, -1),) * grid.dim
-    vi = v.values[interior]
-    lap = grad2 = 0.0
-    for axis, ((lower, upper), h) in enumerate(zip(face_weights(coefficients), grid.h)):
-        below, above = list(interior), list(interior)
-        below[axis], above[axis] = slice(None, -2), slice(2, None)
-        vb, va = v.values[tuple(below)], v.values[tuple(above)]
-        lap = lap + (lower * vb - (lower + upper) * vi + upper * va) / h ** 2
-        nodal = coefficients.entries[interior + (axis, axis)]
-        grad2 = grad2 + nodal * ((va - vb) / (2.0 * h)) ** 2
-    mask = vi >= floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = -lap + weight * grad2 / np.where(mask, vi, np.nan) - f_vals[interior]
+    res, mask, sup = quasilinear_residual_stack(v.values[None], [gamma], f_vals,
+                                                coefficients, floor)
     field = np.zeros(grid.shape)
-    field[interior] = res
+    field[(slice(1, -1),) * grid.dim] = res[0]
     evaluated = int(np.sum(mask))
-    sup = float(np.max(np.abs(res[mask]))) if evaluated else 0.0
-    return ResidualField(GridFunction(grid, np.nan_to_num(field, nan=0.0)), sup,
-                         evaluated, int(mask.size - evaluated))
+    return ResidualField(GridFunction(grid, np.nan_to_num(field, nan=0.0)),
+                         float(sup[0]), evaluated, int(mask.size - evaluated))
 
 
 def singular_residual(u: GridFunction, spec: ProblemSpec, *,
@@ -655,14 +707,20 @@ def singular_residual(u: GridFunction, spec: ProblemSpec, *,
                          evaluated, int(mask.size - evaluated))
 
 
-def linfty_certificate(u: GridFunction, gamma: float, f) -> float:
-    """|u|_inf^(gamma+1) / ((gamma+1) |f|_inf); bounded uniformly in gamma."""
-    f_vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
-    f_sup = float(np.max(np.abs(f_vals)))
+def certificate_stack(u_sup: np.ndarray, gamma, f) -> np.ndarray:
+    """|u|_inf^(gamma+1) / ((gamma+1) |f|_inf) per row, from the rows' sup
+    norms u_sup and exponents gamma; log-domain, 0 where u_sup = 0."""
+    f_sup = float(np.max(np.abs(f)))
     if f_sup == 0.0:
         raise UndefinedCertificateError("certificate undefined for f == 0")
-    u_sup = u.sup_norm()
-    if u_sup == 0.0:
-        return 0.0
-    lg = (gamma + 1.0) * np.log(u_sup) - np.log(gamma + 1.0) - np.log(f_sup)
-    return float(np.exp(np.clip(lg, -745.0, 700.0)))
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(divide="ignore"):
+        lg = (gamma + 1.0) * np.log(u_sup) - np.log(gamma + 1.0) - np.log(f_sup)
+    return np.where(u_sup == 0.0, 0.0, np.exp(np.clip(lg, -745.0, 700.0)))
+
+
+def linfty_certificate(u: GridFunction, gamma: float, f) -> float:
+    """|u|_inf^(gamma+1) / ((gamma+1) |f|_inf); bounded uniformly in gamma.
+    `certificate_stack` of one row."""
+    f_vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
+    return float(certificate_stack(np.array([u.sup_norm()]), [gamma], f_vals)[0])

@@ -3,14 +3,22 @@ sup norms, compacta minima, masses, the log-depth diagnostic, the discrete
 concentration histogram, the measure-data limit-equation check, and the
 harmonic-comparison experiments (reported, never asserted).
 
-The one description of a solution: `describe_solution` turns a solve into its
-`SweepRow` and `check_limit` checks the limit equation, for every command.
+The one description of a solution: `describe_stack` turns a (k, *shape)
+stack of solutions into their `SweepRow`s at once, one kernel call per
+diagnostic on the whole stack, with the compacta's masks, the face weights
+and the support of f computed once; `run_sweep` describes its successful
+rows as one stack, and `describe_solution` (what `solve` writes) is the
+stack of one.  Every one-solution diagnostic (`log_diagnostic`,
+`fitted_depth_bound`, `compactum_min`, and the masses, the power map, the
+residual and the certificate of `singell.solver`) is likewise its kernel on
+a stack of one, so each formula has one home.  `check_limit` checks the
+limit equation, for every command.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,9 +26,10 @@ import numpy as np
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
 from .operators import MeasureData, assemble, solve_measure
-from .solver import (RESIDUAL_FLOOR, SingularSolution, linfty_certificate,
-                     quasilinear_residual, singular_mass_density, solve_lockstep,
-                     solve_singular, to_quasilinear, total_singular_mass)
+from .solver import (RESIDUAL_FLOOR, SingularSolution, certificate_stack,
+                     mass_density_stack, mass_stack, quasilinear_residual_stack,
+                     quasilinear_stack, solve_lockstep, solve_singular,
+                     to_quasilinear)
 
 
 class InconclusiveCheckError(RuntimeError):
@@ -37,12 +46,43 @@ ATOM_TIE_RTOL = 1e-9         # centroids this close (relative squared distance) 
 
 # --- log-depth diagnostic ------------------------------------------------------
 
+def log_depth_stack(u: np.ndarray, n) -> np.ndarray:
+    """z = -log(u^{n+1}/(n+1)) row by row of the stack u, n one exponent per
+    row; log-domain, +inf where u = 0."""
+    n1 = np.reshape(n, (-1,) + (1,) * (u.ndim - 1)) + 1.0
+    # math.log, not np.log: the two can differ in the last bit, and the
+    # fitted depths that sweep.csv reports keep libm's constant
+    log_n1 = np.array([math.log(m) for m in n1.ravel()]).reshape(n1.shape)
+    with np.errstate(divide="ignore"):
+        return log_n1 - n1 * np.log(u)
+
+
 def log_diagnostic(u: GridFunction, n: float) -> np.ndarray:
-    """z = -log(u^{n+1}/(n+1)), log-domain; +inf where u = 0."""
-    vals = np.full(u.grid.shape, np.inf)
-    pos = u.values > 0
-    vals[pos] = math.log(n + 1.0) - (n + 1.0) * np.log(u.values[pos])
-    return vals
+    """z = -log(u^{n+1}/(n+1)), log-domain; +inf where u = 0.
+    `log_depth_stack` of one row."""
+    return log_depth_stack(u.values[None], [n])[0]
+
+
+def box_masks(grid: Grid, boxes: Sequence) -> np.ndarray:
+    """The (c, nodes) stack of the boxes' node masks (`Grid.box_mask`), flat."""
+    return np.array([grid.box_mask(box).ravel() for box in boxes],
+                    dtype=bool).reshape(len(boxes), grid.node_count)
+
+
+def fitted_depth_stack(z: np.ndarray, masks: np.ndarray, boxes: Sequence,
+                       f_values: Optional[np.ndarray] = None) -> np.ndarray:
+    """sup of z^+ over each box, (k, c), for a (k, nodes) stack z and the
+    boxes' (c, nodes) masks; with f_values, nodes where z = inf and f = 0
+    are left out."""
+    admissible = np.broadcast_to(masks, (len(z),) + masks.shape)
+    if f_values is not None:
+        admissible = admissible & ~(np.isinf(z) & (f_values.ravel() == 0.0))[:, None]
+    empty = ~admissible.any(axis=-1)
+    if empty.any():
+        box = boxes[np.argwhere(empty)[0][1]]
+        raise ValueError(f"compactum {box} contains no admissible nodes")
+    return np.max(np.broadcast_to(np.maximum(z, 0.0)[:, None], admissible.shape),
+                  axis=-1, where=admissible, initial=-np.inf)
 
 
 def fitted_depth_bound(u: GridFunction, n: float, box,
@@ -51,14 +91,10 @@ def fitted_depth_bound(u: GridFunction, n: float, box,
 
     Nodes where u = 0 map to +inf and are excluded when they lie outside the
     support of f (they carry no lower-bound information there).
+    `fitted_depth_stack` of one row and one box.
     """
-    z = log_diagnostic(u, n)
-    mask = u.grid.box_mask(box)
-    if f_values is not None:
-        mask &= ~(np.isinf(z) & (f_values == 0.0))
-    if not np.any(mask):
-        raise ValueError(f"compactum {box} contains no admissible nodes")
-    return float(np.max(np.maximum(z[mask], 0.0)))
+    z = log_depth_stack(u.values[None], [n]).reshape(1, -1)
+    return float(fitted_depth_stack(z, box_masks(u.grid, [box]), [box], f_values)[0, 0])
 
 
 # --- concentration histogram ----------------------------------------------------
@@ -97,8 +133,8 @@ def measure_histogram(u: GridFunction, spec: ProblemSpec, n: float,
     omega = spec.omega_box()
     if omega is None:
         raise ValueError("histogram requires a compactly-contained indicator datum")
-    gamma_spec = replace(spec, gamma=float(n)) if spec.gamma != n else spec
-    masses = singular_mass_density(u, gamma_spec) * u.grid.cell_volume()
+    masses = (mass_density_stack(u.values[None], [float(n)], spec.datum_values())[0]
+              * u.grid.cell_volume())
     total = float(np.sum(masses))
     dist = _distance_to_box_boundary(u.grid, omega)
     fractions = {float(d): float(np.sum(masses[dist <= d]) / total) if total > 0 else 0.0
@@ -249,17 +285,65 @@ class SweepReport:
     traces: tuple         # per row its solve's RegularizedIterates; None if it failed
 
 
-def _h1_seminorm(v: GridFunction) -> float:
-    vol = v.grid.cell_volume()
-    return math.sqrt(sum(float(np.sum((np.diff(v.values, axis=ax) / h) ** 2)) * vol
-                         for ax, h in enumerate(v.grid.h)))
+def h1_seminorm_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete H^1 seminorm of each row of the (k, *shape) stack v."""
+    k, vol = len(v), grid.cell_volume()
+    total = 0.0
+    for ax, h in enumerate(grid.h):
+        total = total + np.sum(((np.diff(v, axis=ax + 1) / h) ** 2).reshape(k, -1),
+                               axis=-1) * vol
+    return np.sqrt(total)
+
+
+def compactum_min_stack(u: np.ndarray, masks: np.ndarray, boxes: Sequence) -> np.ndarray:
+    """min of u over each box, (k, c), for a (k, nodes) stack u and the
+    boxes' (c, nodes) masks."""
+    empty = ~masks.any(axis=-1)
+    if empty.any():
+        raise ValueError(f"compactum {boxes[np.argmax(empty)]} contains no grid nodes")
+    return np.min(np.broadcast_to(u[:, None], (len(u),) + masks.shape), axis=-1,
+                  where=masks, initial=np.inf)
 
 
 def compactum_min(u: GridFunction, box) -> float:
-    mask = u.grid.box_mask(box)
-    if not np.any(mask):
-        raise ValueError(f"compactum {box} contains no grid nodes")
-    return float(np.min(u.values[mask]))
+    """min of u over the box: `compactum_min_stack` of one row and one box."""
+    return float(compactum_min_stack(u.values.reshape(1, -1),
+                                     box_masks(u.grid, [box]), [box])[0, 0])
+
+
+def describe_stack(spec: ProblemSpec, ns: Sequence[float], u: np.ndarray,
+                   compacta: Sequence = (),
+                   residual_floor: float = RESIDUAL_FLOOR) -> list[SweepRow]:
+    """`describe_solution` of each row of the (k, *shape) stack u, the
+    solutions of spec's datum at the exponents ns, all rows at once.
+
+    Each diagnostic is one kernel call on the whole stack; the compacta's
+    masks, the face weights and the support of f are computed once.  The
+    log depth z is only evaluated where a fitted depth is asked for.
+    """
+    grid, f = spec.grid, spec.datum_values()
+    k, gamma = len(ns), np.asarray(ns, dtype=float)
+    flat = u.reshape(k, -1)
+    positive = np.max(f) > 0
+    v = quasilinear_stack(u, gamma)
+    _, _, residual = quasilinear_residual_stack(v, gamma, f, spec.coefficients,
+                                                residual_floor)
+    masks = box_masks(grid, compacta)
+    mins = compactum_min_stack(flat, masks, compacta)
+    density = mass_density_stack(u, gamma, f).reshape(k, -1)
+    total = mass_stack(density, grid.cell_volume())
+    local = mass_stack(density, grid.cell_volume(), masks)
+    sup = np.max(np.abs(flat), axis=-1)
+    certificate = (certificate_stack(sup, gamma, f).tolist() if positive
+                   else [None] * k)
+    depth = (fitted_depth_stack(log_depth_stack(flat, gamma), masks, compacta, f)
+             .tolist() if positive and compacta else [[None] * len(compacta)] * k)
+    v_sup = np.max(np.abs(v.reshape(k, -1)), axis=-1)
+    h1 = h1_seminorm_stack(v, grid)
+    columns = zip(sup.tolist(), map(tuple, mins.tolist()), total.tolist(),
+                  map(tuple, local.tolist()), residual.tolist(), certificate,
+                  map(tuple, depth), v_sup.tolist(), h1.tolist())
+    return [SweepRow(float(n), *row) for n, row in zip(ns, columns)]
 
 
 def describe_solution(sol: SingularSolution, compacta: Sequence = (),
@@ -269,37 +353,18 @@ def describe_solution(sol: SingularSolution, compacta: Sequence = (),
     v_n = u_n^(n+1)/(n+1) its norms and quasilinear residual (masked where
     v_n < residual_floor).  The certificate and the fitted depths are None
     when f = 0: no node of a compactum then carries a lower bound.
+    `describe_stack` of one row.
     """
-    spec, u = sol.spec, sol.u
-    n, f = spec.gamma, spec.datum_values()
-    positive = np.max(f) > 0
-    v = to_quasilinear(u, n)
-    res = quasilinear_residual(v, n, f, coefficients=spec.coefficients,
-                               floor=residual_floor)
-    return SweepRow(
-        n=float(n),
-        sup_norm=u.sup_norm(),
-        compacta_min=tuple(compactum_min(u, box) for box in compacta),
-        total_mass=total_singular_mass(u, spec),
-        local_masses=tuple(total_singular_mass(u, spec, box) for box in compacta),
-        quasilinear_residual=res.masked_sup,
-        certificate=linfty_certificate(u, n, f) if positive else None,
-        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) if positive else None
-                           for box in compacta),
-        v_sup=v.sup_norm(),
-        v_h1_seminorm=_h1_seminorm(v),
-    )
+    (row,) = describe_stack(sol.spec, [sol.spec.gamma], sol.u.values[None],
+                            compacta, residual_floor)
+    return row
 
 
-def _sweep_row(n: float, outcome, compacta,
-               residual_floor: float) -> SweepRow:
-    """The row of exponent n from its lockstep outcome: `describe_solution`
-    of its solve, or a failed row (NaN values, the error's text)."""
-    if isinstance(outcome, SingularSolution):
-        return describe_solution(outcome, compacta, residual_floor)
+def _failed_row(n: float, error: Exception, compacta) -> SweepRow:
+    """The row of an exponent whose solve failed: NaN values, the error's text."""
     nans = (math.nan,) * len(compacta)
     return SweepRow(n, math.nan, nans, math.nan, nans, math.nan, math.nan,
-                    nans, math.nan, math.nan, failed=True, error=str(outcome))
+                    nans, math.nan, math.nan, failed=True, error=str(error))
 
 
 def check_n_list(n_list: Sequence[float]) -> list[float]:
@@ -319,8 +384,8 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
               shell_distances: Sequence[float] = (),
               m_schedule: Optional[Sequence[float]] = None,
               residual_floor: float = RESIDUAL_FLOOR) -> SweepReport:
-    """The exponents' singular solves in lockstep (`solve_lockstep`), each
-    row from `describe_solution`.
+    """The exponents' singular solves in lockstep (`solve_lockstep`), the
+    successful rows described as one stack (`describe_stack`).
 
     A is assembled once and shared by every exponent.  Numeric per-row
     failures (a nonlinear or linear solve that does not converge) are
@@ -334,14 +399,18 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     op = assemble(spec.grid, spec.coefficients)
     outcomes = solve_lockstep(spec, ns, m_schedule, operator=op)
     solved = [s if isinstance(s, SingularSolution) else None for s in outcomes]
-    last_sol = next((s for s in reversed(solved) if s is not None), None)
+    ok = [s for s in solved if s is not None]
+    # the successful rows, described as one stack, in the order of ns
+    described = iter(describe_stack(spec, [s.spec.gamma for s in ok],
+                                    np.stack([s.u.values for s in ok]),
+                                    compacta, residual_floor) if ok else ())
+    rows = tuple(next(described) if s is not None else _failed_row(n, outcome, compacta)
+                 for n, s, outcome in zip(ns, solved, outcomes))
+    last_sol = ok[-1] if ok else None
     limit_u = last_sol.u if last_sol is not None else None
     check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances)
              if last_sol is not None and limit_check_applies(spec) else None)
-    return SweepReport(spec, tuple(ns), tuple(compacta),
-                       tuple(_sweep_row(n, s, compacta, residual_floor)
-                             for n, s in zip(ns, outcomes)),
-                       limit_u,
+    return SweepReport(spec, tuple(ns), tuple(compacta), rows, limit_u,
                        check.histogram if check else None,
                        check.gap if check else None,
                        tuple(s.trace if s is not None else None for s in solved))
@@ -380,7 +449,7 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
         raise HarmonicComparisonError(
             "harmonic comparison requires an indicator datum")
     op = assemble(spec.grid, spec.coefficients)
-    sol = solve_singular(replace(spec, gamma=float(n_large)), m_schedule, operator=op)
+    sol = solve_singular(spec.with_gamma(float(n_large)), m_schedule, operator=op)
     box = spec.grid.box_mask(omega)
     interior = (slice(1, -1),) * spec.grid.dim
     harmonic = op.full_from_interior(op.harmonic_lift(box[interior].ravel()))

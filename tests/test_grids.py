@@ -1,13 +1,20 @@
+import functools
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from singell import (CoefficientField, ConstantDatum, EllipticityError,
-                     GridFunction, IndicatorDatum, ProblemSpec,
+                     GridFunction, IndicatorDatum, ProblemSpec, assemble,
                      check_ellipticity, excess, make_uniform_grid, truncate)
-from singell.grids import sample_datum
+from singell.cli import main
+from singell.config import load_config
+from singell.grids import Grid, sample_datum
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestMakeUniformGrid:
@@ -113,6 +120,75 @@ class TestEllipticity:
         ent[1, 1] = [[1.0, 0.3], [0.0, 1.0]]
         with pytest.raises(EllipticityError):
             check_ellipticity(CoefficientField(g, ent))
+
+
+class TestEllipticityOnce:
+    """A field's certificate is scanned once (`CoefficientField.ellipticity`);
+    every check of a bad field still raises."""
+
+    def test_scanned_once_across_load_config_and_assemble(self, monkeypatch):
+        real = CoefficientField.__dict__["ellipticity"].func
+        scans = []
+
+        def counted(field):
+            scans.append(field)
+            return real(field)
+
+        scan = functools.cached_property(counted)
+        scan.__set_name__(CoefficientField, "ellipticity")
+        monkeypatch.setattr(CoefficientField, "ellipticity", scan)
+        spec = load_config(CONFIGS / "square_hole.json").spec
+        assemble(spec.grid, spec.coefficients)
+        assert check_ellipticity(spec.coefficients) == (1.0, 1.0)
+        assert scans == [spec.coefficients]
+
+    @pytest.mark.parametrize("dim, matrix, message", [
+        (1, [[-1.0]], "ellipticity violated"),
+        (2, [[1.0, 0.0], [0.0, -0.5]], "ellipticity violated"),
+        (2, [[1.0, 0.3], [0.0, 1.0]], "not symmetric")])
+    def test_field_built_in_code_raises_from_assemble(self, dim, matrix, message):
+        g = make_uniform_grid((0.0,) * dim, (1.0,) * dim, (8,) * dim)
+        field = CoefficientField.constant(g, matrix)
+        for _ in range(2):      # nothing is cached for a bad field
+            with pytest.raises(EllipticityError, match=message):
+                assemble(g, field)
+
+    def test_non_elliptic_config_exits_2(self, tmp_path, capsys):
+        payload = json.loads((CONFIGS / "cubic_interval.json").read_text())
+        payload["problem"]["coefficients"] = {"kind": "constant", "matrix": [[-2.0]]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "ellipticity violated" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWithGamma:
+    def test_equals_replace_without_sampling_the_datum(self, monkeypatch):
+        g = make_uniform_grid(-2.0, 2.0, 32)
+        spec = ProblemSpec(g, CoefficientField.identity(g),
+                           IndicatorDatum(1.0, -1.0, 1.0), gamma=3.0, support="compact")
+        expected = replace(spec, gamma=40.0)
+        calls = []
+        real = Grid.box_mask
+        monkeypatch.setattr(Grid, "box_mask",
+                            lambda grid, box: calls.append(box) or real(grid, box))
+        other = spec.with_gamma(40.0)
+        assert calls == []
+        assert (other.gamma, other.datum, other.support) == (40.0, spec.datum, "compact")
+        assert other.datum_values() is spec.datum_values()
+        assert np.array_equal(other.datum_values(), expected.datum_values())
+        assert spec.gamma == 3.0
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_what_replace_rejects(self, gamma):
+        g = make_uniform_grid(0.0, 1.0, 8)
+        spec = ProblemSpec(g, CoefficientField.identity(g), ConstantDatum(1.0), gamma=3.0)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            spec.with_gamma(gamma)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            replace(spec, gamma=gamma)
 
 
 class TestGridFunction:

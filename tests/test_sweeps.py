@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -8,15 +9,18 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import singell.operators as ops
+import singell.solver as solver_mod
+import singell.sweeps as sweeps_mod
 from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
-                     MeasureHistogram, NonlinearSolveError, ProblemSpec,
+                     MeasureHistogram, NonlinearSolveError, ProblemSpec, SweepRow,
                      conjecture_experiment, extract_atoms, fitted_depth_bound,
-                     limit_equation_check, log_diagnostic, make_uniform_grid,
-                     measure_histogram, run_sweep, solve_singular)
+                     limit_equation_check, linfty_certificate, log_diagnostic,
+                     make_uniform_grid, measure_histogram, quasilinear_residual,
+                     run_sweep, solve_singular, to_quasilinear, total_singular_mass)
 from singell.config import load_config
-from singell.grids import IndicatorDatum
-from singell.solver import solve_lockstep
-from singell.sweeps import describe_solution
+from singell.grids import Grid, IndicatorDatum
+from singell.solver import RESIDUAL_FLOOR, singular_mass_density, solve_lockstep
+from singell.sweeps import compactum_min, describe_solution
 from conftest import (harmonic_lift, interval_spec, matched_spec, record_direct_solves,
                       reference_harmonic)
 
@@ -26,9 +30,6 @@ SQUARE_HOLE = CONFIGS / "square_hole.json"
 
 def record_assemblies(monkeypatch):
     """The grid of every `assemble` call that `sweeps` or `solver` makes."""
-    import singell.solver as solver_mod
-    import singell.sweeps as sweeps_mod
-
     grids = []
 
     def counted(grid, coefficients):
@@ -92,6 +93,20 @@ class TestHistogram:
         u = GridFunction(spec.grid, np.ones(spec.grid.shape))
         with pytest.raises(ValueError):
             measure_histogram(u, spec, 5.0)
+
+    def test_other_exponent_samples_no_datum(self, monkeypatch):
+        spec = matched_spec(10.0, 128)
+        u = solve_singular(spec).u
+        expected = (singular_mass_density(u, replace(spec, gamma=40.0))
+                    * spec.grid.cell_volume())
+        calls = []
+        real = Grid.box_mask
+        monkeypatch.setattr(Grid, "box_mask",
+                            lambda grid, box: calls.append(box) or real(grid, box))
+        hist = measure_histogram(u, spec, 40.0, shell_distances=(0.1,))
+        assert calls == []
+        assert np.array_equal(hist.cell_masses, expected)
+        assert hist.total == float(np.sum(expected))
 
 
 class TestLimitEquationCheck:
@@ -203,8 +218,6 @@ class TestRunSweep:
             run_sweep(matched_spec(10.0, 64), [2, 10])
 
     def test_row_failure_recorded_sweep_continues(self, monkeypatch):
-        import singell.solver as solver_mod
-
         real = solver_mod._check_iterate
 
         def flaky(m, gamma, *args):
@@ -220,8 +233,6 @@ class TestRunSweep:
         assert report.limit_u is not None   # largest successful solve survives
 
     def test_programming_error_propagates(self, monkeypatch):
-        import singell.solver as solver_mod
-
         def broken(*args):
             raise TypeError("synthetic programming error")
 
@@ -245,11 +256,37 @@ def assert_same_solve(a, b):
     assert_same_trace(a.trace, b.trace)
 
 
+def scalar_row(sol, compacta, floor=RESIDUAL_FLOOR) -> SweepRow:
+    """The row of `sol` from the public one-solution diagnostics, each called
+    on its own; the H^1 seminorm of v summed axis by axis here."""
+    spec, u, n = sol.spec, sol.u, sol.spec.gamma
+    f = spec.datum_values()
+    positive = np.max(f) > 0
+    v = to_quasilinear(u, n)
+    vol = u.grid.cell_volume()
+    h1 = math.sqrt(sum(float(np.sum((np.diff(v.values, axis=ax) / h) ** 2)) * vol
+                       for ax, h in enumerate(u.grid.h)))
+    return SweepRow(
+        n=n, sup_norm=u.sup_norm(),
+        compacta_min=tuple(compactum_min(u, box) for box in compacta),
+        total_mass=total_singular_mass(u, spec),
+        local_masses=tuple(total_singular_mass(u, spec, box) for box in compacta),
+        quasilinear_residual=quasilinear_residual(
+            v, n, f, coefficients=spec.coefficients, floor=floor).masked_sup,
+        certificate=linfty_certificate(u, n, f) if positive else None,
+        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) if positive else None
+                           for box in compacta),
+        v_sup=v.sup_norm(), v_h1_seminorm=h1)
+
+
 class TestLockstep:
     """A sweep solves its exponents in lockstep; each row must be the solve
     its exponent gets alone."""
 
     def check_rows_equal_solo_solves(self, spec, ns, compacta):
+        """Each row is the solve of its exponent alone, described alone
+        (`describe_solution`) and field by field by the public one-solution
+        diagnostics."""
         report = run_sweep(spec, ns, compacta)
         for n, row, trace in zip(ns, report.rows, report.traces):
             try:
@@ -258,7 +295,15 @@ class TestLockstep:
                 assert (row.failed, row.error, trace) == (True, str(exc), None)
                 continue
             assert row == describe_solution(alone, compacta)
+            assert row == scalar_row(alone, compacta)
+            # each mass sums its row in the pairwise order of a flat sum
+            dens, vol = singular_mass_density(alone.u, alone.spec), spec.grid.cell_volume()
+            assert row.total_mass == float(np.sum(dens) * vol)
+            assert row.local_masses == tuple(
+                float(np.sum(np.where(spec.grid.box_mask(box), dens, 0.0)) * vol)
+                for box in compacta)
             assert_same_trace(trace, alone.trace)
+        return report
 
     @settings(max_examples=12, deadline=None)
     @given(ns=st.lists(st.floats(3.0, 400.0), min_size=1, max_size=7, unique=True),
@@ -280,6 +325,24 @@ class TestLockstep:
         self.check_rows_equal_solo_solves(spec, [5.0, 20.0, 60.0],
                                           [((0.3, 0.3), (0.7, 0.7))])
 
+    def test_rows_equal_solo_solves_zero_datum(self):
+        spec = interval_spec(10.0, 128, value=0.0)
+        report = self.check_rows_equal_solo_solves(spec, [3.0, 10.0, 40.0],
+                                                   [(-0.5, 0.5), (-0.9, 0.9)])
+        for row in report.rows:
+            assert (row.certificate, row.fitted_depth) == (None, (None, None))
+            assert row.total_mass == row.sup_norm == 0.0
+
+    def test_rows_equal_solo_solves_2d_two_compacta(self):
+        grid = make_uniform_grid((0.0, 0.0), (1.0, 1.2), (24, 30))
+        spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                           IndicatorDatum(1.0, (0.25, 0.3), (0.75, 0.8)),
+                           gamma=20.0, support="compact")
+        report = self.check_rows_equal_solo_solves(
+            spec, [5.0, 20.0, 60.0],
+            [((0.3, 0.35), (0.7, 0.75)), ((0.1, 0.2), (0.9, 0.6))])
+        assert all(len(row.fitted_depth) == 2 for row in report.rows)
+
     def test_failed_row_leaves_the_other_rows_unchanged(self, monkeypatch):
         spec, ns = matched_spec(10.0, 128), [10.0, 20.0, 40.0]
         clean = solve_lockstep(spec, ns)
@@ -299,6 +362,49 @@ class TestLockstep:
         assert "non-finite Newton direction at iteration 1" in str(outcomes[1])
         for i in (0, 2):
             assert_same_solve(outcomes[i], clean[i])
+
+
+def count_description_work(monkeypatch) -> collections.Counter:
+    """Count the calls of `Grid.box_mask`, `Grid.meshes` and
+    `operators.face_weights` (under every name a singell module holds it by)."""
+    counts = collections.Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("box_mask", "meshes"):
+        monkeypatch.setattr(Grid, name, counting(name, getattr(Grid, name)))
+    real = ops.face_weights
+    counted = counting("face_weights", real)
+    for module in (ops, solver_mod, sweeps_mod):
+        if getattr(module, "face_weights", None) is real:
+            monkeypatch.setattr(module, "face_weights", counted)
+    return counts
+
+
+class TestDescriptionWork:
+    """A sweep describes its rows as one stack: the masks, the face weights
+    and the support of f are computed once per sweep, not once per row."""
+
+    @pytest.mark.parametrize("make_spec", [matched_spec, interval_spec])
+    def test_one_row_and_seven_rows_do_the_same_mask_work(self, monkeypatch,
+                                                          make_spec):
+        counts = count_description_work(monkeypatch)
+        spec = make_spec(10.0, 128)
+
+        def work(ns):
+            counts.clear()
+            report = run_sweep(spec, ns, [(-0.5, 0.5), (-0.9, 0.9)],
+                               shell_distances=(0.1,))
+            assert not any(row.failed for row in report.rows)
+            return dict(counts)
+
+        one = work([400.0])
+        assert min(one.get(name, 0) for name in ("box_mask", "meshes", "face_weights")) > 0
+        assert work([10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 400.0]) == one
 
 
 class TestConjecture:
