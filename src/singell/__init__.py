@@ -19,10 +19,10 @@ from .analytic import (ConstructionError, LimitProfile, OneDProfile,
                        matching_constant, matching_slope_gap, profile_amplitude,
                        profile_value, upper_matching_bound)
 from .sweeps import (ConjectureReport, HarmonicComparisonError,
-                     InconclusiveCheckError, MeasureHistogram, SweepReport,
-                     SweepRow, conjecture_experiment, extract_atoms,
-                     fitted_depth_bound, limit_equation_check, log_diagnostic,
-                     measure_histogram, run_sweep)
+                     MeasureHistogram, SweepReport, SweepRow,
+                     conjecture_experiment, extract_atoms, fitted_depth_bound,
+                     limit_equation_check, log_diagnostic, measure_histogram,
+                     run_sweep)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "glued_profile", "limit_profiles", "lower_matching_bound",
     "matching_constant", "matching_slope_gap", "profile_amplitude",
     "profile_value", "upper_matching_bound",
-    "ConjectureReport", "HarmonicComparisonError", "InconclusiveCheckError",
+    "ConjectureReport", "HarmonicComparisonError",
     "MeasureHistogram", "SweepReport", "SweepRow", "conjecture_experiment",
     "extract_atoms", "fitted_depth_bound", "limit_equation_check",
     "log_diagnostic", "measure_histogram", "run_sweep",

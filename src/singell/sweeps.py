@@ -12,7 +12,9 @@ stack of one.  Every one-solution diagnostic (`log_diagnostic`,
 `fitted_depth_bound`, `compactum_min`, and the masses, the power map, the
 residual and the certificate of `singell.solver`) is likewise its kernel on
 a stack of one, so each formula has one home.  `check_limit` checks the
-limit equation, for every command.
+limit equation, for every command: the mass f/u^n, projected onto the
+boundary of the support box (`extract_atoms`), is the data of one linear
+solve on the A that the solve of u used.
 """
 
 from __future__ import annotations
@@ -25,23 +27,18 @@ import numpy as np
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import MeasureData, assemble, solve_measure
+from .operators import MeasureData, SparseOperator, assemble, solve_measure
 from .solver import (RESIDUAL_FLOOR, SingularSolution, certificate_stack,
                      mass_density_stack, mass_stack, quasilinear_residual_stack,
                      quasilinear_stack, solve_lockstep, solve_singular,
                      to_quasilinear)
 
 
-class InconclusiveCheckError(RuntimeError):
-    pass
-
-
 class HarmonicComparisonError(ValueError):
     """The problem is outside the harmonic comparison's scope."""
 
 
-CLUSTER_MASS_SHARE = 0.01    # a cell seeds a cluster when it holds >= 1% of total
-ATOM_TIE_RTOL = 1e-9         # centroids this close (relative squared distance) tie
+ATOM_TIE_RTOL = 1e-9         # face depths this close (relative to h) tie
 
 
 # --- log-depth diagnostic ------------------------------------------------------
@@ -113,15 +110,22 @@ class MeasureHistogram:
         object.__setattr__(self, "cell_masses", masses)
 
 
+def _face_depths(grid: Grid, omega) -> np.ndarray:
+    """Depth of each node below each face of the sub-box omega, (dim, 2,
+    *shape): [axis, 0] is x - lo and [axis, 1] is hi - x along that axis,
+    negative beyond the face."""
+    lo, hi = omega
+    return np.stack([np.stack([x - a, b - x])
+                     for x, a, b in zip(grid.meshes(), lo, hi)])
+
+
 def _distance_to_box_boundary(grid: Grid, omega) -> np.ndarray:
     """Distance from each node to the boundary of the sub-box omega.
 
     This is |signed distance| of the box: per axis, the excess of the node
     over the box extent is negative inside and positive outside.
     """
-    lo, hi = omega
-    excess = np.stack([np.maximum(a - x, x - b)
-                       for x, a, b in zip(grid.meshes(), lo, hi)])
+    excess = -np.min(_face_depths(grid, omega), axis=1)
     outside = np.sqrt(np.sum(np.maximum(excess, 0.0) ** 2, axis=0))
     inside = -np.max(excess, axis=0)   # positive depth when inside
     return np.where(np.all(excess <= 0, axis=0), inside, outside)
@@ -142,89 +146,53 @@ def measure_histogram(u: GridFunction, spec: ProblemSpec, n: float,
     return MeasureHistogram(u.grid, masses, total, fractions, omega)
 
 
-# --- atom extraction and the limit-equation check --------------------------------
-
-def _connected_clusters(mask: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a boolean node mask (2 / 4 neighborhood)."""
-    clusters = []
-    visited = np.zeros_like(mask)
-    idxs = np.argwhere(mask)
-    for start in idxs:
-        start = tuple(start)
-        if visited[start]:
-            continue
-        stack = [start]
-        comp = []
-        visited[start] = True
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for ax in range(mask.ndim):
-                for step in (-1, 1):
-                    nb = list(node)
-                    nb[ax] += step
-                    if 0 <= nb[ax] < mask.shape[ax]:
-                        nb_t = tuple(nb)
-                        if mask[nb_t] and not visited[nb_t]:
-                            visited[nb_t] = True
-                            stack.append(nb_t)
-        clusters.append(np.array(comp))
-    return clusters
-
+# --- the limit measure on the support edge and the limit-equation check ----------
 
 def extract_atoms(hist: MeasureHistogram) -> MeasureData:
-    """Collapse the histogram to point masses.
+    """Project the histogram's mass onto the boundary of omega, as node atoms.
 
-    Cells holding at least 1% of the total mass seed connected clusters;
-    every cell's mass is then assigned to the nearest cluster centroid, so
-    the atoms carry the full histogram mass.  A cell whose squared distances
-    to several centroids are within ATOM_TIE_RTOL of the nearest splits its
-    mass equally among them, so mirror-symmetric data give equal atoms.
+    Each node sends its mass to the nearest face of the box omega; faces
+    whose depths agree to ATOM_TIE_RTOL of the largest grid step split it
+    equally, so mirror-symmetric data give a mirror-symmetric measure.  Each
+    face collects its mass on the grid line parallel to it at the face's
+    mass-weighted mean depth, snapped to the nearest line; the tangential
+    coordinates do not change.  One atom per node that receives mass, in
+    node order; the atoms carry the full histogram mass.
     """
-    total = hist.total
-    if total <= 0:
-        return MeasureData(())
-    mask = hist.cell_masses >= CLUSTER_MASS_SHARE * total
-    clusters = _connected_clusters(mask)
-    if not clusters:
-        raise InconclusiveCheckError("no concentration cluster found")
-    meshes = hist.grid.meshes()
-    centroids = []
-    for comp in clusters:
-        sel = tuple(comp.T)
-        w = hist.cell_masses[sel]
-        centroids.append(tuple(float(np.sum(m[sel] * w) / np.sum(w)) for m in meshes))
-    coords = np.stack([m.ravel() for m in meshes], axis=1)
-    cents = np.asarray(centroids)
-    d2 = ((coords[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2 <= (1.0 + ATOM_TIE_RTOL) * np.min(d2, axis=1, keepdims=True)
-    masses = hist.cell_masses.ravel() @ (nearest / np.sum(nearest, axis=1, keepdims=True))
-    return MeasureData(tuple(zip(centroids, masses.tolist())))
-
-
-def _cluster_separation(atoms: MeasureData) -> float:
-    locs = [np.asarray(loc) for loc, _ in atoms.atoms]
-    if len(locs) < 2:
-        return np.inf
-    return min(float(np.linalg.norm(a - b))
-               for i, a in enumerate(locs) for b in locs[i + 1:])
+    grid, (lo, hi) = hist.grid, hist.omega
+    depths = _face_depths(grid, hist.omega).reshape((2 * grid.dim,) + grid.shape)
+    nearest = depths <= np.min(depths, axis=0) + ATOM_TIE_RTOL * max(grid.h)
+    shares = hist.cell_masses * nearest / np.sum(nearest, axis=0)
+    load = np.zeros(grid.shape)
+    for face, (share, depth) in enumerate(zip(shares, depths)):
+        face_mass = np.sum(share)
+        if face_mass <= 0:
+            continue
+        axis, side = divmod(face, 2)
+        mean_depth = np.sum(share * depth) / face_mass
+        line = (lo[axis] + mean_depth, hi[axis] - mean_depth)[side]
+        index = min(max(round((line - grid.lo[axis]) / grid.h[axis]), 1),
+                    grid.cells[axis] - 1)
+        load[(slice(None),) * axis + (index,)] += np.sum(share, axis=axis)
+    nodes = np.nonzero(load)
+    locations = np.stack([x[i] for x, i in zip(grid.axes(), nodes)], axis=1)
+    return MeasureData(tuple(zip(map(tuple, locations.tolist()),
+                                 load[nodes].tolist())))
 
 
 def limit_equation_check(u_limit: GridFunction, hist: MeasureHistogram,
                          coefficients: CoefficientField, *,
-                         atoms: Optional[MeasureData] = None) -> float:
-    """Reconstruct u from the collapsed measure and return sup |u_rec - u_limit|.
+                         atoms: Optional[MeasureData] = None,
+                         operator: Optional[SparseOperator] = None) -> float:
+    """Reconstruct u from the limit measure and return sup |u_rec - u_limit|.
 
-    `atoms` is `extract_atoms(hist)`, extracted here when not given.
-    Clusters closer than 4h are not separable on the grid and the check is
-    inconclusive.
+    `atoms` is `extract_atoms(hist)`, extracted here when not given;
+    `operator` is the assembled A of the histogram's grid and coefficients,
+    assembled here when not given (one on another grid raises ValueError).
     """
     if atoms is None:
         atoms = extract_atoms(hist)
-    h_max = max(hist.grid.h)
-    if _cluster_separation(atoms) <= 4.0 * h_max:
-        raise InconclusiveCheckError("concentration clusters are not separable")
-    op = assemble(hist.grid, coefficients)
+    op = operator if operator is not None else assemble(hist.grid, coefficients)
     reconstructed = solve_measure(op, atoms)
     return float(np.max(np.abs(reconstructed.values - u_limit.values)))
 
@@ -237,22 +205,20 @@ def limit_check_applies(spec: ProblemSpec) -> bool:
 @dataclass(frozen=True)
 class LimitCheck:
     histogram: MeasureHistogram
-    atoms: Optional[MeasureData]     # None when no cluster was found
-    gap: Optional[float]             # sup |u_rec - u_limit|; None if inconclusive
-    inconclusive: Optional[str] = None   # why, when it is
+    atoms: MeasureData               # the mass projected onto the boundary of omega
+    gap: float                       # sup |u_rec - u_limit|
 
 
 def check_limit(u_limit: GridFunction, spec: ProblemSpec, n: float,
-                shell_distances: Sequence[float] = ()) -> LimitCheck:
-    """The histogram of f/u^n, its atoms (extracted once) and the
-    limit-equation gap; an inconclusive check keeps the histogram and says why."""
+                shell_distances: Sequence[float] = (), *,
+                operator: Optional[SparseOperator] = None) -> LimitCheck:
+    """The histogram of f/u^n, its limit measure (extracted once) and the
+    limit-equation gap; `operator` is spec's assembled A, the one the solve
+    of u_limit used (assembled here when not given)."""
     hist = measure_histogram(u_limit, spec, n, shell_distances)
-    try:
-        atoms = extract_atoms(hist)
-        gap = limit_equation_check(u_limit, hist, spec.coefficients, atoms=atoms)
-    except InconclusiveCheckError as exc:
-        return LimitCheck(hist, None, None, str(exc))
-    return LimitCheck(hist, atoms, gap)
+    atoms = extract_atoms(hist)
+    return LimitCheck(hist, atoms, limit_equation_check(
+        u_limit, hist, spec.coefficients, atoms=atoms, operator=operator))
 
 
 # --- sweep orchestration ----------------------------------------------------------
@@ -387,13 +353,13 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     """The exponents' singular solves in lockstep (`solve_lockstep`), the
     successful rows described as one stack (`describe_stack`).
 
-    A is assembled once and shared by every exponent.  Numeric per-row
-    failures (a nonlinear or linear solve that does not converge) are
-    recorded in the row and the other rows continue; any other exception
-    propagates.  The largest successful solve doubles as the empirical
-    pointwise limit; when `limit_check_applies` to the datum, `check_limit`
-    attaches the concentration histogram and the measure-data
-    reconstruction gap (None when the check is inconclusive).
+    A is assembled once and shared by every exponent and the limit check.
+    Numeric per-row failures (a nonlinear or linear solve that does not
+    converge) are recorded in the row and the other rows continue; any
+    other exception propagates.  The largest successful solve doubles as
+    the empirical pointwise limit; when `limit_check_applies` to the datum,
+    `check_limit` attaches the concentration histogram and the measure-data
+    reconstruction gap (None when the check does not apply).
     """
     ns = check_n_list(n_list)
     op = assemble(spec.grid, spec.coefficients)
@@ -408,7 +374,8 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
                  for n, s, outcome in zip(ns, solved, outcomes))
     last_sol = ok[-1] if ok else None
     limit_u = last_sol.u if last_sol is not None else None
-    check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances)
+    check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances,
+                         operator=op)
              if last_sol is not None and limit_check_applies(spec) else None)
     return SweepReport(spec, tuple(ns), tuple(compacta), rows, limit_u,
                        check.histogram if check else None,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import singell.operators as ops
 from singell.cli import build_parser, main
 from singell.config import load_config
 from singell.grids import make_uniform_grid
@@ -381,6 +382,13 @@ class TestLimitCheckCommand:
             assert abs(atom["mass"] - 1.0) <= 0.05
         assert payload["reconstruction_gap"] <= 0.02
 
+    def test_square_hole_gap_below_0_2(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["limit-check", "--config", str(CONFIGS / "square_hole.json"),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "limit_check.json").read_text())
+        assert payload["reconstruction_gap"] < 0.2
+
     def test_general_support_indicator_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SECTION6))
         payload["problem"]["support"] = "general"
@@ -563,6 +571,26 @@ def test_empty_n_list_is_config_error(tmp_path, capsys, command):
                  "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "limit-check"])
+def test_one_assembly_per_command(tmp_path, monkeypatch, command):
+    # the solve and the limit check share one A: count `assemble` wherever
+    # a singell module bound it
+    grids, real = [], ops.assemble
+
+    def counted(grid, coefficients):
+        grids.append(grid)
+        return real(grid, coefficients)
+
+    for name, module in list(sys.modules.items()):
+        if name == "singell" or name.startswith("singell."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    cfg = str(CONFIGS / "matched_indicator.json")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(grids) == 1
 
 
 def test_parser_built_once_and_reused():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,15 @@ def test_only_operators_imports_sparse_linalg():
                    for name in names for package in ("scipy.sparse", "scipy.linalg")):
                 importers.add(path.stem)
     assert importers == {"operators"}
+
+
+def test_traced_functions_resolve():
+    # perfbench wraps these (module, name) pairs by name; a missing one
+    # crashes every traced run
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    (pairs,) = [ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FUNCTIONS"]]
+    assert pairs
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)

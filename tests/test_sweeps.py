@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import singell.operators as ops
 import singell.solver as solver_mod
 import singell.sweeps as sweeps_mod
-from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
-                     MeasureHistogram, NonlinearSolveError, ProblemSpec, SweepRow,
+from singell import (CoefficientField, GridFunction, MeasureHistogram,
+                     NonlinearSolveError, ProblemSpec, SweepRow, assemble,
                      conjecture_experiment, extract_atoms, fitted_depth_bound,
                      limit_equation_check, linfty_certificate, log_diagnostic,
                      make_uniform_grid, measure_histogram, quasilinear_residual,
@@ -20,12 +20,21 @@ from singell import (CoefficientField, GridFunction, InconclusiveCheckError,
 from singell.config import load_config
 from singell.grids import Grid, IndicatorDatum
 from singell.solver import RESIDUAL_FLOOR, singular_mass_density, solve_lockstep
-from singell.sweeps import compactum_min, describe_solution
+from singell.sweeps import check_limit, compactum_min, describe_solution
 from conftest import (harmonic_lift, interval_spec, matched_spec, record_direct_solves,
                       reference_harmonic)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
+
+
+def atom_field(grid, atoms):
+    """The atoms of a node measure as a node array of their masses."""
+    field = np.zeros(grid.shape)
+    for loc, mass in atoms.atoms:
+        node = tuple(int(round((x - a) / h)) for x, a, h in zip(loc, grid.lo, grid.h))
+        field[node] += mass
+    return field
 
 
 def record_assemblies(monkeypatch):
@@ -132,18 +141,6 @@ class TestLimitEquationCheck:
         gap = limit_equation_check(tent, hist, CoefficientField.identity(g))
         assert gap <= 1e-10
 
-    def test_non_separable_clusters_inconclusive(self):
-        g = make_uniform_grid(-1.0, 1.0, 64)
-        h = g.h[0]
-        masses = np.zeros(g.shape)
-        center = np.argmin(np.abs(g.axes()[0]))
-        masses[center] = 1.0
-        masses[center + 2] = 1.0
-        hist = MeasureHistogram(g, masses, 2.0, {}, ((-0.5,), (0.5,)))
-        with pytest.raises(InconclusiveCheckError):
-            limit_equation_check(GridFunction.zeros(g), hist,
-                                 CoefficientField.identity(g))
-
     def test_atoms_carry_full_mass(self):
         spec = matched_spec(160.0, 512)
         sol = solve_singular(spec)
@@ -153,17 +150,51 @@ class TestLimitEquationCheck:
         assert np.isclose(sum(m for _, m in atoms.atoms), hist.total,
                           rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("name, count", [("matched_indicator", 2),
-                                             ("square_hole", 4)])
-    def test_mirror_symmetric_configs_give_equal_atoms(self, name, count):
-        # cells equidistant from two centroids split their mass between them
+    # the mirror maps of each config's grid and datum, as maps of node arrays
+    MIRRORS = {"matched_indicator": [lambda a: a[::-1]],
+               "square_hole": [lambda a: a[::-1], lambda a: a[:, ::-1],
+                               lambda a: a.T]}
+
+    @pytest.mark.parametrize("name", sorted(MIRRORS))
+    def test_mirror_symmetric_configs_give_equal_atoms(self, name):
+        # nodes equidistant from two faces split their mass between them, so
+        # the measure keeps every mirror symmetry of the data, and its mass
         config = load_config(CONFIGS / f"{name}.json")
         n = config.n_list[-1]
         sol = solve_singular(replace(config.spec, gamma=n), config.m_schedule)
-        atoms = extract_atoms(measure_histogram(sol.u, config.spec, n))
-        masses = [m for _, m in atoms.atoms]
-        assert len(masses) == count
-        assert max(masses) - min(masses) <= 1e-12 * max(masses)
+        hist = measure_histogram(sol.u, config.spec, n)
+        field = atom_field(sol.u.grid, extract_atoms(hist))
+        assert np.isclose(np.sum(field), hist.total, rtol=1e-12, atol=0)
+        for mirror in self.MIRRORS[name]:
+            assert np.max(np.abs(mirror(field) - field)) <= 1e-12 * np.max(field)
+
+    def test_each_face_collects_its_mass_at_its_mean_depth(self):
+        # 1-D: depths 0.25 and 0.5 below the lower face, weights 3 and 1,
+        # mean depth 0.3125, snapped to the line at depth 0.25
+        g = make_uniform_grid(-2.0, 2.0, 16)
+        masses = np.zeros(g.shape)
+        masses[[5, 6, 11]] = 3.0, 1.0, 2.0        # t = -0.75, -0.5, 0.75
+        hist = MeasureHistogram(g, masses, 6.0, {}, ((-1.0,), (1.0,)))
+        assert extract_atoms(hist).atoms == (((-0.75,), 4.0), ((0.75,), 2.0))
+        # 2-D: the lower x face's mean depth 0.09375 snaps to x = 0.375; the
+        # tangential coordinate y of each node is kept
+        g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+        masses = np.zeros(g.shape)
+        masses[3, 4], masses[2, 5], masses[4, 3] = 3.0, 1.0, 1.0
+        hist = MeasureHistogram(g, masses, 5.0, {}, ((0.25, 0.25), (0.75, 0.75)))
+        assert extract_atoms(hist).atoms == (((0.375, 0.5), 3.0),
+                                             ((0.375, 0.625), 1.0),
+                                             ((0.5, 0.375), 1.0))
+
+    def test_square_gap_falls_with_n(self):
+        spec = load_config(SQUARE_HOLE).spec
+        op = assemble(spec.grid, spec.coefficients)
+        gaps = []
+        for n in (20.0, 80.0, 400.0):
+            sol = solve_singular(spec.with_gamma(n), operator=op)
+            gaps.append(check_limit(sol.u, spec, n, operator=op).gap)
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] <= 0.02
 
 
 class TestRunSweep:
