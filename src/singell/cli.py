@@ -63,7 +63,6 @@ def cmd_solve(config: ExperimentConfig, out: Path) -> int:
         "quasilinear_residual": row.quasilinear_residual,
         "linfty_certificate": row.certificate,
         "regularization_steps": _regularization_steps(sol.trace),
-        "base_iterations": sol.base_iterations,
     }
     if "json" in config.formats:
         write_json(out / "summary.json", summary)

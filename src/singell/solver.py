@@ -29,8 +29,9 @@ harmonic lift phi of S = {interior nodes with f > 0} (phi = 1 on S,
 A phi = 0 off S, 0 on the boundary; `SparseOperator.harmonic_lift`) scaled
 to the capacity level at which the equation summed over S balances.
 Otherwise it is the paper's transformation v = u^(gamma+1)/(gamma+1), which
-barely moves with gamma: one base solve at gamma = 1 gives v, and
-((gamma+1) v)^(1/(gamma+1)) is the start of every exponent.  A later m of
+barely moves with gamma: at gamma = 0 the problem is linear, -div(M grad v)
+= f, so one linear solve gives v0 = max(A^-1 f, 0), and
+((gamma+1) v0)^(1/(gamma+1)) is the start of every exponent.  A later m of
 a schedule starts from the iterate before it shifted by the change in 1/m
 along phi.
 
@@ -62,7 +63,6 @@ ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solv
 DEFAULT_MAX_ITERATIONS = 200
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
 LEVEL_MAX_STEPS = 100    # Newton steps of the capacity level, at most
-BASE_GAMMA = 1.0         # exponent of the base solve of the v-start
 
 
 class NonlinearSolveError(RuntimeError):
@@ -167,10 +167,10 @@ class _Start:
     Where f = 0 at every interior node next to the boundary, `start` is
     the lift (c - eps) phi: with u + eps = c on S, the equation summed over
     S is c^gamma (c - eps) = sum_S f / sum_S (A phi) (`_capacity_level`).
-    Otherwise it is the v-start ((gamma+1) v)^(1/(gamma+1)), where
-    v = u^2/2 of one base solve at gamma = BASE_GAMMA and m = inf from
-    max(A^-1 f, 0) (solved only to ETA_MAX); a failed base solve raises.
-    Where S is empty phi and the start are 0.
+    Otherwise it is the v-start ((gamma+1) v0)^(1/(gamma+1)), where
+    v0 = max(A^-1 f, 0) solves the gamma = 0 problem (solved only to
+    ETA_MAX).  Where S is empty phi and the start are 0.  Either branch
+    can fail only in a linear solve, by LinearSolveError.
     """
 
     def __init__(self, op: SparseOperator, spec: ProblemSpec):
@@ -179,8 +179,7 @@ class _Start:
         self._op = op
         self.phi = op.harmonic_lift(support, rtol=ETA_MAX)
         self.log_ratio: Optional[float] = None
-        self.base: Optional[GridFunction] = None    # v of the base solve
-        self.base_iterations = 0
+        self.v0: Optional[GridFunction] = None
         if not support.any():
             return
         edge = np.ones(op.grid.interior_shape, dtype=bool)
@@ -189,18 +188,12 @@ class _Start:
             flux = float(np.sum(op.apply(self.phi)[support]))
             self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
             return
-        cold = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))
-        (base,) = _regularized_stack(spec.with_gamma(BASE_GAMMA), [BASE_GAMMA],
-                                     math.inf, [cold], op)
-        if isinstance(base, Exception):
-            raise base
-        self.base = to_quasilinear(base.u, BASE_GAMMA)
-        self.base_iterations = base.iterations
+        self.v0 = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))
 
     def start(self, gamma: float, eps: float) -> GridFunction:
         """The start of a regularized solve at eps with no earlier iterate."""
-        if self.base is not None:
-            return from_quasilinear(self.base, gamma)
+        if self.v0 is not None:
+            return from_quasilinear(self.v0, gamma)
         level = 0.0 if self.log_ratio is None else _capacity_level(self.log_ratio, gamma, eps)
         return self._op.full_from_interior(level * self.phi)
 
@@ -385,7 +378,7 @@ def solve_regularized(spec: ProblemSpec, m: float, *,
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma, m = inf being eps = 0,
     from `initial` (or from the start rule of the data, `_Start`: the
     harmonic lift of {f > 0} scaled to its capacity level where f = 0 next
-    to the boundary, the v-start of one base solve at gamma = 1 otherwise),
+    to the boundary, the v-start of the gamma = 0 solve otherwise),
     with the iterate clipped to u >= 0.  Step k solves its Jacobian system to the
     relative tolerance of the forcing term eta_k
     (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
@@ -417,7 +410,6 @@ class SingularSolution:
     trace: tuple[RegularizedIterate, ...]
     stabilized: bool    # solved at m = inf: the last schedule entry is inf
     gap: float          # sup-gap of the last two iterates; inf for one entry
-    base_iterations: int    # Newton steps of the v-start's base solve (0: the lift)
 
 
 def _interior_datum(spec: ProblemSpec) -> np.ndarray:
@@ -433,15 +425,16 @@ def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[float],
     regularized problems of the rows still running and returns per row its
     RegularizedIterate or the error it failed with; a failed row leaves with
     that error.  The start rule (`_Start`) is set up once, here, for every
-    row (a failed base solve is every row's error); a later m starts from
-    the iterate u_j at eps_j before it, shifted to u_j + (eps_j - eps) phi.
+    row (a linear solve that fails in it is every row's error); a later m
+    starts from the iterate u_j at eps_j before it, shifted to
+    u_j + (eps_j - eps) phi.
     Returns per spec its SingularSolution or its error.
     """
     if not specs:
         return []
     try:
         first = _Start(op, specs[0])
-    except (NonlinearSolveError, LinearSolveError) as exc:
+    except LinearSolveError as exc:
         return [exc] * len(specs)
     phi = op.full_from_interior(first.phi).values
     grid = specs[0].grid
@@ -469,8 +462,7 @@ def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[float],
             gap = (float(np.max(np.abs(trace[-1].u.values - trace[-2].u.values)))
                    if len(trace) > 1 else math.inf)
             outcomes[i] = SingularSolution(spec, trace[-1].u, tuple(trace),
-                                           math.isinf(trace[-1].m), gap,
-                                           first.base_iterations)
+                                           math.isinf(trace[-1].m), gap)
     return outcomes
 
 
@@ -518,7 +510,7 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
     """`solve_singular` for every exponent in `gammas` at once: each m-step
     of the shared schedule runs one lockstep Newton solve
     (`_regularized_stack`) on the rows still running, and the rows share
-    the start rule's one base solve.
+    the start rule's one linear solve.
 
     Returns per exponent its SingularSolution, bit for bit the one
     `solve_singular(spec.with_gamma(n), m_schedule)` gives, or the

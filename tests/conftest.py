@@ -6,8 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import singell.operators as ops
-from singell import (CoefficientField, ConstantDatum, IndicatorDatum,
-                     ProblemSpec, make_uniform_grid)
+import singell.solver as solver_module
+from singell import (CoefficientField, ConstantDatum, GridFunction, IndicatorDatum,
+                     ProblemSpec, TabulatedDatum, make_uniform_grid)
 
 
 def interval_spec(gamma, cells, lo=-1.0, hi=1.0, value=1.0,
@@ -30,6 +31,40 @@ def square_spec(gamma, cells):
     return ProblemSpec(grid, CoefficientField.identity(grid),
                        ConstantDatum(1.0), gamma=gamma,
                        support="strictly_positive")
+
+
+def lazer_mckenna_spec(dim, cells, gamma):
+    """The manufactured oracle of Lazer and McKenna (Proc. AMS 111 (1991)
+    721-730) and its exact nodal solution.
+
+    phi > 0 in Omega, phi = 0 on the boundary and -lap phi = lam phi; then
+    u = phi^alpha, alpha = 2/(gamma+1), solves -lap u = f/u^gamma with
+    f = alpha (lam phi^2 + (1 - alpha) |grad phi|^2), positive inside.
+    1-D: phi = cos(pi t/2) on (-1, 1), lam = pi^2/4.  2-D: phi = sin(pi x)
+    sin(pi y) on the unit square, lam = 2 pi^2.  A boundary node carries
+    phi ~ 1e-16 and phi^alpha is not small at large gamma, so compare u
+    on interior nodes only.
+    """
+    alpha = 2.0 / (gamma + 1.0)
+    if dim == 1:
+        grid = make_uniform_grid(-1.0, 1.0, cells)
+        (t,) = grid.meshes()
+        lam = np.pi ** 2 / 4.0
+        phi = np.cos(np.pi * t / 2.0)
+        grad2 = (np.pi / 2.0 * np.sin(np.pi * t / 2.0)) ** 2
+    else:
+        grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
+        x, y = grid.meshes()
+        lam = 2.0 * np.pi ** 2
+        phi = np.sin(np.pi * x) * np.sin(np.pi * y)
+        grad2 = np.pi ** 2 * ((np.cos(np.pi * x) * np.sin(np.pi * y)) ** 2
+                              + (np.sin(np.pi * x) * np.cos(np.pi * y)) ** 2)
+    phi = np.maximum(phi, 0.0)
+    f = alpha * (lam * phi ** 2 + (1.0 - alpha) * grad2)
+    spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                       TabulatedDatum(GridFunction(grid, f)), gamma=gamma,
+                       support="strictly_positive")
+    return spec, phi ** alpha
 
 
 def reference_harmonic(grid, mask):
@@ -78,6 +113,24 @@ def record_direct_solves(monkeypatch):
     monkeypatch.setattr(ops, "_Banded", Recording)
     monkeypatch.setattr(spla, "splu", no_superlu)
     return sizes
+
+
+def record_newton_steps(monkeypatch):
+    """Record the Newton iterations of every regularized solve that singell
+    runs, so that any solve a start makes counts too: one entry per
+    `_regularized_stack` call, the iterations of its slowest converged row
+    (a lockstep iterates as long as that row); returns the list."""
+    steps = []
+    real = solver_module._regularized_stack
+
+    def recording(*args, **kwargs):
+        outcomes = real(*args, **kwargs)
+        steps.append(max((o.iterations for o in outcomes if not isinstance(o, Exception)),
+                         default=0))
+        return outcomes
+
+    monkeypatch.setattr(solver_module, "_regularized_stack", recording)
+    return steps
 
 
 @pytest.fixture(scope="session")

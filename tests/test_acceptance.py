@@ -29,9 +29,15 @@ from singell import (CoefficientField, GridFunction, assemble, beta_integral,
                      truncate, upper_matching_bound)
 from singell.analytic import OneDProfile
 from singell.sweeps import measure_histogram
-from conftest import interval_spec, matched_spec, square_spec
+from conftest import (interval_spec, lazer_mckenna_spec, matched_spec,
+                      record_newton_steps, square_spec)
 
 SWEEP_N = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 400.0)
+ORACLE_CELLS = {1: (256, 1024, 4096), 2: (32, 64, 128, 256)}
+ORACLE_GAMMAS = (3.0, 20.0, 100.0)
+# the u-scheme's sup error over interior nodes at gamma = 3, per grid of ORACLE_CELLS
+ORACLE_ERRORS_GAMMA_3 = {1: (1.630e-2, 8.155e-3, 4.077e-3),
+                         2: (4.469e-2, 3.230e-2, 2.300e-2, 1.630e-2)}
 
 
 def record(criterion, ok, detail):
@@ -68,6 +74,55 @@ def test_criterion_1_closed_form_oracle():
     ok = err <= 1e-4 and elapsed <= 10.0
     record(1, ok, f"sup error on |t|<=0.9 = {err:.3e} (target 1e-4), "
                   f"runtime {elapsed:.2f}s (target 10s)")
+
+
+@pytest.fixture(scope="module")
+def oracle_solves():
+    """(dim, gamma, cells) -> (sup error over interior nodes, Newton steps)
+    of the default solve of the Lazer-McKenna oracle, the steps of every
+    Newton solve it runs counted."""
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        steps = record_newton_steps(patch)
+        for dim, cells_list in ORACLE_CELLS.items():
+            for gamma in ORACLE_GAMMAS:
+                for cells in cells_list:
+                    spec, exact = lazer_mckenna_spec(dim, cells, gamma)
+                    steps.clear()
+                    sol = solve_singular(spec)
+                    inner = (slice(1, -1),) * dim
+                    error = float(np.max(np.abs(sol.u.values - exact)[inner]))
+                    out[dim, gamma, cells] = error, sum(steps)
+    return out
+
+
+def test_oracle_u_scheme_errors(oracle_solves):
+    # the u-scheme's stencil sees the d^(2/(gamma+1)) cusp at the boundary;
+    # these pins are its errors today, with a 10% margin
+    for dim, cells_list in ORACLE_CELLS.items():
+        for gamma in ORACLE_GAMMAS:
+            row = ", ".join(f"{cells}{'^2' if dim == 2 else ''} "
+                            f"{oracle_solves[dim, gamma, cells][0]:.3e}"
+                            for cells in cells_list)
+            print(f"[oracle] {dim}-D gamma = {gamma:g}: sup error on interior nodes {row}")
+    for dim, cells_list in ORACLE_CELLS.items():
+        for cells, pinned in zip(cells_list, ORACLE_ERRORS_GAMMA_3[dim]):
+            assert oracle_solves[dim, 3.0, cells][0] <= 1.1 * pinned
+
+
+def test_oracle_1d_error_halves_per_refinement(oracle_solves):
+    # order 1/2 in h at gamma = 3: each 4x refinement halves the error
+    errors = [oracle_solves[1, 3.0, cells][0] for cells in ORACLE_CELLS[1]]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.9 <= coarse / fine <= 2.1
+
+
+def test_oracle_newton_steps_within_budget(oracle_solves):
+    # one Newton solve from the v-start of the gamma = 0 solve, at every
+    # exponent and grid
+    steps = {key: it for key, (_, it) in oracle_solves.items()}
+    print(f"[oracle] Newton steps: {min(steps.values())}-{max(steps.values())}")
+    assert max(steps.values()) <= 10
 
 
 def test_criterion_2_amplitude_match():

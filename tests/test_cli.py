@@ -222,9 +222,8 @@ class TestSolveCommand:
         assert summary["schedule_gap"] is None
         (step,) = summary["regularization_steps"]
         assert step["m"] is None and step["iterations"] > 0
-        # data positive next to the boundary take the v-start's base solve
-        positive = name in ("cubic_interval.json", "uniform_interval_sweep.json")
-        assert (summary["base_iterations"] > 0) == positive
+        # every start is one linear solve at most: no base Newton solve to report
+        assert "base_iterations" not in summary
 
     def test_summary_reports_work_counters(self, tmp_path):
         counts = {}

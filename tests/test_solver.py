@@ -16,7 +16,8 @@ from singell import (CoefficientField, GridFunction, IndicatorDatum,
                      quasilinear_residual, singular_residual, solve_regularized,
                      solve_singular, to_quasilinear)
 from singell.config import load_config
-from conftest import interval_spec, matched_spec, record_direct_solves
+from conftest import (interval_spec, matched_spec, record_direct_solves,
+                      record_newton_steps, square_spec)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
@@ -99,15 +100,16 @@ class TestSolveRegularized:
             solve_regularized(spec, 4 ** 6, initial=op.full_from_interior(cold))
 
     @pytest.mark.parametrize("m", [4 ** 6, math.inf])
-    def test_v_start_converges_at_gamma_160(self, m):
+    def test_v_start_converges_at_gamma_160(self, m, monkeypatch):
         # f > 0 next to the boundary, so the start is the v-start; the cold
         # start max(A^-1 f, 0) clipped the RHS near the boundary here and no
-        # step lowered the capped residual
+        # step lowered the capped residual.  Every Newton step counts.
         config = load_config(CONFIGS / "uniform_interval_sweep.json")
         spec = replace(config.spec, gamma=160.0)
+        steps = record_newton_steps(monkeypatch)
         it = solve_regularized(spec, m)
         assert it.m == m and not it.stalled
-        assert it.iterations <= 10
+        assert sum(steps) <= 11
         assert np.min(it.u.interior()) > 0.0
 
     def test_start_vanishing_off_the_support_at_m_infinity(self):
@@ -231,16 +233,17 @@ class TestSolveSingular:
     @pytest.mark.parametrize("name, gamma, budget", [
         ("square_hole", None, 8), ("matched_indicator", 400.0, 10),
         ("cubic_interval", None, 13), ("uniform_interval_sweep", None, 13)])
-    def test_newton_steps_within_budget(self, name, gamma, budget):
-        # the base solve of the v-start counts; the continuation over
+    def test_newton_steps_within_budget(self, name, gamma, budget, monkeypatch):
+        # every Newton step of the solve counts; the continuation over
         # 16^0, ..., 16^6 took 21, 20, 25, 26 (lift start, extrapolated
         # predictors), and the cold start alone does not converge at m = inf
         # on the two positive data
         config = load_config(CONFIGS / f"{name}.json")
         spec = config.spec if gamma is None else replace(config.spec, gamma=gamma)
+        steps = record_newton_steps(monkeypatch)
         sol = solve_singular(spec, config.m_schedule)
         assert len(sol.trace) == 1
-        assert sum(it.iterations for it in sol.trace) + sol.base_iterations <= budget
+        assert sum(steps) <= budget
 
     @pytest.mark.parametrize("cells", [256, 1024, 4096, 16384])
     def test_matched_sweep_lockstep_iterations_within_budget(self, cells):
@@ -427,7 +430,7 @@ class TestSupportLift:
 
     def test_start_is_the_lift_at_the_capacity_level(self, lifted):
         op, f_int, lift = lifted
-        assert lift.base is None and lift.base_iterations == 0
+        assert lift.v0 is None
         pos = f_int > 0
         ratio = np.sum(f_int[pos]) / np.sum(op.apply(lift.phi)[pos])
         for eps in (1.0 / 16, 0.0):
@@ -442,25 +445,28 @@ class TestSupportLift:
             _, f_int, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
             assert lift.log_ratio is None
             assert np.array_equal(lift.phi, np.full(f_int.size, value))
-        assert lift.base is None
+        assert lift.v0 is None
         assert lift.start(3.0, 1.0).sup_norm() == 0.0
 
 
 class TestVStart:
     """Where f > 0 next to the boundary the first start is
-    ((gamma+1) v)^(1/(gamma+1)), v = u_1^2/2 of one base solve at gamma = 1
-    and m = inf."""
+    ((gamma+1) v0)^(1/(gamma+1)), v0 = max(A^-1 f, 0) the solution of the
+    gamma = 0 problem."""
 
-    def test_start_is_the_power_map_of_the_base_solve(self):
-        spec = interval_spec(10.0, 128)
+    @pytest.mark.parametrize("spec", [interval_spec(10.0, 128), square_spec(10.0, 32)],
+                             ids=["interval", "square"])
+    def test_start_is_the_power_map_of_the_gamma_0_solve(self, spec):
         op, f_int, start = _lift(spec)
-        assert start.log_ratio is None and 0 < start.base_iterations <= 10
-        base = solve_regularized(replace(spec, gamma=1.0), math.inf, initial=op.full_from_interior(
-            np.maximum(op.solver(rtol=solver_module.ETA_MAX)(f_int), 0.0)))
-        assert base.iterations == start.base_iterations
-        assert np.array_equal(start.base.values, to_quasilinear(base.u, 1.0).values)
+        assert start.log_ratio is None
+        v0 = op.full_from_interior(
+            np.maximum(op.solver(rtol=solver_module.ETA_MAX)(f_int), 0.0))
+        assert np.array_equal(start.v0.values, v0.values)
         for gamma in (1.0, 40.0, 400.0):
-            expected = ((gamma + 1.0) * base.u.values ** 2 / 2.0) ** (1.0 / (gamma + 1.0))
+            for eps in (1.0, 0.0):
+                assert np.array_equal(start.start(gamma, eps).values,
+                                      from_quasilinear(v0, gamma).values)
+            expected = ((gamma + 1.0) * v0.values) ** (1.0 / (gamma + 1.0))
             np.testing.assert_allclose(start.start(gamma, 0.0).values, expected,
                                        rtol=1e-13, atol=0.0)
 
@@ -474,12 +480,10 @@ class TestVStart:
                                support="general")
             _, _, start = _lift(spec)
             assert (start.log_ratio is not None) == lifted
-            assert (start.base is None) == lifted
-            sol = solve_singular(spec)
-            assert sol.stabilized and sol.base_iterations == (0 if lifted else
-                                                              start.base_iterations)
+            assert (start.v0 is None) == lifted
+            assert solve_singular(spec).stabilized
 
-    def test_a_sweep_shares_the_base_solve(self, monkeypatch):
+    def test_a_sweep_runs_one_newton_stack(self, monkeypatch):
         config = load_config(CONFIGS / "uniform_interval_sweep.json")
         calls, real = [], solver_module._regularized_stack
 
@@ -488,24 +492,39 @@ class TestVStart:
             return real(spec, gammas, m, *args, **kwargs)
 
         monkeypatch.setattr(solver_module, "_regularized_stack", recording)
+        solver_module.solve_lockstep(config.spec, config.n_list)
+        assert calls == [(list(config.n_list), math.inf)]
+
+    @pytest.mark.parametrize("name, budget", [("uniform_interval_sweep", 11),
+                                              ("cubic_interval", 8)])
+    def test_lockstep_iterations_within_budget(self, name, budget, monkeypatch):
+        # every Newton iteration of the sweep counts
+        config = load_config(CONFIGS / f"{name}.json")
+        steps = record_newton_steps(monkeypatch)
         sols = solver_module.solve_lockstep(config.spec, config.n_list)
-        assert calls == [([1.0], math.inf), (list(config.n_list), math.inf)]
-        assert len({sol.base_iterations for sol in sols}) == 1
+        assert all(len(sol.trace) == 1 for sol in sols)
+        assert sum(steps) <= budget
 
-    def test_a_failed_base_solve_fails_every_row(self, monkeypatch):
-        real = solver_module._regularized_stack
+    @pytest.mark.parametrize("spec", [interval_spec(10.0, 128), square_spec(10.0, 16)],
+                             ids=["interval", "square"])
+    def test_a_failed_start_solve_fails_every_row(self, spec, monkeypatch):
+        # the start's one linear solve is the only solve without a shift
+        real = SparseOperator.solver
 
-        def failing_base(spec, gammas, m, *args, **kwargs):
-            if spec.gamma == solver_module.BASE_GAMMA:
-                return [NonlinearSolveError("synthetic base failure", [])]
-            return real(spec, gammas, m, *args, **kwargs)
+        def failing_start(self, shift=None, **kwargs):
+            if shift is None:
+                def fail(b):
+                    raise ops.LinearSolveError("synthetic start failure", 1.0)
+                return fail
+            return real(self, shift, **kwargs)
 
-        monkeypatch.setattr(solver_module, "_regularized_stack", failing_base)
-        spec = interval_spec(10.0, 128)
-        with pytest.raises(NonlinearSolveError, match="synthetic base failure"):
+        monkeypatch.setattr(SparseOperator, "solver", failing_start)
+        with pytest.raises(ops.LinearSolveError, match="synthetic start failure"):
             solve_singular(spec)
         outcomes = solver_module.solve_lockstep(spec, [10.0, 20.0])
-        assert [str(o) for o in outcomes] == ["synthetic base failure"] * 2
+        assert len(outcomes) == 2
+        assert all(isinstance(o, ops.LinearSolveError)
+                   and "synthetic start failure" in str(o) for o in outcomes)
 
 
 class TestMonotoneInM:
