@@ -101,7 +101,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path) -> int:
         "tolerances": config.tolerances,
         "n_list": list(report.n_list),
         "failed_rows": [r.n for r in report.rows if r.failed],
-        "total_masses": {str(r.n): r.total_mass for r in report.rows},
+        "total_masses": {str(r.n): r.total_mass for r in report.rows if not r.failed},
         "histogram_total": report.histogram.total if report.histogram else None,
         "shell_fractions": (report.histogram.shell_fractions
                             if report.histogram else None),

@@ -3,12 +3,12 @@
 The singular right-hand side is regularized to f/(u + 1/m)^gamma.  The
 discrete problem at m = inf (eps = 1/m = 0) is well posed, and by default
 it is solved directly, in one Newton solve; an explicit finite schedule of
-m solves the paper's approximations in turn, and their iterates increase
-monotonically in m.  Each regularized problem is solved by damped inexact
-Newton: a step's linear solve only has to reach the relative tolerance of
-an Eisenstat-Walker forcing term, which tightens as the Newton residual
-falls.  All power evaluations run in the log domain so exponents up to
-gamma ~ 400 stay representable.
+m solves the paper's approximations, each on its own, and their iterates
+increase monotonically in m.  Each regularized problem is solved by damped
+inexact Newton: a step's linear solve only has to reach the relative
+tolerance of an Eisenstat-Walker forcing term, which tightens as the Newton
+residual falls.  All power evaluations run in the log domain so exponents
+up to gamma ~ 400 stay representable.
 
 A Newton solve ends when its residual |A u - g|_inf, g = f/(u + 1/m)^gamma,
 meets
@@ -23,17 +23,17 @@ every accepted step; without the floor it sits below what a computed
 residual can reach on fine 1-D grids, and no solve there ends by it.
 
 A solve starts from a function that already has the shape of the
-large-gamma solution, chosen by the data once per call (`_Start`).  Where
-f = 0 at every interior node next to the boundary, that is the discrete
-harmonic lift phi of S = {interior nodes with f > 0} (phi = 1 on S,
-A phi = 0 off S, 0 on the boundary; `SparseOperator.harmonic_lift`) scaled
-to the capacity level at which the equation summed over S balances.
-Otherwise it is the paper's transformation v = u^(gamma+1)/(gamma+1), which
-barely moves with gamma: at gamma = 0 the problem is linear, -div(M grad v)
-= f, so one linear solve gives v0 = max(A^-1 f, 0), and
-((gamma+1) v0)^(1/(gamma+1)) is the start of every exponent.  A later m of
-a schedule starts from the iterate before it shifted by the change in 1/m
-along phi.
+large-gamma solution, chosen by the data once per call (`_Start`); it
+depends on the exponent, not on m, so every m-step of a schedule starts
+from it.  Where f = 0 at every interior node next to the boundary, that is
+the discrete harmonic lift phi of S = {interior nodes with f > 0} (phi = 1
+on S, A phi = 0 off S, 0 on the boundary; `SparseOperator.harmonic_lift`)
+scaled to the capacity level at which the equation at m = inf summed over S
+balances.  Otherwise it is the paper's transformation
+v = u^(gamma+1)/(gamma+1), which barely moves with gamma: at gamma = 0 the
+problem is linear, -div(M grad v) = f, so one linear solve gives
+v0 = max(A^-1 f, 0), and ((gamma+1) v0)^(1/(gamma+1)) is the start of
+every exponent.
 
 A sweep's exponents share the grid, the datum and the m-schedule, so they
 are solved in lockstep (`solve_lockstep`): each Newton iteration advances
@@ -62,7 +62,6 @@ RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf); the rounding floor is added
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
 DEFAULT_MAX_ITERATIONS = 200
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
-LEVEL_MAX_STEPS = 100    # Newton steps of the capacity level, at most
 
 
 class NonlinearSolveError(RuntimeError):
@@ -131,71 +130,48 @@ class RegularizedIterate:
     stalled: bool = False        # ended because halving no longer moved the iterate
 
 
-def _capacity_level(log_ratio: float, gamma: float, eps: float) -> float:
-    """d = c - eps > 0 where c^gamma (c - eps) = e^log_ratio.
-
-    Newton in x = log d on h(x) = gamma log(eps + e^x) + x - log_ratio,
-    which is increasing (h' between 1 and gamma + 1) and convex.  It starts
-    at x = log_ratio / (gamma + 1), the root without eps, where h >= 0; from
-    the right of its root Newton on a convex increasing h decreases
-    monotonically to it, so the first step that does not move x down ends
-    the iteration (the safeguard against rounding).  At eps = 0 that root
-    is the answer: d = c = e^(log_ratio / (gamma + 1)).
-    """
-    x = log_ratio / (gamma + 1.0)
-    if eps == 0.0:
-        return math.exp(x)
-    log_eps = math.log(eps)
-    for _ in range(LEVEL_MAX_STEPS):
-        log_c = max(x, log_eps) + math.log1p(math.exp(-abs(x - log_eps)))
-        step = (gamma * log_c + x - log_ratio) / (gamma * math.exp(x - log_c) + 1.0)
-        if not (step > 0.0 and x - step < x):
-            break
-        x -= step
-    return math.exp(x)
-
-
 class _Start:
-    """The first start of a solve, chosen by the data, and the direction
-    phi along which a later m-step shifts the iterate before it.
+    """The start of a solve, chosen by the data once per call; it depends
+    on the exponent only, so it is the start of every m.
 
-    phi is the discrete harmonic lift of S = {interior nodes with f > 0}:
-    1 on S, (A phi)_i = 0 off S and 0 on the boundary
+    Where f = 0 at every interior node next to the boundary, `start` is the
+    lift c phi of S = {interior nodes with f > 0}.  phi is the discrete
+    harmonic lift of S: 1 on S, (A phi)_i = 0 off S and 0 on the boundary
     (`SparseOperator.harmonic_lift`), solved only to ETA_MAX: a start needs
-    its shape, not its last digits.
-
-    Where f = 0 at every interior node next to the boundary, `start` is
-    the lift (c - eps) phi: with u + eps = c on S, the equation summed over
-    S is c^gamma (c - eps) = sum_S f / sum_S (A phi) (`_capacity_level`).
-    Otherwise it is the v-start ((gamma+1) v0)^(1/(gamma+1)), where
-    v0 = max(A^-1 f, 0) solves the gamma = 0 problem (solved only to
-    ETA_MAX).  Where S is empty phi and the start are 0.  Either branch
-    can fail only in a linear solve, by LinearSolveError.
+    its shape, not its last digits.  With u = c on S the equation at m = inf
+    summed over S is c^(gamma+1) sum_S (A phi) = sum_S f, which gives the
+    capacity level c = e^(log_ratio / (gamma+1)).  Otherwise `start` is the
+    v-start ((gamma+1) v0)^(1/(gamma+1)), where v0 = max(A^-1 f, 0) solves
+    the gamma = 0 problem (solved only to ETA_MAX), and phi is not built.
+    Where S is empty the start is 0.  Either branch can fail only in a
+    linear solve, by LinearSolveError.
     """
 
     def __init__(self, op: SparseOperator, spec: ProblemSpec):
         f_int = _interior_datum(spec)
         support = f_int > 0
         self._op = op
-        self.phi = op.harmonic_lift(support, rtol=ETA_MAX)
+        self.phi: Optional[np.ndarray] = None
         self.log_ratio: Optional[float] = None
         self.v0: Optional[GridFunction] = None
         if not support.any():
             return
         edge = np.ones(op.grid.interior_shape, dtype=bool)
         edge[(slice(1, -1),) * op.grid.dim] = False
-        if not support[edge.reshape(-1)].any():
-            flux = float(np.sum(op.apply(self.phi)[support]))
-            self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
+        if support[edge.reshape(-1)].any():
+            self.v0 = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))
             return
-        self.v0 = op.full_from_interior(np.maximum(op.solver(rtol=ETA_MAX)(f_int), 0.0))
+        self.phi = op.harmonic_lift(support, rtol=ETA_MAX)
+        flux = float(np.sum(op.apply(self.phi)[support]))
+        self.log_ratio = math.log(float(np.sum(f_int[support]))) - math.log(flux)
 
-    def start(self, gamma: float, eps: float) -> GridFunction:
-        """The start of a regularized solve at eps with no earlier iterate."""
+    def start(self, gamma: float) -> GridFunction:
+        """The start of a regularized solve at exponent gamma, for every m."""
         if self.v0 is not None:
             return from_quasilinear(self.v0, gamma)
-        level = 0.0 if self.log_ratio is None else _capacity_level(self.log_ratio, gamma, eps)
-        return self._op.full_from_interior(level * self.phi)
+        if self.phi is None:
+            return GridFunction.zeros(self._op.grid)
+        return self._op.full_from_interior(math.exp(self.log_ratio / (gamma + 1.0)) * self.phi)
 
 
 def _check_iterate(m: float, gamma: float, u: np.ndarray, g: np.ndarray,
@@ -376,13 +352,13 @@ def solve_regularized(spec: ProblemSpec, m: float, *,
     """One damped inexact-Newton solve of the regularized problem at index m.
 
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma, m = inf being eps = 0,
-    from `initial` (or from the start rule of the data, `_Start`: the
-    harmonic lift of {f > 0} scaled to its capacity level where f = 0 next
-    to the boundary, the v-start of the gamma = 0 solve otherwise),
-    with the iterate clipped to u >= 0.  Step k solves its Jacobian system to the
-    relative tolerance of the forcing term eta_k
-    (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
-    Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
+    from `initial` (or from the start of the data, `_Start`: the harmonic
+    lift of {f > 0} scaled to its capacity level where f = 0 next to the
+    boundary, the v-start of the gamma = 0 solve otherwise; neither depends
+    on m), with the iterate clipped to u >= 0.  Step k solves its Jacobian
+    system to the relative tolerance of the forcing term eta_k (ETA_MAX at
+    the first step, then `_forcing_term`; Dembo, Eisenstat and Steihaug,
+    SINUM 19 (1982) 400-408), and halves until the exact residual
     falls.  The solve stops when the residual meets its bound (the module
     docstring's; it is recomputed at every accepted iterate), when the
     relative update is negligible, or when halving no longer moves the
@@ -396,7 +372,7 @@ def solve_regularized(spec: ProblemSpec, m: float, *,
         raise ValueError("regularization index m must be >= 1")
     op = _operator_for(spec, operator)
     if initial is None:
-        initial = _Start(op, spec).start(spec.gamma, 1.0 / m)
+        initial = _Start(op, spec).start(spec.gamma)
     (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op, max_iterations)
     if isinstance(outcome, Exception):
         raise outcome
@@ -424,10 +400,10 @@ def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[float],
     For each m, `regularize(m, active specs, their starts)` solves the
     regularized problems of the rows still running and returns per row its
     RegularizedIterate or the error it failed with; a failed row leaves with
-    that error.  The start rule (`_Start`) is set up once, here, for every
-    row (a linear solve that fails in it is every row's error); a later m
-    starts from the iterate u_j at eps_j before it, shifted to
-    u_j + (eps_j - eps) phi.
+    that error.  Every m-step of a row starts from the same start, the
+    data's start at its exponent (`_Start`, set up once here for every row;
+    a linear solve that fails in it is every row's error), so each m-step
+    is bit for bit the solve at its m alone.
     Returns per spec its SingularSolution or its error.
     """
     if not specs:
@@ -436,20 +412,16 @@ def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[float],
         first = _Start(op, specs[0])
     except LinearSolveError as exc:
         return [exc] * len(specs)
-    phi = op.full_from_interior(first.phi).values
-    grid = specs[0].grid
+    starts = [first.start(spec.gamma) for spec in specs]
     traces: list[list[RegularizedIterate]] = [[] for _ in specs]
     outcomes: list = [None] * len(specs)
     active = list(range(len(specs)))
     for m in schedule:
         if not active:
             break
-        eps = 1.0 / m
-        initials = [GridFunction(grid, traces[i][-1].u.values
-                                 + (1.0 / traces[i][-1].m - eps) * phi)
-                    if traces[i] else first.start(specs[i].gamma, eps) for i in active]
         running = []
-        for i, it in zip(active, regularize(m, [specs[i] for i in active], initials)):
+        for i, it in zip(active, regularize(m, [specs[i] for i in active],
+                                            [starts[i] for i in active])):
             if isinstance(it, Exception):
                 outcomes[i] = it
                 continue
@@ -480,13 +452,10 @@ def solve_singular(spec: ProblemSpec,
                    operator: Optional[SparseOperator] = None) -> SingularSolution:
     """The discrete singular solution: by default (`default_m_schedule()`)
     one Newton solve at m = inf, eps = 0; with an explicit increasing
-    `m_schedule` one regularized solve per m, in turn.
+    `m_schedule` one regularized solve per m, each from the start of the
+    data (`_Start`), so each m-step is `solve_regularized(spec, m)` alone.
 
     Returns the solve only (`singell.sweeps` reads the diagnostics off it).
-    The first m starts from the start rule of the data (`_Start`), each
-    later one from the iterate before it shifted by the change in 1/m
-    along phi (u_m + 1/m is nearly constant where f > 0, which keeps the
-    start inside Newton's basin even for gamma in the hundreds).
     `operator` is the assembled A of `spec`; one on another grid raises
     ValueError.  This is the one-exponent case of `solve_lockstep`, with
     each m-step one `solve_regularized` call.
@@ -509,8 +478,8 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
                    operator: Optional[SparseOperator] = None) -> list:
     """`solve_singular` for every exponent in `gammas` at once: each m-step
     of the shared schedule runs one lockstep Newton solve
-    (`_regularized_stack`) on the rows still running, and the rows share
-    the start rule's one linear solve.
+    (`_regularized_stack`) on the rows still running, every row from its
+    exponent's start, and the rows share the start's one linear solve.
 
     Returns per exponent its SingularSolution, bit for bit the one
     `solve_singular(spec.with_gamma(n), m_schedule)` gives, or the

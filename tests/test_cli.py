@@ -225,6 +225,32 @@ class TestSolveCommand:
         # every start is one linear solve at most: no base Newton solve to report
         assert "base_iterations" not in summary
 
+    @pytest.mark.parametrize("schedule", [None, [4, 64, 1024]], ids=["default", "three_steps"])
+    def test_one_solve_regularized_call_per_m_step(self, tmp_path, monkeypatch, schedule):
+        # perfbench's square-2d check counts the traced spans of the module
+        # attribute `singell.solver.solve_regularized` under `solve` and their
+        # Newton steps against summary.json's regularization_steps
+        import singell.solver as solver_mod
+        iterations, real = [], solver_mod.solve_regularized
+
+        def counting(*args, **kwargs):
+            it = real(*args, **kwargs)
+            iterations.append(it.iterations)
+            return it
+
+        monkeypatch.setattr(solver_mod, "solve_regularized", counting)
+        payload = json.loads((CONFIGS / "square_hole.json").read_text())
+        payload["problem"]["cells"] = [32, 32]
+        payload["output"] = {"formats": ["json"]}
+        if schedule is not None:
+            payload["sweep"]["m_schedule"] = schedule
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        steps = json.loads((out / "summary.json").read_text())["regularization_steps"]
+        assert len(iterations) == (1 if schedule is None else 3)
+        assert iterations == [s["iterations"] for s in steps]
+
     def test_summary_reports_work_counters(self, tmp_path):
         counts = {}
         for dim, config in ((1, GAMMA3), (2, json.loads(
@@ -339,6 +365,14 @@ class TestSweepCommand:
         assert len(per_compactum) == 6
         assert all(failed[k] == "nan" for k in per_compactum)
         assert "did not converge" in failed["error"]
+
+        def refuse(token):
+            raise ValueError(f"summary.json holds {token}")
+
+        # a failed row is listed in failed_rows and has no total mass
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["failed_rows"] == [20.0]
+        assert list(summary["total_masses"]) == ["10.0"]
 
 
 class TestOnedCommand:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import singell.operators as ops
 import singell.solver as solver_module
@@ -321,12 +321,11 @@ def _indicator_spec(dim, cells, gamma, value, lo, width):
                        IndicatorDatum(value, *box), gamma=gamma, support="compact")
 
 
-class TestExtrapolatedStart:
-    """A later m-step starts from the iterate u_j before it extrapolated at
-    constant u + eps phi: u_j + (eps_j - eps) phi.  The start changes the
-    work of an m-step, not its answer."""
+class TestIndependentMSteps:
+    """Every m-step of a schedule starts from the data's start at its
+    exponent, so it is the solve at its m alone, bit for bit."""
 
-    def test_one_iterate_gives_the_shift(self, monkeypatch):
+    def test_every_m_step_starts_from_the_data(self, monkeypatch):
         spec = matched_spec(10.0, 64)
         starts, real = [], solver_module.solve_regularized
 
@@ -335,11 +334,11 @@ class TestExtrapolatedStart:
             return real(spec, m, initial=initial, **kwargs)
 
         monkeypatch.setattr(solver_module, "solve_regularized", recording)
-        sol = solve_singular(spec, [4, 16, math.inf])
-        op, _, lift = _lift(spec)
-        phi = op.full_from_interior(lift.phi).values
-        for start, (a, b) in zip(starts[1:], zip(sol.trace, sol.trace[1:])):
-            assert np.array_equal(start, a.u.values + (1.0 / a.m - 1.0 / b.m) * phi)
+        solve_singular(spec, [4, 16, math.inf])
+        _, _, start = _lift(spec)
+        assert len(starts) == 3
+        for initial in starts:
+            assert np.array_equal(initial, start.start(10.0).values)
 
     @settings(max_examples=25, deadline=None)
     @given(dim=st.sampled_from([1, 2]), cells=st.integers(8, 24),
@@ -347,27 +346,15 @@ class TestExtrapolatedStart:
            lo=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
            width=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)),
            schedule=_m_schedules())
-    def test_iterates_match_shift_only_start(self, dim, cells, gamma, value, lo,
-                                             width, schedule):
+    def test_every_m_step_is_the_direct_solve(self, dim, cells, gamma, value, lo,
+                                              width, schedule):
         spec = _indicator_spec(dim, cells, gamma, value, lo, width)
-        # the reference: each m starts from the previous iterate shifted by
-        # the change in 1/m where f > 0
-        pos = spec.datum_values() > 0
-        reference, initial = [], None
-        for k, m in enumerate(schedule):
-            if k:
-                shifted = reference[-1].copy()
-                shifted[pos] += 1.0 / schedule[k - 1] - 1.0 / m
-                initial = GridFunction(spec.grid, shifted)
-            try:
-                reference.append(solve_regularized(spec, m, initial=initial).u.values)
-            except NonlinearSolveError:
-                break
-        assume(reference)
-        # no m-step may raise where the shift-only start did not
-        trace = solve_singular(spec, schedule[:len(reference)]).trace
-        for it, ref in zip(trace, reference):
-            assert np.max(np.abs(it.u.values - ref)) <= 1e-10 * np.max(ref)
+        trace = solve_singular(spec, schedule).trace      # no m-step raises
+        assert [it.m for it in trace] == schedule
+        for it in trace:
+            assert np.array_equal(it.u.values, solve_regularized(spec, it.m).u.values)
+        for a, b in zip(trace, trace[1:]):
+            assert np.all(b.u.values >= a.u.values - 1e-10)
 
 
 def _lift(spec):
@@ -377,7 +364,7 @@ def _lift(spec):
 
 class TestSupportLift:
     """The harmonic lift phi of S = {f > 0} and the capacity level c of the
-    first start (c - 1/m) phi, where f = 0 next to the boundary."""
+    start c phi, where f = 0 next to the boundary."""
 
     @pytest.fixture(scope="class", params=["matched_indicator", "square_hole"])
     def lifted(self, request):
@@ -419,34 +406,53 @@ class TestSupportLift:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0, 10.0, 40.0, 160.0, 400.0])
     def test_capacity_level_solves_its_equation(self, lifted, gamma):
-        # c^gamma (c - 1/m) = sum_S f / sum_S A phi, in the log domain
-        _, _, lift = lifted
-        for log_ratio in (lift.log_ratio, -60.0, 60.0):
-            for eps in [16.0 ** -k for k in range(7)] + [0.0]:
-                d = solver_module._capacity_level(log_ratio, gamma, eps)
-                assert d > 0.0
-                c = eps + d
-                assert abs(gamma * math.log(c) + math.log(d) - log_ratio) <= 1e-12
+        # c^(gamma+1) sum_S A phi = sum_S f, in the log domain
+        op, f_int, lift = lifted
+        pos = f_int > 0
+        level = op.interior_of(lift.start(gamma))[pos]
+        assert np.all(level == level[0]) and level[0] > 0.0
+        flux = float(np.sum(op.apply(lift.phi)[pos]))
+        assert abs((gamma + 1.0) * math.log(level[0]) + math.log(flux)
+                   - math.log(float(np.sum(f_int[pos])))) <= 1e-12
 
     def test_start_is_the_lift_at_the_capacity_level(self, lifted):
         op, f_int, lift = lifted
         assert lift.v0 is None
         pos = f_int > 0
         ratio = np.sum(f_int[pos]) / np.sum(op.apply(lift.phi)[pos])
-        for eps in (1.0 / 16, 0.0):
-            start = op.interior_of(lift.start(20.0, eps))
-            c = start[pos][0] + eps
-            assert np.array_equal(start, (c - eps) * lift.phi)
-            assert abs(c ** 20 * (c - eps) / ratio - 1.0) <= 1e-12
+        start = op.interior_of(lift.start(20.0))
+        c = start[pos][0]
+        assert np.array_equal(start, c * lift.phi)
+        assert abs(c ** 21 / ratio - 1.0) <= 1e-12
 
     def test_no_lift_on_strictly_positive_or_zero_data(self):
-        # phi is the indicator of S: 1 on positive data, 0 on zero data
+        # positive data take the v-start, zero data start at 0: no phi
         for value, support in ((1.0, "strictly_positive"), (0.0, "general")):
-            _, f_int, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
-            assert lift.log_ratio is None
-            assert np.array_equal(lift.phi, np.full(f_int.size, value))
+            _, _, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
+            assert lift.log_ratio is None and lift.phi is None
         assert lift.v0 is None
-        assert lift.start(3.0, 1.0).sup_norm() == 0.0
+        assert lift.start(3.0).sup_norm() == 0.0
+
+    @pytest.mark.parametrize("name, lifts", [("cubic_interval", 0), ("edge_indicator", 0),
+                                             ("matched_indicator", 1), ("square_hole", 1)])
+    def test_only_the_lift_start_builds_phi(self, name, lifts, monkeypatch):
+        # an indicator that reaches the first interior node takes the v-start
+        if name == "edge_indicator":
+            grid = make_uniform_grid(0.0, 1.0, 64)
+            spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                               IndicatorDatum(1.0, 0.5 / 64, 0.5), gamma=20.0,
+                               support="general")
+        else:
+            spec = load_config(CONFIGS / f"{name}.json").spec
+        calls, real = [], SparseOperator.harmonic_lift
+
+        def recording(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseOperator, "harmonic_lift", recording)
+        solve_singular(spec)
+        assert len(calls) == lifts
 
 
 class TestVStart:
@@ -458,16 +464,15 @@ class TestVStart:
                              ids=["interval", "square"])
     def test_start_is_the_power_map_of_the_gamma_0_solve(self, spec):
         op, f_int, start = _lift(spec)
-        assert start.log_ratio is None
+        assert start.log_ratio is None and start.phi is None
         v0 = op.full_from_interior(
             np.maximum(op.solver(rtol=solver_module.ETA_MAX)(f_int), 0.0))
         assert np.array_equal(start.v0.values, v0.values)
         for gamma in (1.0, 40.0, 400.0):
-            for eps in (1.0, 0.0):
-                assert np.array_equal(start.start(gamma, eps).values,
-                                      from_quasilinear(v0, gamma).values)
+            assert np.array_equal(start.start(gamma).values,
+                                  from_quasilinear(v0, gamma).values)
             expected = ((gamma + 1.0) * v0.values) ** (1.0 / (gamma + 1.0))
-            np.testing.assert_allclose(start.start(gamma, 0.0).values, expected,
+            np.testing.assert_allclose(start.start(gamma).values, expected,
                                        rtol=1e-13, atol=0.0)
 
     def test_the_rule_follows_the_data_next_to_the_boundary(self):
@@ -480,6 +485,7 @@ class TestVStart:
                                support="general")
             _, _, start = _lift(spec)
             assert (start.log_ratio is not None) == lifted
+            assert (start.phi is not None) == lifted
             assert (start.v0 is None) == lifted
             assert solve_singular(spec).stabilized
 
