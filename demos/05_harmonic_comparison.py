@@ -3,10 +3,11 @@
 
 For indicator data the computed u_n flattens to 1 on the support and decays
 outside; the natural guess for the limit outside the support closure is the
-harmonic function with value 1 on the support edge and 0 on the outer
-boundary.  This compares the two at large n, in 1-D (where the harmonic
-profile is the exact linear hat wing) and on a square with an inner box.
-Numbers are reported, not asserted: the 2-D statement is unproven.
+function harmonic for the problem's own operator -div(M grad) (here M = I),
+with value 1 on the support edge and 0 on the outer boundary.  This compares
+the two at large n, in 1-D (where the harmonic profile is the exact linear
+hat wing) and on a square with an inner box.  Numbers are reported, not
+asserted: the 2-D statement is unproven.
 """
 
 from singell import (CoefficientField, IndicatorDatum, ProblemSpec,

@@ -4,7 +4,8 @@ The singular right-hand side is regularized to f/(u + 1/m)^gamma.  The
 discrete problem at m = inf (eps = 1/m = 0) is well posed, and by default
 it is solved directly, in one Newton solve; an explicit finite schedule of
 m solves the paper's approximations, each on its own, and their iterates
-increase monotonically in m.  Each regularized problem is solved by damped
+increase monotonically in m.  A singular solve is its trace
+(`SingularSolution`).  Each regularized problem is solved by damped
 inexact Newton: a step's linear solve only has to reach the relative
 tolerance of an Eisenstat-Walker forcing term, which tightens as the Newton
 residual falls.  All power evaluations run in the log domain so exponents
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +61,7 @@ VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnos
 UPDATE_TOL = 1e-12       # relative Newton update
 RESIDUAL_TOL = 1e-11     # scaled by (1 + |f|_inf); the rounding floor is added
 ETA_MAX = 1e-2           # largest forcing term: CG rtol of a Newton step's solve
-DEFAULT_MAX_ITERATIONS = 200
+MAX_ITERATIONS = 200     # Newton steps of a regularized solve; then it fails
 RESIDUAL_FLOOR = 1e-10   # default mask floor of the residual diagnostics
 
 
@@ -211,8 +212,7 @@ class _Rows:
 
 
 def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
-                       initials: Sequence[GridFunction], op: SparseOperator,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> list:
+                       initials: Sequence[GridFunction], op: SparseOperator) -> list:
     """Damped inexact Newton in lockstep on the regularized problems of
     `spec`'s datum at index m, one per exponent in `gammas`.
 
@@ -221,9 +221,10 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
     right-hand sides, residuals, their bounds, the forcing terms, the step
     halving and every stop are evaluated per row, so each row is bit for bit
     the solve its exponent would get alone.  A row leaves the stack when it
-    stops or fails.  Returns per exponent its RegularizedIterate or the
-    NonlinearSolveError / LinearSolveError it failed with; any other
-    exception propagates.  `initials` holds each row's start.
+    stops or fails, and fails if still running after MAX_ITERATIONS steps.
+    Returns per exponent its RegularizedIterate or the NonlinearSolveError /
+    LinearSolveError it failed with; any other exception propagates.
+    `initials` holds each row's start.
     """
     f_int = _interior_datum(spec)
     if not np.any(f_int > 0):
@@ -281,10 +282,10 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
     while True:
         if stop.any():
             rows = leave(rows, stop, stalled)
-        if rows.index.size and it == max_iterations:
+        if rows.index.size and it == MAX_ITERATIONS:
             rows = fail(rows, np.ones(rows.index.size, dtype=bool), lambda j: NonlinearSolveError(
                 f"regularized solve (m={m}, gamma={float(rows.gamma[j])}) did not "
-                f"converge within {max_iterations} iterations; last residual "
+                f"converge within {MAX_ITERATIONS} iterations; last residual "
                 f"{rows.res[j]:.3e}", traces[rows.index[j]]))
         if not rows.index.size:
             return outcomes
@@ -347,33 +348,31 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
 
 def solve_regularized(spec: ProblemSpec, m: float, *,
                       initial: Optional[GridFunction] = None,
-                      operator: Optional[SparseOperator] = None,
-                      max_iterations: int = DEFAULT_MAX_ITERATIONS) -> RegularizedIterate:
+                      operator: Optional[SparseOperator] = None) -> RegularizedIterate:
     """One damped inexact-Newton solve of the regularized problem at index m.
 
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma, m = inf being eps = 0,
-    from `initial` (or from the start of the data, `_Start`: the harmonic
-    lift of {f > 0} scaled to its capacity level where f = 0 next to the
-    boundary, the v-start of the gamma = 0 solve otherwise; neither depends
-    on m), with the iterate clipped to u >= 0.  Step k solves its Jacobian
-    system to the relative tolerance of the forcing term eta_k (ETA_MAX at
-    the first step, then `_forcing_term`; Dembo, Eisenstat and Steihaug,
-    SINUM 19 (1982) 400-408), and halves until the exact residual
+    from `initial` (or from the data's start, `_Start`, which does not
+    depend on m), with the iterate clipped to u >= 0.  Step k solves its
+    Jacobian system to the relative tolerance of the forcing term eta_k
+    (ETA_MAX at the first step, then `_forcing_term`; Dembo, Eisenstat and
+    Steihaug, SINUM 19 (1982) 400-408), and halves until the exact residual
     falls.  The solve stops when the residual meets its bound (the module
     docstring's; it is recomputed at every accepted iterate), when the
     relative update is negligible, or when halving no longer moves the
-    iterate (a stall: no representable step lowers the residual).  An
-    iterate whose right-hand side is still clipped at e^LOG_CAP is no
-    solution: it raises NonlinearSolveError.  This is the one-exponent case
-    of the lockstep solve `_regularized_stack`.  `operator` is the assembled
-    A of `spec`; one on another grid raises ValueError.
+    iterate (a stall: no representable step lowers the residual).  A solve
+    still running after MAX_ITERATIONS steps, and one ending at an iterate
+    whose right-hand side is clipped at e^LOG_CAP (no solution), raise
+    NonlinearSolveError.  It is the one-exponent case of the lockstep solve
+    `_regularized_stack`.  `operator` is the assembled A of `spec`; one on
+    another grid raises ValueError.
     """
     if not m >= 1:
         raise ValueError("regularization index m must be >= 1")
     op = _operator_for(spec, operator)
     if initial is None:
         initial = _Start(op, spec).start(spec.gamma)
-    (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op, max_iterations)
+    (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -381,61 +380,32 @@ def solve_regularized(spec: ProblemSpec, m: float, *,
 
 @dataclass(frozen=True)
 class SingularSolution:
+    """A singular solve as its trace: one RegularizedIterate per m of the
+    schedule, each from the data's start; the rest is read off the trace."""
+
     spec: ProblemSpec
-    u: GridFunction
     trace: tuple[RegularizedIterate, ...]
-    stabilized: bool    # solved at m = inf: the last schedule entry is inf
-    gap: float          # sup-gap of the last two iterates; inf for one entry
+
+    @property
+    def u(self) -> GridFunction:
+        """The solution: the iterate at the last m."""
+        return self.trace[-1].u
+
+    @property
+    def stabilized(self) -> bool:
+        """Solved at m = inf: the last schedule entry is inf."""
+        return math.isinf(self.trace[-1].m)
+
+    @property
+    def gap(self) -> float:
+        """Sup gap of the last two iterates; inf for one entry."""
+        return (float(np.max(np.abs(self.u.values - self.trace[-2].u.values)))
+                if len(self.trace) > 1 else math.inf)
 
 
 def _interior_datum(spec: ProblemSpec) -> np.ndarray:
     """f at the interior nodes, in the order of the operator's unknowns."""
     return spec.datum_values()[(slice(1, -1),) * spec.grid.dim].reshape(-1)
-
-
-def _solve_schedule(specs: Sequence[ProblemSpec], schedule: Sequence[float],
-                    regularize: Callable, op: SparseOperator) -> list:
-    """The regularized solves over `schedule` for specs that differ only in gamma.
-
-    For each m, `regularize(m, active specs, their starts)` solves the
-    regularized problems of the rows still running and returns per row its
-    RegularizedIterate or the error it failed with; a failed row leaves with
-    that error.  Every m-step of a row starts from the same start, the
-    data's start at its exponent (`_Start`, set up once here for every row;
-    a linear solve that fails in it is every row's error), so each m-step
-    is bit for bit the solve at its m alone.
-    Returns per spec its SingularSolution or its error.
-    """
-    if not specs:
-        return []
-    try:
-        first = _Start(op, specs[0])
-    except LinearSolveError as exc:
-        return [exc] * len(specs)
-    starts = [first.start(spec.gamma) for spec in specs]
-    traces: list[list[RegularizedIterate]] = [[] for _ in specs]
-    outcomes: list = [None] * len(specs)
-    active = list(range(len(specs)))
-    for m in schedule:
-        if not active:
-            break
-        running = []
-        for i, it in zip(active, regularize(m, [specs[i] for i in active],
-                                            [starts[i] for i in active])):
-            if isinstance(it, Exception):
-                outcomes[i] = it
-                continue
-            traces[i].append(it)
-            running.append(i)
-        active = running
-    for i, spec in enumerate(specs):
-        if outcomes[i] is None:
-            trace = traces[i]
-            gap = (float(np.max(np.abs(trace[-1].u.values - trace[-2].u.values)))
-                   if len(trace) > 1 else math.inf)
-            outcomes[i] = SingularSolution(spec, trace[-1].u, tuple(trace),
-                                           math.isinf(trace[-1].m), gap)
-    return outcomes
 
 
 def _operator_for(spec: ProblemSpec, operator: Optional[SparseOperator]) -> SparseOperator:
@@ -452,25 +422,19 @@ def solve_singular(spec: ProblemSpec,
                    operator: Optional[SparseOperator] = None) -> SingularSolution:
     """The discrete singular solution: by default (`default_m_schedule()`)
     one Newton solve at m = inf, eps = 0; with an explicit increasing
-    `m_schedule` one regularized solve per m, each from the start of the
-    data (`_Start`), so each m-step is `solve_regularized(spec, m)` alone.
+    `m_schedule` one `solve_regularized(spec, m)` call per m, each from the
+    start of the data (`_Start`, set up once), whose iterates make the trace.
 
-    Returns the solve only (`singell.sweeps` reads the diagnostics off it).
+    Returns the solve only (`singell.sweeps` reads the diagnostics off it)
+    and raises the error of the first m-step, or of the start, that fails.
     `operator` is the assembled A of `spec`; one on another grid raises
-    ValueError.  This is the one-exponent case of `solve_lockstep`, with
-    each m-step one `solve_regularized` call.
+    ValueError.  This is the one-exponent case of `solve_lockstep`.
     """
-    schedule = check_m_schedule(m_schedule if m_schedule is not None
-                                else default_m_schedule())
+    schedule = check_m_schedule(default_m_schedule() if m_schedule is None else m_schedule)
     op = _operator_for(spec, operator)
-
-    def regularize(m, specs, initials):
-        return [solve_regularized(specs[0], m, initial=initials[0], operator=op)]
-
-    (sol,) = _solve_schedule([spec], schedule, regularize, op)
-    if isinstance(sol, Exception):
-        raise sol
-    return sol
+    start = _Start(op, spec).start(spec.gamma)
+    return SingularSolution(spec, tuple(solve_regularized(spec, m, initial=start, operator=op)
+                                        for m in schedule))
 
 
 def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
@@ -478,23 +442,35 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
                    operator: Optional[SparseOperator] = None) -> list:
     """`solve_singular` for every exponent in `gammas` at once: each m-step
     of the shared schedule runs one lockstep Newton solve
-    (`_regularized_stack`) on the rows still running, every row from its
-    exponent's start, and the rows share the start's one linear solve.
+    (`_regularized_stack`) on the rows that have not failed, every row from
+    its exponent's start, and the rows share the start's one linear solve.
 
     Returns per exponent its SingularSolution, bit for bit the one
     `solve_singular(spec.with_gamma(n), m_schedule)` gives, or the
     NonlinearSolveError / LinearSolveError that exponent's solve raises
-    there; the other rows continue.  Any other exception propagates.
+    there: a row that fails at an m is not solved at later ones, and a
+    failed start fails every row.  Any other exception propagates.
     """
-    schedule = check_m_schedule(m_schedule if m_schedule is not None
-                                else default_m_schedule())
+    schedule = check_m_schedule(default_m_schedule() if m_schedule is None else m_schedule)
     op = _operator_for(spec, operator)
-
-    def regularize(m, specs, initials):
-        return _regularized_stack(spec, [s.gamma for s in specs], m, initials, op)
-
-    return _solve_schedule([spec.with_gamma(float(n)) for n in gammas],
-                           schedule, regularize, op)
+    specs = [spec.with_gamma(float(n)) for n in gammas]
+    if not specs:
+        return []
+    try:
+        start = _Start(op, spec)
+    except LinearSolveError as exc:
+        return [exc] * len(specs)
+    starts = [start.start(s.gamma) for s in specs]
+    outcomes: list = [() for _ in specs]      # a row's trace so far, or its error
+    for m in schedule:
+        rows = [i for i, o in enumerate(outcomes) if isinstance(o, tuple)]
+        if not rows:
+            break
+        for i, it in zip(rows, _regularized_stack(spec, [specs[i].gamma for i in rows], m,
+                                                  [starts[i] for i in rows], op)):
+            outcomes[i] = it if isinstance(it, Exception) else outcomes[i] + (it,)
+    return [SingularSolution(s, o) if isinstance(o, tuple) else o
+            for s, o in zip(specs, outcomes)]
 
 
 # --- diagnostics of a stack of solutions --------------------------------------
@@ -597,7 +573,9 @@ def quasilinear_residual_stack(v: np.ndarray, gamma, f: np.ndarray,
 
     Returns the (k, *interior) residuals (NaN where masked), the mask of
     the nodes evaluated (v >= floor) and each row's sup over them (0 when
-    none is).
+    none is).  The sup sits where v is near the floor, where |grad v|^2/v
+    turns rounding-level changes of u into changes in about the 7th digit:
+    on strictly positive data only about 7 of its printed digits are sound.
     """
     grid = coefficients.grid
     gamma = np.asarray(gamma, dtype=float)

@@ -400,17 +400,13 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
     """Compare u_n with the harmonic profile outside the support closure.
 
     The profile is the discrete harmonic lift of the box's interior nodes
-    (`SparseOperator.harmonic_lift`, to CG_RELATIVE_TOL): 1 on the box,
-    harmonic outside it and 0 on the boundary; only its values outside the
-    box are compared.  Requires identity coefficients and a
-    compactly-contained indicator datum (HarmonicComparisonError otherwise).
+    for the problem's own A = -div(M grad) (`SparseOperator.harmonic_lift`,
+    to CG_RELATIVE_TOL): 1 on the box, A-harmonic outside it and 0 on the
+    boundary; only its values outside the box are compared.  The datum must
+    be an indicator (HarmonicComparisonError otherwise); any M qualifies.
     Emits numbers only; nothing here is asserted.  The operator is assembled
     once, and its one multigrid hierarchy serves the solve and the profile.
     """
-    ident = CoefficientField.identity(spec.grid)
-    if not np.allclose(spec.coefficients.entries, ident.entries):
-        raise HarmonicComparisonError(
-            "harmonic comparison requires identity coefficients")
     omega = spec.omega_box()
     if omega is None:
         raise HarmonicComparisonError(

@@ -463,14 +463,16 @@ class TestConjectureCommand:
         assert "config error" in capsys.readouterr().err
         assert not (out / "conjecture.json").exists()
 
-    def test_non_identity_coefficients_is_config_error(self, tmp_path, capsys):
-        payload = dict(SECTION6, problem=dict(
-            SECTION6["problem"],
-            coefficients={"kind": "constant", "matrix": [[2.0]]}))
+    def test_anisotropic_coefficients_are_compared(self, tmp_path, capsys):
+        payload = json.loads((CONFIGS / "square_hole.json").read_text())
+        payload["problem"]["coefficients"] = {"kind": "constant",
+                                              "matrix": [[1.0, 0.0], [0.0, 4.0]]}
         cfg = write_config(tmp_path, payload)
-        assert main(["conjecture", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "config error" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["conjecture", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "conjecture.json").read_text())
+        assert 0.0 < report["harmonic_gap"] < 0.3
 
 
 def _mutated(command, path, value):

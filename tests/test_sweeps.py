@@ -394,6 +394,28 @@ class TestLockstep:
         for i in (0, 2):
             assert_same_solve(outcomes[i], clean[i])
 
+    def test_a_row_failed_at_one_m_is_not_solved_at_later_m(self, monkeypatch):
+        spec, ns, schedule = matched_spec(10.0, 128), [10.0, 20.0, 40.0], [4, 16, math.inf]
+        real_check, real_stack, sizes = solver_mod._check_iterate, solver_mod._regularized_stack, []
+
+        def check(m, gamma, *args):
+            if (m, gamma) == (4, 20.0):
+                raise NonlinearSolveError("synthetic failure at m = 4", [])
+            return real_check(m, gamma, *args)
+
+        def stack(spec, gammas, *args):
+            sizes.append(len(gammas))
+            return real_stack(spec, gammas, *args)
+
+        monkeypatch.setattr(solver_mod, "_check_iterate", check)
+        monkeypatch.setattr(solver_mod, "_regularized_stack", stack)
+        outcomes = solve_lockstep(spec, ns, schedule)
+        assert sizes == [3, 2, 2]
+        assert isinstance(outcomes[1], NonlinearSolveError)
+        assert "synthetic failure at m = 4" in str(outcomes[1])
+        for i in (0, 2):
+            assert_same_solve(outcomes[i], solve_singular(spec.with_gamma(ns[i]), schedule))
+
 
 def count_description_work(monkeypatch) -> collections.Counter:
     """Count the calls of `Grid.box_mask`, `Grid.meshes` and
@@ -523,10 +545,18 @@ class TestConjecture:
         assert np.isfinite(report.harmonic_gap)
         assert np.isfinite(report.outer_v_sup)
 
-    def test_requires_identity_coefficients(self):
-        grid = make_uniform_grid(-2.0, 2.0, 64)
-        spec = ProblemSpec(grid, CoefficientField.constant(grid, [[2.0]]),
-                           IndicatorDatum(1.0, -1.0, 1.0), gamma=5.0,
-                           support="compact")
-        with pytest.raises(ValueError):
-            conjecture_experiment(spec, 5.0)
+    def test_anisotropic_gap_to_the_operators_lift_falls_like_1_over_n(self):
+        # M = diag(1, 4) on the 64^2 inner-box square: the profile is A's own
+        # lift, and u_n approaches it outside the box at about 1/n
+        spec = load_config(SQUARE_HOLE).spec
+        spec = replace(spec, coefficients=CoefficientField.constant(
+            spec.grid, [[1.0, 0.0], [0.0, 4.0]]))
+        ns = [20.0, 80.0, 400.0, 800.0]
+        gaps = [conjecture_experiment(spec, n).harmonic_gap for n in ns]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert all(4.0 <= n * gap <= 8.0 for n, gap in zip(ns, gaps))
+        # the identity operator's lift is no limit of these solutions
+        box = spec.grid.box_mask(spec.omega_box())
+        identity = harmonic_lift(spec.grid, box)
+        u = solve_singular(spec.with_gamma(800.0)).u.values
+        assert np.max(np.abs(u - identity)[~box]) > 5 * gaps[-1]
