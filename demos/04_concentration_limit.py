@@ -13,9 +13,9 @@ pointwise limit (1 inside, 2 - |t| outside).
 
 import numpy as np
 
-from singell import (CoefficientField, IndicatorDatum, ProblemSpec, assemble,
-                     extract_atoms, limit_profiles, make_uniform_grid,
-                     measure_histogram, solve_measure, solve_singular)
+from singell import (CoefficientField, IndicatorDatum, ProblemSpec, extract_atoms,
+                     limit_profiles, make_uniform_grid, measure_histogram,
+                     solve_measure, solve_singular)
 
 
 def main():
@@ -23,8 +23,7 @@ def main():
     spec = ProblemSpec(grid, CoefficientField.identity(grid),
                        IndicatorDatum(1.0, -1.0, 1.0), gamma=400.0,
                        support="compact")
-    op = assemble(grid, spec.coefficients)
-    sol = solve_singular(spec, operator=op)
+    sol = solve_singular(spec)
     (step,) = sol.trace
     print(f"solved at n = 400, m = {step.m} in {step.iterations} Newton steps; "
           f"sup u = {sol.u.sup_norm():.6f}")
@@ -40,7 +39,7 @@ def main():
     for loc, mass in atoms.atoms:
         print(f"  ({loc[0]:+.4f}, {mass:.4f})")
 
-    reconstructed = solve_measure(op, atoms)
+    reconstructed = solve_measure(spec.coefficients.operator, atoms)
     t = grid.axes()[0]
     hat = limit_profiles(geometry="matched").u(t)
     print(f"sup |reconstruction - u_400| = "

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytic
 from .config import ConfigError, ExperimentConfig, load_config
-from .operators import LinearSolveError, assemble
+from .operators import LinearSolveError
 from .reporting import FLOAT_FORMAT, svg_line_plot, write_csv, write_json
 from .solver import NonlinearSolveError, solve_singular, to_quasilinear
 from .sweeps import (HarmonicComparisonError, check_limit, conjecture_experiment,
@@ -165,9 +165,8 @@ def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     if not limit_check_applies(spec):
         raise ConfigError('limit-check requires an indicator datum with support "compact"')
     n = config.n_list[-1]
-    op = assemble(spec.grid, spec.coefficients)
-    sol = solve_singular(spec.with_gamma(float(n)), config.m_schedule, operator=op)
-    check = check_limit(sol.u, spec, n, config.shell_distances, operator=op)
+    sol = solve_singular(spec.with_gamma(float(n)), config.m_schedule)
+    check = check_limit(sol.u, spec, n, config.shell_distances)
     write_json(out / "limit_check.json", {
         "label": config.label,
         "n": n,

@@ -199,6 +199,14 @@ class CoefficientField:
                 f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
         return alpha, float(np.max(high))
 
+    @functools.cached_property
+    def operator(self):
+        """A = -div(M grad .) on this field's grid (`operators.assemble`),
+        assembled on first read: A and its multigrid hierarchy live as long
+        as the field, so every problem and every exponent on it shares them."""
+        from . import operators     # operators imports grids
+        return operators.assemble(self.grid, self)
+
     def is_diagonal(self) -> bool:
         d = self.grid.dim
         if d == 1:
@@ -279,7 +287,9 @@ def _check_gamma(gamma: float) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Domain, coefficients, datum, exponent and support annotation."""
+    """Domain, coefficients, datum, exponent and support annotation, checked
+    against the datum: "compact" support lies strictly inside the domain,
+    "strictly_positive" data are > 0 at every interior node."""
 
     grid: Grid
     coefficients: CoefficientField
@@ -298,6 +308,9 @@ class ProblemSpec:
             raise ValueError("datum must be nonnegative")
         if self.support == "compact":
             self._check_compact(f)
+        interior = f[(slice(1, -1),) * self.grid.dim]
+        if self.support == "strictly_positive" and not np.all(interior > 0):
+            raise ValueError("strictly positive support requires f > 0 at every interior node")
         f.setflags(write=False)
         object.__setattr__(self, "_datum_values", f)   # not a field: eq, repr, replace ignore it
 

@@ -216,8 +216,11 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     storage, offsets ascending, data[k, j] = A[j - offset_k, j]: the
     diagonal carries the sum of node j's face weights w, and the diagonals
     at -+stride of an axis carry -w of the face above and below node j on
-    it, 0 where that face lies on the boundary.
+    it, 0 where that face lies on the boundary.  A field on another grid
+    raises ValueError.
     """
+    if coefficients.grid != grid:
+        raise ValueError("coefficient field lives on a different grid")
     check_ellipticity(coefficients)
     shape = grid.interior_shape
     diagonal = 0.0

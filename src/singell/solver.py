@@ -41,7 +41,8 @@ are solved in lockstep (`solve_lockstep`): each Newton iteration advances
 the stack of their iterates with one stacked Jacobian solve, and everything
 else is evaluated per row, so every row is bit for bit the solve of its
 exponent alone.  `solve_singular` and `solve_regularized` are the case of
-one exponent.
+one exponent.  All of them, and every diagnostic here, share the field's
+A and its hierarchy (`CoefficientField.operator`).
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import CoefficientField, GridFunction, ProblemSpec
-from .operators import (CG_RELATIVE_TOL, LinearSolveError, SparseOperator, assemble,
-                        face_weights)
+from .operators import CG_RELATIVE_TOL, LinearSolveError
 
 LOG_CAP = 300.0          # cap on log(f/(u+eps)^gamma); keeps Jacobian entries finite
 VALUE_FLOOR = 1e-300     # floor for log-domain evaluation of u^gamma in diagnostics
@@ -148,10 +148,10 @@ class _Start:
     linear solve, by LinearSolveError.
     """
 
-    def __init__(self, op: SparseOperator, spec: ProblemSpec):
+    def __init__(self, spec: ProblemSpec):
         f_int = _interior_datum(spec)
         support = f_int > 0
-        self._op = op
+        self._op = op = spec.coefficients.operator
         self.phi: Optional[np.ndarray] = None
         self.log_ratio: Optional[float] = None
         self.v0: Optional[GridFunction] = None
@@ -212,7 +212,7 @@ class _Rows:
 
 
 def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
-                       initials: Sequence[GridFunction], op: SparseOperator) -> list:
+                       initials: Sequence[GridFunction]) -> list:
     """Damped inexact Newton in lockstep on the regularized problems of
     `spec`'s datum at index m, one per exponent in `gammas`.
 
@@ -224,8 +224,9 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
     stops or fails, and fails if still running after MAX_ITERATIONS steps.
     Returns per exponent its RegularizedIterate or the NonlinearSolveError /
     LinearSolveError it failed with; any other exception propagates.
-    `initials` holds each row's start.
+    `initials` holds each row's start; A is the spec's field's.
     """
+    op = spec.coefficients.operator
     f_int = _interior_datum(spec)
     if not np.any(f_int > 0):
         return [RegularizedIterate(m, GridFunction.zeros(spec.grid), 0, 0.0)
@@ -347,8 +348,7 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
 
 
 def solve_regularized(spec: ProblemSpec, m: float, *,
-                      initial: Optional[GridFunction] = None,
-                      operator: Optional[SparseOperator] = None) -> RegularizedIterate:
+                      initial: Optional[GridFunction] = None) -> RegularizedIterate:
     """One damped inexact-Newton solve of the regularized problem at index m.
 
     Newton runs on F(u) = A u - f/(u + 1/m)^gamma, m = inf being eps = 0,
@@ -364,15 +364,13 @@ def solve_regularized(spec: ProblemSpec, m: float, *,
     still running after MAX_ITERATIONS steps, and one ending at an iterate
     whose right-hand side is clipped at e^LOG_CAP (no solution), raise
     NonlinearSolveError.  It is the one-exponent case of the lockstep solve
-    `_regularized_stack`.  `operator` is the assembled A of `spec`; one on
-    another grid raises ValueError.
+    `_regularized_stack`, on the field's A (`CoefficientField.operator`).
     """
     if not m >= 1:
         raise ValueError("regularization index m must be >= 1")
-    op = _operator_for(spec, operator)
     if initial is None:
-        initial = _Start(op, spec).start(spec.gamma)
-    (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial], op)
+        initial = _Start(spec).start(spec.gamma)
+    (outcome,) = _regularized_stack(spec, [spec.gamma], m, [initial])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -408,18 +406,8 @@ def _interior_datum(spec: ProblemSpec) -> np.ndarray:
     return spec.datum_values()[(slice(1, -1),) * spec.grid.dim].reshape(-1)
 
 
-def _operator_for(spec: ProblemSpec, operator: Optional[SparseOperator]) -> SparseOperator:
-    if operator is None:
-        return assemble(spec.grid, spec.coefficients)
-    if operator.grid != spec.grid:
-        raise ValueError(f"operator grid {operator.grid} does not match the "
-                         f"problem grid {spec.grid}")
-    return operator
-
-
 def solve_singular(spec: ProblemSpec,
-                   m_schedule: Optional[Sequence[float]] = None, *,
-                   operator: Optional[SparseOperator] = None) -> SingularSolution:
+                   m_schedule: Optional[Sequence[float]] = None) -> SingularSolution:
     """The discrete singular solution: by default (`default_m_schedule()`)
     one Newton solve at m = inf, eps = 0; with an explicit increasing
     `m_schedule` one `solve_regularized(spec, m)` call per m, each from the
@@ -427,23 +415,22 @@ def solve_singular(spec: ProblemSpec,
 
     Returns the solve only (`singell.sweeps` reads the diagnostics off it)
     and raises the error of the first m-step, or of the start, that fails.
-    `operator` is the assembled A of `spec`; one on another grid raises
-    ValueError.  This is the one-exponent case of `solve_lockstep`.
+    Every m-step reads the field's A (`CoefficientField.operator`).  This is
+    the one-exponent case of `solve_lockstep`.
     """
     schedule = check_m_schedule(default_m_schedule() if m_schedule is None else m_schedule)
-    op = _operator_for(spec, operator)
-    start = _Start(op, spec).start(spec.gamma)
-    return SingularSolution(spec, tuple(solve_regularized(spec, m, initial=start, operator=op)
+    start = _Start(spec).start(spec.gamma)
+    return SingularSolution(spec, tuple(solve_regularized(spec, m, initial=start)
                                         for m in schedule))
 
 
 def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
-                   m_schedule: Optional[Sequence[float]] = None, *,
-                   operator: Optional[SparseOperator] = None) -> list:
+                   m_schedule: Optional[Sequence[float]] = None) -> list:
     """`solve_singular` for every exponent in `gammas` at once: each m-step
     of the shared schedule runs one lockstep Newton solve
     (`_regularized_stack`) on the rows that have not failed, every row from
-    its exponent's start, and the rows share the start's one linear solve.
+    its exponent's start, and the rows share the start's one linear solve
+    and the field's A (`CoefficientField.operator`).
 
     Returns per exponent its SingularSolution, bit for bit the one
     `solve_singular(spec.with_gamma(n), m_schedule)` gives, or the
@@ -452,12 +439,11 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
     failed start fails every row.  Any other exception propagates.
     """
     schedule = check_m_schedule(default_m_schedule() if m_schedule is None else m_schedule)
-    op = _operator_for(spec, operator)
     specs = [spec.with_gamma(float(n)) for n in gammas]
     if not specs:
         return []
     try:
-        start = _Start(op, spec)
+        start = _Start(spec)
     except LinearSolveError as exc:
         return [exc] * len(specs)
     starts = [start.start(s.gamma) for s in specs]
@@ -467,7 +453,7 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
         if not rows:
             break
         for i, it in zip(rows, _regularized_stack(spec, [specs[i].gamma for i in rows], m,
-                                                  [starts[i] for i in rows], op)):
+                                                  [starts[i] for i in rows])):
             outcomes[i] = it if isinstance(it, Exception) else outcomes[i] + (it,)
     return [SingularSolution(s, o) if isinstance(o, tuple) else o
             for s, o in zip(specs, outcomes)]
@@ -571,11 +557,14 @@ def quasilinear_residual_stack(v: np.ndarray, gamma, f: np.ndarray,
     """Residual of -div(M grad v) + (g/(g+1)) grad v.M grad v / v - f at the
     interior nodes, row by row of the stack v, g one exponent per row.
 
-    Returns the (k, *interior) residuals (NaN where masked), the mask of
-    the nodes evaluated (v >= floor) and each row's sup over them (0 when
-    none is).  The sup sits where v is near the floor, where |grad v|^2/v
-    turns rounding-level changes of u into changes in about the 7th digit:
-    on strictly positive data only about 7 of its printed digits are sound.
+    The divergence term is the field's A (`CoefficientField.operator`) on
+    the interior values: v's boundary values are taken as the Dirichlet
+    zeros.  Returns the (k, *interior) residuals (NaN where masked), the
+    mask of the nodes evaluated (v >= floor) and each row's sup over them
+    (0 when none is).  The sup sits where v is near the floor, where
+    |grad v|^2/v turns rounding-level changes of u into changes in about the
+    7th digit: on strictly positive data only about 7 of its printed digits
+    are sound.
     """
     grid = coefficients.grid
     gamma = np.asarray(gamma, dtype=float)
@@ -584,19 +573,18 @@ def quasilinear_residual_stack(v: np.ndarray, gamma, f: np.ndarray,
     inner = (slice(1, -1),) * grid.dim
     interior = (slice(None),) + inner
     vi = v[interior]
-    lap = grad2 = 0.0
-    for axis, ((lower, upper), h) in enumerate(zip(face_weights(coefficients), grid.h)):
+    k = len(v)
+    div = coefficients.operator.apply(vi.reshape(k, -1).T).T.reshape(vi.shape)
+    grad2 = 0.0
+    for axis, h in enumerate(grid.h):
         below, above = list(interior), list(interior)
         below[axis + 1], above[axis + 1] = slice(None, -2), slice(2, None)
-        vb, va = v[tuple(below)], v[tuple(above)]
-        lap = lap + (lower * vb - (lower + upper) * vi + upper * va) / h ** 2
         nodal = coefficients.entries[inner + (axis, axis)]
-        grad2 = grad2 + nodal * ((va - vb) / (2.0 * h)) ** 2
+        grad2 = grad2 + nodal * ((v[tuple(above)] - v[tuple(below)]) / (2.0 * h)) ** 2
     mask = vi >= floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = (-lap + weight.reshape((-1,) + (1,) * grid.dim) * grad2
+        res = (div + weight.reshape((-1,) + (1,) * grid.dim) * grad2
                / np.where(mask, vi, np.nan) - f[inner])
-    k = len(v)
     sup = np.max(np.abs(res).reshape(k, -1), axis=-1, where=mask.reshape(k, -1),
                  initial=0.0)
     return res, mask, sup
@@ -608,11 +596,10 @@ def quasilinear_residual(v: GridFunction, gamma: float, f, *,
     """Residual of -div(M grad v) + (g/(g+1)) grad v.M grad v / v - f at the
     interior nodes, masked where v < floor.
 
-    The divergence term is `assemble`'s stencil (`face_weights`); the
-    centred gradient term takes M at the node.  With M = I every product is
-    by 1.0: the plain Laplacian to the last bit.  The gradient term is 0/0
-    where v vanishes, so nodes below the floor are masked and counted
-    instead of evaluated.  gamma = inf selects the limit coefficient 1.
+    The divergence term is the field's A on the interior values (v's
+    boundary values are taken as the Dirichlet zeros); the centred gradient
+    term takes M at the node.  The gradient term is 0/0 where v vanishes,
+    so nodes below the floor are masked and counted instead of evaluated.  gamma = inf selects the limit coefficient 1.
     `quasilinear_residual_stack` of one row.
     """
     grid = v.grid
@@ -630,12 +617,13 @@ def quasilinear_residual(v: GridFunction, gamma: float, f, *,
 
 def singular_residual(u: GridFunction, spec: ProblemSpec, *,
                       floor: float = RESIDUAL_FLOOR) -> ResidualField:
-    """Residual of the assembled singular equation A u - f/u^gamma.
+    """Residual of the singular equation A u - f/u^gamma, A the field's
+    (`CoefficientField.operator`).
 
     Nodes with u below the floor (where f > 0) are masked: the true residual
     is unbounded there.
     """
-    op = assemble(spec.grid, spec.coefficients)
+    op = spec.coefficients.operator
     sl = tuple(slice(1, -1) for _ in range(spec.grid.dim))
     ui = op.interior_of(u)
     res = op.apply(ui) - singular_mass_density(u, spec)[sl].ravel()

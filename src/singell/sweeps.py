@@ -5,16 +5,15 @@ harmonic-comparison experiments (reported, never asserted).
 
 The one description of a solution: `describe_stack` turns a (k, *shape)
 stack of solutions into their `SweepRow`s at once, one kernel call per
-diagnostic on the whole stack, with the compacta's masks, the face weights
-and the support of f computed once; `run_sweep` describes its successful
-rows as one stack, and `describe_solution` (what `solve` writes) is the
-stack of one.  Every one-solution diagnostic (`log_diagnostic`,
+diagnostic on the whole stack, with the compacta's masks and the support
+of f computed once; `run_sweep` describes its successful rows as one
+stack, and `describe_solution` (what `solve` writes) is the stack of one.  Every one-solution diagnostic (`log_diagnostic`,
 `fitted_depth_bound`, `compactum_min`, and the masses, the power map, the
 residual and the certificate of `singell.solver`) is likewise its kernel on
 a stack of one, so each formula has one home.  `check_limit` checks the
 limit equation, for every command: the mass f/u^n, projected onto the
 boundary of the support box (`extract_atoms`), is the data of one linear
-solve on the A that the solve of u used.
+solve on the field's A (`CoefficientField.operator`), which the solve used.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
-from .operators import MeasureData, SparseOperator, assemble, solve_measure
+from .operators import MeasureData, solve_measure
 from .solver import (RESIDUAL_FLOOR, SingularSolution, certificate_stack,
                      mass_density_stack, mass_stack, quasilinear_residual_stack,
                      quasilinear_stack, solve_lockstep, solve_singular,
@@ -182,18 +181,15 @@ def extract_atoms(hist: MeasureHistogram) -> MeasureData:
 
 def limit_equation_check(u_limit: GridFunction, hist: MeasureHistogram,
                          coefficients: CoefficientField, *,
-                         atoms: Optional[MeasureData] = None,
-                         operator: Optional[SparseOperator] = None) -> float:
-    """Reconstruct u from the limit measure and return sup |u_rec - u_limit|.
+                         atoms: Optional[MeasureData] = None) -> float:
+    """Reconstruct u from the limit measure on the field's A
+    (`CoefficientField.operator`) and return sup |u_rec - u_limit|.
 
-    `atoms` is `extract_atoms(hist)`, extracted here when not given;
-    `operator` is the assembled A of the histogram's grid and coefficients,
-    assembled here when not given (one on another grid raises ValueError).
+    `atoms` is `extract_atoms(hist)`, extracted here when not given.
     """
     if atoms is None:
         atoms = extract_atoms(hist)
-    op = operator if operator is not None else assemble(hist.grid, coefficients)
-    reconstructed = solve_measure(op, atoms)
+    reconstructed = solve_measure(coefficients.operator, atoms)
     return float(np.max(np.abs(reconstructed.values - u_limit.values)))
 
 
@@ -210,15 +206,13 @@ class LimitCheck:
 
 
 def check_limit(u_limit: GridFunction, spec: ProblemSpec, n: float,
-                shell_distances: Sequence[float] = (), *,
-                operator: Optional[SparseOperator] = None) -> LimitCheck:
+                shell_distances: Sequence[float] = ()) -> LimitCheck:
     """The histogram of f/u^n, its limit measure (extracted once) and the
-    limit-equation gap; `operator` is spec's assembled A, the one the solve
-    of u_limit used (assembled here when not given)."""
+    limit-equation gap, on the field's A: the one the solve of u_limit used."""
     hist = measure_histogram(u_limit, spec, n, shell_distances)
     atoms = extract_atoms(hist)
     return LimitCheck(hist, atoms, limit_equation_check(
-        u_limit, hist, spec.coefficients, atoms=atoms, operator=operator))
+        u_limit, hist, spec.coefficients, atoms=atoms))
 
 
 # --- sweep orchestration ----------------------------------------------------------
@@ -284,8 +278,8 @@ def describe_stack(spec: ProblemSpec, ns: Sequence[float], u: np.ndarray,
     solutions of spec's datum at the exponents ns, all rows at once.
 
     Each diagnostic is one kernel call on the whole stack; the compacta's
-    masks, the face weights and the support of f are computed once.  The
-    log depth z is only evaluated where a fitted depth is asked for.
+    masks and the support of f are computed once.  The log depth z is only
+    evaluated where a fitted depth is asked for.
     """
     grid, f = spec.grid, spec.datum_values()
     k, gamma = len(ns), np.asarray(ns, dtype=float)
@@ -353,7 +347,8 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     """The exponents' singular solves in lockstep (`solve_lockstep`), the
     successful rows described as one stack (`describe_stack`).
 
-    A is assembled once and shared by every exponent and the limit check.
+    Every exponent and the limit check share the field's A
+    (`CoefficientField.operator`).
     Numeric per-row failures (a nonlinear or linear solve that does not
     converge) are recorded in the row and the other rows continue; any
     other exception propagates.  The largest successful solve doubles as
@@ -362,8 +357,7 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
     reconstruction gap (None when the check does not apply).
     """
     ns = check_n_list(n_list)
-    op = assemble(spec.grid, spec.coefficients)
-    outcomes = solve_lockstep(spec, ns, m_schedule, operator=op)
+    outcomes = solve_lockstep(spec, ns, m_schedule)
     solved = [s if isinstance(s, SingularSolution) else None for s in outcomes]
     ok = [s for s in solved if s is not None]
     # the successful rows, described as one stack, in the order of ns
@@ -374,8 +368,7 @@ def run_sweep(spec: ProblemSpec, n_list: Sequence[float],
                  for n, s, outcome in zip(ns, solved, outcomes))
     last_sol = ok[-1] if ok else None
     limit_u = last_sol.u if last_sol is not None else None
-    check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances,
-                         operator=op)
+    check = (check_limit(limit_u, spec, last_sol.spec.gamma, shell_distances)
              if last_sol is not None and limit_check_applies(spec) else None)
     return SweepReport(spec, tuple(ns), tuple(compacta), rows, limit_u,
                        check.histogram if check else None,
@@ -404,15 +397,15 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
     to CG_RELATIVE_TOL): 1 on the box, A-harmonic outside it and 0 on the
     boundary; only its values outside the box are compared.  The datum must
     be an indicator (HarmonicComparisonError otherwise); any M qualifies.
-    Emits numbers only; nothing here is asserted.  The operator is assembled
-    once, and its one multigrid hierarchy serves the solve and the profile.
+    Emits numbers only; nothing here is asserted.  The field's A and its
+    one multigrid hierarchy serve the solve and the profile.
     """
     omega = spec.omega_box()
     if omega is None:
         raise HarmonicComparisonError(
             "harmonic comparison requires an indicator datum")
-    op = assemble(spec.grid, spec.coefficients)
-    sol = solve_singular(spec.with_gamma(float(n_large)), m_schedule, operator=op)
+    op = spec.coefficients.operator
+    sol = solve_singular(spec.with_gamma(float(n_large)), m_schedule)
     box = spec.grid.box_mask(omega)
     interior = (slice(1, -1),) * spec.grid.dim
     harmonic = op.full_from_interior(op.harmonic_lift(box[interior].ravel()))

@@ -115,6 +115,18 @@ def record_direct_solves(monkeypatch):
     return sizes
 
 
+def record_assemblies(monkeypatch):
+    """Record the grid of every `operators.assemble` call; returns the list."""
+    grids, real = [], ops.assemble
+
+    def counted(grid, coefficients):
+        grids.append(grid)
+        return real(grid, coefficients)
+
+    monkeypatch.setattr(ops, "assemble", counted)
+    return grids
+
+
 def record_newton_steps(monkeypatch):
     """Record the Newton iterations of every regularized solve that singell
     runs, so that any solve a start makes counts too: one entry per

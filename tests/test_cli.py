@@ -168,6 +168,7 @@ class TestSolveCommand:
     def test_zero_datum_zero_columns(self, tmp_path):
         zero = json.loads(json.dumps(GAMMA3))
         zero["problem"]["datum"]["value"] = 0.0
+        zero["problem"]["support"] = "general"
         zero["problem"]["cells"] = 64
         cfg = write_config(tmp_path, zero)
         out = tmp_path / "out"
@@ -583,6 +584,22 @@ CONFIG_HOLES = {
                                          config="square_hole"),
     "cells_a_string": _matched_hole("solve", ["problem", "cells"], "64"),
 }
+
+
+@pytest.mark.parametrize("config, path, value",
+                         [("matched_indicator", ["problem", "support"], "strictly_positive"),
+                          ("cubic_interval", ["problem", "datum", "value"], 0.0)],
+                         ids=["indicator", "zero_constant"])
+def test_strictly_positive_support_is_checked(tmp_path, capsys, config, path, value):
+    # "strictly_positive" data must be positive at every interior node
+    command, text = _matched_hole("solve", path, value, config=config)
+    (tmp_path / "config.json").write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "config.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "f > 0 at every interior node" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", list(CONFIG_HOLES), ids=list(CONFIG_HOLES))

@@ -36,6 +36,26 @@ def test_only_operators_imports_sparse_linalg():
     assert importers == {"operators"}
 
 
+def _callers(node, name, scope=()):
+    """The dotted scope (classes and functions) of every call of `name`
+    under `node`, as `name(...)` or `module.name(...)`."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call)
+                and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None))):
+            yield ".".join(scope)
+        inner = (scope + (child.name,)
+                 if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
+        yield from _callers(child, name, inner)
+
+
+def test_only_the_coefficient_field_assembles():
+    # A is assembled in one place, `CoefficientField.operator`; every other
+    # reader of A reads that property
+    callers = {f"{path.stem}.{scope}" for path in (SRC / "singell").glob("*.py")
+               for scope in _callers(ast.parse(path.read_text()), "assemble")}
+    assert callers == {"grids.CoefficientField.operator"}
+
+
 def test_traced_functions_resolve():
     # perfbench wraps these (module, name) pairs by name; a missing one
     # crashes every traced run

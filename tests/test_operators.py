@@ -154,6 +154,15 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(g, field)
 
+    @pytest.mark.parametrize("lo, hi, cells", [(0.0, 3.0, 16), (0.0, 1.0, 8)],
+                             ids=["same_count_other_extent", "other_count"])
+    def test_field_on_another_grid_raises(self, lo, hi, cells):
+        # the same cell count would build A from the other grid's nodal
+        # coefficients; another count would fail to reshape
+        g, other = make_uniform_grid(0.0, 1.0, 16), make_uniform_grid(lo, hi, cells)
+        with pytest.raises(ValueError, match="lives on a different grid"):
+            assemble(g, CoefficientField.identity(other))
+
 
 def assert_diagonal_storage(op):
     """A's diagonals: offsets strictly ascending, the data of A's `todia`."""

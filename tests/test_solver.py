@@ -16,8 +16,8 @@ from singell import (CoefficientField, GridFunction, IndicatorDatum,
                      quasilinear_residual, singular_residual, solve_regularized,
                      solve_singular, to_quasilinear)
 from singell.config import load_config
-from conftest import (interval_spec, matched_spec, record_direct_solves,
-                      record_newton_steps, square_spec)
+from conftest import (interval_spec, matched_spec, record_assemblies,
+                      record_direct_solves, record_newton_steps, square_spec)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
@@ -201,27 +201,16 @@ class TestSolveSingular:
         assert not sol.stabilized
         assert sol.gap > 0.0
 
-    def test_given_operator_gives_the_same_solution(self, monkeypatch):
-        spec = matched_spec(12.0, 128)
-        fresh = solve_singular(spec, [1, 16, 256])
-        op = ops.assemble(spec.grid, spec.coefficients)
-        monkeypatch.setattr(solver_module, "assemble", None)   # never called
-        shared = solve_singular(spec, [1, 16, 256], operator=op)
+    def test_exponents_share_the_fields_operator(self, monkeypatch):
+        # two exponents of one problem assemble A once, and reading the
+        # field's A solves bit for bit what a fresh field's A solves
+        fresh = solve_singular(matched_spec(12.0, 128), [1, 16, 256])
+        spec = matched_spec(20.0, 128)
+        calls = record_assemblies(monkeypatch)
+        solve_singular(spec, [1, 16, 256])
+        shared = solve_singular(spec.with_gamma(12.0), [1, 16, 256])
+        assert calls == [spec.grid]
         assert np.array_equal(shared.u.values, fresh.u.values)
-
-    def test_operator_on_another_grid_raises(self):
-        spec = matched_spec(12.0, 128)
-        other = matched_spec(12.0, 64)
-        op = ops.assemble(other.grid, other.coefficients)
-        with pytest.raises(ValueError, match="does not match"):
-            solve_singular(spec, [1, 16], operator=op)
-        # one m-step too: another interval with the same unknown count would
-        # solve the wrong problem, another count fail to reshape
-        spec = interval_spec(3.0, 64)
-        for other in (interval_spec(3.0, 64, lo=0.0, hi=3.0), interval_spec(3.0, 32)):
-            op = ops.assemble(other.grid, other.coefficients)
-            with pytest.raises(ValueError, match="does not match"):
-                solve_regularized(spec, 16, operator=op)
 
     def test_1d_runs_no_superlu(self, monkeypatch):
         # 1-D systems are tridiagonal: banded Cholesky, never a sparse LU
@@ -359,8 +348,8 @@ class TestIndependentMSteps:
 
 
 def _lift(spec):
-    op = ops.assemble(spec.grid, spec.coefficients)
-    return op, solver_module._interior_datum(spec), solver_module._Start(op, spec)
+    return (spec.coefficients.operator, solver_module._interior_datum(spec),
+            solver_module._Start(spec))
 
 
 class TestSupportLift:

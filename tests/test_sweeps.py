@@ -12,7 +12,7 @@ import singell.operators as ops
 import singell.solver as solver_mod
 import singell.sweeps as sweeps_mod
 from singell import (CoefficientField, GridFunction, MeasureHistogram,
-                     NonlinearSolveError, ProblemSpec, SweepRow, assemble,
+                     NonlinearSolveError, ProblemSpec, SweepRow,
                      conjecture_experiment, extract_atoms, fitted_depth_bound,
                      limit_equation_check, linfty_certificate, log_diagnostic,
                      make_uniform_grid, measure_histogram, quasilinear_residual,
@@ -21,8 +21,8 @@ from singell.config import load_config
 from singell.grids import Grid, IndicatorDatum
 from singell.solver import RESIDUAL_FLOOR, singular_mass_density, solve_lockstep
 from singell.sweeps import check_limit, compactum_min, describe_solution
-from conftest import (harmonic_lift, interval_spec, matched_spec, record_direct_solves,
-                      reference_harmonic)
+from conftest import (harmonic_lift, interval_spec, matched_spec, record_assemblies,
+                      record_direct_solves, reference_harmonic)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SQUARE_HOLE = CONFIGS / "square_hole.json"
@@ -35,19 +35,6 @@ def atom_field(grid, atoms):
         node = tuple(int(round((x - a) / h)) for x, a, h in zip(loc, grid.lo, grid.h))
         field[node] += mass
     return field
-
-
-def record_assemblies(monkeypatch):
-    """The grid of every `assemble` call that `sweeps` or `solver` makes."""
-    grids = []
-
-    def counted(grid, coefficients):
-        grids.append(grid)
-        return ops.assemble(grid, coefficients)
-
-    monkeypatch.setattr(sweeps_mod, "assemble", counted)
-    monkeypatch.setattr(solver_mod, "assemble", counted)
-    return grids
 
 
 class TestLogDiagnostic:
@@ -188,11 +175,10 @@ class TestLimitEquationCheck:
 
     def test_square_gap_falls_with_n(self):
         spec = load_config(SQUARE_HOLE).spec
-        op = assemble(spec.grid, spec.coefficients)
         gaps = []
         for n in (20.0, 80.0, 400.0):
-            sol = solve_singular(spec.with_gamma(n), operator=op)
-            gaps.append(check_limit(sol.u, spec, n, operator=op).gap)
+            sol = solve_singular(spec.with_gamma(n))
+            gaps.append(check_limit(sol.u, spec, n).gap)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 0.02
 
@@ -240,6 +226,19 @@ class TestRunSweep:
         spec = interval_spec(10.0, 128)
         report = run_sweep(spec, [10, 20, 40])
         assert not any(r.failed for r in report.rows)
+        assert grids == [spec.grid]
+
+    def test_one_spec_assembles_once(self, monkeypatch):
+        # the solve, its description, its singular residual and a copy of
+        # the spec at another exponent all read the one field's A
+        grids = record_assemblies(monkeypatch)
+        spec = matched_spec(10.0, 128)
+        sol = solve_singular(spec)
+        describe_solution(sol, [(-0.5, 0.5)])
+        solver_mod.singular_residual(sol.u, spec)
+        other = replace(spec, gamma=20.0)
+        assert other.coefficients is spec.coefficients
+        solver_mod.singular_residual(solve_singular(other).u, other)
         assert grids == [spec.grid]
 
     def test_requires_increasing_n(self):
@@ -357,7 +356,7 @@ class TestLockstep:
                                           [((0.3, 0.3), (0.7, 0.7))])
 
     def test_rows_equal_solo_solves_zero_datum(self):
-        spec = interval_spec(10.0, 128, value=0.0)
+        spec = interval_spec(10.0, 128, value=0.0, support="general")
         report = self.check_rows_equal_solo_solves(spec, [3.0, 10.0, 40.0],
                                                    [(-0.5, 0.5), (-0.9, 0.9)])
         for row in report.rows:
@@ -446,11 +445,11 @@ class TestDescriptionWork:
     def test_one_row_and_seven_rows_do_the_same_mask_work(self, monkeypatch,
                                                           make_spec):
         counts = count_description_work(monkeypatch)
-        spec = make_spec(10.0, 128)
 
         def work(ns):
+            # a fresh spec: another run on the same field would reuse its A
             counts.clear()
-            report = run_sweep(spec, ns, [(-0.5, 0.5), (-0.9, 0.9)],
+            report = run_sweep(make_spec(10.0, 128), ns, [(-0.5, 0.5), (-0.9, 0.9)],
                                shell_distances=(0.1,))
             assert not any(row.failed for row in report.rows)
             return dict(counts)
