@@ -17,17 +17,18 @@ smoothed level run in diagonal (DIA) storage, offsets ascending (Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 3.4):
 each row then sums its entries in the CSR column order, so the products
 are bit-identical to CSR ones and read no index array.  A's CSR form
-`matrix` is derived once from its diagonals, for the Galerkin products and
-the rounding floor.  Each solver adds the shift to one row of a copy of
-every level's diagonals, smooths with damped Jacobi and solves the
-coarsest level by `_Banded`.  CG stops at the relative residual `rtol`:
-`CG_RELATIVE_TOL` for A's own solves, a looser forcing term for inexact
-Newton steps.  Every solver counts the CG iterations it ran in
-`iterations` (0 if direct; per row for a stack) and keeps in `failures`
-the rows of a stack whose CG failed.  Each row of a stack is bit for bit
-its own solver.  `SparseOperator.harmonic_lift` is the one discrete
-harmonic lift of a node set, one penalized solve on A's own hierarchy: the
-solver's start and the harmonic comparison both use it.
+`matrix` is derived once from its diagonals, for the Galerkin products
+only: a 1-D operator reads its two bands, and every operator its rounding
+floor, off the diagonals, so no 1-D grid forms CSR.  Each solver adds the
+shift to one row of a copy of every level's diagonals, smooths with damped
+Jacobi and solves the coarsest level by `_Banded`.  CG stops at the
+relative residual `rtol`: `CG_RELATIVE_TOL` for A's own solves, a looser
+forcing term for inexact Newton steps.  Every solver counts the CG
+iterations it ran in `iterations` (0 if direct; per row for a stack) and
+keeps in `failures` the rows of a stack whose CG failed.  Each row of a
+stack is bit for bit its own solver.  `SparseOperator.harmonic_lift` is
+the one discrete harmonic lift of a node set, one penalized solve on A's
+own hierarchy: the solver's start and the harmonic comparison both use it.
 
 A computed residual b - A x cannot fall below the rounding error of A x,
 which Higham's bound for k-term dot products puts at eps k |A|_inf |x|_inf,
@@ -91,7 +92,7 @@ class SparseOperator:
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         """A in canonical CSR, derived once from `diagonals`: the Galerkin
-        products and the rounding floor take it."""
+        products of a grid that coarsens take it."""
         return self.diagonals.tocsr()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -99,15 +100,20 @@ class SparseOperator:
 
     @functools.cached_property
     def _product_error_scale(self) -> float:
-        """eps k |A|_inf, with k the most entries in a row of A."""
-        entries = int(np.max(np.diff(self.matrix.indptr)))
-        norm = float(np.max(abs(self.matrix).sum(axis=1)))
+        """eps k |A|_inf, with k the most entries in a row of A, both read
+        off the diagonals: a DIA product with ones sums each row in CSR
+        column order, of the nonzero pattern for k and of |A| for the norm."""
+        ones = np.ones(self.n_unknowns)
+        pattern = sp.dia_matrix(((self.diagonals.data != 0).astype(float),
+                                 self.diagonals.offsets), shape=self.diagonals.shape)
+        entries = int(np.max(pattern @ ones))
+        norm = float(np.max(abs(self.diagonals) @ ones))
         return np.finfo(float).eps * entries * norm
 
     def rounding_floor(self, x: np.ndarray):
         """eps k |A|_inf |x|_inf: the rounding error a computed A x may carry;
         one value per row of a stack of vectors."""
-        return self._product_error_scale * np.max(np.abs(x), axis=-1, initial=0.0)
+        return self._product_error_scale * np.abs(x).max(axis=-1, initial=0.0)
 
     @functools.cached_property
     def _hierarchy(self) -> tuple[list[tuple], tuple]:
@@ -115,7 +121,13 @@ class SparseOperator:
         diagonal in A_l.data, |A_l| row sums, P, R, P 1) each, and the
         coarsest matrix (A itself where the grid does not coarsen) as
         `_coarse_bands` returns it.  The CSR Galerkin products are formed
-        once here and not kept."""
+        once here and not kept.  A 1-D grid has no coarse level, and its
+        bands are the rows of offsets +1 and 0 of `diagonals` (the one at
+        +1 holds A[j - 1, j] at column j, 0 at column 0): no CSR is formed."""
+        if self.grid.dim == 1:
+            offsets = list(self.diagonals.offsets)
+            bands = self.diagonals.data[[offsets.index(1), offsets.index(0)]]
+            return [], (bands, self.grid.interior_shape, (0,))
         levels = []
         matrix = self.matrix
         shapes = [self.grid.interior_shape] + _coarse_shapes(self.grid.interior_shape)
@@ -128,6 +140,12 @@ class SparseOperator:
             matrix = restrict @ matrix @ interp
             matrix.sort_indices()   # canonical: the next product sums in column order
         return levels, _coarse_bands(matrix, shapes[-1])
+
+    @property
+    def direct(self) -> bool:
+        """`solver` solves directly, so it ignores `rtol`: the grid has no
+        coarse level (every 1-D grid)."""
+        return not self._hierarchy[0]
 
     def solver(self, shift: Optional[np.ndarray] = None,
                rtol=CG_RELATIVE_TOL) -> Callable[[np.ndarray], np.ndarray]:
@@ -277,8 +295,10 @@ def _coarse_bands(matrix: sp.csr_matrix, shape: tuple[int, ...]) -> tuple:
     renumbered in the C order of the axes transposed to `axes`, the shortest
     axis last, so that the bandwidth w is at most the shortest axis plus one
     (nine-point Galerkin stencils).  In 1-D w is 1 and the bands are
-    superdiagonal over diagonal.  Entry (i, j), i <= j, of the renumbered
-    matrix sits at bands[w + i - j, j], LAPACK's upper band storage.
+    superdiagonal over diagonal, which `SparseOperator._hierarchy` reads
+    straight off A's diagonals instead.  Entry (i, j), i <= j, of the
+    renumbered matrix sits at bands[w + i - j, j], LAPACK's upper band
+    storage.
     """
     axes = tuple(np.argsort([-n for n in shape], kind="stable"))
     order = np.arange(matrix.shape[0]).reshape(shape).transpose(axes).ravel()
@@ -305,8 +325,9 @@ class _Banded:
     1999), and `bands` holds the factor in the same layout, so each block is
     bit for bit `solveh_banded` on its shifted bands as long as every value
     stays finite: the factor and the solve multiply a zero coupling by a
-    neighbouring block's value, and 0 * inf is NaN.  So a stacked solution
-    with a non-finite entry is solved again row by row.
+    neighbouring block's value, and 0 * inf is NaN.  So a solution of a
+    stack of more than one with a non-finite entry is solved again row by
+    row.
     """
 
     def __init__(self, bands: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...],
@@ -314,11 +335,10 @@ class _Banded:
         self.unshifted, self.shape, self.axes, self.shift = bands, shape, axes, shift
         self.iterations = np.zeros(len(shift), dtype=int) if shift.ndim == 2 else 0
         self.failures: dict[int, LinearSolveError] = {}
-        self.bands = np.tile(bands, shift.size // bands.shape[1])
+        self.bands = np.concatenate([bands] * (shift.size // bands.shape[1]), axis=1)
         self.bands[-1] += self._renumbered(shift).ravel()
-        if len(self.bands) == 2:
-            d, e, info = sla.lapack.dpttrf(self.bands[1], self.bands[0, 1:])
-            self.bands[1], self.bands[0, 1:] = d, e
+        if len(self.bands) == 2:    # factored in place (overwrite_d, overwrite_e = 1, 1)
+            *_, info = sla.lapack.dpttrf(self.bands[1], self.bands[0, 1:], 1, 1)
         else:
             self.bands, info = sla.lapack.dpbtrf(self.bands)
         _check_lapack(info)
@@ -340,7 +360,7 @@ class _Banded:
         x = np.empty(b.shape)
         renumbered = self._renumbered(x)   # a view: writing it fills x
         renumbered[...] = self._solve(self._renumbered(b).ravel()).reshape(renumbered.shape)
-        if b.ndim == 2 and not np.isfinite(x).all():
+        if b.ndim == 2 and len(b) > 1 and not np.isfinite(x).all():
             return np.array([_Banded(self.unshifted, self.shape, self.axes, shift)(row)
                              for shift, row in zip(self.shift, b)])
         return x

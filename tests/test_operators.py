@@ -219,6 +219,51 @@ class TestDiagonalAssembly:
         assert bool(calls) == (len(levels) > 1)
 
 
+def csr_product_error_scale(matrix):
+    """eps k |A|_inf read off A's CSR form, k the most entries in a row and
+    |A|_inf the largest row sum, each row summed in column order (|A| 1)."""
+    return (np.finfo(float).eps * int(np.max(np.diff(matrix.indptr)))
+            * float(np.max(abs(matrix) @ np.ones(matrix.shape[1]))))
+
+
+def assert_diagonal_routes(op):
+    """A 1-D operator's bands and any operator's rounding-floor scale come
+    from its diagonals alone and equal the CSR routes bit for bit."""
+    scale = op._product_error_scale
+    levels, (bands, shape, axes) = op._hierarchy
+    if op.grid.dim == 1:
+        assert "matrix" not in vars(op)
+        ref_bands, ref_shape, ref_axes = ops._coarse_bands(op.matrix, op.grid.interior_shape)
+        assert levels == [] and shape == ref_shape and axes == ref_axes
+        assert bands.shape == ref_bands.shape and bands.tobytes() == ref_bands.tobytes()
+    assert np.float64(scale).tobytes() == np.float64(
+        csr_product_error_scale(op.matrix)).tobytes()
+
+
+class TestDiagonalRoutes:
+    """Set-up read off the diagonals equals the CSR round trip."""
+
+    @pytest.mark.parametrize("name", ["cubic_interval", "matched_indicator",
+                                      "square_hole", "uniform_interval_sweep"])
+    def test_shipped_configs(self, name):
+        spec = load_config(CONFIGS / f"{name}.json").spec
+        assert_diagonal_routes(assemble(spec.grid, spec.coefficients))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]),
+           cells=st.tuples(st.integers(4, 300), st.integers(4, 40)),
+           widths=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           decades=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_diagonal_coefficients(self, dim, cells, widths, decades, seed):
+        g = make_uniform_grid(tuple(-0.5 * w for w in widths[:dim]),
+                              tuple(0.5 * w for w in widths[:dim]), cells[:dim])
+        rng = np.random.default_rng(seed)
+        ent = np.zeros(g.shape + (dim, dim))
+        for ax in range(dim):
+            ent[..., ax, ax] = 10.0 ** (decades * rng.random(g.shape))
+        assert_diagonal_routes(assemble(g, CoefficientField(g, ent)))
+
+
 class TestMMatrixCheck:
     """The sign-pattern certificate, at its thresholds: off-diagonal entries
     at most 1e-14, row sums at least -1e-12 max |diag A|."""

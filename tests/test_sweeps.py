@@ -241,6 +241,23 @@ class TestRunSweep:
         solver_mod.singular_residual(solve_singular(other).u, other)
         assert grids == [spec.grid]
 
+    def test_1d_sweep_and_limit_check_form_no_csr(self):
+        # a 1-D operator reads its bands and its rounding-floor scale off
+        # its diagonals: no solve or diagnostic converts A to CSR
+        config = load_config(CONFIGS / "matched_indicator.json")
+        spec = config.spec
+        op = spec.coefficients.operator
+        solve_singular(spec)
+        assert "matrix" not in vars(op)
+        report = run_sweep(spec, config.n_list, config.compacta,
+                           shell_distances=config.shell_distances,
+                           m_schedule=config.m_schedule,
+                           residual_floor=config.residual_floor)
+        assert not any(r.failed for r in report.rows)
+        n = config.n_list[-1]
+        check_limit(solve_singular(spec.with_gamma(n)).u, spec, n, config.shell_distances)
+        assert "matrix" not in vars(op)
+
     def test_requires_increasing_n(self):
         with pytest.raises(ValueError):
             run_sweep(matched_spec(10.0, 64), [10, 10])
