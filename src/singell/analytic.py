@@ -11,6 +11,16 @@ incomplete beta function B(x; 1/2, 1/2 + 1/(n-1)).  The complement 1 - x is
 inverted on its own, through I_x(a, b) = 1 - I_{1-x}(b, a), which keeps
 powers like w^{n+1} = (1-x)^{(n+1)/(n-1)} accurate near the profile's zero
 even for n in the hundreds.  Profile evaluations take whole arrays of t.
+
+The matching constant c_n glues the profile C^1 to the line w(1)(2 - t).
+In x = 1 - w^{n-1}(1), with c = 2/B_n(x)^2, its defining gap reads
+
+    G(x) = (1-x)^{(n+1)/(n-1)} - x B_n(x)^2 / (n-1)^2,
+
+which only needs the forward integral: G(0) = 1 > 0 and G(1) < 0 bracket
+the root on [0, 1], and Newton steps take the derivative from the integrand,
+B_n'(x) = x^{-1/2} (1-x)^{-(n-3)/(2(n-1))}.  The gap F(c) through the
+inversion is evaluated once, as the final check.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from typing import Literal, Optional
 import numpy as np
 from scipy.special import beta, betainc, betaincinv
 
-ROOT_TOL = 1e-12        # |F(c)| at the matching constant
-MAX_ROOT_STEPS = 100    # regula falsi steps before ConstructionError
+ROOT_TOL = 1e-12        # |G| at the last Newton step and |F(c)| at the result
+MAX_ROOT_STEPS = 100    # Newton steps of the matching constant before ConstructionError
 N_CAP = 400             # profile evaluation cap in double precision
 
 
@@ -62,7 +72,8 @@ def _invert(y, n: float, complement: bool = False) -> np.ndarray:
     """
     a, b = _beta_exponents(n)
     total = beta(a, b)
-    values, index = np.unique(np.clip(y, 0.0, total), return_inverse=True)
+    values, index = np.unique(np.minimum(np.maximum(y, 0.0), total),
+                              return_inverse=True)
     index = index.reshape(np.shape(y))    # flat on numpy 1.x, shaped like y on 2.x
     # inside the roundoff band of the endpoint x is 1; fractional-power
     # evaluations downstream would amplify the residual otherwise
@@ -157,9 +168,9 @@ def _exp(lg):
 
 def _domain(t, t_max: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any((t < -1e-12) | (t > t_max * (1.0 + 1e-12))):
+    if t.size and (t.min() < -1e-12 or t.max() > t_max * (1.0 + 1e-12)):
         raise ValueError(f"t outside the profile domain [0, {t_max}]")
-    return np.clip(t, 0.0, t_max)
+    return np.minimum(np.maximum(t, 0.0), t_max)
 
 
 def _result(t: np.ndarray, out):
@@ -213,39 +224,58 @@ def matching_slope_gap(n: float, c: float) -> float:
 def matching_constant(n: float) -> float:
     """The unique c in (c_lower, c_upper] with matching_slope_gap(c) = 0.
 
-    Illinois regula falsi (Dowell and Jarratt, BIT 11 (1971) 168-174) on the
-    bracket [c_lower (1 + 1e-6), c_upper], stopped at |F| <= ROOT_TOL: the
-    secant of the bracket ends, with the kept end's value halved when the
-    same end is kept twice in a row.  About a dozen evaluations of F.
+    Solved in x = 1 - w^{n-1}(1), where sqrt(2/c) = B_n(x) and the gap reads
+
+        G(x) = F(2 / B_n(x)^2) = (1-x)^{(n+1)/(n-1)} - x B_n(x)^2 / (n-1)^2.
+
+    G(0) = 1 > 0 and G(1) = -B_n(1)^2/(n-1)^2 < 0, so [0, 1] brackets the
+    root for every n.  Newton steps with the exact derivative, through
+    B_n'(x) = x^{-1/2} (1-x)^{-(n-3)/(2(n-1))}, start at x = 1/2; a step
+    leaving the bracket, shrunk by the sign of each G, is replaced by the
+    bracket's midpoint.  Each step costs one betainc, five or fewer on
+    [3, 400].  At |G| <= ROOT_TOL, B_n is advanced by one more Newton step
+    to first order (B_n' times the step, no betainc), and c = 2/B_n^2 is
+    accepted only if |F(c)| <= ROOT_TOL through the inversion route.
+
+    Against a 50-digit root, c is within 2e-15 relative up to n = 1e6 and
+    1e-8 up to n = 1e8.  Both terms of G scale like 1/n^2, so from about
+    n = 2e6 on the absolute ROOT_TOL is met before Newton converges, and the
+    error grows (6e-7 at n = 1e12).
     """
     n = _check_n(n)
-    a = lower_matching_bound(n) * (1.0 + 1e-6)
-    b = upper_matching_bound(n)
-    fa = matching_slope_gap(n, a)
-    fb = matching_slope_gap(n, b)
-    if not (fa < 0.0 < fb):
-        raise ConstructionError(
-            f"no sign change on the matching bracket at n={n}: "
-            f"F({a:.6g}) = {fa:.3e}, F({b:.6g}) = {fb:.3e}")
-    kept = 0        # +1 when b was kept by the last step, -1 when a was
+    a, b = _beta_exponents(n)
+    total = float(beta(a, b))
+    power = (n + 1.0) / (n - 1.0)
+    dbx_power = -(n - 3.0) / (2.0 * (n - 1.0))
+    scale = (n - 1.0) ** 2
+    lo, hi, x = 0.0, 1.0, 0.5
     for _ in range(MAX_ROOT_STEPS):
-        c = b - fb * (b - a) / (fb - fa)
-        fc = matching_slope_gap(n, c)
-        if abs(fc) <= ROOT_TOL:
-            return c
-        if fc < 0.0:
-            a, fa = c, fc
-            if kept == 1:
-                fb *= 0.5
-            kept = 1
+        xi = 1.0 - x
+        bx = total * float(betainc(a, b, x))
+        gap = xi ** power - x * bx * bx / scale
+        dbx = xi ** dbx_power / math.sqrt(x)
+        step = gap / (-power * xi ** (power - 1.0) - bx * (bx + 2.0 * x * dbx) / scale)
+        if abs(gap) <= ROOT_TOL:
+            break
+        if gap > 0.0:
+            lo = x
         else:
-            b, fb = c, fc
-            if kept == -1:
-                fa *= 0.5
-            kept = -1
-    raise ConstructionError(
-        f"matching constant did not converge at n={n} in {MAX_ROOT_STEPS} "
-        f"steps, |F| = {abs(fc):.3e}")
+            hi = x
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    else:
+        raise ConstructionError(
+            f"matching constant did not converge at n={n} in {MAX_ROOT_STEPS} "
+            f"steps, |G| = {abs(gap):.3e}")
+    bx -= dbx * step
+    c = 2.0 / (bx * bx)
+    gap = matching_slope_gap(n, c)
+    if not abs(gap) <= ROOT_TOL:
+        raise ConstructionError(
+            f"matching constant at n={n} fails its check: |F({c:.17g})| = "
+            f"{abs(gap):.3e} > {ROOT_TOL:g}")
+    return c
 
 
 def glued_profile(t, n: float, c: float):

@@ -3,8 +3,9 @@
 Commands (the COMMANDS table): solve, sweep, oned, limit-check, conjecture.
 Each takes --config <path> and --out <dir>; solve additionally accepts --n to
 override the exponent.  Every command but solve reads its exponents from
-sweep.n_list, which must then be non-empty; a config that cannot be built or
-lacks them is refused before the output directory is made.  Exit codes:
+sweep.n_list, which must then be non-empty, and at most analytic.N_CAP for
+oned; a config that cannot be built or lacks them is refused before the
+output directory is made.  Exit codes:
 0 success, 1 numeric failure, 2 invalid config.
 """
 
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
                 config = replace(config, spec=spec)
         elif not config.n_list:
             raise ConfigError(f"{args.command} requires a non-empty sweep.n_list")
+        elif args.command == "oned" and config.n_list[-1] > analytic.N_CAP:
+            raise ConfigError(f"oned evaluates profiles up to n = {analytic.N_CAP}, "
+                              f"got sweep.n_list entry {config.n_list[-1]:g}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out)

@@ -122,8 +122,11 @@ def svg_line_plot(path, series: dict, title: str = "",
                      f'font-size="10">{ty:.3g}</text>')
     for k, (label, (xv, yv)) in enumerate(series.items()):
         color = colors[k % len(colors)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xv, yv)
-                       if math.isfinite(y))
+        xa, ya = np.asarray(xv, dtype=float), np.asarray(yv, dtype=float)
+        finite = np.isfinite(ya)
+        # px and py on arrays do the same IEEE operations, so give the same text
+        xy = np.column_stack([px(xa[finite]), py(ya[finite])])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         parts.append(f'<text x="{margin_l + 8}" y="{margin_t + 16 + 14 * k}" '

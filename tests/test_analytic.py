@@ -265,10 +265,52 @@ class TestMatchingConstant:
             reference = matching_constant(n)
             assert abs(c - reference) <= 1e-10 * reference, n
 
-    def test_no_sign_change_raises(self, monkeypatch):
+    def test_failed_final_check_raises(self, monkeypatch):
+        # the result is accepted only through |F(c)| <= ROOT_TOL
         monkeypatch.setattr(analytic, "matching_slope_gap", lambda n, c: 1.0)
-        with pytest.raises(analytic.ConstructionError, match="no sign change"):
+        with pytest.raises(analytic.ConstructionError, match="fails its check"):
             matching_constant(9)
+
+    @pytest.mark.parametrize("n", [1e4, 1e6, 1e8])
+    def test_large_exponents(self, n):
+        # c / c_lower - 1 is about 4/n: 4e-8 at n = 1e8
+        c = matching_constant(n)
+        assert lower_matching_bound(n) < c <= upper_matching_bound(n)
+        assert abs(matching_slope_gap(n, c)) <= analytic.ROOT_TOL
+
+    def test_work_counter(self, monkeypatch):
+        # one betainc per Newton step, betaincinv only in the final check
+        counts = {"betainc": 0, "betaincinv": 0, "gap": 0}
+        in_gap = []
+        real_betainc, real_betaincinv = analytic.betainc, analytic.betaincinv
+        real_gap = analytic.matching_slope_gap
+
+        def betainc(*args):
+            counts["betainc"] += 1
+            return real_betainc(*args)
+
+        def betaincinv(*args):
+            assert in_gap, "betaincinv outside the final check"
+            counts["betaincinv"] += 1
+            return real_betaincinv(*args)
+
+        def gap(n, c):
+            counts["gap"] += 1
+            in_gap.append(True)
+            try:
+                return real_gap(n, c)
+            finally:
+                in_gap.pop()
+
+        monkeypatch.setattr(analytic, "betainc", betainc)
+        monkeypatch.setattr(analytic, "betaincinv", betaincinv)
+        monkeypatch.setattr(analytic, "matching_slope_gap", gap)
+        for n in np.concatenate([np.linspace(3.0, 400.0, 200),
+                                 np.geomspace(3.0, 400.0, 50)]):
+            counts.update(betainc=0, betaincinv=0, gap=0)
+            matching_constant(n)
+            assert counts["betainc"] <= 8, (n, counts)
+            assert counts["gap"] == 1 and counts["betaincinv"] <= 2, (n, counts)
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(analytic, "MAX_ROOT_STEPS", 2)
@@ -332,6 +374,85 @@ class TestProfilePowers:
         assert abs(analytic.profile_power(1.0, 3, 1.0) - 0.25) <= 1e-12
         assert analytic.profile_power(math.sqrt(2.0), 3, 1.0) == 0.0
         assert analytic.glued_profile_power(2.0, 3, 1.0) == 0.0
+
+
+def _domain_by_mask(t, t_max):
+    """The domain check and clip of profile evaluation, by mask and np.clip."""
+    t = np.asarray(t, dtype=float)
+    if np.any((t < -1e-12) | (t > t_max * (1.0 + 1e-12))):
+        raise ValueError(f"t outside the profile domain [0, {t_max}]")
+    return np.clip(t, 0.0, t_max)
+
+
+def _invert_by_clip(y, n, complement=False):
+    """`analytic._invert` with its clip to [0, B_n(1)] by np.clip."""
+    a, b = 0.5, 0.5 + 1.0 / (n - 1.0)
+    total = beta(a, b)
+    values, index = np.unique(np.clip(y, 0.0, total), return_inverse=True)
+    index = index.reshape(np.shape(y))
+    end = values >= total - 1e-12 * (1.0 + total)
+    if complement:
+        return np.where(end, 0.0, betaincinv(b, a, (total - values) / total))[index]
+    return np.where(end, 1.0, betaincinv(a, b, values / total))[index]
+
+
+class TestEvaluationBitIdentity:
+    """Profile evaluations at fixed (n, c) equal, bit for bit, those through
+    the masked domain check and np.clip kept above as the reference."""
+
+    # (n, c): matched constants at n = 3, 9 and 400, and one c in between
+    CASES = [(3.0, 1.0), (9.0, 0.3899796443628447), (57.5, 0.23),
+             (400.0, 0.2060916556642008)]
+
+    @staticmethod
+    def evaluations(n, c):
+        T = first_zero(c, n)
+        inside = np.linspace(-T, T, 1025)
+        glued = np.linspace(-2.0, 2.0, 1025)
+        band = [0.0, 1e-13 * T, T * (1.0 - 1e-13), T, T * (1.0 + 1e-13)]
+        gband = [0.0, 1.0, 2.0 * (1.0 - 1e-13), 2.0, 2.0 * (1.0 + 1e-13)]
+        interval = OneDProfile(n=n, c=c, t_zero=T, kind="interval", radius=T)
+        matched = OneDProfile(n=n, c=c, t_zero=T, kind="matched")
+        out = []
+        for t in (inside, inside[::-1].reshape(25, 41), np.array(band),
+                  np.array(band[2:]), 0.5 * T, T * (1.0 + 1e-13), -1e-13):
+            out += [interval.w(t), interval.u(t), interval.v(t),
+                    analytic.profile_power(np.abs(t), n, c),
+                    analytic.profile_value(np.abs(t), n, c)]
+        for t in (glued, glued.reshape(41, 25), np.array(gband), 1.5, 2.0,
+                  -2.0 * (1.0 + 1e-13)):
+            out += [matched.y(t), matched.u(t), matched.v(t),
+                    analytic.glued_profile(np.abs(t), n, c),
+                    analytic.glued_profile_power(np.abs(t), n, c)]
+        return out
+
+    @pytest.mark.parametrize("n, c", CASES)
+    def test_bit_identical_to_the_masked_clip(self, monkeypatch, n, c):
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "_domain", _domain_by_mask)
+            patch.setattr(analytic, "_invert", _invert_by_clip)
+            want = self.evaluations(n, c)
+        got = self.evaluations(n, c)
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is type(w)
+            assert np.array_equal(g, w)
+            assert np.shape(g) == np.shape(w)
+
+    def test_out_of_domain_still_raises(self):
+        n, c = self.CASES[1]
+        T = first_zero(c, n)
+        for evaluate, t_max in ((analytic.profile_value, T), (analytic.profile_power, T),
+                                (analytic.glued_profile, 2.0),
+                                (analytic.glued_profile_power, 2.0)):
+            for t in (-1e-11, -0.1, t_max * (1.0 + 1e-11), 1.5 * t_max):
+                for bad in (t, np.array([0.5 * t_max, t]), np.full((2, 3), t)):
+                    with pytest.raises(ValueError):
+                        evaluate(bad, n, c)
+
+    def test_empty_and_nan_arrays(self):
+        n, c = self.CASES[1]
+        assert analytic.profile_value(np.array([]), n, c).shape == (0,)
+        assert np.isnan(analytic.glued_profile(np.array([np.nan, 1.0]), n, c)[0])
 
 
 class TestLimitProfiles:

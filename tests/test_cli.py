@@ -12,7 +12,7 @@ import singell.operators as ops
 from singell.cli import build_parser, main
 from singell.config import load_config
 from singell.grids import make_uniform_grid
-from singell.reporting import write_csv
+from singell.reporting import svg_line_plot, write_csv
 from singell.solver import NonlinearSolveError, solve_singular
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -87,6 +87,80 @@ def test_grid_table_is_written_as_its_node_table(tmp_path, lo, hi, cells):
     table = np.column_stack([*(mesh.ravel() for mesh in grid.meshes()), fields])
     write_csv(tmp_path / "table.csv", header, table)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
+def _polylines_by_fstrings(series, width=640, height=440):
+    """The polyline points of `svg_line_plot`, one f-string per point."""
+    margin_l, margin_t = 70, 40
+    plot_w, plot_h = width - margin_l - 20, height - margin_t - 55
+    xs = [x for xv, _ in series.values() for x in xv]
+    ys = [y for _, yv in series.values() for y in yv if math.isfinite(y)]
+    if not xs or not ys:
+        xs, ys = [0.0, 1.0], [0.0, 1.0]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+
+    def px(x):
+        return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return margin_t + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+
+    return [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xv, yv)
+                     if math.isfinite(y)) for xv, yv in series.values()]
+
+
+def _polyline_points(path):
+    return [line.split('points="')[1].split('"')[0]
+            for line in path.read_text().splitlines() if line.startswith("<polyline")]
+
+
+SVG_SERIES = {
+    "profiles": {f"n={n}": (list(np.arange(17) / 8.0),
+                            list(np.exp(-n * (np.arange(17) / 8.0) ** 2)))
+                 for n in (3.0, 9.5, 400.0)},
+    "non_finite": {"a": ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, math.nan, math.inf, -2.5, -math.inf]),
+                   "b": ([-1.0, 5.0], [0.25, 1e-300])},
+    "integers": {"a": ([1, 2, 3, 10], [4, 2, 2, 7])},
+    "one_point": {"a": ([0.5], [0.5])},
+    "flat": {"a": ([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])},
+    "no_finite_y": {"a": ([0.0, 1.0], [math.nan, math.inf])},
+    "random": {str(k): (list(np.sort(np.random.default_rng(k + 3).standard_normal(257)) * 1e3),
+                        list(np.random.default_rng(k + 9).standard_normal(257) * 10.0 ** k))
+               for k in range(-3, 4)},
+}
+
+
+@pytest.mark.parametrize("case", list(SVG_SERIES))
+def test_svg_polyline_text_is_the_per_point_fstring_text(tmp_path, case):
+    series = SVG_SERIES[case]
+    svg_line_plot(tmp_path / "plot.svg", series, title="t", xlabel="x", ylabel="y")
+    assert _polyline_points(tmp_path / "plot.svg") == _polylines_by_fstrings(series)
+
+
+@pytest.mark.parametrize("config", ["cubic_interval", "matched_indicator",
+                                    "uniform_interval_sweep"])
+def test_shipped_svg_polylines_are_the_fstring_text(tmp_path, monkeypatch, config):
+    # profile.svg, sweep.svg and profiles.svg of each shipped config with SVG
+    plotted = {}
+
+    def recorded(path, series, **kwargs):
+        plotted[Path(path).name] = series
+        svg_line_plot(path, series, **kwargs)
+
+    monkeypatch.setattr("singell.cli.svg_line_plot", recorded)
+    cfg = str(CONFIGS / f"{config}.json")
+    for command in ("solve", "sweep", "oned"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    assert sorted(plotted) == ["profile.svg", "profiles.svg", "sweep.svg"]
+    for path in tmp_path.glob("*/*.svg"):
+        assert _polyline_points(path) == _polylines_by_fstrings(plotted[path.name])
 
 
 @pytest.mark.parametrize("formats", ["csv", "json", {"csv": True}, 3],
@@ -610,6 +684,21 @@ def test_config_hole_exit_2_before_output(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["matched", "interval"])
+def test_oned_exponent_above_the_cap_is_config_error(tmp_path, capsys, geometry):
+    # profiles are evaluated up to N_CAP; above it oned is refused, not crashed
+    payload = json.loads(json.dumps(SECTION6))
+    payload["sweep"]["n_list"] = [10.0, 500.0]
+    payload["oned"] = {"geometry": geometry}
+    out = tmp_path / "out"
+    assert main(["oned", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oned evaluates profiles up to n = 400")
+    assert "500" in err
     assert not out.exists()
 
 
