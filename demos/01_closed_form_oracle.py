@@ -19,8 +19,7 @@ from singell import (CoefficientField, ConstantDatum, ProblemSpec,
 def spec_for(cells):
     grid = make_uniform_grid(-1.0, 1.0, cells)
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       ConstantDatum(1.0), gamma=3.0,
-                       support="strictly_positive")
+                       ConstantDatum(1.0), gamma=3.0)
 
 
 def main():

@@ -19,15 +19,13 @@ from singell import (CoefficientField, ConstantDatum, IndicatorDatum,
 def indicator_spec(cells):
     grid = make_uniform_grid(-2.0, 2.0, cells)
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       IndicatorDatum(1.0, -1.0, 1.0), gamma=10.0,
-                       support="compact")
+                       IndicatorDatum(1.0, -1.0, 1.0), gamma=10.0)
 
 
 def uniform_spec(cells):
     grid = make_uniform_grid(-1.0, 1.0, cells)
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       ConstantDatum(1.0), gamma=10.0,
-                       support="strictly_positive")
+                       ConstantDatum(1.0), gamma=10.0)
 
 
 def show(report, label):

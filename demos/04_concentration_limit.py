@@ -21,8 +21,7 @@ from singell import (CoefficientField, IndicatorDatum, ProblemSpec, extract_atom
 def main():
     grid = make_uniform_grid(-2.0, 2.0, 1024)
     spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                       IndicatorDatum(1.0, -1.0, 1.0), gamma=400.0,
-                       support="compact")
+                       IndicatorDatum(1.0, -1.0, 1.0), gamma=400.0)
     sol = solve_singular(spec)
     (step,) = sol.trace
     print(f"solved at n = 400, m = {step.m} in {step.iterations} Newton steps; "

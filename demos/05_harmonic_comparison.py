@@ -17,8 +17,7 @@ from singell import (CoefficientField, IndicatorDatum, ProblemSpec,
 def main():
     grid = make_uniform_grid(-2.0, 2.0, 1024)
     spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                       IndicatorDatum(1.0, -1.0, 1.0), gamma=400.0,
-                       support="compact")
+                       IndicatorDatum(1.0, -1.0, 1.0), gamma=400.0)
     report = conjecture_experiment(spec, 400.0)
     print("1-D, indicator on (-1,1) in (-2,2), n = 400:")
     print(f"  sup |u_n - harmonic| outside the support closure: "
@@ -28,7 +27,7 @@ def main():
     grid2 = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (64, 64))
     spec2 = ProblemSpec(grid2, CoefficientField.identity(grid2),
                         IndicatorDatum(1.0, (0.25, 0.25), (0.75, 0.75)),
-                        gamma=40.0, support="compact")
+                        gamma=40.0)
     report2 = conjecture_experiment(spec2, 40.0)
     print("\n2-D, inner box (0.25,0.75)^2 in the unit square, n = 40:")
     print(f"  sup |u_n - harmonic| outside the box closure: "

@@ -164,7 +164,8 @@ def cmd_oned(config: ExperimentConfig, out: Path) -> int:
 def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec
     if not limit_check_applies(spec):
-        raise ConfigError('limit-check requires an indicator datum with support "compact"')
+        raise ConfigError("limit-check requires an indicator datum that is positive "
+                          "at some node and zero at every boundary node")
     n = config.n_list[-1]
     sol = solve_singular(spec.with_gamma(float(n)), config.m_schedule)
     check = check_limit(sol.u, spec, n, config.shell_distances)

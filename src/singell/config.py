@@ -2,7 +2,7 @@
 
 One JSON file per experiment; every tolerance and threshold used by a run
 lives in the file so results are self-describing.  Unknown keys are rejected
-at every level.
+at every level, and so is a block that is not an object.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(block: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -49,13 +51,19 @@ def _numbers(value, where: str) -> list[float]:
     return [_number(v, where) for v in value]
 
 
+def _box(value, where: str) -> tuple:
+    """A box [lo, hi] as (lo, hi) tuples of numbers; a corner is a number or
+    a list of numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be a pair [lo, hi], got {value!r}")
+    return tuple(tuple(_numbers(corner if isinstance(corner, (list, tuple)) else [corner],
+                                where)) for corner in value)
+
+
 def _compactum(value, grid, where: str) -> tuple:
     """A compactum [lo, hi] as (lo, hi) tuples: a corner is a number in 1-D
     and one number per axis otherwise, and the box holds an interior node."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where} must be a pair [lo, hi], got {value!r}")
-    lo, hi = (tuple(_numbers(corner if isinstance(corner, (list, tuple)) else [corner],
-                             where)) for corner in value)
+    lo, hi = _box(value, where)
     if not len(lo) == len(hi) == grid.dim:
         raise ConfigError(f"{where} {value!r} does not have {grid.dim} "
                           f"coordinate(s) per corner")
@@ -91,7 +99,7 @@ def _build_datum(block: dict, grid) -> Datum:
     if kind == "indicator":
         if "box" not in block:
             raise ConfigError("indicator datum needs a 'box': [lo, hi]")
-        lo, hi = block["box"]
+        lo, hi = _box(block["box"], "problem.datum.box")
         return IndicatorDatum(_number(block.get("value", 1.0), "problem.datum.value"),
                               lo, hi)
     if kind == "tabulated":
@@ -128,16 +136,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require_keys(raw, {"problem", "sweep", "output", "oned", "label"},
                   {"problem"}, "config")
     prob = raw["problem"]
-    _require_keys(prob, {"domain", "cells", "coefficients", "datum", "gamma",
-                         "support"}, {"domain", "cells", "datum"}, "problem")
+    _require_keys(prob, {"domain", "cells", "coefficients", "datum", "gamma"},
+                  {"domain", "cells", "datum"}, "problem")
     try:
-        lo, hi = prob["domain"]
+        lo, hi = _box(prob["domain"], "problem.domain")
         grid = make_uniform_grid(lo, hi, prob["cells"])
         coeffs = _build_coefficients(prob.get("coefficients"), grid)
         check_ellipticity(coeffs)
         spec = ProblemSpec(grid, coeffs, _build_datum(prob["datum"], grid),
-                           gamma=float(prob.get("gamma", 1.0)),
-                           support=prob.get("support", "general"))
+                           gamma=_number(prob.get("gamma", 1.0), "problem.gamma"))
     except ConfigError:
         raise
     except ValueError as exc:

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-
-Support = Literal["compact", "strictly_positive", "general"]
 
 
 class EllipticityError(ValueError):
@@ -98,7 +97,7 @@ def make_uniform_grid(lo, hi, cells) -> Grid:
     """Build an equispaced grid; extent and cell counts are validated per axis."""
     lo_t = _axis_tuple(lo, "lo")
     hi_t = _axis_tuple(hi, "hi")
-    cells_t = tuple(_cell_count(c) for c in ((cells,) if np.isscalar(cells) else cells))
+    cells_t = tuple(_cell_count(c) for c in ((cells,) if np.ndim(cells) == 0 else cells))
     if not (len(lo_t) == len(hi_t) == len(cells_t)):
         raise ValueError("lo, hi and cells must agree in dimension")
     for a, b in zip(lo_t, hi_t):
@@ -178,26 +177,33 @@ class CoefficientField:
         field (the entries are frozen).
 
         alpha is the smallest nodal eigenvalue, beta the largest nodal operator
-        norm.  Raises EllipticityError for non-symmetric entries or alpha <= 0
-        (nothing is cached then, so every check raises).  The eigenvalues are
-        in closed form: the entry itself in 1-D, and mid +- hypot((a - d)/2, b)
-        for a symmetric [[a, b], [b, d]], mid = (a + d)/2.
+        norm.  Raises EllipticityError for entries that are not symmetric or
+        not finite, for alpha <= 0 and for an infinite beta; each check is
+        written so that a NaN fails it.  Nothing is cached for a bad field,
+        so every read raises.  The eigenvalues are in closed form: the entry
+        itself in 1-D, and mid +- hypot((a - d)/2, b) for a symmetric
+        [[a, b], [b, d]], mid = (a + d)/2.
         """
         ent = self.entries
-        scale = max(1.0, float(np.max(np.abs(ent))))
-        if np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) > 1e-12 * scale:
-            raise EllipticityError("coefficient matrix is not symmetric")
-        if ent.shape[-1] == 1:
-            low = high = ent[..., 0, 0]
-        else:
-            a, b, d = ent[..., 0, 0], ent[..., 0, 1], ent[..., 1, 1]
-            mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-            low, high = mid - radius, mid + radius
-        alpha = float(np.min(low))
-        if alpha <= 0.0:
+        with np.errstate(invalid="ignore", over="ignore"):   # NaN and inf fail below
+            scale = max(1.0, float(np.max(np.abs(ent))))
+            if not np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) <= 1e-12 * scale:
+                raise EllipticityError(
+                    "coefficient matrix is not symmetric with finite entries")
+            if ent.shape[-1] == 1:
+                low = high = ent[..., 0, 0]
+            else:
+                a, b, d = ent[..., 0, 0], ent[..., 0, 1], ent[..., 1, 1]
+                mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+                low, high = mid - radius, mid + radius
+        alpha, beta = float(np.min(low)), float(np.max(high))
+        if not alpha > 0.0:
             raise EllipticityError(
                 f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
-        return alpha, float(np.max(high))
+        if not math.isfinite(beta):
+            raise EllipticityError(
+                f"ellipticity violated: largest eigenvalue {beta} is not finite")
+        return alpha, beta
 
     @functools.cached_property
     def operator(self):
@@ -287,46 +293,24 @@ def _check_gamma(gamma: float) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Domain, coefficients, datum, exponent and support annotation, checked
-    against the datum: "compact" support lies strictly inside the domain,
-    "strictly_positive" data are > 0 at every interior node."""
+    """Domain, coefficients, datum and exponent.  The datum is sampled once
+    and checked nonnegative; where it is positive is read off those values
+    (`datum_values()`, e.g. `sweeps.limit_check_applies`), not annotated."""
 
     grid: Grid
     coefficients: CoefficientField
     datum: Datum
     gamma: float
-    support: Support = "general"
 
     def __post_init__(self):
         _check_gamma(self.gamma)
         if self.coefficients.grid != self.grid:
             raise ValueError("coefficient field lives on a different grid")
-        if self.support not in ("compact", "strictly_positive", "general"):
-            raise ValueError(f"unknown support annotation {self.support!r}")
         f = sample_datum(self.datum, self.grid)
         if np.min(f) < 0:
             raise ValueError("datum must be nonnegative")
-        if self.support == "compact":
-            self._check_compact(f)
-        interior = f[(slice(1, -1),) * self.grid.dim]
-        if self.support == "strictly_positive" and not np.all(interior > 0):
-            raise ValueError("strictly positive support requires f > 0 at every interior node")
         f.setflags(write=False)
         object.__setattr__(self, "_datum_values", f)   # not a field: eq, repr, replace ignore it
-
-    def _check_compact(self, f: np.ndarray) -> None:
-        if isinstance(self.datum, IndicatorDatum):
-            for a, b, lo, hi in zip(self.datum.lo, self.datum.hi,
-                                    self.grid.lo, self.grid.hi):
-                if not (lo < a and b < hi):
-                    raise ValueError(
-                        "compactly-contained support requires the indicator "
-                        "sub-box strictly inside the domain")
-        else:
-            # tabulated / constant data must vanish on the boundary frame
-            if np.any(f[self.grid.frame_mask()] != 0.0):
-                raise ValueError(
-                    "compactly-contained support requires zero datum on the boundary")
 
     def with_gamma(self, gamma: float) -> "ProblemSpec":
         """This problem at exponent gamma: `replace(self, gamma=gamma)` without

@@ -135,7 +135,7 @@ def measure_histogram(u: GridFunction, spec: ProblemSpec, n: float,
     """Per-cell masses of f/u^n and their concentration near the support edge."""
     omega = spec.omega_box()
     if omega is None:
-        raise ValueError("histogram requires a compactly-contained indicator datum")
+        raise ValueError("histogram requires an indicator datum")
     masses = (mass_density_stack(u.values[None], [float(n)], spec.datum_values())[0]
               * u.grid.cell_volume())
     total = float(np.sum(masses))
@@ -194,8 +194,12 @@ def limit_equation_check(u_limit: GridFunction, hist: MeasureHistogram,
 
 
 def limit_check_applies(spec: ProblemSpec) -> bool:
-    """An indicator datum with compact support (`ProblemSpec` has put its box inside)."""
-    return spec.support == "compact" and isinstance(spec.datum, IndicatorDatum)
+    """An indicator datum whose sampled values are compactly supported:
+    f > 0 at some node and f = 0 at every boundary node.  For an indicator
+    that is its box strictly inside the domain on every axis, holding a node."""
+    f = spec.datum_values()
+    return (isinstance(spec.datum, IndicatorDatum) and bool(np.any(f > 0))
+            and not np.any(f[spec.grid.frame_mask()]))
 
 
 @dataclass(frozen=True)

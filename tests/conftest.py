@@ -11,26 +11,23 @@ from singell import (CoefficientField, ConstantDatum, GridFunction, IndicatorDat
                      ProblemSpec, TabulatedDatum, make_uniform_grid)
 
 
-def interval_spec(gamma, cells, lo=-1.0, hi=1.0, value=1.0,
-                  support="strictly_positive"):
+def interval_spec(gamma, cells, lo=-1.0, hi=1.0, value=1.0):
     grid = make_uniform_grid(lo, hi, cells)
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       ConstantDatum(value), gamma=gamma, support=support)
+                       ConstantDatum(value), gamma=gamma)
 
 
 def matched_spec(gamma, cells):
     """Indicator datum on (-1, 1) inside the interval (-2, 2)."""
     grid = make_uniform_grid(-2.0, 2.0, cells)
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       IndicatorDatum(1.0, -1.0, 1.0), gamma=gamma,
-                       support="compact")
+                       IndicatorDatum(1.0, -1.0, 1.0), gamma=gamma)
 
 
 def square_spec(gamma, cells):
     grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       ConstantDatum(1.0), gamma=gamma,
-                       support="strictly_positive")
+                       ConstantDatum(1.0), gamma=gamma)
 
 
 def lazer_mckenna_spec(dim, cells, gamma):
@@ -62,8 +59,7 @@ def lazer_mckenna_spec(dim, cells, gamma):
     phi = np.maximum(phi, 0.0)
     f = alpha * (lam * phi ** 2 + (1.0 - alpha) * grad2)
     spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                       TabulatedDatum(GridFunction(grid, f)), gamma=gamma,
-                       support="strictly_positive")
+                       TabulatedDatum(GridFunction(grid, f)), gamma=gamma)
     return spec, phi ** alpha
 
 

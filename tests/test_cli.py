@@ -25,7 +25,6 @@ GAMMA3 = {
         "coefficients": {"kind": "identity"},
         "datum": {"kind": "constant", "value": 1.0},
         "gamma": 3.0,
-        "support": "strictly_positive",
     },
     "sweep": {"n_list": [3.0]},
     "output": {"formats": ["csv", "json", "svg"]},
@@ -38,7 +37,6 @@ SECTION6 = {
         "cells": 1024,
         "coefficients": {"kind": "identity"},
         "datum": {"kind": "indicator", "value": 1.0, "box": [-1.0, 1.0]},
-        "support": "compact",
         "gamma": 10.0,
     },
     "sweep": {
@@ -198,7 +196,7 @@ class TestSolveCommand:
         bad["problem"]["datum"]["box"] = [-3.0, 1.0]   # not inside the domain
         cfg = write_config(tmp_path, bad)
         out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["limit-check", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize("schedule", [{"m_schedule_k_max": 12},
@@ -233,6 +231,17 @@ class TestSolveCommand:
         u = solve_singular(config.spec, config.m_schedule).u.values
         assert np.array_equal(data[:, 2], u.ravel())
 
+    def test_support_key_rejected(self, tmp_path, capsys):
+        # the data decide their support; the removed annotation is an unknown key
+        old = json.loads(json.dumps(SECTION6))
+        old["problem"]["support"] = "compact"
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, old),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown keys ['support'] in problem")
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = json.loads(json.dumps(GAMMA3))
         bad["problem"]["typo_key"] = 1
@@ -242,7 +251,6 @@ class TestSolveCommand:
     def test_zero_datum_zero_columns(self, tmp_path):
         zero = json.loads(json.dumps(GAMMA3))
         zero["problem"]["datum"]["value"] = 0.0
-        zero["problem"]["support"] = "general"
         zero["problem"]["cells"] = 64
         cfg = write_config(tmp_path, zero)
         out = tmp_path / "out"
@@ -497,14 +505,29 @@ class TestLimitCheckCommand:
         payload = json.loads((out / "limit_check.json").read_text())
         assert payload["reconstruction_gap"] < 0.2
 
-    def test_general_support_indicator_is_config_error(self, tmp_path, capsys):
+    def test_indicator_touching_the_boundary_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SECTION6))
-        payload["problem"]["support"] = "general"
+        payload["problem"]["datum"]["box"] = [-2.0, 1.0]
         out = tmp_path / "out"
         assert main(["limit-check", "--config", write_config(tmp_path, payload),
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not (out / "limit_check.json").exists()
+        assert capsys.readouterr().err.startswith("config error: limit-check requires")
+        assert not out.exists() or not any(out.iterdir())
+
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_indicator_touching_the_boundary_solves(self, tmp_path, capsys, command):
+        # only limit-check needs the datum to vanish on the boundary
+        payload = json.loads(json.dumps(SECTION6))
+        payload["problem"]["cells"] = 64
+        payload["problem"]["datum"]["box"] = [-2.0, 1.0]
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "sweep":
+            assert json.loads((out / "summary.json").read_text())[
+                "limit_equation_gap"] is None
 
 
 class TestConjectureCommand:
@@ -516,7 +539,6 @@ class TestConjectureCommand:
                 "cells": [32, 32],
                 "datum": {"kind": "indicator", "value": 1.0,
                           "box": [[0.25, 0.25], [0.75, 0.75]]},
-                "support": "compact",
                 "gamma": 10.0,
             },
             "sweep": {"n_list": [10.0], "m_schedule": [4 ** k for k in range(11)]},
@@ -587,6 +609,24 @@ INVALID_CONFIGS = {
         "datum": {"kind": "constant", "value": 1.0}, "gamma": 3.0}),
     "n_below_3": _mutated("sweep", ["sweep", "n_list"], [2.0]),
     "n_not_increasing": _mutated("oned", ["sweep", "n_list"], [5.0, 3.0]),
+    # malformed problem values are refused, not crashed on
+    "gamma_a_list": _mutated("solve", ["problem", "gamma"], [3]),
+    "gamma_null": _mutated("solve", ["problem", "gamma"], None),
+    "gamma_a_boolean": _mutated("solve", ["problem", "gamma"], True),
+    "gamma_a_string": _mutated("solve", ["problem", "gamma"], "3"),
+    "domain_a_number": _mutated("solve", ["problem", "domain"], 5),
+    "domain_null": _mutated("solve", ["problem", "domain"], None),
+    "cells_null": _mutated("solve", ["problem", "cells"], None),
+    "box_a_number": _mutated("solve", ["problem", "datum"],
+                             {"kind": "indicator", "box": 5}),
+    "box_null_corner": _mutated("solve", ["problem", "datum"],
+                                {"kind": "indicator", "box": [None, 1.0]}),
+    "problem_a_number": _mutated("solve", ["problem"], 5),
+    "datum_a_number": _mutated("solve", ["problem", "datum"], 5),
+    "sweep_a_number": _mutated("sweep", ["sweep"], 5),
+    # [[null]] reads as NaN, which the ellipticity certificate refuses
+    "matrix_nan": _mutated("solve", ["problem", "coefficients"],
+                           {"kind": "constant", "matrix": [[None]]}),
 }
 
 
@@ -658,22 +698,6 @@ CONFIG_HOLES = {
                                          config="square_hole"),
     "cells_a_string": _matched_hole("solve", ["problem", "cells"], "64"),
 }
-
-
-@pytest.mark.parametrize("config, path, value",
-                         [("matched_indicator", ["problem", "support"], "strictly_positive"),
-                          ("cubic_interval", ["problem", "datum", "value"], 0.0)],
-                         ids=["indicator", "zero_constant"])
-def test_strictly_positive_support_is_checked(tmp_path, capsys, config, path, value):
-    # "strictly_positive" data must be positive at every interior node
-    command, text = _matched_hole("solve", path, value, config=config)
-    (tmp_path / "config.json").write_text(text)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(tmp_path / "config.json"),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "f > 0 at every interior node" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", list(CONFIG_HOLES), ids=list(CONFIG_HOLES))

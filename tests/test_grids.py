@@ -122,6 +122,30 @@ class TestEllipticity:
             check_ellipticity(CoefficientField(g, ent))
 
 
+    @pytest.mark.parametrize("dim, matrix", [
+        (1, [[np.nan]]), (1, [[np.inf]]),
+        (2, [[np.nan, 0.0], [0.0, 1.0]]), (2, [[1.0, 0.0], [0.0, np.inf]]),
+        (2, [[1.0, np.nan], [np.nan, 1.0]]), (2, [[1.0, np.inf], [np.inf, 1.0]])],
+        ids=["nan_1d", "inf_1d", "nan_diagonal", "inf_diagonal", "nan_off_diagonal",
+             "inf_off_diagonal"])
+    def test_non_finite_entries_raise(self, dim, matrix):
+        # every check fails closed: a NaN compares false and must not pass
+        g = make_uniform_grid((0.0,) * dim, (1.0,) * dim, (8,) * dim)
+        field = CoefficientField.constant(g, matrix)
+        for _ in range(2):      # nothing is cached for a bad field
+            with pytest.raises(EllipticityError):
+                check_ellipticity(field)
+            with pytest.raises(EllipticityError):
+                assemble(g, field)
+
+    def test_one_non_finite_node_raises(self):
+        g = make_uniform_grid((0, 0), (1, 1), (4, 4))
+        ent = CoefficientField.identity(g).entries.copy()
+        ent[2, 3, 1, 1] = np.nan
+        with pytest.raises(EllipticityError):
+            check_ellipticity(CoefficientField(g, ent))
+
+
 class TestEllipticityOnce:
     """A field's certificate is scanned once (`CoefficientField.ellipticity`);
     every check of a bad field still raises."""
@@ -168,7 +192,7 @@ class TestWithGamma:
     def test_equals_replace_without_sampling_the_datum(self, monkeypatch):
         g = make_uniform_grid(-2.0, 2.0, 32)
         spec = ProblemSpec(g, CoefficientField.identity(g),
-                           IndicatorDatum(1.0, -1.0, 1.0), gamma=3.0, support="compact")
+                           IndicatorDatum(1.0, -1.0, 1.0), gamma=3.0)
         expected = replace(spec, gamma=40.0)
         calls = []
         real = Grid.box_mask
@@ -176,7 +200,7 @@ class TestWithGamma:
                             lambda grid, box: calls.append(box) or real(grid, box))
         other = spec.with_gamma(40.0)
         assert calls == []
-        assert (other.gamma, other.datum, other.support) == (40.0, spec.datum, "compact")
+        assert (other.gamma, other.datum) == (40.0, spec.datum)
         assert other.datum_values() is spec.datum_values()
         assert np.array_equal(other.datum_values(), expected.datum_values())
         assert spec.gamma == 3.0
@@ -218,15 +242,6 @@ class TestProblemSpec:
     def test_negative_datum_rejected(self):
         with pytest.raises(ValueError):
             ConstantDatum(-1.0)
-
-    def test_compact_requires_strict_inclusion(self):
-        g = make_uniform_grid(-2.0, 2.0, 16)
-        m = CoefficientField.identity(g)
-        with pytest.raises(ValueError):
-            ProblemSpec(g, m, IndicatorDatum(1.0, -2.0, 1.0), gamma=2.0,
-                        support="compact")
-        ProblemSpec(g, m, IndicatorDatum(1.0, -1.0, 1.0), gamma=2.0,
-                    support="compact")
 
     def test_indicator_boundary_nodes_take_inside_value(self):
         g = make_uniform_grid(-2.0, 2.0, 8)

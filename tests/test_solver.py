@@ -33,7 +33,7 @@ class TestSolveRegularized:
 
     def test_zero_datum(self):
         for gamma, m in ((1.0, 1), (3.0, 100), (20.0, 10 ** 6)):
-            spec = interval_spec(gamma, 32, value=0.0, support="general")
+            spec = interval_spec(gamma, 32, value=0.0)
             it = solve_regularized(spec, m)
             assert it.u.sup_norm() == 0.0
 
@@ -308,7 +308,7 @@ def _indicator_spec(dim, cells, gamma, value, lo, width):
         grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
         box = (lo, tuple(a + w for a, w in zip(lo, width)))
     return ProblemSpec(grid, CoefficientField.identity(grid),
-                       IndicatorDatum(value, *box), gamma=gamma, support="compact")
+                       IndicatorDatum(value, *box), gamma=gamma)
 
 
 class TestIndependentMSteps:
@@ -386,8 +386,7 @@ class TestSupportLift:
         for box in ((lo, hi), ([1.0 - hi[0]] + lo[1:], [1.0 - lo[0]] + hi[1:])):
             corners = box if len(shape) == 2 else (box[0][0], box[1][0])
             spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                               IndicatorDatum(1.0, *corners), gamma=3.0,
-                               support="compact")
+                               IndicatorDatum(1.0, *corners), gamma=3.0)
             _, _, lift = _lift(spec)
             lifts.append(lift)
         phi, mirrored = (lift.phi.reshape(grid.interior_shape) for lift in lifts)
@@ -417,8 +416,8 @@ class TestSupportLift:
 
     def test_no_lift_on_strictly_positive_or_zero_data(self):
         # positive data take the v-start, zero data start at 0: no phi
-        for value, support in ((1.0, "strictly_positive"), (0.0, "general")):
-            _, _, lift = _lift(interval_spec(3.0, 64, value=value, support=support))
+        for value in (1.0, 0.0):
+            _, _, lift = _lift(interval_spec(3.0, 64, value=value))
             assert lift.log_ratio is None and lift.phi is None
         assert lift.v0 is None
         assert lift.start(3.0).sup_norm() == 0.0
@@ -430,8 +429,7 @@ class TestSupportLift:
         if name == "edge_indicator":
             grid = make_uniform_grid(0.0, 1.0, 64)
             spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                               IndicatorDatum(1.0, 0.5 / 64, 0.5), gamma=20.0,
-                               support="general")
+                               IndicatorDatum(1.0, 0.5 / 64, 0.5), gamma=20.0)
         else:
             spec = load_config(CONFIGS / f"{name}.json").spec
         calls, real = [], SparseOperator.harmonic_lift
@@ -471,8 +469,7 @@ class TestVStart:
         grid = make_uniform_grid(0.0, 1.0, 64)
         for lo, lifted in ((0.5 / 64, False), (1.5 / 64, True)):
             spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                               IndicatorDatum(1.0, lo, 0.5), gamma=20.0,
-                               support="general")
+                               IndicatorDatum(1.0, lo, 0.5), gamma=20.0)
             _, _, start = _lift(spec)
             assert (start.log_ratio is not None) == lifted
             assert (start.phi is not None) == lifted
@@ -585,8 +582,7 @@ class TestComparisonPrinciple:
         u = []
         for v, box in zip((scale * value, value), boxes):
             spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                               IndicatorDatum(v, *box), gamma=gamma,
-                               support="compact")
+                               IndicatorDatum(v, *box), gamma=gamma)
             u.append(solve_singular(spec, [4 ** k for k in range(7)]).u.values)
         assert np.all(u[0] <= u[1] + 1e-10)
 
@@ -601,8 +597,7 @@ class TestReflectionSymmetry:
     @staticmethod
     def _solve(grid, box, gamma, value):
         spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                           IndicatorDatum(value, *box), gamma=gamma,
-                           support="compact")
+                           IndicatorDatum(value, *box), gamma=gamma)
         return solve_singular(spec, [4 ** k for k in range(7)]).u.values
 
     def _check(self, shape, corners, gamma, value):

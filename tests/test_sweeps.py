@@ -6,21 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import singell.operators as ops
 import singell.solver as solver_mod
 import singell.sweeps as sweeps_mod
-from singell import (CoefficientField, GridFunction, MeasureHistogram,
+from singell import (CoefficientField, ConstantDatum, GridFunction, MeasureHistogram,
                      NonlinearSolveError, ProblemSpec, SweepRow,
                      conjecture_experiment, extract_atoms, fitted_depth_bound,
                      limit_equation_check, linfty_certificate, log_diagnostic,
                      make_uniform_grid, measure_histogram, quasilinear_residual,
                      run_sweep, solve_singular, to_quasilinear, total_singular_mass)
 from singell.config import load_config
-from singell.grids import Grid, IndicatorDatum
+from singell.grids import Grid, IndicatorDatum, TabulatedDatum
 from singell.solver import RESIDUAL_FLOOR, singular_mass_density, solve_lockstep
-from singell.sweeps import check_limit, compactum_min, describe_solution
+from singell.sweeps import (check_limit, compactum_min, describe_solution,
+                            limit_check_applies)
 from conftest import (harmonic_lift, interval_spec, matched_spec, record_assemblies,
                       record_direct_solves, reference_harmonic)
 
@@ -77,8 +78,7 @@ class TestHistogram:
     def test_zero_datum_zero_histogram(self):
         grid = make_uniform_grid(-2.0, 2.0, 64)
         spec = ProblemSpec(grid, CoefficientField.identity(grid),
-                           IndicatorDatum(0.0, -1.0, 1.0), gamma=5.0,
-                           support="compact")
+                           IndicatorDatum(0.0, -1.0, 1.0), gamma=5.0)
         u = GridFunction(grid, np.ones(grid.shape))
         hist = measure_histogram(u, spec, 5.0, shell_distances=(0.1,))
         assert hist.total == 0.0
@@ -181,6 +181,71 @@ class TestLimitEquationCheck:
             gaps.append(check_limit(sol.u, spec, n).gap)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 0.02
+
+
+def removed_support_rule(spec) -> bool:
+    """The limit-check gate when a "compact" annotation decided it: a
+    positive indicator whose box lies strictly inside the domain on every axis."""
+    datum, grid = spec.datum, spec.grid
+    return datum.value > 0 and all(lo < a and b < hi for a, b, lo, hi
+                                   in zip(datum.lo, datum.hi, grid.lo, grid.hi))
+
+
+@st.composite
+def indicator_problems(draw):
+    """A 1-D or 2-D grid and an indicator box whose faces sit on the domain's
+    ends, on nodes, between nodes, outside the domain or anywhere.  Extents
+    and steps are dyadic, so every node coordinate is exact: the last node
+    is hi itself, as the removed rule's comparison with hi assumes."""
+    lo, hi, cells, box_lo, box_hi = [], [], [], [], []
+    for _ in range(draw(st.sampled_from([1, 2]))):
+        x0 = draw(st.integers(-16, 16)) / 8
+        x1 = x0 + draw(st.integers(1, 32)) / 8
+        c = draw(st.sampled_from([4, 8, 16, 32]))
+        h = (x1 - x0) / c
+        face = st.one_of(st.sampled_from([x0, x1]),
+                         st.integers(-2, c + 2).map(lambda i: x0 + i * h),
+                         st.integers(-2, c + 1).map(lambda i: x0 + (i + 0.5) * h),
+                         st.floats(x0 - 1.0, x1 + 1.0))
+        a, b = sorted((draw(face), draw(face)))
+        assume(a < b)
+        lo.append(x0), hi.append(x1), cells.append(c), box_lo.append(a), box_hi.append(b)
+    grid = make_uniform_grid(lo, hi, cells)
+    datum = IndicatorDatum(draw(st.sampled_from([0.0, 0.5, 2.0])), box_lo, box_hi)
+    return ProblemSpec(grid, CoefficientField.identity(grid), datum, gamma=10.0)
+
+
+class TestLimitCheckApplies:
+    """The gate reads compactness off the sampled datum: an indicator, f > 0
+    at some node and f = 0 at every boundary node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=indicator_problems())
+    def test_removed_rule_on_boxes_that_hold_a_node(self, spec):
+        datum = spec.datum
+        holds_node = bool(np.any(spec.grid.box_mask((datum.lo, datum.hi))))
+        assert limit_check_applies(spec) == (removed_support_rule(spec) and holds_node)
+
+    def test_box_between_nodes_does_not_apply(self):
+        # inside the domain, but no node in the box: f = 0 everywhere
+        grid = make_uniform_grid(-2.0, 2.0, 8)
+        spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                           IndicatorDatum(1.0, 0.1, 0.4), gamma=10.0)
+        assert removed_support_rule(spec) and not limit_check_applies(spec)
+
+    def test_only_indicator_data(self):
+        # data vanishing on the boundary but not an indicator stay unchecked
+        grid = make_uniform_grid(-1.0, 1.0, 16)
+        bump = np.maximum(0.5 - np.abs(grid.axes()[0]), 0.0)
+        for datum in (ConstantDatum(1.0), TabulatedDatum(GridFunction(grid, bump))):
+            spec = ProblemSpec(grid, CoefficientField.identity(grid), datum, gamma=10.0)
+            assert not limit_check_applies(spec)
+
+    @pytest.mark.parametrize("name, applies", [
+        ("matched_indicator", True), ("square_hole", True),
+        ("cubic_interval", False), ("uniform_interval_sweep", False)])
+    def test_shipped_configs(self, name, applies):
+        assert limit_check_applies(load_config(CONFIGS / f"{name}.json").spec) is applies
 
 
 class TestRunSweep:
@@ -368,12 +433,12 @@ class TestLockstep:
         config = load_config(SQUARE_HOLE)
         grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (24, 24))
         spec = ProblemSpec(grid, CoefficientField.identity(grid), config.spec.datum,
-                           gamma=20.0, support="compact")
+                           gamma=20.0)
         self.check_rows_equal_solo_solves(spec, [5.0, 20.0, 60.0],
                                           [((0.3, 0.3), (0.7, 0.7))])
 
     def test_rows_equal_solo_solves_zero_datum(self):
-        spec = interval_spec(10.0, 128, value=0.0, support="general")
+        spec = interval_spec(10.0, 128, value=0.0)
         report = self.check_rows_equal_solo_solves(spec, [3.0, 10.0, 40.0],
                                                    [(-0.5, 0.5), (-0.9, 0.9)])
         for row in report.rows:
@@ -384,7 +449,7 @@ class TestLockstep:
         grid = make_uniform_grid((0.0, 0.0), (1.0, 1.2), (24, 30))
         spec = ProblemSpec(grid, CoefficientField.identity(grid),
                            IndicatorDatum(1.0, (0.25, 0.3), (0.75, 0.8)),
-                           gamma=20.0, support="compact")
+                           gamma=20.0)
         report = self.check_rows_equal_solo_solves(
             spec, [5.0, 20.0, 60.0],
             [((0.3, 0.35), (0.7, 0.75)), ((0.1, 0.2), (0.9, 0.6))])
@@ -556,7 +621,7 @@ class TestConjecture:
         grid = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (32, 32))
         spec = ProblemSpec(grid, CoefficientField.identity(grid),
                            IndicatorDatum(1.0, (0.25, 0.25), (0.75, 0.75)),
-                           gamma=10.0, support="compact")
+                           gamma=10.0)
         report = conjecture_experiment(spec, 10.0)
         assert np.isfinite(report.harmonic_gap)
         assert np.isfinite(report.outer_v_sup)
