@@ -4,8 +4,8 @@ Commands (the COMMANDS table): solve, sweep, oned, limit-check, conjecture.
 Each takes --config <path> and --out <dir>; solve additionally accepts --n to
 override the exponent.  Every command but solve reads its exponents from
 sweep.n_list, which must then be non-empty, and at most analytic.N_CAP for
-oned; a config that cannot be built or lacks them is refused before the
-output directory is made.  Exit codes:
+oned; limit-check also needs `limit_check_applies` to hold.  A config that
+cannot be built or fails these is refused before the output directory is made.  Exit codes:
 0 success, 1 numeric failure, 2 invalid config.
 """
 
@@ -163,9 +163,6 @@ def cmd_oned(config: ExperimentConfig, out: Path) -> int:
 
 def cmd_limit_check(config: ExperimentConfig, out: Path) -> int:
     spec = config.spec
-    if not limit_check_applies(spec):
-        raise ConfigError("limit-check requires an indicator datum that is positive "
-                          "at some node and zero at every boundary node")
     n = config.n_list[-1]
     sol = solve_singular(spec.with_gamma(float(n)), config.m_schedule)
     check = check_limit(sol.u, spec, n, config.shell_distances)
@@ -233,6 +230,9 @@ def main(argv=None) -> int:
         elif args.command == "oned" and config.n_list[-1] > analytic.N_CAP:
             raise ConfigError(f"oned evaluates profiles up to n = {analytic.N_CAP}, "
                               f"got sweep.n_list entry {config.n_list[-1]:g}")
+        elif args.command == "limit-check" and not limit_check_applies(config.spec):
+            raise ConfigError("limit-check requires an indicator datum that is positive "
+                              "at some node and zero at every boundary node")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out)

@@ -58,8 +58,10 @@ class Grid:
         return tuple(c - 1 for c in self.cells)
 
     def axes(self) -> list[np.ndarray]:
-        return [a + hh * np.arange(c + 1)
-                for a, hh, c in zip(self.lo, self.h, self.cells)]
+        """Node coordinates per axis.  The last node is hi itself: lo + h*cells
+        can miss it by an ulp, and a box ending on hi must hold that node."""
+        return [np.append(a + hh * np.arange(c), b)
+                for a, b, hh, c in zip(self.lo, self.hi, self.h, self.cells)]
 
     def meshes(self) -> list[np.ndarray]:
         """Node coordinates broadcast to the full grid shape ('ij' indexing)."""

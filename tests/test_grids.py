@@ -28,6 +28,16 @@ class TestMakeUniformGrid:
         g = make_uniform_grid(-1.0, 1.0, 4)
         np.testing.assert_allclose(g.axes()[0], [-1.0, -0.5, 0.0, 0.5, 1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-10.0, 10.0), length=st.floats(1e-3, 20.0),
+           cells=st.integers(4, 64))
+    def test_axis_ends_on_lo_and_hi(self, lo, length, cells):
+        # lo + h*cells can miss hi by an ulp, e.g. (-0.044, 1.926) at 10 cells
+        hi = lo + length
+        if lo < hi:
+            axis = make_uniform_grid(lo, hi, cells).axes()[0]
+            assert axis[0] == lo and axis[-1] == hi
+
     def test_square(self):
         g = make_uniform_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
         assert g.dim == 2

@@ -193,15 +193,15 @@ def removed_support_rule(spec) -> bool:
 
 @st.composite
 def indicator_problems(draw):
-    """A 1-D or 2-D grid and an indicator box whose faces sit on the domain's
-    ends, on nodes, between nodes, outside the domain or anywhere.  Extents
-    and steps are dyadic, so every node coordinate is exact: the last node
-    is hi itself, as the removed rule's comparison with hi assumes."""
+    """A 1-D or 2-D grid with arbitrary float extents and an indicator box
+    whose faces sit on the domain's ends, on nodes, between nodes, outside
+    the domain or anywhere."""
     lo, hi, cells, box_lo, box_hi = [], [], [], [], []
     for _ in range(draw(st.sampled_from([1, 2]))):
-        x0 = draw(st.integers(-16, 16)) / 8
-        x1 = x0 + draw(st.integers(1, 32)) / 8
-        c = draw(st.sampled_from([4, 8, 16, 32]))
+        x0 = draw(st.floats(-10.0, 10.0))
+        x1 = x0 + draw(st.floats(1e-3, 20.0))
+        assume(x0 < x1)
+        c = draw(st.integers(4, 64))
         h = (x1 - x0) / c
         face = st.one_of(st.sampled_from([x0, x1]),
                          st.integers(-2, c + 2).map(lambda i: x0 + i * h),
@@ -225,6 +225,13 @@ class TestLimitCheckApplies:
         datum = spec.datum
         holds_node = bool(np.any(spec.grid.box_mask((datum.lo, datum.hi))))
         assert limit_check_applies(spec) == (removed_support_rule(spec) and holds_node)
+
+    def test_box_ending_on_hi_does_not_apply(self):
+        # lo + h*cells lands an ulp past hi on this grid; the last node is hi
+        grid = make_uniform_grid(-0.044, 1.926, 10)
+        spec = ProblemSpec(grid, CoefficientField.identity(grid),
+                           IndicatorDatum(1.0, 0.5, 1.926), gamma=10.0)
+        assert not removed_support_rule(spec) and not limit_check_applies(spec)
 
     def test_box_between_nodes_does_not_apply(self):
         # inside the domain, but no node in the box: f = 0 everywhere
