@@ -5,8 +5,8 @@ Each takes --config <path> and --out <dir>; solve additionally accepts --n to
 override the exponent.  Every command but solve reads its exponents from
 sweep.n_list, which must then be non-empty, and at most analytic.N_CAP for
 oned; limit-check also needs `limit_check_applies` to hold.  A config that
-cannot be built or fails these is refused before the output directory is made.  Exit codes:
-0 success, 1 numeric failure, 2 invalid config.
+cannot be built or fails these is refused before the output directory is
+made.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
 """
 
 from __future__ import annotations
