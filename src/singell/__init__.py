@@ -18,8 +18,7 @@ from .analytic import (ConstructionError, LimitProfile, OneDProfile,
                        glued_profile, limit_profiles, lower_matching_bound,
                        matching_constant, matching_slope_gap, profile_amplitude,
                        profile_value, upper_matching_bound)
-from .sweeps import (ConjectureReport, HarmonicComparisonError,
-                     MeasureHistogram, SweepReport, SweepRow,
+from .sweeps import (ConjectureReport, MeasureHistogram, SweepReport, SweepRow,
                      conjecture_experiment, extract_atoms, fitted_depth_bound,
                      limit_equation_check, log_diagnostic, measure_histogram,
                      run_sweep)
@@ -42,8 +41,8 @@ __all__ = [
     "glued_profile", "limit_profiles", "lower_matching_bound",
     "matching_constant", "matching_slope_gap", "profile_amplitude",
     "profile_value", "upper_matching_bound",
-    "ConjectureReport", "HarmonicComparisonError",
-    "MeasureHistogram", "SweepReport", "SweepRow", "conjecture_experiment",
+    "ConjectureReport", "MeasureHistogram", "SweepReport", "SweepRow",
+    "conjecture_experiment",
     "extract_atoms", "fitted_depth_bound", "limit_equation_check",
     "log_diagnostic", "measure_histogram", "run_sweep",
 ]

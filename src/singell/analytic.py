@@ -210,6 +210,14 @@ def profile_power(t, n: float, c: float):
     return _result(t, _exp((n + 1.0) * _log_profile(t, n, c)))
 
 
+def _gap_scale(n: float) -> float:
+    """(n - 1)^2; ConstructionError where it overflows (n above about 1.3e154)."""
+    try:
+        return (n - 1.0) ** 2
+    except OverflowError as exc:
+        raise ConstructionError(f"matching at n={n}: (n - 1)^2 overflows") from exc
+
+
 def matching_slope_gap(n: float, c: float) -> float:
     """F(c) = w^{n+1}(1) - 2/(c (n-1)^2) * (1 - w^{n-1}(1)).
 
@@ -218,7 +226,7 @@ def matching_slope_gap(n: float, c: float) -> float:
     """
     n = _check_n(n)
     x1, xi1 = _invert_scalar(math.sqrt(2.0 / c), n)
-    return xi1 ** ((n + 1.0) / (n - 1.0)) - 2.0 / (c * (n - 1.0) ** 2) * x1
+    return xi1 ** ((n + 1.0) / (n - 1.0)) - 2.0 / (c * _gap_scale(n)) * x1
 
 
 def matching_constant(n: float) -> float:
@@ -247,7 +255,7 @@ def matching_constant(n: float) -> float:
     total = float(beta(a, b))
     power = (n + 1.0) / (n - 1.0)
     dbx_power = -(n - 3.0) / (2.0 * (n - 1.0))
-    scale = (n - 1.0) ** 2
+    scale = _gap_scale(n)
     lo, hi, x = 0.0, 1.0, 0.5
     for _ in range(MAX_ROOT_STEPS):
         xi = 1.0 - x

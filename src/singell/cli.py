@@ -4,9 +4,9 @@ Commands (the COMMANDS table): solve, sweep, oned, limit-check, conjecture.
 Each takes --config <path> and --out <dir>; solve additionally accepts --n to
 override the exponent.  Every command but solve reads its exponents from
 sweep.n_list, which must then be non-empty, and at most analytic.N_CAP for
-oned; limit-check also needs `limit_check_applies` to hold.  A config that
-cannot be built or fails these is refused before the output directory is
-made.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
+oned; limit-check needs `limit_check_applies`, conjecture an indicator datum.
+A config that cannot be built or fails these is refused before the output
+directory is made.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .operators import LinearSolveError
 from .reporting import FLOAT_FORMAT, svg_line_plot, write_csv, write_json
 from .solver import NonlinearSolveError, solve_singular, to_quasilinear
-from .sweeps import (HarmonicComparisonError, check_limit, conjecture_experiment,
-                     describe_solution, limit_check_applies, run_sweep)
+from .sweeps import (check_limit, conjecture_experiment, describe_solution,
+                     limit_check_applies, run_sweep)
 
 NUMERIC_ERRORS = (NonlinearSolveError, LinearSolveError, analytic.ConstructionError)
 
@@ -233,10 +233,12 @@ def main(argv=None) -> int:
         elif args.command == "limit-check" and not limit_check_applies(config.spec):
             raise ConfigError("limit-check requires an indicator datum that is positive "
                               "at some node and zero at every boundary node")
+        elif args.command == "conjecture" and config.spec.omega_box() is None:
+            raise ConfigError("harmonic comparison requires an indicator datum")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out)
-    except (ConfigError, HarmonicComparisonError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERIC_ERRORS as exc:

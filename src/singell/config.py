@@ -82,11 +82,7 @@ def _build_coefficients(block: Optional[dict], grid) -> CoefficientField:
     if kind == "constant":
         if "matrix" not in block:
             raise ConfigError("constant coefficients need a 'matrix'")
-        coefficients = CoefficientField.constant(grid, block["matrix"])
-        if not coefficients.is_diagonal():
-            raise ConfigError("problem.coefficients: the 5-point assembly supports "
-                              "diagonal coefficient matrices only")
-        return coefficients
+        return CoefficientField.constant(grid, block["matrix"])
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 
 class EllipticityError(ValueError):
-    """A coefficient field is not symmetric or not uniformly elliptic."""
+    """A coefficient field or its assembled operator is not uniformly elliptic."""
 
 
 def _axis_tuple(value, name: str) -> tuple[float, ...]:
@@ -142,63 +142,47 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Per-node symmetric coefficient matrix, shape = grid.shape + (dim, dim)."""
+    """Per-node diagonal coefficient matrix M = diag(entries[..., a]), entries
+    of shape grid.shape + (dim,): the 3-/5-point stencil has no cross term."""
 
     grid: Grid
     entries: np.ndarray
 
     def __post_init__(self):
-        d = self.grid.dim
+        shape = self.grid.shape + (self.grid.dim,)
         ent = np.array(self.entries, dtype=float, copy=True)
-        if ent.shape != self.grid.shape + (d, d):
-            raise ValueError(
-                f"entry shape {ent.shape}, expected {self.grid.shape + (d, d)}")
+        if ent.shape != shape:
+            raise ValueError(f"entry shape {ent.shape}, expected {shape}")
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
     @classmethod
     def identity(cls, grid: Grid) -> "CoefficientField":
-        d = grid.dim
-        ent = np.zeros(grid.shape + (d, d))
-        for i in range(d):
-            ent[..., i, i] = 1.0
-        return cls(grid, ent)
+        return cls(grid, np.ones(grid.shape + (grid.dim,)))
 
     @classmethod
     def constant(cls, grid: Grid, matrix) -> "CoefficientField":
+        """M = matrix at every node; ValueError unless it is d x d and diagonal."""
         d = grid.dim
         mat = np.atleast_2d(np.asarray(matrix, dtype=float))
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape}, expected {(d, d)}")
-        ent = np.broadcast_to(mat, grid.shape + (d, d)).copy()
-        return cls(grid, ent)
+        if not np.all(mat[~np.eye(d, dtype=bool)] == 0.0):
+            raise ValueError(f"coefficient matrix {mat.tolist()} is not diagonal; "
+                             f"the 3-/5-point stencil takes a diagonal M only")
+        return cls(grid, np.broadcast_to(np.diag(mat), grid.shape + (d,)))
 
     @functools.cached_property
     def ellipticity(self) -> tuple[float, float]:
         """Field-wide ellipticity certificate (alpha, beta), scanned once per
-        field (the entries are frozen).
+        field (the entries are frozen): the smallest and the largest entry,
+        M's extreme eigenvalues.
 
-        alpha is the smallest nodal eigenvalue, beta the largest nodal operator
-        norm.  Raises EllipticityError for entries that are not symmetric or
-        not finite, for alpha <= 0 and for an infinite beta; each check is
-        written so that a NaN fails it.  Nothing is cached for a bad field,
-        so every read raises.  The eigenvalues are in closed form: the entry
-        itself in 1-D, and mid +- hypot((a - d)/2, b) for a symmetric
-        [[a, b], [b, d]], mid = (a + d)/2.
+        Raises EllipticityError for alpha <= 0 and for an infinite beta;
+        each check is written so that a NaN fails it.  Nothing is cached for
+        a bad field, so every read raises.
         """
-        ent = self.entries
-        with np.errstate(invalid="ignore", over="ignore"):   # NaN and inf fail below
-            scale = max(1.0, float(np.max(np.abs(ent))))
-            if not np.max(np.abs(ent - np.swapaxes(ent, -1, -2))) <= 1e-12 * scale:
-                raise EllipticityError(
-                    "coefficient matrix is not symmetric with finite entries")
-            if ent.shape[-1] == 1:
-                low = high = ent[..., 0, 0]
-            else:
-                a, b, d = ent[..., 0, 0], ent[..., 0, 1], ent[..., 1, 1]
-                mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-                low, high = mid - radius, mid + radius
-        alpha, beta = float(np.min(low)), float(np.max(high))
+        alpha, beta = float(np.min(self.entries)), float(np.max(self.entries))
         if not alpha > 0.0:
             raise EllipticityError(
                 f"ellipticity violated: smallest eigenvalue {alpha} <= 0")
@@ -214,13 +198,6 @@ class CoefficientField:
         as the field, so every problem and every exponent on it shares them."""
         from . import operators     # operators imports grids
         return operators.assemble(self.grid, self)
-
-    def is_diagonal(self) -> bool:
-        d = self.grid.dim
-        if d == 1:
-            return True
-        off = self.entries[..., 0, 1]
-        return bool(np.all(off == 0.0))
 
 
 def check_ellipticity(coefficients: CoefficientField) -> tuple[float, float]:

@@ -207,18 +207,14 @@ def _verify_m_matrix(diagonals: sp.dia_matrix) -> None:
 
 
 def face_weights(coefficients: CoefficientField) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis a, M_aa averaged arithmetically onto the faces below and above
-    each interior node (two interior-shaped arrays).  Only diagonal
-    coefficient matrices fit the 5-point pattern; others are rejected."""
-    if not coefficients.is_diagonal():
-        raise ValueError(
-            "5-point assembly supports diagonal coefficient matrices only")
+    """Per axis a, M_aa = entries[..., a] averaged arithmetically onto the
+    faces below and above each interior node (two interior-shaped arrays)."""
     dim = coefficients.grid.dim
     out = []
     for axis in range(dim):
         faces = [slice(1, -1)] * dim
         faces[axis] = slice(None)
-        nodal = coefficients.entries[tuple(faces) + (axis, axis)]
+        nodal = coefficients.entries[tuple(faces) + (axis,)]
         weight = 0.5 * (np.delete(nodal, -1, axis) + np.delete(nodal, 0, axis))
         out.append((np.delete(weight, -1, axis), np.delete(weight, 0, axis)))
     return out

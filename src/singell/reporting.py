@@ -36,21 +36,17 @@ def format_value(value) -> str:
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray,
               grid: Grid | None = None) -> None:
-    """A CSV table; a 2-D float array is written with one format per row,
-    the same text as `format_value` field by field.  With `grid`, `rows` is
-    the (node_count, k) array of fields at the grid's nodes in C order, and
-    each row starts with its node's coordinates: the text of the float table
-    of the raveled `grid.meshes()` and `rows`, with each axis's coordinates
-    formatted once."""
+    """A CSV table, each field as `format_value` writes it.  With `grid`,
+    `rows` is the (node_count, k) array of fields at the grid's nodes in C
+    order, and each row starts with its node's coordinates: the text of the
+    float table of the raveled `grid.meshes()` and `rows`, with each axis's
+    coordinates formatted once."""
     lines = [",".join(header)]
     if grid is not None:
         nodes = itertools.product(*([FLOAT_FORMAT % x for x in axis.tolist()]
                                     for axis in grid.axes()))
         row_format = ",".join(["%s"] * grid.dim + [FLOAT_FORMAT] * rows.shape[1])
         lines.extend(row_format % (*node, *row) for node, row in zip(nodes, rows.tolist()))
-    elif isinstance(rows, np.ndarray):
-        row_format = ",".join([FLOAT_FORMAT] * rows.shape[1])
-        lines.extend(row_format % tuple(row) for row in rows.tolist())
     else:
         lines.extend(",".join(format_value(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")

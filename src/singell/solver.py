@@ -574,12 +574,13 @@ def quasilinear_residual_stack(v: np.ndarray, gamma, f: np.ndarray,
 
     The divergence term is the field's A (`CoefficientField.operator`) on
     the interior values: v's boundary values are taken as the Dirichlet
-    zeros.  Returns the (k, *interior) residuals (NaN where masked), the
-    mask of the nodes evaluated (v >= floor) and each row's sup over them
-    (0 when none is).  The sup sits where v is near the floor, where
-    |grad v|^2/v turns rounding-level changes of u into changes in about the
-    7th digit: on strictly positive data only about 7 of its printed digits
-    are sound.
+    zeros; the gradient term is sum_a entries[..., a] (D0_a v)^2, D0_a the
+    centred difference.  Returns the (k, *interior) residuals (NaN where
+    masked), the mask of the nodes evaluated (v >= floor) and each row's sup
+    over them (0 when none is).  The sup sits where v is near the floor,
+    where |grad v|^2/v turns rounding-level changes of u into changes in
+    about the 7th digit: on strictly positive data only about 7 of its
+    printed digits are sound.
     """
     grid = coefficients.grid
     gamma = np.asarray(gamma, dtype=float)
@@ -594,7 +595,7 @@ def quasilinear_residual_stack(v: np.ndarray, gamma, f: np.ndarray,
     for axis, h in enumerate(grid.h):
         below, above = list(interior), list(interior)
         below[axis + 1], above[axis + 1] = slice(None, -2), slice(2, None)
-        nodal = coefficients.entries[inner + (axis, axis)]
+        nodal = coefficients.entries[inner + (axis,)]
         grad2 = grad2 + nodal * ((v[tuple(above)] - v[tuple(below)]) / (2.0 * h)) ** 2
     mask = vi >= floor
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -33,10 +33,6 @@ from .solver import (RESIDUAL_FLOOR, SingularSolution, certificate_stack,
                      to_quasilinear)
 
 
-class HarmonicComparisonError(ValueError):
-    """The problem is outside the harmonic comparison's scope."""
-
-
 ATOM_TIE_RTOL = 1e-9         # face depths this close (relative to h) tie
 
 
@@ -400,14 +396,13 @@ def conjecture_experiment(spec: ProblemSpec, n_large: float, *,
     for the problem's own A = -div(M grad) (`SparseOperator.harmonic_lift`,
     to CG_RELATIVE_TOL): 1 on the box, A-harmonic outside it and 0 on the
     boundary; only its values outside the box are compared.  The datum must
-    be an indicator (HarmonicComparisonError otherwise); any M qualifies.
+    be an indicator (ValueError otherwise); any M qualifies.
     Emits numbers only; nothing here is asserted.  The field's A and its
     one multigrid hierarchy serve the solve and the profile.
     """
     omega = spec.omega_box()
     if omega is None:
-        raise HarmonicComparisonError(
-            "harmonic comparison requires an indicator datum")
+        raise ValueError("harmonic comparison requires an indicator datum")
     op = spec.coefficients.operator
     sol = solve_singular(spec.with_gamma(float(n_large)), m_schedule)
     box = spec.grid.box_mask(omega)

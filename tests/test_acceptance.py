@@ -322,7 +322,7 @@ def test_criterion_10_property_suites(rng):
     checks = {}
 
     grid = make_uniform_grid(-1.0, 1.0, 64)
-    ent = (1.0 + rng.random(grid.shape))[:, None, None]
+    ent = (1.0 + rng.random(grid.shape))[:, None]
     op = assemble(grid, CoefficientField(grid, ent))
     coo = op.matrix.tocoo()
     checks["m-matrix"] = bool(np.all(coo.data[coo.row != coo.col] <= 0.0))

@@ -317,6 +317,14 @@ class TestMatchingConstant:
         with pytest.raises(analytic.ConstructionError, match="did not converge"):
             matching_constant(9)
 
+    @pytest.mark.parametrize("n", [1e155, 1e300])
+    def test_overflowing_exponent_raises_construction_error(self, n):
+        # (n - 1)^2 overflows a float from about n = 1.3e154 on
+        with pytest.raises(analytic.ConstructionError, match="overflows"):
+            matching_constant(n)
+        with pytest.raises(analytic.ConstructionError, match="overflows"):
+            analytic.matching_slope_gap(n, 2.0)
+
 
 class TestGluedProfile:
     def test_boundary_zero(self):

@@ -56,7 +56,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def test_float_table_is_written_as_field_by_field(tmp_path):
-    # one format per row of an array, the same bytes as format_value per field
+    # an array's rows give the same bytes as the same rows as lists of floats
     rows = np.random.default_rng(3).standard_normal((40, 4)) * np.logspace(-300, 300, 4)
     rows[:4, 1] = [np.nan, np.inf, -np.inf, -0.0]
     write_csv(tmp_path / "array.csv", ["a", "b", "c", "d"], rows)
@@ -556,8 +556,9 @@ class TestConjectureCommand:
         out = tmp_path / "out"
         assert main(["conjecture", "--config", str(CONFIGS / name),
                      "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (out / "conjecture.json").exists()
+        assert capsys.readouterr().err == (
+            "config error: harmonic comparison requires an indicator datum\n")
+        assert not out.exists()
 
     def test_anisotropic_coefficients_are_compared(self, tmp_path, capsys):
         payload = json.loads((CONFIGS / "square_hole.json").read_text())
@@ -605,6 +606,11 @@ INVALID_CONFIGS = {
     "off_diagonal_matrix": _mutated("solve", ["problem"], {
         "domain": [[0.0, 0.0], [1.0, 1.0]], "cells": [8, 8],
         "coefficients": {"kind": "constant", "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+        "datum": {"kind": "constant", "value": 1.0}, "gamma": 3.0}),
+    # [[1, null], [null, 1]]: a NaN off-diagonal entry is not 0
+    "off_diagonal_nan": _mutated("solve", ["problem"], {
+        "domain": [[0.0, 0.0], [1.0, 1.0]], "cells": [8, 8],
+        "coefficients": {"kind": "constant", "matrix": [[1.0, None], [None, 1.0]]},
         "datum": {"kind": "constant", "value": 1.0}, "gamma": 3.0}),
     "n_below_3": _mutated("sweep", ["sweep", "n_list"], [2.0]),
     "n_not_increasing": _mutated("oned", ["sweep", "n_list"], [5.0, 3.0]),

@@ -66,3 +66,36 @@ def test_traced_functions_resolve():
     assert pairs
     for module, name in pairs:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def _dotted(node):
+    """'a.b.c' for the attribute chain a.b.c on a name; None otherwise."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(names)]) if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_reads_resolve():
+    # perfbench's workloads import singell modules and read `singell.<name>...`
+    # attributes at call time; an API change must fail here, not in a run
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(workloads.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("singell"):
+                    importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("singell"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+    chains = {chain for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              for chain in [_dotted(node)] if chain and chain.startswith("singell.")}
+    assert "singell.cli.main" in chains
+    for chain in chains:
+        target = importlib.import_module("singell")
+        for name in chain.split(".")[1:]:
+            assert hasattr(target, name), chain
+            target = getattr(target, name)

@@ -796,9 +796,9 @@ class TestResiduals:
         # residual = A v + w G with w = 1/2 at gamma = 1 and w = 1 in the
         # limit form, so A v = 2 res(1) - res(inf) on a variable diagonal M
         g = make_uniform_grid((0.0, 0.0), (1.0, 2.0), (12, 9))
-        entries = np.zeros(g.shape + (2, 2))
-        entries[..., 0, 0] = 1.0 + rng.random(g.shape)
-        entries[..., 1, 1] = 1.0 + rng.random(g.shape)
+        entries = np.zeros(g.shape + (2,))
+        entries[..., 0] = 1.0 + rng.random(g.shape)
+        entries[..., 1] = 1.0 + rng.random(g.shape)
         coefficients = CoefficientField(g, entries)
         values = np.zeros(g.shape)
         values[1:-1, 1:-1] = 0.5 + rng.random(g.interior_shape)

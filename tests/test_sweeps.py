@@ -549,6 +549,10 @@ class TestDescriptionWork:
 
 
 class TestConjecture:
+    def test_requires_indicator(self):
+        with pytest.raises(ValueError, match="requires an indicator datum"):
+            conjecture_experiment(interval_spec(5.0, 64), 5.0)
+
     def test_1d_outer_harmonic(self):
         spec = matched_spec(40.0, 512)
         report = conjecture_experiment(spec, 40.0)
