@@ -203,14 +203,21 @@ class TestEllipticityOnce:
         assert check_ellipticity(spec.coefficients) == (1.0, 1.0)
         assert scans == [spec.coefficients]
 
-    @pytest.mark.parametrize("dim, matrix, message", [
-        (1, [[-1.0]], "ellipticity violated"),
-        (2, [[1.0, 0.0], [0.0, -0.5]], "ellipticity violated")])
-    def test_field_built_in_code_raises_from_assemble(self, dim, matrix, message):
+    @pytest.mark.parametrize("dim, matrix, error, message", [
+        pytest.param(1, [[-1.0]], EllipticityError, "ellipticity violated",
+                     id="1-matrix0-ellipticity violated"),
+        pytest.param(2, [[1.0, 0.0], [0.0, -0.5]], EllipticityError,
+                     "ellipticity violated", id="2-matrix1-ellipticity violated"),
+        pytest.param(2, [[1.0, 0.3], [0.0, 1.0]], ValueError, "not diagonal",
+                     id="2-matrix2-not symmetric")])
+    def test_field_built_in_code_raises_from_assemble(self, dim, matrix, error, message):
+        # an asymmetric M is refused when the field is built, before assemble
         g = make_uniform_grid((0.0,) * dim, (1.0,) * dim, (8,) * dim)
-        field = CoefficientField.constant(g, matrix)
+        field = None
         for _ in range(2):      # nothing is cached for a bad field
-            with pytest.raises(EllipticityError, match=message):
+            with pytest.raises(error, match=message):
+                if field is None:
+                    field = CoefficientField.constant(g, matrix)
                 assemble(g, field)
 
     def test_non_elliptic_config_exits_2(self, tmp_path, capsys):
