@@ -4,7 +4,7 @@
 
 from .grids import (CoefficientField, ConstantDatum, EllipticityError, Grid,
                     GridFunction, IndicatorDatum, ProblemSpec, TabulatedDatum,
-                    check_ellipticity, excess, make_uniform_grid, truncate)
+                    excess, make_uniform_grid, truncate)
 from .operators import (LinearSolveError, MeasureData, SparseOperator, assemble,
                         solve_linear, solve_measure)
 from .solver import (NonlinearSolveError, RegularizedIterate, ResidualField,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientField", "ConstantDatum", "EllipticityError", "Grid",
     "GridFunction", "IndicatorDatum", "ProblemSpec", "TabulatedDatum",
-    "check_ellipticity", "excess", "make_uniform_grid", "truncate",
+    "excess", "make_uniform_grid", "truncate",
     "LinearSolveError", "MeasureData", "SparseOperator", "assemble",
     "solve_linear", "solve_measure",
     "NonlinearSolveError", "RegularizedIterate", "ResidualField",

@@ -21,6 +21,10 @@ which only needs the forward integral: G(0) = 1 > 0 and G(1) < 0 bracket
 the root on [0, 1], and Newton steps take the derivative from the integrand,
 B_n'(x) = x^{-1/2} (1-x)^{-(n-3)/(2(n-1))}.  The gap F(c) through the
 inversion is evaluated once, as the final check.
+
+Every entry point that takes an exponent n passes it through `check_n`,
+the package's one exponent rule (n finite and at least 3, NaN refused),
+which `sweeps.check_n_list` also applies to each sweep exponent.
 """
 
 from __future__ import annotations
@@ -51,10 +55,11 @@ def gamma_fn(x: float) -> float:
 
 # --- the incomplete beta integral B_n ----------------------------------------
 
-def _check_n(n: float) -> float:
+def check_n(n: float) -> float:
+    """n as a float; ValueError unless it is finite and at least 3."""
     n = float(n)
-    if n < 3.0:
-        raise ValueError(f"profile exponent n must be >= 3, got {n}")
+    if not 3.0 <= n < math.inf:
+        raise ValueError(f"exponent n must be finite and >= 3, got {n}")
     return n
 
 
@@ -102,7 +107,7 @@ def _invert_scalar(y: float, n: float) -> tuple[float, float]:
 
 def beta_integral(x: float, n: float) -> float:
     """B_n(x) = integral_0^x h^{-1/2} (1-h)^{-(n-3)/(2(n-1))} dh, x in [0, 1]."""
-    n = _check_n(n)
+    n = check_n(n)
     x = float(x)
     if x < -1e-12 or x > 1.0 + 1e-12:
         raise ValueError(f"argument {x} outside [0, 1]")
@@ -112,7 +117,7 @@ def beta_integral(x: float, n: float) -> float:
 
 def beta_integral_inverse(y: float, n: float) -> float:
     """Monotone inverse of B_n on [0, B_n(1)]."""
-    return _invert_scalar(float(y), _check_n(n))[0]
+    return _invert_scalar(float(y), check_n(n))[0]
 
 
 def beta_total_closed_form(n: float) -> float:
@@ -120,7 +125,7 @@ def beta_total_closed_form(n: float) -> float:
 
     Dual route to a quadrature of the integrand.
     """
-    n = _check_n(n)
+    n = check_n(n)
     e = 1.0 / (n - 1.0)
     return math.sqrt(math.pi) * gamma_fn(0.5 + e) / gamma_fn(1.0 + e)
 
@@ -129,7 +134,7 @@ def beta_total_closed_form(n: float) -> float:
 
 def lower_matching_bound(n: float) -> float:
     """Largest c with first zero at 1: 2 G^2(n/(n-1)) / (pi G^2(1/2 + 1/(n-1)))."""
-    n = _check_n(n)
+    n = check_n(n)
     e = 1.0 / (n - 1.0)
     r = gamma_fn(1.0 + e) / gamma_fn(0.5 + e)
     return 2.0 * r * r / math.pi
@@ -142,24 +147,18 @@ def upper_matching_bound(n: float) -> float:
 
 def first_zero(c: float, n: float) -> float:
     """First zero T of the shooting profile at strength c (closed form)."""
-    n = _check_n(n)
-    if c <= 0:
+    n = check_n(n)
+    if not c > 0:
         raise ValueError("profile strength c must be positive")
     e = 1.0 / (n - 1.0)
     return math.sqrt(math.pi * c / 2.0) * gamma_fn(0.5 + e) / gamma_fn(1.0 + e)
 
 
 def profile_amplitude(radius: float, n: float) -> float:
-    """Centre amplitude giving first zero exactly at the interval radius.
-
-    Equals (2 R^2 (n-1) G^2(n/(n-1)) / (pi G^2(1/2+1/(n-1))))^(1/(n+1)),
-    evaluated in the log domain.
-    """
-    n = _check_n(n)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    base = radius * radius * (n - 1.0) * lower_matching_bound(n)
-    return math.exp(math.log(base) / (n + 1.0))
+    """Centre amplitude giving first zero exactly at the interval radius:
+    (2 R^2 (n-1) G^2(n/(n-1)) / (pi G^2(1/2+1/(n-1))))^(1/(n+1)), the
+    amplitude of `OneDProfile.for_interval(radius, n)`."""
+    return OneDProfile.for_interval(radius, n).amplitude
 
 
 def _exp(lg):
@@ -198,14 +197,14 @@ def profile_value(t, n: float, c: float):
 
     Takes a scalar or an array of t; a scalar gives a float.
     """
-    n = _check_n(n)
+    n = check_n(n)
     t = _domain(t, first_zero(c, n))
     return _result(t, _exp(_log_profile(t, n, c)))
 
 
 def profile_power(t, n: float, c: float):
     """w^{n+1}(t), evaluated as (1-x)^{(n+1)/(n-1)} for accuracy near the zero."""
-    n = _check_n(n)
+    n = check_n(n)
     t = _domain(t, first_zero(c, n))
     return _result(t, _exp((n + 1.0) * _log_profile(t, n, c)))
 
@@ -224,7 +223,7 @@ def matching_slope_gap(n: float, c: float) -> float:
     Zero exactly when the inner profile glues C^1 to the line w(1)(2-t);
     strictly increasing in c on the matching bracket.
     """
-    n = _check_n(n)
+    n = check_n(n)
     x1, xi1 = _invert_scalar(math.sqrt(2.0 / c), n)
     return xi1 ** ((n + 1.0) / (n - 1.0)) - 2.0 / (c * _gap_scale(n)) * x1
 
@@ -250,7 +249,7 @@ def matching_constant(n: float) -> float:
     n = 2e6 on the absolute ROOT_TOL is met before Newton converges, and the
     error grows (6e-7 at n = 1e12).
     """
-    n = _check_n(n)
+    n = check_n(n)
     a, b = _beta_exponents(n)
     total = float(beta(a, b))
     power = (n + 1.0) / (n - 1.0)
@@ -288,14 +287,14 @@ def matching_constant(n: float) -> float:
 
 def glued_profile(t, n: float, c: float):
     """Profile w on [0,1] continued by the line w(1)(2 - t) on (1, 2]."""
-    n = _check_n(n)
+    n = check_n(n)
     t = _domain(t, 2.0)
     return _result(t, _exp(_log_glued(t, n, c)))
 
 
 def glued_profile_power(t, n: float, c: float):
     """y^{n+1}(t) for the glued profile, stable for large n."""
-    n = _check_n(n)
+    n = check_n(n)
     t = _domain(t, 2.0)
     return _result(t, _exp((n + 1.0) * _log_glued(t, n, c)))
 
@@ -324,7 +323,7 @@ class OneDProfile:
 
     @classmethod
     def for_interval(cls, radius: float, n: float) -> "OneDProfile":
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         c = radius * radius * lower_matching_bound(n)
         return cls(n=float(n), c=c, t_zero=first_zero(c, n), kind="interval",
@@ -398,6 +397,6 @@ def limit_profiles(radius: float = 1.0,
         raise ValueError(f"unknown geometry {geometry!r}")
     if geometry == "matched":
         return LimitProfile(1.0, "matched")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     return LimitProfile(float(radius), "interval")

@@ -6,7 +6,10 @@ override the exponent.  Every command but solve reads its exponents from
 sweep.n_list, which must then be non-empty, and at most analytic.N_CAP for
 oned; limit-check needs `limit_check_applies`, conjecture an indicator datum.
 A config that cannot be built or fails these is refused before the output
-directory is made.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
+directory is made.  solve, sweep and oned write the formats that
+output.formats lists; limit-check and conjecture always write their one
+JSON file (limit_check.json, conjecture.json), whatever output.formats
+holds.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import (CoefficientField, ConstantDatum, Datum, GridFunction,
-                    IndicatorDatum, ProblemSpec, TabulatedDatum,
-                    check_ellipticity, make_uniform_grid)
+                    IndicatorDatum, ProblemSpec, TabulatedDatum, make_uniform_grid)
 from .solver import RESIDUAL_FLOOR, check_m_schedule
 from .sweeps import check_n_list
 
@@ -138,7 +137,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         lo, hi = _box(prob["domain"], "problem.domain")
         grid = make_uniform_grid(lo, hi, prob["cells"])
         coeffs = _build_coefficients(prob.get("coefficients"), grid)
-        check_ellipticity(coeffs)
+        coeffs.ellipticity          # EllipticityError for a field that fails
         spec = ProblemSpec(grid, coeffs, _build_datum(prob["datum"], grid),
                            gamma=_number(prob.get("gamma", 1.0), "problem.gamma"))
     except ConfigError:

@@ -1,7 +1,9 @@
 """Uniform tensor grids, nodal fields, coefficient matrices and problem data.
 
 Everything here is immutable after construction; instances are safe to share
-read-only across threads.
+read-only across threads.  A datum is checked in one place: `ProblemSpec`
+samples it on its grid and refuses the sample unless every value is finite
+and nonnegative (NaN and inf included); the datum classes only describe f.
 """
 
 from __future__ import annotations
@@ -200,22 +202,12 @@ class CoefficientField:
         return operators.assemble(self.grid, self)
 
 
-def check_ellipticity(coefficients: CoefficientField) -> tuple[float, float]:
-    """Field-wide ellipticity certificate (alpha, beta): `coefficients.ellipticity`,
-    scanned once per field.  Raises EllipticityError for a field that fails."""
-    return coefficients.ellipticity
-
-
 # --- data for the right-hand side ------------------------------------------
 
 @dataclass(frozen=True)
 class ConstantDatum:
     """f = value everywhere."""
     value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("datum must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -231,8 +223,6 @@ class IndicatorDatum:
     def __post_init__(self):
         object.__setattr__(self, "lo", _axis_tuple(self.lo, "lo"))
         object.__setattr__(self, "hi", _axis_tuple(self.hi, "hi"))
-        if self.value < 0:
-            raise ValueError("datum must be nonnegative")
         for a, b in zip(self.lo, self.hi):
             if not a < b:
                 raise ValueError("indicator sub-box is degenerate")
@@ -242,10 +232,6 @@ class IndicatorDatum:
 class TabulatedDatum:
     """f given nodally."""
     field: GridFunction
-
-    def __post_init__(self):
-        if np.min(self.field.values) < 0:
-            raise ValueError("datum must be nonnegative")
 
 
 Datum = Union[ConstantDatum, IndicatorDatum, TabulatedDatum]
@@ -273,8 +259,10 @@ def _check_gamma(gamma: float) -> None:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Domain, coefficients, datum and exponent.  The datum is sampled once
-    and checked nonnegative; where it is positive is read off those values
-    (`datum_values()`, e.g. `sweeps.limit_check_applies`), not annotated."""
+    and refused (ValueError) unless every sampled value is finite and
+    nonnegative, a check that NaN fails; where it is positive is read off
+    those values (`datum_values()`, e.g. `sweeps.limit_check_applies`), not
+    annotated."""
 
     grid: Grid
     coefficients: CoefficientField
@@ -286,8 +274,8 @@ class ProblemSpec:
         if self.coefficients.grid != self.grid:
             raise ValueError("coefficient field lives on a different grid")
         f = sample_datum(self.datum, self.grid)
-        if np.min(f) < 0:
-            raise ValueError("datum must be nonnegative")
+        if not (np.min(f) >= 0.0 and np.max(f) < np.inf):    # NaN fails both
+            raise ValueError("datum must be finite and nonnegative")
         f.setflags(write=False)
         object.__setattr__(self, "_datum_values", f)   # not a field: eq, repr, replace ignore it
 
@@ -315,14 +303,14 @@ class ProblemSpec:
 
 def truncate(s, k: float):
     """Clamp s into [-k, k]."""
-    if k <= 0:
+    if not k > 0:
         raise ValueError("truncation level must be positive")
     return np.clip(s, -k, k)
 
 
 def excess(s, k: float):
     """Signed excess of s over the level k; truncate(s,k) + excess(s,k) == s."""
-    if k <= 0:
+    if not k > 0:
         raise ValueError("truncation level must be positive")
     s = np.asarray(s, dtype=float)
     out = np.sign(s) * np.maximum(np.abs(s) - k, 0.0)

@@ -50,8 +50,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import (CoefficientField, EllipticityError, Grid, GridFunction,
-                    check_ellipticity)
+from .grids import CoefficientField, EllipticityError, Grid, GridFunction
 
 COARSE_SIZE = 256           # multigrid levels stop at or below this many unknowns
 CG_RELATIVE_TOL = 1e-13
@@ -235,7 +234,7 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> SparseOperator:
     """
     if coefficients.grid != grid:
         raise ValueError("coefficient field lives on a different grid")
-    check_ellipticity(coefficients)
+    coefficients.ellipticity    # EllipticityError for a field that fails
     shape = grid.interior_shape
     diagonal = 0.0
     below, above = [], []       # (offset, data) of each axis's neighbour diagonals

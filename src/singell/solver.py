@@ -96,8 +96,9 @@ def check_m_schedule(schedule: Sequence[float]) -> list[float]:
 
 
 def _regularized_rhs(log_f: tuple, u: np.ndarray, eps: float,
-                     gamma: np.ndarray) -> np.ndarray:
-    """f/(u+eps)^gamma where f > 0, zero elsewhere; exponent capped.
+                     gamma: np.ndarray, cap: float = LOG_CAP) -> np.ndarray:
+    """f/(u+eps)^gamma where f > 0, zero elsewhere; log-domain, u + eps
+    floored at VALUE_FLOOR, the exponent capped at `cap`.
 
     `u` is a stack of iterates, one row per exponent in `gamma`, and
     `log_f` is (pos, log f[pos]), pos the indices where f > 0 or, where
@@ -108,7 +109,7 @@ def _regularized_rhs(log_f: tuple, u: np.ndarray, eps: float,
     lg = np.log(np.maximum(base, VALUE_FLOOR))
     lg *= gamma[:, None]
     np.subtract(log_values, lg, out=lg)
-    out[:, pos] = np.exp(np.minimum(lg, LOG_CAP, out=lg), out=lg)
+    out[:, pos] = np.exp(np.minimum(lg, cap, out=lg), out=lg)
     return out
 
 
@@ -260,26 +261,22 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
     def bounds(u, g, gamma):
         return tolerance + op.rounding_floor(u) + ulp * (1.0 + gamma) * g.max(axis=1)
 
-    def leave(rows, stop, stalled):
-        """Rows `stop` end: each as its iterate, or as the error of its check."""
+    def leave(rows, stop, outcome):
+        """Rows `stop` end, row j of `rows` as outcome(j)."""
         for j in np.flatnonzero(stop):
-            i = rows.index[j]
-            try:
-                _check_iterate(m, float(rows.gamma[j]), rows.u[j], rows.g[j], it,
-                               traces[i])
-            except NonlinearSolveError as exc:
-                outcomes[i] = exc
-                continue
-            outcomes[i] = RegularizedIterate(
-                m, op.full_from_interior(rows.u[j]), it, float(rows.res[j]),
-                int(rows.linear_iterations[j]), bool(stalled[j]))
+            outcomes[rows.index[j]] = outcome(j)
         return rows.take(~stop)
 
-    def fail(rows, failed, error):
-        """Rows `failed` end as error(j), j their row in `rows`."""
-        for j in np.flatnonzero(failed):
-            outcomes[rows.index[j]] = error(j)
-        return rows.take(~failed)
+    def result(j):
+        """Row j's iterate, or the error of its check (`_check_iterate`)."""
+        try:
+            _check_iterate(m, float(rows.gamma[j]), rows.u[j], rows.g[j], it,
+                           traces[rows.index[j]])
+        except NonlinearSolveError as exc:
+            return exc
+        return RegularizedIterate(
+            m, op.full_from_interior(rows.u[j]), it, float(rows.res[j]),
+            int(rows.linear_iterations[j]), bool(stalled[j]))
 
     gamma = np.array(gammas, dtype=float)
     u = np.empty((k, op.n_unknowns))
@@ -293,9 +290,9 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
     stop, stalled = rows.res <= rows.bound, np.zeros(k, dtype=bool)
     while True:
         if stop.any():
-            rows = leave(rows, stop, stalled)
+            rows = leave(rows, stop, result)
         if rows.index.size and it == MAX_ITERATIONS:
-            rows = fail(rows, np.ones(rows.index.size, dtype=bool), lambda j: NonlinearSolveError(
+            rows = leave(rows, np.ones(rows.index.size, dtype=bool), lambda j: NonlinearSolveError(
                 f"regularized solve (m={m}, gamma={float(rows.gamma[j])}) did not "
                 f"converge within {MAX_ITERATIONS} iterations; last residual "
                 f"{rows.res[j]:.3e}", traces[rows.index[j]]))
@@ -314,7 +311,7 @@ def _regularized_stack(spec: ProblemSpec, gammas: Sequence[float], m: float,
             rows.linear_iterations += solve.iterations
         finite = np.isfinite(du).all(axis=1)
         if not finite.all():
-            rows = fail(rows, ~finite, lambda j: solve.failures.get(j) or NonlinearSolveError(
+            rows = leave(rows, ~finite, lambda j: solve.failures.get(j) or NonlinearSolveError(
                 f"regularized solve (m={m}, gamma={float(rows.gamma[j])}): non-finite "
                 f"Newton direction at iteration {it}", traces[rows.index[j]]))
             du = du[finite]
@@ -484,16 +481,14 @@ def solve_lockstep(spec: ProblemSpec, gammas: Sequence[float],
 
 def mass_density_stack(u: np.ndarray, gamma, f: np.ndarray) -> np.ndarray:
     """f/u^gamma row by row of the stack u, gamma one exponent per row, at the
-    interior nodes where f > 0; log-domain, u floored at VALUE_FLOOR, the
-    exponent capped at 700, 0 at every other node."""
+    interior nodes where f > 0, 0 at every other node: `_regularized_rhs`
+    at eps = 0 with the exponent capped at 700, not LOG_CAP."""
     support = np.zeros(f.shape, dtype=bool)
     inner = (slice(1, -1),) * f.ndim
     support[inner] = f[inner] > 0
-    out = np.zeros(u.shape)
-    base = np.maximum(u[:, support], VALUE_FLOOR)
-    lg = np.log(f[support]) - np.asarray(gamma, dtype=float)[:, None] * np.log(base)
-    out[:, support] = np.exp(np.minimum(lg, 700.0))
-    return out
+    pos = np.flatnonzero(support)
+    return _regularized_rhs((pos, np.log(f.ravel()[pos])), u.reshape(len(u), -1), 0.0,
+                            np.asarray(gamma, dtype=float), cap=700.0).reshape(u.shape)
 
 
 def mass_stack(density: np.ndarray, cell_volume: float,

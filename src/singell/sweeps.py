@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .analytic import check_n
 from .grids import (CoefficientField, Grid, GridFunction, IndicatorDatum,
                     ProblemSpec)
 from .operators import MeasureData, solve_measure
@@ -328,14 +329,11 @@ def _failed_row(n: float, error: Exception, compacta) -> SweepRow:
 
 
 def check_n_list(n_list: Sequence[float]) -> list[float]:
-    """The sweep exponents as floats: finite, strictly increasing, each at least 3."""
-    ns = [float(n) for n in n_list]
-    if not all(math.isfinite(n) for n in ns):
-        raise ValueError("sweep exponents must be finite")
+    """The sweep exponents as floats: each passes `analytic.check_n` (finite,
+    at least 3), and the list is strictly increasing."""
+    ns = [check_n(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
-    if any(n < 3 for n in ns):
-        raise ValueError("sweep exponents must be >= 3")
     return ns
 
 

@@ -7,11 +7,12 @@ from scipy.special import beta, betaincinv
 
 import singell.analytic as analytic
 from singell import (OneDProfile, beta_integral, beta_integral_inverse,
-                     beta_total_closed_form, first_zero, gamma_fn,
+                     beta_total_closed_form, excess, first_zero, gamma_fn,
                      glued_profile, limit_profiles, lower_matching_bound,
                      matching_constant, matching_slope_gap, profile_amplitude,
-                     profile_value, upper_matching_bound)
+                     profile_value, truncate, upper_matching_bound)
 from singell.solver import solve_singular
+from singell.sweeps import check_n_list
 from conftest import interval_spec
 
 
@@ -493,3 +494,52 @@ class TestCrossValidation:
             analytic_u = prof.amplitude * prof.w(t[mask])
             err = np.max(np.abs(sol.u.values[mask] - analytic_u))
             assert err <= 2e-3
+
+
+# every entry point that takes an exponent n, as a function of n
+EXPONENT_ENTRY_POINTS = {
+    "beta_integral": lambda n: beta_integral(0.5, n),
+    "beta_integral_inverse": lambda n: beta_integral_inverse(0.5, n),
+    "beta_total_closed_form": beta_total_closed_form,
+    "lower_matching_bound": lower_matching_bound,
+    "upper_matching_bound": upper_matching_bound,
+    "first_zero": lambda n: first_zero(1.0, n),
+    "profile_amplitude": lambda n: profile_amplitude(1.0, n),
+    "profile_value": lambda n: profile_value(0.5, n, 1.0),
+    "profile_power": lambda n: analytic.profile_power(0.5, n, 1.0),
+    "matching_slope_gap": lambda n: matching_slope_gap(n, 2.0),
+    "matching_constant": matching_constant,
+    "glued_profile": lambda n: glued_profile(0.5, n, 1.0),
+    "glued_profile_power": lambda n: analytic.glued_profile_power(0.5, n, 1.0),
+    "for_interval": lambda n: OneDProfile.for_interval(1.0, n),
+    "for_matched": OneDProfile.for_matched,
+    "check_n_list": lambda n: check_n_list([3.0, n]),
+}
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5])
+@pytest.mark.parametrize("entry", list(EXPONENT_ENTRY_POINTS))
+def test_exponent_rule_refuses_nan_inf_and_below_3(entry, n):
+    # one rule, `analytic.check_n`, written so that a NaN fails it
+    with pytest.raises(ValueError, match="exponent n must be finite and >= 3"):
+        EXPONENT_ENTRY_POINTS[entry](n)
+
+
+def test_check_n_list_checks_each_entry_before_the_order():
+    with pytest.raises(ValueError, match="exponent n must be finite and >= 3"):
+        check_n_list([5.0, 4.0, math.nan])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_n_list([5.0, 4.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: first_zero(math.nan, 5), "profile strength c must be positive"),
+    (lambda: limit_profiles(radius=math.nan), "radius must be positive"),
+    (lambda: OneDProfile.for_interval(math.nan, 5), "radius must be positive"),
+    (lambda: truncate(1.0, math.nan), "truncation level must be positive"),
+    (lambda: excess(1.0, math.nan), "truncation level must be positive")],
+    ids=["first_zero", "limit_profiles", "for_interval", "truncate", "excess"])
+def test_range_checks_refuse_nan(call, message):
+    # each check is written `not x > 0`, so a NaN fails it
+    with pytest.raises(ValueError, match=message):
+        call()

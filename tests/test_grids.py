@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singell import (CoefficientField, ConstantDatum, EllipticityError,
-                     GridFunction, IndicatorDatum, ProblemSpec, assemble,
-                     check_ellipticity, excess, make_uniform_grid, truncate)
+                     GridFunction, IndicatorDatum, ProblemSpec, TabulatedDatum,
+                     assemble, excess, make_uniform_grid, truncate)
 from singell.cli import main
 from singell.config import load_config
 from singell.grids import Grid, sample_datum
@@ -93,12 +93,12 @@ class TestEllipticity:
     def test_identity_any_grid(self):
         for g in (make_uniform_grid(-1, 1, 16),
                   make_uniform_grid((0, 0), (1, 2), (8, 16))):
-            assert check_ellipticity(CoefficientField.identity(g)) == (1.0, 1.0)
+            assert CoefficientField.identity(g).ellipticity == (1.0, 1.0)
 
     def test_diagonal(self):
         g = make_uniform_grid((0, 0), (1, 1), (4, 4))
         field = CoefficientField.constant(g, [[2.0, 0.0], [0.0, 0.5]])
-        assert check_ellipticity(field) == (0.5, 2.0)
+        assert field.ellipticity == (0.5, 2.0)
 
     @settings(max_examples=100, deadline=None)
     @given(dim=st.sampled_from([1, 2]), cells=st.integers(4, 12),
@@ -118,11 +118,11 @@ class TestEllipticity:
         with pytest.raises(ValueError, match="entry shape"):   # M itself, (d, d) per node
             CoefficientField(g, full)
         if np.all(ent > 0.0) and np.all(np.isfinite(ent)):
-            assert check_ellipticity(field) == (ent.min(), ent.max())
+            assert field.ellipticity == (ent.min(), ent.max())
         else:
             for _ in range(2):      # nothing is cached for a bad field
                 with pytest.raises(EllipticityError):
-                    check_ellipticity(field)
+                    field.ellipticity
 
     @settings(max_examples=100, deadline=None)
     @given(diagonal=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
@@ -145,7 +145,7 @@ class TestEllipticity:
         ent = CoefficientField.identity(g).entries.copy()
         ent[2, 2] = [1.0, -0.1]
         with pytest.raises(EllipticityError):
-            check_ellipticity(CoefficientField(g, ent))
+            CoefficientField(g, ent).ellipticity
 
     def test_non_symmetric(self):
         # an asymmetric M is not diagonal: refused when the field is built
@@ -163,7 +163,7 @@ class TestEllipticity:
         field = CoefficientField.constant(g, matrix)
         for _ in range(2):      # nothing is cached for a bad field
             with pytest.raises(EllipticityError):
-                check_ellipticity(field)
+                field.ellipticity
             with pytest.raises(EllipticityError):
                 assemble(g, field)
 
@@ -180,7 +180,7 @@ class TestEllipticity:
         ent = CoefficientField.identity(g).entries.copy()
         ent[2, 3, 1] = np.nan
         with pytest.raises(EllipticityError):
-            check_ellipticity(CoefficientField(g, ent))
+            CoefficientField(g, ent).ellipticity
 
 
 class TestEllipticityOnce:
@@ -200,7 +200,7 @@ class TestEllipticityOnce:
         monkeypatch.setattr(CoefficientField, "ellipticity", scan)
         spec = load_config(CONFIGS / "square_hole.json").spec
         assemble(spec.grid, spec.coefficients)
-        assert check_ellipticity(spec.coefficients) == (1.0, 1.0)
+        assert spec.coefficients.ellipticity == (1.0, 1.0)
         assert scans == [spec.coefficients]
 
     @pytest.mark.parametrize("dim, matrix, error, message", [
@@ -283,8 +283,22 @@ class TestGridFunction:
 
 class TestProblemSpec:
     def test_negative_datum_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantDatum(-1.0)
+        # the data only describe f; the spec refuses the sampled values
+        g = make_uniform_grid(0.0, 1.0, 8)
+        values = np.ones(g.shape)
+        values[3] = -1e-300
+        for datum in (ConstantDatum(-1.0), TabulatedDatum(GridFunction(g, values))):
+            with pytest.raises(ValueError, match="datum must be finite and nonnegative"):
+                ProblemSpec(g, CoefficientField.identity(g), datum, gamma=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("indicator", [False, True], ids=["constant", "indicator"])
+    def test_non_finite_datum_rejected(self, value, indicator):
+        # one check on the sampled values, written so that a NaN fails it
+        g = make_uniform_grid(0.0, 1.0, 8)
+        datum = IndicatorDatum(value, 0.25, 0.75) if indicator else ConstantDatum(value)
+        with pytest.raises(ValueError, match="datum must be finite and nonnegative"):
+            ProblemSpec(g, CoefficientField.identity(g), datum, gamma=1.0)
 
     def test_indicator_boundary_nodes_take_inside_value(self):
         g = make_uniform_grid(-2.0, 2.0, 8)

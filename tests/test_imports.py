@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,24 +37,50 @@ def test_only_operators_imports_sparse_linalg():
     assert importers == {"operators"}
 
 
-def _callers(node, name, scope=()):
-    """The dotted scope (classes and functions) of every call of `name`
-    under `node`, as `name(...)` or `module.name(...)`."""
+def _scoped(node, scope=()):
+    """(dotted scope, node) for every node under `node`, the scope being the
+    classes and functions that enclose it."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Call)
-                and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None))):
-            yield ".".join(scope)
+        yield ".".join(scope), child
         inner = (scope + (child.name,)
                  if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
-        yield from _callers(child, name, inner)
+        yield from _scoped(child, inner)
+
+
+def _package_nodes():
+    """(module.scope, node) for every node of every module of the package."""
+    for path in (SRC / "singell").glob("*.py"):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            yield f"{path.stem}.{scope}", node
 
 
 def test_only_the_coefficient_field_assembles():
     # A is assembled in one place, `CoefficientField.operator`; every other
     # reader of A reads that property
-    callers = {f"{path.stem}.{scope}" for path in (SRC / "singell").glob("*.py")
-               for scope in _callers(ast.parse(path.read_text()), "assemble")}
+    callers = {scope for scope, node in _package_nodes() if isinstance(node, ast.Call)
+               and "assemble" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))}
     assert callers == {"grids.CoefficientField.operator"}
+
+
+def _raisers(pattern):
+    """The scope of every `raise` whose message text matches `pattern`."""
+    return {scope for scope, node in _package_nodes() if isinstance(node, ast.Raise)
+            and any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                    and re.search(pattern, part.value) for part in ast.walk(node))}
+
+
+def test_one_datum_rule_and_one_exponent_rule():
+    # f is checked once, on the sampled values, and n once, by analytic's rule
+    assert _raisers(r"datum must be") == {"grids.ProblemSpec.__post_init__"}
+    assert _raisers(r"exponents? .*must be") == {"analytic.check_n"}
+
+
+def test_ellipticity_is_read_off_the_field():
+    # `CoefficientField.ellipticity` is the one certificate: no module
+    # defines a function that wraps it
+    assert not [scope for scope, node in _package_nodes()
+                if isinstance(node, ast.FunctionDef) and node.name == "check_ellipticity"]
 
 
 def test_traced_functions_resolve():
