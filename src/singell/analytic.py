@@ -10,7 +10,8 @@ where B_n(x) = integral_0^x  h^{-1/2} (1-h)^{-(n-3)/(2(n-1))} dh is the
 incomplete beta function B(x; 1/2, 1/2 + 1/(n-1)).  The complement 1 - x is
 inverted on its own, through I_x(a, b) = 1 - I_{1-x}(b, a), which keeps
 powers like w^{n+1} = (1-x)^{(n+1)/(n-1)} accurate near the profile's zero
-even for n in the hundreds.  Profile evaluations take whole arrays of t.
+even for n in the hundreds.  Profile evaluations take whole arrays of t
+and refuse (ValueError) a t beyond the profile's domain, not clip it.
 
 The matching constant c_n glues the profile C^1 to the line w(1)(2 - t).
 In x = 1 - w^{n-1}(1), with c = 2/B_n(x)^2, its defining gap reads
@@ -148,17 +149,10 @@ def upper_matching_bound(n: float) -> float:
 def first_zero(c: float, n: float) -> float:
     """First zero T of the shooting profile at strength c (closed form)."""
     n = check_n(n)
-    if not c > 0:
-        raise ValueError("profile strength c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("profile strength c must be positive and finite")
     e = 1.0 / (n - 1.0)
     return math.sqrt(math.pi * c / 2.0) * gamma_fn(0.5 + e) / gamma_fn(1.0 + e)
-
-
-def profile_amplitude(radius: float, n: float) -> float:
-    """Centre amplitude giving first zero exactly at the interval radius:
-    (2 R^2 (n-1) G^2(n/(n-1)) / (pi G^2(1/2+1/(n-1))))^(1/(n+1)), the
-    amplitude of `OneDProfile.for_interval(radius, n)`."""
-    return OneDProfile.for_interval(radius, n).amplitude
 
 
 def _exp(lg):
@@ -318,13 +312,13 @@ class OneDProfile:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if not self.t_zero > 0:
-            raise ValueError("first zero must be positive")
+        if not 0 < self.t_zero < math.inf:
+            raise ValueError("first zero must be positive and finite")
 
     @classmethod
     def for_interval(cls, radius: float, n: float) -> "OneDProfile":
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         c = radius * radius * lower_matching_bound(n)
         return cls(n=float(n), c=c, t_zero=first_zero(c, n), kind="interval",
                    radius=float(radius))
@@ -397,6 +391,6 @@ def limit_profiles(radius: float = 1.0,
         raise ValueError(f"unknown geometry {geometry!r}")
     if geometry == "matched":
         return LimitProfile(1.0, "matched")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     return LimitProfile(float(radius), "interval")

@@ -10,6 +10,11 @@ directory is made.  solve, sweep and oned write the formats that
 output.formats lists; limit-check and conjecture always write their one
 JSON file (limit_check.json, conjecture.json), whatever output.formats
 holds.  Exit codes: 0 success, 1 numeric failure, 2 invalid config.
+solution.csv has one layout in any dimension: the axis columns, then u and
+v, one row per node in C order.  An undefined value is null in JSON and an
+empty CSV field, and m = inf is written as null.  A failed sweep row keeps
+the header's shape in sweep.csv; summary.json lists it in failed_rows and
+leaves it out of total_masses.
 """
 
 from __future__ import annotations

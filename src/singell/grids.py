@@ -297,21 +297,3 @@ class ProblemSpec:
         if isinstance(self.datum, IndicatorDatum):
             return self.datum.lo, self.datum.hi
         return None
-
-
-# --- truncation utilities ----------------------------------------------------
-
-def truncate(s, k: float):
-    """Clamp s into [-k, k]."""
-    if not k > 0:
-        raise ValueError("truncation level must be positive")
-    return np.clip(s, -k, k)
-
-
-def excess(s, k: float):
-    """Signed excess of s over the level k; truncate(s,k) + excess(s,k) == s."""
-    if not k > 0:
-        raise ValueError("truncation level must be positive")
-    s = np.asarray(s, dtype=float)
-    out = np.sign(s) * np.maximum(np.abs(s) - k, 0.0)
-    return out if out.ndim else float(out)

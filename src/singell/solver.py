@@ -501,23 +501,6 @@ def mass_stack(density: np.ndarray, cell_volume: float,
     return np.sum(density, axis=-1) * cell_volume
 
 
-def singular_mass_density(u: GridFunction, spec: ProblemSpec) -> np.ndarray:
-    """Nodal values of f/u^gamma at interior nodes, log-domain, floored at 1e-300.
-
-    Boundary nodes carry zero weight: u vanishes there by the Dirichlet
-    condition, and the improper integral of f/u^gamma is approximated by the
-    interior nodal sum.  `mass_density_stack` of one row.
-    """
-    return mass_density_stack(u.values[None], [spec.gamma], spec.datum_values())[0]
-
-
-def total_singular_mass(u: GridFunction, spec: ProblemSpec, box=None) -> float:
-    """Trapezoid-weight integral of f/u^gamma, optionally over a sub-box."""
-    masks = None if box is None else u.grid.box_mask(box).reshape(1, -1)
-    dens = singular_mass_density(u, spec).reshape(1, -1)
-    return float(mass_stack(dens, u.grid.cell_volume(), masks).ravel()[0])
-
-
 # --- quasilinear side --------------------------------------------------------
 
 def quasilinear_stack(u: np.ndarray, gamma) -> np.ndarray:
@@ -610,7 +593,8 @@ def quasilinear_residual(v: GridFunction, gamma: float, f, *,
     The divergence term is the field's A on the interior values (v's
     boundary values are taken as the Dirichlet zeros); the centred gradient
     term takes M at the node.  The gradient term is 0/0 where v vanishes,
-    so nodes below the floor are masked and counted instead of evaluated.  gamma = inf selects the limit coefficient 1.
+    so nodes below the floor are masked and counted instead of evaluated.
+    gamma = inf selects the limit coefficient 1.
     `quasilinear_residual_stack` of one row.
     """
     grid = v.grid
@@ -637,8 +621,9 @@ def singular_residual(u: GridFunction, spec: ProblemSpec, *,
     op = spec.coefficients.operator
     sl = tuple(slice(1, -1) for _ in range(spec.grid.dim))
     ui = op.interior_of(u)
-    res = op.apply(ui) - singular_mass_density(u, spec)[sl].ravel()
-    mask = ~((spec.datum_values()[sl].ravel() > 0) & (ui < floor))
+    f = spec.datum_values()
+    res = op.apply(ui) - mass_density_stack(u.values[None], [spec.gamma], f)[0][sl].ravel()
+    mask = ~((f[sl].ravel() > 0) & (ui < floor))
     evaluated = int(np.sum(mask))
     sup = float(np.max(np.abs(res[mask]))) if evaluated else 0.0
     return ResidualField(op.full_from_interior(np.where(mask, res, 0.0)), sup,
@@ -656,9 +641,3 @@ def certificate_stack(u_sup: np.ndarray, gamma, f) -> np.ndarray:
         lg = (gamma + 1.0) * np.log(u_sup) - np.log(gamma + 1.0) - np.log(f_sup)
     return np.where(u_sup == 0.0, 0.0, np.exp(np.clip(lg, -745.0, 700.0)))
 
-
-def linfty_certificate(u: GridFunction, gamma: float, f) -> float:
-    """|u|_inf^(gamma+1) / ((gamma+1) |f|_inf); bounded uniformly in gamma.
-    `certificate_stack` of one row."""
-    f_vals = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
-    return float(certificate_stack(np.array([u.sup_norm()]), [gamma], f_vals)[0])

@@ -7,13 +7,12 @@ The one description of a solution: `describe_stack` turns a (k, *shape)
 stack of solutions into their `SweepRow`s at once, one kernel call per
 diagnostic on the whole stack, with the compacta's masks and the support
 of f computed once; `run_sweep` describes its successful rows as one
-stack, and `describe_solution` (what `solve` writes) is the stack of one.  Every one-solution diagnostic (`log_diagnostic`,
-`fitted_depth_bound`, `compactum_min`, and the masses, the power map, the
-residual and the certificate of `singell.solver`) is likewise its kernel on
-a stack of one, so each formula has one home.  `check_limit` checks the
-limit equation, for every command: the mass f/u^n, projected onto the
-boundary of the support box (`extract_atoms`), is the data of one linear
-solve on the field's A (`CoefficientField.operator`), which the solve used.
+stack, and `describe_solution` (what `solve` writes) is the stack of one.
+Each diagnostic formula has one home, its stack kernel.  `check_limit`
+checks the limit equation, for every command: the mass f/u^n, projected
+onto the boundary of the support box (`extract_atoms`), is the data of one
+linear solve on the field's A (`CoefficientField.operator`), which the
+solve used.
 """
 
 from __future__ import annotations
@@ -50,12 +49,6 @@ def log_depth_stack(u: np.ndarray, n) -> np.ndarray:
         return log_n1 - n1 * np.log(u)
 
 
-def log_diagnostic(u: GridFunction, n: float) -> np.ndarray:
-    """z = -log(u^{n+1}/(n+1)), log-domain; +inf where u = 0.
-    `log_depth_stack` of one row."""
-    return log_depth_stack(u.values[None], [n])[0]
-
-
 def box_masks(grid: Grid, boxes: Sequence) -> np.ndarray:
     """The (c, nodes) stack of the boxes' node masks (`Grid.box_mask`), flat."""
     return np.array([grid.box_mask(box).ravel() for box in boxes],
@@ -64,9 +57,10 @@ def box_masks(grid: Grid, boxes: Sequence) -> np.ndarray:
 
 def fitted_depth_stack(z: np.ndarray, masks: np.ndarray, boxes: Sequence,
                        f_values: Optional[np.ndarray] = None) -> np.ndarray:
-    """sup of z^+ over each box, (k, c), for a (k, nodes) stack z and the
-    boxes' (c, nodes) masks; with f_values, nodes where z = inf and f = 0
-    are left out."""
+    """sup of z^+ over each box, (k, c), the empirical lower-bound constant,
+    for a (k, nodes) stack z and the boxes' (c, nodes) masks; with f_values,
+    nodes where z = inf and f = 0 are left out (u = 0 off the support of f
+    carries no lower-bound information)."""
     admissible = np.broadcast_to(masks, (len(z),) + masks.shape)
     if f_values is not None:
         admissible = admissible & ~(np.isinf(z) & (f_values.ravel() == 0.0))[:, None]
@@ -76,18 +70,6 @@ def fitted_depth_stack(z: np.ndarray, masks: np.ndarray, boxes: Sequence,
         raise ValueError(f"compactum {box} contains no admissible nodes")
     return np.max(np.broadcast_to(np.maximum(z, 0.0)[:, None], admissible.shape),
                   axis=-1, where=admissible, initial=-np.inf)
-
-
-def fitted_depth_bound(u: GridFunction, n: float, box,
-                       f_values: Optional[np.ndarray] = None) -> float:
-    """sup of z^+ over the compactum; the empirical lower-bound constant.
-
-    Nodes where u = 0 map to +inf and are excluded when they lie outside the
-    support of f (they carry no lower-bound information there).
-    `fitted_depth_stack` of one row and one box.
-    """
-    z = log_depth_stack(u.values[None], [n]).reshape(1, -1)
-    return float(fitted_depth_stack(z, box_masks(u.grid, [box]), [box], f_values)[0, 0])
 
 
 # --- concentration histogram ----------------------------------------------------
@@ -264,12 +246,6 @@ def compactum_min_stack(u: np.ndarray, masks: np.ndarray, boxes: Sequence) -> np
         raise ValueError(f"compactum {boxes[np.argmax(empty)]} contains no grid nodes")
     return np.min(np.broadcast_to(u[:, None], (len(u),) + masks.shape), axis=-1,
                   where=masks, initial=np.inf)
-
-
-def compactum_min(u: GridFunction, box) -> float:
-    """min of u over the box: `compactum_min_stack` of one row and one box."""
-    return float(compactum_min_stack(u.values.reshape(1, -1),
-                                     box_masks(u.grid, [box]), [box])[0, 0])
 
 
 def describe_stack(spec: ProblemSpec, ns: Sequence[float], u: np.ndarray,

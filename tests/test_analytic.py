@@ -7,10 +7,10 @@ from scipy.special import beta, betaincinv
 
 import singell.analytic as analytic
 from singell import (OneDProfile, beta_integral, beta_integral_inverse,
-                     beta_total_closed_form, excess, first_zero, gamma_fn,
+                     beta_total_closed_form, first_zero, gamma_fn,
                      glued_profile, limit_profiles, lower_matching_bound,
-                     matching_constant, matching_slope_gap, profile_amplitude,
-                     profile_value, truncate, upper_matching_bound)
+                     matching_constant, matching_slope_gap, profile_value,
+                     upper_matching_bound)
 from singell.solver import solve_singular
 from singell.sweeps import check_n_list
 from conftest import interval_spec
@@ -135,7 +135,7 @@ class TestBetaInverse:
 
 class TestParametrization:
     def test_amplitude_n3_is_one(self):
-        assert abs(profile_amplitude(1.0, 3) - 1.0) <= 1e-12
+        assert abs(OneDProfile.for_interval(1.0, 3).amplitude - 1.0) <= 1e-12
 
     def test_first_zero_n3(self):
         assert abs(first_zero(2.0, 3) - 2.0) <= 1e-12
@@ -143,13 +143,13 @@ class TestParametrization:
     def test_consistency_of_parametrizations(self):
         for radius in (0.5, 1.0, 2.0):
             for n in (3, 5, 9, 33, 129):
-                alpha = profile_amplitude(radius, n)
+                alpha = OneDProfile.for_interval(radius, n).amplitude
                 c = math.exp((n + 1.0) * math.log(alpha)) / (n - 1.0)
                 assert abs(first_zero(c, n) - radius) <= 1e-10
 
     def test_amplitude_limit(self):
         n = 400
-        value = profile_amplitude(1.0, n) ** (n + 1.0) / (n + 1.0)
+        value = OneDProfile.for_interval(1.0, n).amplitude ** (n + 1.0) / (n + 1.0)
         assert abs(value - 2.0 / math.pi ** 2) <= 1e-3
 
 
@@ -504,7 +504,6 @@ EXPONENT_ENTRY_POINTS = {
     "lower_matching_bound": lower_matching_bound,
     "upper_matching_bound": upper_matching_bound,
     "first_zero": lambda n: first_zero(1.0, n),
-    "profile_amplitude": lambda n: profile_amplitude(1.0, n),
     "profile_value": lambda n: profile_value(0.5, n, 1.0),
     "profile_power": lambda n: analytic.profile_power(0.5, n, 1.0),
     "matching_slope_gap": lambda n: matching_slope_gap(n, 2.0),
@@ -532,14 +531,27 @@ def test_check_n_list_checks_each_entry_before_the_order():
         check_n_list([5.0, 4.0])
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: first_zero(math.nan, 5), "profile strength c must be positive"),
-    (lambda: limit_profiles(radius=math.nan), "radius must be positive"),
-    (lambda: OneDProfile.for_interval(math.nan, 5), "radius must be positive"),
-    (lambda: truncate(1.0, math.nan), "truncation level must be positive"),
-    (lambda: excess(1.0, math.nan), "truncation level must be positive")],
-    ids=["first_zero", "limit_profiles", "for_interval", "truncate", "excess"])
-def test_range_checks_refuse_nan(call, message):
-    # each check is written `not x > 0`, so a NaN fails it
+# every range check on a profile's strength, radius or first zero, as a
+# function of the checked value; each is written `not 0 < x < inf`
+RANGE_CHECKS = {
+    "first_zero": (lambda x: first_zero(x, 5), "profile strength c must be positive"),
+    "limit_profiles": (lambda x: limit_profiles(radius=x), "radius must be positive"),
+    "for_interval": (lambda x: OneDProfile.for_interval(x, 5), "radius must be positive"),
+    "OneDProfile": (lambda x: OneDProfile(5.0, 1.0, x, "interval"),
+                    "first zero must be positive"),
+}
+
+
+@pytest.mark.parametrize("entry", list(RANGE_CHECKS))
+def test_range_checks_refuse_nan(entry):
+    call, message = RANGE_CHECKS[entry]
     with pytest.raises(ValueError, match=message):
-        call()
+        call(math.nan)
+
+
+@pytest.mark.parametrize("x", [math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", list(RANGE_CHECKS))
+def test_range_checks_refuse_inf_and_nonpositive(entry, x):
+    call, message = RANGE_CHECKS[entry]
+    with pytest.raises(ValueError, match=message):
+        call(x)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from singell import (CoefficientField, ConstantDatum, EllipticityError,
                      GridFunction, IndicatorDatum, ProblemSpec, TabulatedDatum,
-                     assemble, excess, make_uniform_grid, truncate)
+                     assemble, make_uniform_grid)
 from singell.cli import main
 from singell.config import load_config
 from singell.grids import Grid, sample_datum
@@ -65,28 +65,6 @@ class TestMakeUniformGrid:
         assert make_uniform_grid(0.0, 1.0, 64.0).cells == (64,)
         assert make_uniform_grid(0.0, 1.0, np.int64(64)).cells == (64,)
         assert make_uniform_grid((0.0, 0.0), (1.0, 1.0), [8, 16.0]).cells == (8, 16)
-
-
-class TestTruncation:
-    def test_values(self):
-        assert truncate(5.0, 2.0) == 2.0
-        assert excess(5.0, 2.0) == 3.0
-        assert truncate(-5.0, 2.0) == -2.0
-        assert excess(-5.0, 2.0) == -3.0
-        assert truncate(1.0, 2.0) == 1.0
-        assert excess(1.0, 2.0) == 0.0
-
-    def test_identity_property(self, rng):
-        s = rng.normal(scale=10.0, size=500)
-        for k in (0.1, 1.0, 3.7, 25.0):
-            np.testing.assert_allclose(truncate(s, k) + excess(s, k), s,
-                                       rtol=0, atol=1e-14)
-
-    def test_level_must_be_positive(self):
-        with pytest.raises(ValueError):
-            truncate(1.0, 0.0)
-        with pytest.raises(ValueError):
-            excess(1.0, -1.0)
 
 
 class TestEllipticity:

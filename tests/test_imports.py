@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
@@ -83,13 +84,19 @@ def test_ellipticity_is_read_off_the_field():
                 if isinstance(node, ast.FunctionDef) and node.name == "check_ellipticity"]
 
 
-def test_traced_functions_resolve():
-    # perfbench wraps these (module, name) pairs by name; a missing one
-    # crashes every traced run
-    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+def _traced_functions():
+    """perfbench's tracer list: the (module, name) pairs it wraps by name."""
+    tracing = ROOT / "perfbench" / "tracing.py"
     (pairs,) = [ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
                 if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FUNCTIONS"]]
+    return pairs
+
+
+def test_traced_functions_resolve():
+    # perfbench wraps these (module, name) pairs by name; a missing one
+    # crashes every traced run
+    pairs = _traced_functions()
     assert pairs
     for module, name in pairs:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
@@ -107,7 +114,7 @@ def _dotted(node):
 def test_benchmark_reads_resolve():
     # perfbench's workloads import singell modules and read `singell.<name>...`
     # attributes at call time; an API change must fail here, not in a run
-    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = ROOT / "perfbench" / "workloads.py"
     tree = ast.parse(workloads.read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -126,3 +133,36 @@ def test_benchmark_reads_resolve():
         for name in chain.split(".")[1:]:
             assert hasattr(target, name), chain
             target = getattr(target, name)
+
+
+def _loads(nodes):
+    """The names that the nodes read, as an ast.Name or an ast.Attribute."""
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public name is read by the package outside its own definition and
+    # its re-export, by a demo, by the README's library example or by what
+    # perfbench runs; a name that only tests call is a second route to a
+    # formula, and it goes
+    import singell
+    readme = (ROOT / "README.md").read_text()
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    trees.append(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
+    read = {name for tree in trees for name in _loads(ast.walk(tree))}
+    read |= {name for _, name in _traced_functions()}
+    defining = {name: getattr(singell, name).__module__.rsplit(".", 1)[-1]
+                for name in singell.__all__}
+    for scope, node in _package_nodes():
+        module, _, inner = scope.partition(".")
+        if module != "__init__":
+            read |= {name for name in _loads([node])
+                     if name in defining and (module, inner.split(".")[0])
+                     != (defining[name], name)}
+    unread = sorted(set(singell.__all__) - read)
+    assert not unread, f"public names that only tests call: {unread}"

@@ -12,10 +12,10 @@ import singell.solver as solver_module
 from singell import (CoefficientField, GridFunction, IndicatorDatum,
                      NonlinearSolveError, ProblemSpec, SparseOperator,
                      UndefinedCertificateError, from_quasilinear,
-                     linfty_certificate, make_uniform_grid,
-                     quasilinear_residual, singular_residual, solve_regularized,
-                     solve_singular, to_quasilinear)
+                     make_uniform_grid, quasilinear_residual, singular_residual,
+                     solve_regularized, solve_singular, to_quasilinear)
 from singell.config import load_config
+from singell.solver import certificate_stack
 from conftest import (interval_spec, matched_spec, record_assemblies,
                       record_direct_solves, record_newton_steps, square_spec)
 
@@ -835,17 +835,17 @@ class TestCertificate:
         g = make_uniform_grid(-1.0, 1.0, 256)
         t = g.axes()[0]
         u = GridFunction(g, np.sqrt(np.maximum(1.0 - t ** 2, 0.0)))
-        assert abs(linfty_certificate(u, 3.0, np.ones(g.shape)) - 0.25) <= 1e-12
+        (cert,) = certificate_stack(np.array([u.sup_norm()]), [3.0], np.ones(g.shape))
+        assert abs(cert - 0.25) <= 1e-12
 
     def test_definition(self, rng):
         g = make_uniform_grid(0.0, 1.0, 32)
         u = GridFunction(g, rng.random(g.shape))
         gamma = 7.0
         expected = u.sup_norm() ** (gamma + 1.0) / (gamma + 1.0)
-        assert np.isclose(linfty_certificate(u, gamma, np.ones(g.shape)), expected)
+        (cert,) = certificate_stack(np.array([u.sup_norm()]), [gamma], np.ones(g.shape))
+        assert np.isclose(cert, expected)
 
     def test_zero_datum_undefined(self):
-        g = make_uniform_grid(0.0, 1.0, 16)
-        u = GridFunction(g, np.ones(g.shape))
         with pytest.raises(UndefinedCertificateError):
-            linfty_certificate(u, 2.0, np.zeros(g.shape))
+            certificate_stack(np.array([1.0]), [2.0], np.zeros((17,)))

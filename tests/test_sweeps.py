@@ -13,15 +13,15 @@ import singell.solver as solver_mod
 import singell.sweeps as sweeps_mod
 from singell import (CoefficientField, ConstantDatum, GridFunction, MeasureHistogram,
                      NonlinearSolveError, ProblemSpec, SweepRow,
-                     conjecture_experiment, extract_atoms, fitted_depth_bound,
-                     limit_equation_check, linfty_certificate, log_diagnostic,
+                     conjecture_experiment, extract_atoms, limit_equation_check,
                      make_uniform_grid, measure_histogram, quasilinear_residual,
-                     run_sweep, solve_singular, to_quasilinear, total_singular_mass)
+                     run_sweep, solve_singular, to_quasilinear)
 from singell.config import load_config
 from singell.grids import Grid, IndicatorDatum, TabulatedDatum
-from singell.solver import RESIDUAL_FLOOR, singular_mass_density, solve_lockstep
-from singell.sweeps import (check_limit, compactum_min, describe_solution,
-                            limit_check_applies)
+from singell.solver import RESIDUAL_FLOOR, mass_density_stack, solve_lockstep
+from singell.sweeps import (box_masks, check_limit, describe_solution,
+                            fitted_depth_stack, limit_check_applies,
+                            log_depth_stack)
 from conftest import (harmonic_lift, interval_spec, matched_spec, record_assemblies,
                       record_direct_solves, reference_harmonic)
 
@@ -41,28 +41,30 @@ def atom_field(grid, atoms):
 class TestLogDiagnostic:
     def test_constant_one(self):
         g = make_uniform_grid(-1.0, 1.0, 16)
-        u = GridFunction(g, np.ones(g.shape))
+        u = np.ones((1,) + g.shape)
         for n in (3.0, 40.0, 400.0):
-            z = log_diagnostic(u, n)
+            z = log_depth_stack(u, [n])[0]
             np.testing.assert_allclose(z, math.log(n + 1.0), atol=1e-12)
 
     def test_gamma3_center_value(self):
         spec = interval_spec(3.0, 1024)
         sol = solve_singular(spec)
-        z = log_diagnostic(sol.u, 3.0)
+        z = log_depth_stack(sol.u.values[None], [3.0])[0]
         center = np.argmin(np.abs(spec.grid.axes()[0]))
         assert abs(z[center] - math.log(4.0)) <= 5e-3
 
     def test_zero_maps_to_infinity(self):
         g = make_uniform_grid(-1.0, 1.0, 16)
-        z = log_diagnostic(GridFunction.zeros(g), 5.0)
+        z = log_depth_stack(np.zeros((1,) + g.shape), [5.0])
         assert np.all(np.isinf(z))
 
     def test_fitted_bound_excludes_boundary_zeros(self):
         spec = matched_spec(10.0, 128)
         sol = solve_singular(spec)
         f = spec.datum_values()
-        bound = fitted_depth_bound(sol.u, 10.0, (-0.5, 0.5), f)
+        box = (-0.5, 0.5)
+        z = log_depth_stack(sol.u.values.reshape(1, -1), [10.0])
+        bound = fitted_depth_stack(z, box_masks(spec.grid, [box]), [box], f)[0, 0]
         assert np.isfinite(bound)
 
 
@@ -93,7 +95,7 @@ class TestHistogram:
     def test_other_exponent_samples_no_datum(self, monkeypatch):
         spec = matched_spec(10.0, 128)
         u = solve_singular(spec).u
-        expected = (singular_mass_density(u, replace(spec, gamma=40.0))
+        expected = (mass_density_stack(u.values[None], [40.0], spec.datum_values())[0]
                     * spec.grid.cell_volume())
         calls = []
         real = Grid.box_mask
@@ -376,26 +378,52 @@ def assert_same_solve(a, b):
 
 
 def scalar_row(sol, compacta, floor=RESIDUAL_FLOOR) -> SweepRow:
-    """The row of `sol` from the public one-solution diagnostics, each called
-    on its own; the H^1 seminorm of v summed axis by axis here."""
+    """The row of `sol` written out in plain numpy, sharing no kernel with
+    `describe_stack`: the minimum over each box, the flat sums of the mass
+    density, the certificate sup^(n+1)/((n+1)|f|_inf), the depth
+    max(log(n+1) - (n+1) log u)^+ over the admissible box nodes, and the
+    H^1 seminorm of v summed axis by axis.  Only the power map and the
+    quasilinear residual are the package's."""
     spec, u, n = sol.spec, sol.u, sol.spec.gamma
     f = spec.datum_values()
     positive = np.max(f) > 0
-    v = to_quasilinear(u, n)
+    boxes = [spec.grid.box_mask(box) for box in compacta]
+    inner = np.zeros(f.shape, dtype=bool)
+    inner[(slice(1, -1),) * f.ndim] = True
+    support = inner & (f > 0)
+    density = np.zeros(f.shape)
+    with np.errstate(divide="ignore"):
+        density[support] = np.exp(np.minimum(
+            np.log(f[support]) - n * np.log(u.values[support]), 700.0))
+        depth = math.log(n + 1.0) - (n + 1.0) * np.log(u.values)
     vol = u.grid.cell_volume()
+    v = to_quasilinear(u, n)
     h1 = math.sqrt(sum(float(np.sum((np.diff(v.values, axis=ax) / h) ** 2)) * vol
                        for ax, h in enumerate(u.grid.h)))
+    admissible = ~(np.isinf(depth) & (f == 0.0))
     return SweepRow(
-        n=n, sup_norm=u.sup_norm(),
-        compacta_min=tuple(compactum_min(u, box) for box in compacta),
-        total_mass=total_singular_mass(u, spec),
-        local_masses=tuple(total_singular_mass(u, spec, box) for box in compacta),
+        n=n, sup_norm=float(np.max(np.abs(u.values))),
+        compacta_min=tuple(float(np.min(u.values[box])) for box in boxes),
+        total_mass=float(np.sum(density) * vol),
+        local_masses=tuple(float(np.sum(np.where(box, density, 0.0)) * vol)
+                           for box in boxes),
         quasilinear_residual=quasilinear_residual(
             v, n, f, coefficients=spec.coefficients, floor=floor).masked_sup,
-        certificate=linfty_certificate(u, n, f) if positive else None,
-        fitted_depth=tuple(fitted_depth_bound(u, n, box, f) if positive else None
-                           for box in compacta),
+        certificate=(float(np.max(np.abs(u.values))) ** (n + 1.0)
+                     / ((n + 1.0) * float(np.max(np.abs(f)))) if positive else None),
+        fitted_depth=tuple(float(np.max(np.maximum(depth, 0.0)[box & admissible]))
+                           if positive else None for box in boxes),
         v_sup=v.sup_norm(), v_h1_seminorm=h1)
+
+
+def assert_rows_agree(row, ref):
+    """`row` is `ref`, the certificate to 1e-13 relative (the kernel
+    evaluates it in the log domain) and every other field exactly."""
+    assert replace(row, certificate=None) == replace(ref, certificate=None)
+    if ref.certificate is None:
+        assert row.certificate is None
+    else:
+        assert math.isclose(row.certificate, ref.certificate, rel_tol=1e-13)
 
 
 class TestLockstep:
@@ -404,8 +432,8 @@ class TestLockstep:
 
     def check_rows_equal_solo_solves(self, spec, ns, compacta):
         """Each row is the solve of its exponent alone, described alone
-        (`describe_solution`) and field by field by the public one-solution
-        diagnostics."""
+        (`describe_solution`) and field by field by plain formulas
+        (`scalar_row`)."""
         report = run_sweep(spec, ns, compacta)
         for n, row, trace in zip(ns, report.rows, report.traces):
             try:
@@ -414,13 +442,8 @@ class TestLockstep:
                 assert (row.failed, row.error, trace) == (True, str(exc), None)
                 continue
             assert row == describe_solution(alone, compacta)
-            assert row == scalar_row(alone, compacta)
             # each mass sums its row in the pairwise order of a flat sum
-            dens, vol = singular_mass_density(alone.u, alone.spec), spec.grid.cell_volume()
-            assert row.total_mass == float(np.sum(dens) * vol)
-            assert row.local_masses == tuple(
-                float(np.sum(np.where(spec.grid.box_mask(box), dens, 0.0)) * vol)
-                for box in compacta)
+            assert_rows_agree(row, scalar_row(alone, compacta))
             assert_same_trace(trace, alone.trace)
         return report
 
