@@ -319,9 +319,13 @@ class OneDProfile:
     def for_interval(cls, radius: float, n: float) -> "OneDProfile":
         if not 0 < radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        radius = float(radius)
         c = radius * radius * lower_matching_bound(n)
+        if not 0 < c < math.inf:
+            raise ValueError(f"radius {radius:g} is out of range at n = {float(n):g}: "
+                             f"its profile strength c = R^2 c_lower(n) is {c:g}")
         return cls(n=float(n), c=c, t_zero=first_zero(c, n), kind="interval",
-                   radius=float(radius))
+                   radius=radius)
 
     @classmethod
     def for_matched(cls, n: float) -> "OneDProfile":

@@ -2,13 +2,14 @@
 and dependency-free SVG line plots.
 
 Floating-point formatting is fixed at 17 significant digits so reruns of the
-same configuration produce byte-identical files.  A grid's node table is
-written with each axis's coordinates formatted once, not once per node.
+same configuration produce byte-identical files.  A float table (a grid's
+node table, or a float array such as `oned`'s profiles) is written by one
+`%` call over all its values, with each axis's coordinates formatted once,
+not once per node; mixed rows (`sweep.csv`, `oned.csv`) go field by field.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -38,18 +39,23 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray
               grid: Grid | None = None) -> None:
     """A CSV table, each field as `format_value` writes it.  With `grid`,
     `rows` is the (node_count, k) array of fields at the grid's nodes in C
-    order, and each row starts with its node's coordinates: the text of the
-    float table of the raveled `grid.meshes()` and `rows`, with each axis's
-    coordinates formatted once."""
-    lines = [",".join(header)]
-    if grid is not None:
-        nodes = itertools.product(*([FLOAT_FORMAT % x for x in axis.tolist()]
-                                    for axis in grid.axes()))
-        row_format = ",".join(["%s"] * grid.dim + [FLOAT_FORMAT] * rows.shape[1])
-        lines.extend(row_format % (*node, *row) for node, row in zip(nodes, rows.tolist()))
+    order, and each row starts with its node's coordinates.
+
+    A float table (a grid's node table, or a float array without a grid) is
+    written by one `%` call: the row format, repeated once per row, applied
+    to the flat table of node strings (each axis's coordinates formatted
+    once) and values.  Other rows are joined field by field."""
+    text = ",".join(header) + "\n"
+    if grid is not None or (isinstance(rows, np.ndarray) and rows.dtype == float):
+        axes = grid.axes() if grid is not None else ()
+        nodes = np.meshgrid(*(np.array([FLOAT_FORMAT % x for x in axis.tolist()], dtype=object)
+                              for axis in axes), indexing="ij")
+        table = np.column_stack([*(node.ravel() for node in nodes), rows])
+        row_format = ",".join(["%s"] * len(axes) + [FLOAT_FORMAT] * rows.shape[1]) + "\n"
+        text += (row_format * len(table)) % tuple(table.ravel().tolist())
     else:
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+        text += "".join(",".join(format_value(v) for v in row) + "\n" for row in rows)
+    Path(path).write_text(text)
 
 
 def write_json(path, payload: dict) -> None:

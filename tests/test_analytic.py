@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -555,3 +556,13 @@ def test_range_checks_refuse_inf_and_nonpositive(entry, x):
     call, message = RANGE_CHECKS[entry]
     with pytest.raises(ValueError, match=message):
         call(x)
+
+
+@pytest.mark.parametrize("radius, c", [(1e170, "inf"), (1e-170, "0")])
+def test_for_interval_names_a_radius_whose_strength_leaves_the_floats(radius, c):
+    # c = R^2 c_lower overflows or underflows: the refusal names the radius
+    # the caller passed, not the strength it never saw
+    message = (f"radius {radius:g} is out of range at n = 5: "
+               f"its profile strength c = R^2 c_lower(n) is {c}")
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        OneDProfile.for_interval(radius, 5)

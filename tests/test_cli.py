@@ -4,15 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import singell.operators as ops
+from hypothesis import given, settings, strategies as st
 from singell.cli import build_parser, main
 from singell.config import load_config
 from singell.grids import make_uniform_grid
-from singell.reporting import svg_line_plot, write_csv
+from singell.reporting import FLOAT_FORMAT, svg_line_plot, write_csv
 from singell.solver import NonlinearSolveError, solve_singular
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -85,6 +88,46 @@ def test_grid_table_is_written_as_its_node_table(tmp_path, lo, hi, cells):
     table = np.column_stack([*(mesh.ravel() for mesh in grid.meshes()), fields])
     write_csv(tmp_path / "table.csv", header, table)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-310, 1e300, -1e300,
+               1e-300, -1e-300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def float_tables(draw):
+    """(grid or None, (rows, k) float array): a 1-D or 2-D grid of random
+    extent with one row per node, or a grid-less table of any row count,
+    with values drawn to include signed zeros, subnormals, +-1e+-300,
+    infinities and NaN."""
+    dim = draw(st.sampled_from([0, 1, 2]))
+    if dim:
+        lo = draw(st.tuples(*[st.floats(-1e3, 1e3)] * dim))
+        width = draw(st.tuples(*[st.floats(1e-3, 1e3)] * dim))
+        cells = draw(st.tuples(*[st.integers(4, 12)] * dim))
+        grid = make_uniform_grid(lo, tuple(a + w for a, w in zip(lo, width)), cells)
+        count = grid.node_count
+    else:
+        grid, count = None, draw(st.integers(0, 40))
+    values = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+    rows = draw(hnp.arrays(np.float64, (count, draw(st.integers(1, 4))), elements=values))
+    return grid, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=float_tables())
+def test_float_table_text_is_the_per_row_reference(table):
+    # the one-call float table gives the text of formatting the node table
+    # of the meshes and the rows field by field, one row per line
+    grid, rows = table
+    meshes = [] if grid is None else [mesh.ravel() for mesh in grid.meshes()]
+    header = [f"c{j}" for j in range(len(meshes) + rows.shape[1])]
+    lines = [",".join(FLOAT_FORMAT % x for x in row)
+             for row in np.column_stack([*meshes, rows])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, rows, grid=grid)
+        assert path.read_text() == "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _polylines_by_fstrings(series, width=640, height=440):

@@ -2,7 +2,9 @@ import ast
 import importlib
 import re
 import subprocess
+import symtable
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,34 +137,106 @@ def test_benchmark_reads_resolve():
             target = getattr(target, name)
 
 
-def _loads(nodes):
-    """The names that the nodes read, as an ast.Name or an ast.Attribute."""
-    for node in nodes:
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+_SCOPE_NAMES = {ast.Lambda: "lambda", ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+                ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _in_scopes(node, tables, top="", used=None):
+    """(symbol tables from the module's inward, enclosing module-level
+    definition, node) for every node under `node`.  Each def, class, lambda
+    and comprehension enters its own `symtable` scope, matched by kind and
+    line."""
+    used = set() if used is None else used
+    for child in ast.iter_child_nodes(node):
+        yield tables, top, child
+        inner, inner_top = tables, top
+        if isinstance(child, _DEFS) or type(child) in _SCOPE_NAMES:
+            name = child.name if isinstance(child, _DEFS) else _SCOPE_NAMES[type(child)]
+            table = next(t for t in tables[-1].get_children() if t.get_id() not in used
+                         and (t.get_name(), t.get_lineno()) == (name, child.lineno))
+            used.add(table.get_id())
+            inner, inner_top = tables + (table,), top or name
+        yield from _in_scopes(child, inner, inner_top, used)
+
+
+def _is_singell_module(value):
+    return isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "singell"
+
+
+def _imported(node):
+    """{bound name: object} for what an import statement binds to singell or
+    to a name read from a singell module (relative imports are singell's)."""
+    if isinstance(node, ast.Import):
+        return {alias.asname or "singell": importlib.import_module(
+                    alias.name if alias.asname else "singell")
+                for alias in node.names if alias.name.split(".")[0] == "singell"}
+    if not node.level and (node.module or "").split(".")[0] != "singell":
+        return {}
+    source = importlib.import_module("." * node.level + (node.module or ""), "singell")
+    return {alias.asname or alias.name: getattr(source, alias.name, None)
+            for alias in node.names}
+
+
+def _singell_reads(source, package=None):
+    """(enclosing module-level definition, object) for every ast.Name or
+    ast.Attribute load in `source` that resolves to a singell binding: a
+    name bound by an import from singell (or, in the package module
+    `package`, by a module-level def or class), read where no nearer scope
+    rebinds it; or an attribute read on a singell module.  Other loads
+    resolve to None."""
+    scoped = list(_in_scopes(ast.parse(source), (symtable.symtable(source, "<source>", "exec"),)))
+    bound = {}    # symtable id -> {name: object}
+    for tables, _, node in scoped:
+        names = bound.setdefault(tables[-1].get_id(), {})
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_imported(node))
+        elif package and len(tables) == 1 and isinstance(node, _DEFS):
+            names[node.name] = getattr(importlib.import_module(package), node.name)
+
+    def resolve(node, tables):
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value, tables)
+            return getattr(base, node.attr, None) if _is_singell_module(base) else None
+        if not isinstance(node, ast.Name):
+            return None
+        for depth, table in enumerate(reversed(tables)):
+            # a class body's names are not seen by the scopes nested in it
+            if (depth and table.get_type() == "class"
+                    or node.id not in table.get_identifiers()):
+                continue
+            symbol = table.lookup(node.id)
+            if not symbol.is_free():
+                scope = tables[0] if symbol.is_global() else table
+                return bound.get(scope.get_id(), {}).get(node.id)
+        return None
+
+    for tables, top, node in scoped:
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield top, resolve(node, tables)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     # a public name is read by the package outside its own definition and
     # its re-export, by a demo, by the README's library example or by what
     # perfbench runs; a name that only tests call is a second route to a
-    # formula, and it goes
+    # formula, and it goes.  A read counts only where it resolves to the
+    # public binding: a local or an attribute of another object that shares
+    # its spelling does not
     import singell
+    public = {id(getattr(singell, name)): name for name in singell.__all__}
     readme = (ROOT / "README.md").read_text()
-    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
-    trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
-    trees.append(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
-    read = {name for tree in trees for name in _loads(ast.walk(tree))}
-    read |= {name for _, name in _traced_functions()}
-    defining = {name: getattr(singell, name).__module__.rsplit(".", 1)[-1]
-                for name in singell.__all__}
-    for scope, node in _package_nodes():
-        module, _, inner = scope.partition(".")
-        if module != "__init__":
-            read |= {name for name in _loads([node])
-                     if name in defining and (module, inner.split(".")[0])
-                     != (defining[name], name)}
+    sources = [(path.read_text(), None) for path in sorted((ROOT / "demos").glob("*.py"))]
+    sources += [(block, None) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    sources.append(((ROOT / "perfbench" / "workloads.py").read_text(), None))
+    sources += [(path.read_text(), f"singell.{path.stem}")
+                for path in sorted((SRC / "singell").glob("*.py")) if path.stem != "__init__"]
+    read = {public.get(id(getattr(importlib.import_module(module), name)))
+            for module, name in _traced_functions()}
+    for source, package in sources:
+        for top, value in _singell_reads(source, package):
+            name = public.get(id(value))
+            if name and (package, top) != (getattr(singell, name).__module__, name):
+                read.add(name)
     unread = sorted(set(singell.__all__) - read)
     assert not unread, f"public names that only tests call: {unread}"

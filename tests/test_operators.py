@@ -264,6 +264,29 @@ class TestDiagonalRoutes:
         assert_diagonal_routes(assemble(g, CoefficientField(g, ent)))
 
 
+class TestHierarchyRowSums:
+    """Each level's |A_l| row sums and the cached P 1 equal scipy's
+    `abs(A_l).sum(axis=1)` and `P.sum(axis=1)` bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.tuples(st.integers(18, 96), st.integers(18, 96)),
+           widths=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           decades=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_diagonal_fields(self, cells, widths, decades, seed):
+        g = make_uniform_grid(tuple(-0.5 * w for w in widths),
+                              tuple(0.5 * w for w in widths), cells)
+        ent = 10.0 ** (decades * np.random.default_rng(seed).random(g.shape + (2,)))
+        op = assemble(g, CoefficientField(g, ent))
+        levels, _ = op._hierarchy
+        assert levels
+        matrix = op.matrix
+        for _, _, abs_rows, interp, restrict, interp_rows in levels:
+            assert abs_rows.tobytes() == np.asarray(abs(matrix).sum(axis=1)).ravel().tobytes()
+            assert interp_rows.tobytes() == np.asarray(interp.sum(axis=1)).ravel().tobytes()
+            matrix = restrict @ matrix @ interp
+            matrix.sort_indices()
+
+
 class TestMMatrixCheck:
     """The sign-pattern certificate, at its thresholds: off-diagonal entries
     at most 1e-14, row sums at least -1e-12 max |diag A|."""
@@ -445,7 +468,7 @@ class CsrMultigrid:
         matrix = op.matrix
         shapes = [op.grid.interior_shape] + ops._coarse_shapes(op.grid.interior_shape)
         for shape in shapes[:-1]:
-            interp, restrict = ops._interpolation(shape)
+            interp, restrict, _ = ops._interpolation(shape)
             rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
             slots = np.flatnonzero(matrix.indices == rows)
             data = matrix.data.copy()
